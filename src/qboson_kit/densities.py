@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .fock import (
     FockSpace,
@@ -85,6 +86,8 @@ class DensityOperator:
 def mixture_density(states: Sequence[StateVector], probs: Sequence[float]) -> DensityOperator:
     """Statistical mixture sum_R P_R |R><R|.
 
+    Stored sparse: each term is built on its state's nonzero support only, so
+    memory grows with the union of the supports squared, not with dim^2.
     Probabilities must be nonnegative and sum to 1 within 1e-10; each state
     must be normalized.  A single-state mixture is tagged pure (and is then
     idempotent).
@@ -99,14 +102,22 @@ def mixture_density(states: Sequence[StateVector], probs: Sequence[float]) -> De
     if abs(p.sum() - 1.0) > 1e-10:
         raise ValueError(f"probabilities sum to {p.sum()}, expected 1")
     space = states[0].space
-    dense = np.zeros((space.dimension, space.dimension), dtype=complex)
+    dim = space.dimension
+    rho = sp.csr_matrix((dim, dim), dtype=complex)
     for state, weight in zip(states, p):
         if state.space != space:
             raise ValueError("all states must live on the same space")
         if not state.normalized(1e-12):
             raise ValueError(f"state with norm {state.norm()} is not normalized")
-        dense += weight * np.outer(state.amplitudes, state.amplitudes.conjugate())
-    op = LinearOperator(space, dense, frozenset(range(1, space.mode_count + 1)))
+        # The outer product vanishes off the state's support: build only that block.
+        support = np.flatnonzero(state.amplitudes)
+        amps = state.amplitudes[support]
+        block = weight * np.outer(amps, amps.conjugate())
+        rho = rho + sp.csr_matrix(
+            (block.ravel(), (np.repeat(support, len(support)), np.tile(support, len(support)))),
+            shape=(dim, dim))
+    rho.eliminate_zeros()
+    op = LinearOperator(space, rho, frozenset(range(1, space.mode_count + 1)))
     return DensityOperator(op=op, tail_mass=0.0,
                            kind="pure" if len(states) == 1 else "mixture")
 

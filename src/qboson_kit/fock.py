@@ -10,20 +10,19 @@ every cutoff), where they hold to machine precision.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
 DEFAULT_DIMENSION_LIMIT = 10_000_000
 
-# Dense spectral norms are cheap up to this size; larger residual matrices are
-# compacted to their nonzero rows/columns first (norm-invariant) or handed to
-# an iterative SVD with a fixed starting vector (no randomness).
+# Largest side of a compacted non-monomial matrix whose spectral norm is taken
+# by a dense SVD (512^2 complex entries, 4 MB).  Residuals of homogeneous
+# relations are monomial and never reach it; a larger non-monomial matrix is
+# refused rather than densified.
 _DENSE_NORM_LIMIT = 512
 
 
@@ -207,11 +206,6 @@ def identity_operator(space: FockSpace) -> LinearOperator:
                           frozenset())
 
 
-def zero_operator(space: FockSpace) -> LinearOperator:
-    return LinearOperator(space, sp.csr_matrix((space.dimension, space.dimension), dtype=complex),
-                          frozenset())
-
-
 def diagonal_operator(space: FockSpace, values: np.ndarray,
                       mode_support: frozenset[int] | set[int] = frozenset()) -> LinearOperator:
     """Diagonal operator from a length-`dimension` vector of eigenvalues."""
@@ -326,9 +320,12 @@ def safe_subspace_projector(space: FockSpace, margin: int) -> LinearOperator:
 def matrix_norm(matrix: sp.spmatrix, kind: str = "spectral") -> float:
     """Spectral (largest singular value) or Frobenius norm of a sparse matrix.
 
-    The spectral norm is invariant under removing all-zero rows and columns,
-    so the matrix is compacted first; residual matrices are usually empty or
-    nearly so.
+    A monomial matrix (at most one nonzero per row and per column, as every
+    residual of a homogeneous relation is) is a permutation times a diagonal,
+    so its spectral norm is its largest entry modulus, exactly.  Any other
+    matrix is compacted to its nonzero rows and columns (norm-invariant) and
+    gets a dense SVD; past `_DENSE_NORM_LIMIT` rows or columns that raises
+    ValueError instead.
     """
     m = matrix.tocsr(copy=True)
     m.eliminate_zeros()
@@ -341,16 +338,13 @@ def matrix_norm(matrix: sp.spmatrix, kind: str = "spectral") -> float:
     coo = m.tocoo()
     rows = np.unique(coo.row)
     cols = np.unique(coo.col)
-    sub = m[rows][:, cols]
-    if max(sub.shape) <= _DENSE_NORM_LIMIT:
-        return float(np.linalg.norm(sub.toarray(), 2))
-    try:
-        v0 = np.ones(min(sub.shape)) / math.sqrt(min(sub.shape))
-        s = scipy.sparse.linalg.svds(sub.astype(complex), k=1, v0=v0,
-                                     return_singular_vectors=False, maxiter=10000)
-        return float(s[0])
-    except Exception:
-        return float(np.linalg.norm(sub.toarray(), 2))
+    if len(rows) == len(cols) == m.nnz:
+        return float(np.abs(m.data).max())
+    if max(len(rows), len(cols)) > _DENSE_NORM_LIMIT:
+        raise ValueError(
+            f"spectral norm of a non-monomial {len(rows)}x{len(cols)} matrix exceeds the "
+            f"dense limit {_DENSE_NORM_LIMIT}; use the frobenius norm")
+    return float(np.linalg.norm(m[rows][:, cols].toarray(), 2))
 
 
 def relation_residual(lhs: LinearOperator, rhs: LinearOperator, margin: int,

@@ -611,6 +611,8 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     """Execute the configured suite; deterministic apart from wall_time."""
     if config.suite not in SUITES:
         raise ConfigError(f"unknown suite {config.suite!r}; expected one of {SUITES}")
+    if not (math.isfinite(config.tolerance) and config.tolerance > 0):
+        raise ConfigError(f"--tol must be a positive finite number, got {config.tolerance}")
     start = time.perf_counter()
     checks = sorted(_suite_checks(config), key=lambda c: c.name)
     elapsed = time.perf_counter() - start

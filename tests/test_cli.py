@@ -7,7 +7,7 @@ import pytest
 
 from qboson_kit import ladder, make_space, su_r_matrix
 from qboson_kit.dump import format_operator, format_rmatrix, parse_operator_dump
-from qboson_kit.suites import SuiteConfig, render_report, run_suite
+from qboson_kit.suites import ConfigError, SuiteConfig, render_report, run_suite
 
 CLI = [sys.executable, "-m", "qboson_kit"]
 
@@ -102,6 +102,16 @@ def test_cli_config_error_exit_two():
                    "--kT", "1")
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_cli_rejects_bad_tolerance(tol):
+    with pytest.raises(ConfigError):
+        run_suite(SuiteConfig(suite="thermal", tolerance=float(tol)))
+    proc = run_cli("run", "--suite", "thermal", "--tol", tol, "--format", "json")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--tol" in proc.stderr
 
 
 def test_cli_multimode_modes_validation():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qboson_kit import (
+    StateVector,
     ThermalParams,
     TruncationAccuracyError,
     asymptotics_csv,
     basis_state,
+    coherent_density,
     coherent_state,
     expectation,
     identity_operator,
@@ -63,6 +66,51 @@ def test_mixture_rejects_unnormalized_state():
     bad = type(bad)(space, 2.0 * bad.amplitudes)
     with pytest.raises(ValueError):
         mixture_density([bad], [1.0])
+
+
+def _dense_mixture(states, probs):
+    """Reference: sum_R P_R |R><R| accumulated as a dense dim^2 array."""
+    dim = states[0].space.dimension
+    dense = np.zeros((dim, dim), dtype=complex)
+    for state, weight in zip(states, probs):
+        dense += weight * np.outer(state.amplitudes, state.amplitudes.conjugate())
+    return dense
+
+
+def _normalized(space, amplitudes):
+    amps = np.asarray(amplitudes, dtype=complex)
+    return StateVector(space, amps / np.linalg.norm(amps))
+
+
+def test_sparse_density_matches_dense_reference():
+    space = make_space([5])
+    pure = [basis_state(space, [3])]
+    # Overlapping supports {0, 1, 2}, {1, 2, 4} and {2, 3, 4}.
+    mixed = [_normalized(space, [1, 2j, -1, 0, 0, 0]),
+             _normalized(space, [0, 1, 0.5, 0, 1 - 1j, 0]),
+             _normalized(space, [0, 0, 3, 1j, -2, 0])]
+    probs = [0.2, 0.5, 0.3]
+    for states, p in ((pure, [1.0]), (mixed, probs)):
+        np.testing.assert_array_equal(mixture_density(states, p).op.toarray(),
+                                      _dense_mixture(states, p))
+    rho = coherent_density(space, 1, 0.8 + 0.3j)
+    np.testing.assert_array_equal(
+        rho.op.toarray(), _dense_mixture([coherent_state(space, 1, 0.8 + 0.3j)], [1.0]))
+
+
+def test_pure_number_state_density_stores_one_entry():
+    space = make_space([400, 8])
+    state = basis_state(space, [250, 3])
+    tracemalloc.start()
+    try:
+        rho = pure_density(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < space.dimension ** 2 * 16 // 100
+    assert rho.op.matrix.nnz == 1
+    k = space.flat_index([250, 3])
+    assert rho.op.matrix[k, k] == 1.0
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +21,7 @@ from qboson_kit import (
     thermal_density,
     ThermalParams,
 )
-from qboson_kit.fock import machine_zero_bound
+from qboson_kit.fock import machine_zero_bound, matrix_norm
 
 
 def test_make_space_dimensions():
@@ -171,6 +174,37 @@ def test_frobenius_norm_option():
     op = diagonal_operator(space, vals)
     assert op.norm("frobenius") == pytest.approx(5.0)
     assert op.norm("spectral") == pytest.approx(4.0)
+    # 3 and 4 in one row: not monomial, so the dense SVD gives 5, not max|entry|.
+    row = np.zeros((space.dimension, space.dimension), dtype=complex)
+    row[2, 0] = 3.0
+    row[2, 4] = 4.0
+    assert matrix_norm(sp.csr_matrix(row), "spectral") == pytest.approx(5.0)
+
+
+def test_monomial_spectral_norm_is_largest_entry_modulus():
+    """A permutation times a diagonal: the norm is max|entry|, with no SVD."""
+    dim = 700
+    rng = np.random.default_rng(7)
+    data = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    m = sp.csr_matrix((data, (np.arange(dim), rng.permutation(dim))), shape=(dim, dim))
+    value = matrix_norm(m, "spectral")
+    assert value == np.abs(data).max()
+    assert abs(value - np.linalg.norm(m.toarray(), 2)) <= dim * np.spacing(value)
+
+
+def test_large_non_monomial_spectral_norm_refused_without_densifying():
+    dim = 600
+    bidiagonal = sp.diags([np.ones(dim), np.ones(dim - 1)], [0, 1], format="csr",
+                          dtype=complex)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dense limit"):
+            matrix_norm(bidiagonal, "spectral")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dim * dim * 16 // 10
+    assert matrix_norm(bidiagonal, "frobenius") == pytest.approx(np.sqrt(2 * dim - 1))
 
 
 def test_degree_two_relations_exact_at_margin_two():
