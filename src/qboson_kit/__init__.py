@@ -30,7 +30,6 @@ from .fock import (
     FockSpace,
     LadderTriple,
     LinearOperator,
-    ResidualReport,
     StateVector,
     basis_state,
     commutator,
@@ -43,7 +42,6 @@ from .fock import (
     number_state_projector,
     operator_on_mode,
     relation_residual,
-    safe_subspace_projector,
 )
 from .multimode import (
     ChevalleyReport,

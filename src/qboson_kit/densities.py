@@ -117,7 +117,7 @@ def mixture_density(states: Sequence[StateVector], probs: Sequence[float]) -> De
             (block.ravel(), (np.repeat(support, len(support)), np.tile(support, len(support)))),
             shape=(dim, dim))
     rho.eliminate_zeros()
-    op = LinearOperator(space, rho, frozenset(range(1, space.mode_count + 1)))
+    op = LinearOperator(space, rho)
     return DensityOperator(op=op, tail_mass=0.0,
                            kind="pure" if len(states) == 1 else "mixture")
 
@@ -157,7 +157,7 @@ def thermal_density(space: FockSpace, mode: int, params: ThermalParams,
     diag = w[occ[:, k]].astype(complex)
     for m, lvl in zip(other, levels):
         diag = diag * (occ[:, m] == lvl)
-    op = diagonal_operator(space, diag, frozenset(range(1, space.mode_count + 1)))
+    op = diagonal_operator(space, diag)
     return DensityOperator(op=op, tail_mass=tail, kind="thermal")
 
 
@@ -184,7 +184,7 @@ def thermal_product_density(space: FockSpace,
             if not 0 <= lvl <= space.cutoffs[k]:
                 raise ValueError(f"level {lvl} outside [0, {space.cutoffs[k]}] for mode {k + 1}")
             diag = diag * (occ[:, k] == lvl)
-    op = diagonal_operator(space, diag, frozenset(range(1, space.mode_count + 1)))
+    op = diagonal_operator(space, diag)
     return DensityOperator(op=op, tail_mass=1.0 - kept, kind="thermal")
 
 

@@ -2,10 +2,10 @@
 
 Every mode carries an occupation cutoff; the basis is the set of multi-indices
 (n_1, ..., n_M) with 0 <= n_i <= cutoff_i, enumerated row-major with mode 1
-slowest.  Operators are immutable sparse complex matrices tagged with the set
-of modes they act on.  Algebraic identities that hold in the untruncated
-algebra are checked on a "safe subspace" (states at least `margin` steps below
-every cutoff), where they hold to machine precision.
+slowest.  Operators are immutable sparse complex matrices.  Algebraic
+identities that hold in the untruncated algebra are checked on a "safe
+subspace" (states at least `margin` steps below every cutoff), where they hold
+to machine precision.
 """
 
 from __future__ import annotations
@@ -135,16 +135,10 @@ def _require_same_space(a: FockSpace, b: FockSpace) -> None:
 
 @dataclass(frozen=True, eq=False)
 class LinearOperator:
-    """Immutable complex matrix on a FockSpace with mode-support metadata.
-
-    mode_support is the set of (1-based) modes the operator acts on
-    nontrivially; operators with disjoint supports commute exactly because
-    they are Kronecker factors on distinct tensor legs.
-    """
+    """Immutable complex matrix on a FockSpace, stored as CSR."""
 
     space: FockSpace
     matrix: sp.csr_matrix
-    mode_support: frozenset[int]
 
     def __post_init__(self):
         m = self.matrix
@@ -156,27 +150,23 @@ class LinearOperator:
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape} does not match dimension {dim}")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "mode_support", frozenset(self.mode_support))
 
     # -- algebra -----------------------------------------------------------
 
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
         _require_same_space(self.space, other.space)
-        return LinearOperator(self.space, self.matrix @ other.matrix,
-                              self.mode_support | other.mode_support)
+        return LinearOperator(self.space, self.matrix @ other.matrix)
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
         _require_same_space(self.space, other.space)
-        return LinearOperator(self.space, self.matrix + other.matrix,
-                              self.mode_support | other.mode_support)
+        return LinearOperator(self.space, self.matrix + other.matrix)
 
     def __sub__(self, other: "LinearOperator") -> "LinearOperator":
         _require_same_space(self.space, other.space)
-        return LinearOperator(self.space, self.matrix - other.matrix,
-                              self.mode_support | other.mode_support)
+        return LinearOperator(self.space, self.matrix - other.matrix)
 
     def __mul__(self, scalar: complex) -> "LinearOperator":
-        return LinearOperator(self.space, self.matrix * scalar, self.mode_support)
+        return LinearOperator(self.space, self.matrix * scalar)
 
     __rmul__ = __mul__
 
@@ -184,8 +174,7 @@ class LinearOperator:
         return self * (-1.0)
 
     def adjoint(self) -> "LinearOperator":
-        return LinearOperator(self.space, self.matrix.conjugate().transpose().tocsr(),
-                              self.mode_support)
+        return LinearOperator(self.space, self.matrix.conjugate().transpose().tocsr())
 
     def apply(self, state: StateVector) -> StateVector:
         _require_same_space(self.space, state.space)
@@ -202,18 +191,15 @@ class LinearOperator:
 
 
 def identity_operator(space: FockSpace) -> LinearOperator:
-    return LinearOperator(space, sp.identity(space.dimension, dtype=complex, format="csr"),
-                          frozenset())
+    return LinearOperator(space, sp.identity(space.dimension, dtype=complex, format="csr"))
 
 
-def diagonal_operator(space: FockSpace, values: np.ndarray,
-                      mode_support: frozenset[int] | set[int] = frozenset()) -> LinearOperator:
+def diagonal_operator(space: FockSpace, values: np.ndarray) -> LinearOperator:
     """Diagonal operator from a length-`dimension` vector of eigenvalues."""
     vals = np.asarray(values, dtype=complex)
     if vals.shape != (space.dimension,):
         raise ValueError(f"diagonal has shape {vals.shape}, expected ({space.dimension},)")
-    return LinearOperator(space, sp.diags(vals, format="csr", dtype=complex),
-                          frozenset(mode_support))
+    return LinearOperator(space, sp.diags(vals, format="csr", dtype=complex))
 
 
 def operator_on_mode(space: FockSpace, mode: int, block: np.ndarray | sp.spmatrix) -> LinearOperator:
@@ -230,7 +216,7 @@ def operator_on_mode(space: FockSpace, mode: int, block: np.ndarray | sp.spmatri
         m = sp.kron(sp.identity(before, dtype=complex), m)
     if after > 1:
         m = sp.kron(m, sp.identity(after, dtype=complex))
-    return LinearOperator(space, m.tocsr(), frozenset({mode}))
+    return LinearOperator(space, m.tocsr())
 
 
 @dataclass(frozen=True)
@@ -272,7 +258,7 @@ def number_state_projector(space: FockSpace, mode: int, n: int) -> LinearOperato
     if not 0 <= n <= space.cutoffs[k]:
         raise ValueError(f"occupation {n} outside [0, {space.cutoffs[k]}]")
     mask = (space.occupations[:, k] == n).astype(complex)
-    return diagonal_operator(space, mask, {mode})
+    return diagonal_operator(space, mask)
 
 
 def commutator(x: LinearOperator, y: LinearOperator) -> LinearOperator:
@@ -295,27 +281,6 @@ def expectation(rho, op: LinearOperator) -> complex:
 
 
 # -- residual measurement ---------------------------------------------------
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Operator-norm residual of a relation on a truncation-safe subspace."""
-
-    relation_name: str
-    residual: float
-    margin: int
-    tolerance: float
-    passed: bool
-
-
-def safe_subspace_projector(space: FockSpace, margin: int) -> LinearOperator:
-    """Projector onto states with n_i <= cutoff_i - margin for every mode."""
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
-    if margin >= min(space.cutoffs):
-        raise ValueError(f"margin {margin} >= smallest cutoff {min(space.cutoffs)}")
-    keep = np.all(space.occupations <= np.array(space.cutoffs) - margin, axis=1)
-    return diagonal_operator(space, keep.astype(complex))
-
 
 def matrix_norm(matrix: sp.spmatrix, kind: str = "spectral") -> float:
     """Spectral (largest singular value) or Frobenius norm of a sparse matrix.
@@ -348,14 +313,22 @@ def matrix_norm(matrix: sp.spmatrix, kind: str = "spectral") -> float:
 
 
 def relation_residual(lhs: LinearOperator, rhs: LinearOperator, margin: int,
-                      name: str = "", tolerance: float = 1e-12,
-                      norm: str = "spectral") -> ResidualReport:
-    """Norm of P (lhs - rhs) P on the margin-`margin` safe subspace."""
+                      norm: str = "spectral") -> float:
+    """Norm of the safe block of lhs - rhs.
+
+    The safe block keeps the rows and columns of the states with
+    n_i <= cutoff_i - margin for every mode; it has the norm of P (lhs - rhs) P
+    for the projector P onto those states.
+    """
     _require_same_space(lhs.space, rhs.space)
-    proj = safe_subspace_projector(lhs.space, margin)
-    res = matrix_norm((proj @ (lhs - rhs) @ proj).matrix, norm)
-    return ResidualReport(relation_name=name, residual=res, margin=margin,
-                          tolerance=tolerance, passed=res <= tolerance)
+    space = lhs.space
+    if margin < 0:
+        raise ValueError("margin must be nonnegative")
+    if margin >= min(space.cutoffs):
+        raise ValueError(f"margin {margin} >= smallest cutoff {min(space.cutoffs)}")
+    keep = np.flatnonzero(np.all(space.occupations <= np.array(space.cutoffs) - margin,
+                                 axis=1))
+    return matrix_norm((lhs - rhs).matrix[keep][:, keep], norm)
 
 
 def machine_zero_bound(space: FockSpace, scale: float = 1.0) -> float:

@@ -26,7 +26,6 @@ from .densities import ThermalParams, thermal_density
 from .fock import (
     FockSpace,
     LinearOperator,
-    ResidualReport,
     diagonal_operator,
     expectation,
     identity_operator,
@@ -81,8 +80,7 @@ def _dressing_factor(space: FockSpace, q: float, i: int, sign: int,
     occ = space.occupations
     expo = occ[:, : i - 1].sum(axis=1)
     vals = q ** (sign * scale * expo.astype(float))
-    return diagonal_operator(space, vals.astype(complex),
-                             frozenset(range(1, i)))
+    return diagonal_operator(space, vals.astype(complex))
 
 
 def covariant_bosons(n_modes: int, q: float, cutoffs: Sequence[int]) -> CovariantFamily:
@@ -111,8 +109,7 @@ def covariant_bosons(n_modes: int, q: float, cutoffs: Sequence[int]) -> Covarian
                                  dressed=dressed, numbers=numbers,
                                  dressing_exponent_sign=sign)
         # Frobenius is enough to discriminate the sign and is much cheaper.
-        worst = max(r.residual for r in covariant_relation_residuals(
-            family, margin=1, norm="frobenius"))
+        worst = max(covariant_relation_residuals(family, margin=1, norm="frobenius").values())
         if best is None or worst < best[0]:
             best = (worst, family)
     worst, family = best
@@ -123,9 +120,8 @@ def covariant_bosons(n_modes: int, q: float, cutoffs: Sequence[int]) -> Covarian
 
 
 def covariant_relation_residuals(family: CovariantFamily, margin: int = 1,
-                                 tolerance: float = 1e-12,
-                                 norm: str = "spectral") -> list[ResidualReport]:
-    """Residuals of the diagonal and q-commuting cross relations.
+                                 norm: str = "spectral") -> dict[str, float]:
+    """Residuals of the diagonal and q-commuting cross relations, by relation name.
 
     The raise-raise relation is checked in its adjoint-consistent orientation
     B+_i B+_j = q B+_j B+_i for i > j (equivalently q^(-1) for i < j), which
@@ -134,27 +130,23 @@ def covariant_relation_residuals(family: CovariantFamily, margin: int = 1,
     q = family.q
     q2 = q * q
     space = family.space
-    reports = []
+    residuals = {}
     for i in range(1, family.modes + 1):
         bm_i, bp_i = family.dressed[i - 1]
         rhs = _dressing_factor(space, q, i, family.dressing_exponent_sign, scale=2)
         lhs = bm_i @ bp_i - q2 * (bp_i @ bm_i)
-        reports.append(relation_residual(
-            lhs, rhs, margin, name=f"diagonal i={i}", tolerance=tolerance, norm=norm))
+        residuals[f"diagonal i={i}"] = relation_residual(lhs, rhs, margin, norm=norm)
         for j in range(1, family.modes + 1):
             bm_j, bp_j = family.dressed[j - 1]
             if i < j:
-                reports.append(relation_residual(
-                    bm_i @ bm_j, q * (bm_j @ bm_i), margin,
-                    name=f"lower-lower i={i} j={j}", tolerance=tolerance, norm=norm))
-                reports.append(relation_residual(
-                    q * (bp_i @ bp_j), bp_j @ bp_i, margin,
-                    name=f"raise-raise i={i} j={j}", tolerance=tolerance, norm=norm))
+                residuals[f"lower-lower i={i} j={j}"] = relation_residual(
+                    bm_i @ bm_j, q * (bm_j @ bm_i), margin, norm=norm)
+                residuals[f"raise-raise i={i} j={j}"] = relation_residual(
+                    q * (bp_i @ bp_j), bp_j @ bp_i, margin, norm=norm)
             if i != j:
-                reports.append(relation_residual(
-                    bm_i @ bp_j, q * (bp_j @ bm_i), margin,
-                    name=f"lower-raise i={i} j={j}", tolerance=tolerance, norm=norm))
-    return reports
+                residuals[f"lower-raise i={i} j={j}"] = relation_residual(
+                    bm_i @ bp_j, q * (bp_j @ bm_i), margin, norm=norm)
+    return residuals
 
 
 def undressing_residual(family: CovariantFamily) -> float:
@@ -231,9 +223,8 @@ def yang_baxter_residual(rmatrix: RMatrix) -> float:
 
 
 def rtt_residuals(family: CovariantFamily, rmatrix: RMatrix | None = None,
-                  margin: int = 1, tolerance: float = 1e-12,
-                  norm: str = "spectral") -> list[ResidualReport]:
-    """Residuals of the three R-matrix forms of the covariant relations.
+                  margin: int = 1, norm: str = "spectral") -> dict[str, float]:
+    """Residuals of the three R-matrix forms of the covariant relations, by name.
 
         B-_i B-_j = (1/q) R_{ij,kl} B-_l B-_k
         B+_i B+_j = (1/q) R_{lk,ij} B+_k B+_l
@@ -255,7 +246,7 @@ def rtt_residuals(family: CovariantFamily, rmatrix: RMatrix | None = None,
     pp_prod = [[bp[k] @ bp[l] for l in range(nm)] for k in range(nm)]
     pm_prod = [[bp[k] @ bm[l] for l in range(nm)] for k in range(nm)]
     mp_prod = [[bm[k] @ bp[l] for l in range(nm)] for k in range(nm)]
-    reports = []
+    residuals = {}
     for i in range(1, nm + 1):
         for j in range(1, nm + 1):
             rhs1 = zero
@@ -272,16 +263,13 @@ def rtt_residuals(family: CovariantFamily, rmatrix: RMatrix | None = None,
                     v3 = rmatrix.entry(k, i, j, l)
                     if v3 != 0:
                         rhs3 = rhs3 + (q * v3) * pm_prod[k - 1][l - 1]
-            reports.append(relation_residual(
-                mm_prod[i - 1][j - 1], rhs1, margin,
-                name=f"rtt-lower i={i} j={j}", tolerance=tolerance, norm=norm))
-            reports.append(relation_residual(
-                pp_prod[i - 1][j - 1], rhs2, margin,
-                name=f"rtt-raise i={i} j={j}", tolerance=tolerance, norm=norm))
-            reports.append(relation_residual(
-                mp_prod[i - 1][j - 1], rhs3, margin,
-                name=f"rtt-mixed i={i} j={j}", tolerance=tolerance, norm=norm))
-    return reports
+            residuals[f"rtt-lower i={i} j={j}"] = relation_residual(
+                mm_prod[i - 1][j - 1], rhs1, margin, norm=norm)
+            residuals[f"rtt-raise i={i} j={j}"] = relation_residual(
+                pp_prod[i - 1][j - 1], rhs2, margin, norm=norm)
+            residuals[f"rtt-mixed i={i} j={j}"] = relation_residual(
+                mp_prod[i - 1][j - 1], rhs3, margin, norm=norm)
+    return residuals
 
 
 # -- Chevalley basis ----------------------------------------------------------
@@ -370,16 +358,16 @@ def chevalley_check(n_modes: int, q: float, cutoffs: Sequence[int],
     for i in range(rank):
         for j in range(rank):
             hh[(i + 1, j + 1)] = relation_residual(
-                h_ops[i] @ h_ops[j], h_ops[j] @ h_ops[i], margin, norm=norm).residual
+                h_ops[i] @ h_ops[j], h_ops[j] @ h_ops[i], margin, norm=norm)
             ce[(i + 1, j + 1)] = relation_residual(
                 h_ops[i] @ e_ops[j] - e_ops[j] @ h_ops[i],
-                float(a[i, j]) * e_ops[j], margin, norm=norm).residual
+                float(a[i, j]) * e_ops[j], margin, norm=norm)
             cf[(i + 1, j + 1)] = relation_residual(
                 h_ops[i] @ f_ops[j] - f_ops[j] @ h_ops[i],
-                (-float(a[i, j])) * f_ops[j], margin, norm=norm).residual
+                (-float(a[i, j])) * f_ops[j], margin, norm=norm)
         bracket = _diagonal_bracket(space, h_ops[i], base)
         ef[i + 1] = relation_residual(
-            e_ops[i] @ f_ops[i] - f_ops[i] @ e_ops[i], bracket, margin, norm=norm).residual
+            e_ops[i] @ f_ops[i] - f_ops[i] @ e_ops[i], bracket, margin, norm=norm)
 
     return ChevalleyReport(h=tuple(h_ops), e=tuple(e_ops), f=tuple(f_ops),
                            boson_variant=boson_variant, bracket_base=base,
@@ -428,7 +416,7 @@ def covariant_recipe_check(q_squared: float, b_levels: Sequence[int],
     shift = occ[:, 1:].sum(axis=1) if space.mode_count > 1 else np.zeros(space.dimension,
                                                                          dtype=int)
     mask = (occ[:, 0] >= shift).astype(complex)
-    d0 = diagonal_operator(space, mask, frozenset(range(1, space.mode_count + 1)))
+    d0 = diagonal_operator(space, mask)
 
     plus = expectation(rho, pair.lower @ pair.raise_).real
     minus = expectation(rho, pair.raise_ @ pair.lower).real

@@ -26,6 +26,7 @@ from .fock import (
     diagonal_operator,
     ladder,
     operator_on_mode,
+    _require_same_space,
 )
 
 
@@ -51,7 +52,7 @@ def sqrt_number_operator(space: FockSpace, mode: int) -> LinearOperator:
     """Diagonal principal square root of the occupation operator of one mode."""
     k = space._check_mode(mode)
     vals = np.sqrt(space.occupations[:, k].astype(float)).astype(complex)
-    return diagonal_operator(space, vals, {mode})
+    return diagonal_operator(space, vals)
 
 
 def theta_operator(space: FockSpace, mode: int, alpha: int) -> LinearOperator:
@@ -66,7 +67,15 @@ def theta_operator(space: FockSpace, mode: int, alpha: int) -> LinearOperator:
     if alpha > space.cutoffs[k]:
         raise ValueError(f"alpha {alpha} exceeds cutoff {space.cutoffs[k]} of mode {mode}")
     mask = (space.occupations[:, k] >= alpha).astype(complex)
-    return diagonal_operator(space, mask, {mode})
+    return diagonal_operator(space, mask)
+
+
+def _lower_shift(space: FockSpace, mode: int, alpha: int) -> LinearOperator:
+    """e^alpha, mapping |n> to |n - alpha> and annihilating the bottom alpha states."""
+    k = space._check_mode(mode)
+    if not 0 <= alpha <= space.cutoffs[k]:
+        raise ValueError(f"alpha {alpha} outside [0, {space.cutoffs[k]}] for mode {mode}")
+    return operator_on_mode(space, mode, sp.eye(space.shape[k], k=alpha, dtype=complex))
 
 
 def alpha_adjoint(space: FockSpace, mode: int, x: LinearOperator, alpha: int) -> LinearOperator:
@@ -76,17 +85,9 @@ def alpha_adjoint(space: FockSpace, mode: int, x: LinearOperator, alpha: int) ->
     the bottom alpha states, so the map is a definition, not a conjugation by
     an invertible operator.
     """
-    k = space._check_mode(mode)
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    if alpha > space.cutoffs[k]:
-        raise ValueError(f"alpha {alpha} exceeds cutoff {space.cutoffs[k]} of mode {mode}")
-    if x.space != space:
-        raise ValueError("operator x lives on a different space")
-    if alpha == 0:
-        return x
-    elow, ehigh = _shift_powers(space, mode, alpha)
-    return ehigh @ x @ elow
+    e = _lower_shift(space, mode, alpha)
+    _require_same_space(space, x.space)
+    return e.adjoint() @ x @ e if alpha else x
 
 
 def alpha_adjoint_reverse(space: FockSpace, mode: int, x: LinearOperator,
@@ -99,29 +100,9 @@ def alpha_adjoint_reverse(space: FockSpace, mode: int, x: LinearOperator,
     map does not do (that gives theta(N - 2 alpha); see the shift-rule
     f(N) e = e f(N - 1)).
     """
-    k = space._check_mode(mode)
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    if alpha > space.cutoffs[k]:
-        raise ValueError(f"alpha {alpha} exceeds cutoff {space.cutoffs[k]} of mode {mode}")
-    if x.space != space:
-        raise ValueError("operator x lives on a different space")
-    if alpha == 0:
-        return x
-    elow, ehigh = _shift_powers(space, mode, alpha)
-    return elow @ x @ ehigh
-
-
-def _shift_powers(space: FockSpace, mode: int, alpha: int) -> tuple[LinearOperator, LinearOperator]:
-    """(e^alpha, e†^alpha) as explicit matrix powers."""
-    pair = phase_pair(space, mode)
-    low = pair.lower
-    high = pair.raise_
-    elow, ehigh = low, high
-    for _ in range(alpha - 1):
-        elow = elow @ low
-        ehigh = ehigh @ high
-    return elow, ehigh
+    e = _lower_shift(space, mode, alpha)
+    _require_same_space(space, x.space)
+    return e @ x @ e.adjoint() if alpha else x
 
 
 @dataclass(frozen=True)
@@ -142,17 +123,10 @@ def alpha_boson(space: FockSpace, mode: int, alpha: int) -> AlphaBoson:
     raise_ @ lower has eigenvalue n on |n + alpha>.
     """
     k = space._check_mode(mode)
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
     if alpha > space.cutoffs[k] - 2:
         raise ValueError(f"alpha {alpha} leaves no safe subspace below cutoff "
                          f"{space.cutoffs[k]} (need alpha <= cutoff - 2)")
-    a = ladder(space, mode).lower
-    if alpha == 0:
-        lower = a
-    else:
-        elow, ehigh = _shift_powers(space, mode, alpha)
-        lower = ehigh @ a @ elow
+    lower = alpha_adjoint(space, mode, ladder(space, mode).lower, alpha)
     raise_ = lower.adjoint()
     triple = LadderTriple(lower=lower, raise_=raise_, number=raise_ @ lower)
     return AlphaBoson(triple=triple, alpha=alpha, kernel_dimension=alpha + 1)
@@ -165,12 +139,5 @@ def alpha_phase_pair(space: FockSpace, mode: int, alpha: int) -> PhasePair:
     below; the commutation defect lower@raise_ - raise_@lower equals the
     projector onto |alpha> on the margin-1 safe subspace.
     """
-    k = space._check_mode(mode)
-    if not 0 <= alpha <= space.cutoffs[k]:
-        raise ValueError(f"alpha {alpha} outside [0, {space.cutoffs[k]}]")
-    pair = phase_pair(space, mode)
-    if alpha == 0:
-        return pair
-    elow, ehigh = _shift_powers(space, mode, alpha)
-    lower = ehigh @ pair.lower @ elow
+    lower = alpha_adjoint(space, mode, phase_pair(space, mode).lower, alpha)
     return PhasePair(lower=lower, raise_=lower.adjoint(), mode=mode)

@@ -39,7 +39,6 @@ from .densities import (
 from .fock import (
     FockSpace,
     LinearOperator,
-    ResidualReport,
     basis_state,
     diagonal_operator,
     expectation,
@@ -166,17 +165,14 @@ def family_rhs_operator(family: QBosonFamily, mode: int = 1) -> LinearOperator:
         beta = family.beta
         vals = np.zeros(space.shape[k])
         vals[:-1] = beta[1:] - family.q_squared * beta[:-1]
-    return diagonal_operator(space, vals[occ].astype(complex), {mode})
+    return diagonal_operator(space, vals[occ].astype(complex))
 
 
 def defining_relation_residual(family: QBosonFamily, margin: int = 1,
-                               tolerance: float = 1e-12,
-                               norm: str = "spectral") -> ResidualReport:
+                               norm: str = "spectral") -> float:
     """Residual of  B- B+ - q^2 B+ B-  =  rhs(N)  on the safe subspace."""
     lhs = family.lower @ family.raise_ - family.q_squared * (family.raise_ @ family.lower)
-    return relation_residual(lhs, family_rhs_operator(family), margin,
-                             name=f"type-{family.type_tag} defining relation",
-                             tolerance=tolerance, norm=norm)
+    return relation_residual(lhs, family_rhs_operator(family), margin, norm=norm)
 
 
 # -- closed-form magnitude sequences (independent of the recursion) ----------

@@ -169,8 +169,8 @@ def cuntz_suite(cutoff: int = 32, margin: int | str = "auto", norm: str = "spect
     ]
     checks = []
     for name, relation, lhs, rhs, mg in specs:
-        rep = relation_residual(lhs, rhs, mg, norm=norm)
-        checks.append(_residual_check(name, relation, rep.residual, tolerance))
+        checks.append(_residual_check(name, relation,
+                                      relation_residual(lhs, rhs, mg, norm=norm), tolerance))
     return checks
 
 
@@ -300,11 +300,10 @@ def qboson_suite(q_squared: float, qtype: str | None = None, cutoff: int = 24,
     for t in types:
         eff = precision_capped_cutoff(q_squared, t, cutoff, tolerance)
         family = standard_qboson(t, q_squared, eff)
-        rep = defining_relation_residual(family, margin=1, norm="spectral")
         checks.append(_residual_check(
             f"qboson/defining-relation-{t}",
             f"B- B+ - q^2 B+ B- = rhs_{t}(N) at cutoff {eff}",
-            rep.residual, tolerance))
+            defining_relation_residual(family, margin=1, norm="spectral"), tolerance))
         closed = np.array([beta_closed_form(t, q_squared, n) for n in range(eff + 1)])
         dev = float(np.max(np.abs(family.beta - closed) / (1.0 + np.abs(closed))))
         checks.append(_residual_check(
@@ -382,11 +381,10 @@ def _closure_check(name: str, rel) -> Check:
     family = family_from_relation(rel, cutoff=20)
     lhs = family.lower @ family.raise_ - family.q_squared * (family.raise_ @ family.lower)
     rhs = rel.normalized_rhs * identity_operator(family.space)
-    rep = relation_residual(lhs, rhs, margin=1)
     tolerance = max(1e-12, rel.tail_mass)
     return _residual_check(
         name, "family rebuilt from the normalized relation satisfies it",
-        rep.residual, tolerance, rel.tail_mass)
+        relation_residual(lhs, rhs, margin=1), tolerance, rel.tail_mass)
 
 
 def alpha_suite(cutoff: int = 32, alphas=(1, 2, 3), norm: str = "spectral") -> list[Check]:
@@ -402,12 +400,11 @@ def alpha_suite(cutoff: int = 32, alphas=(1, 2, 3), norm: str = "spectral") -> l
         checks.append(_value_check(
             f"alpha/kernel-dimension-{a}", "dim ker a(alpha) = alpha + 1",
             float(zero_cols), float(a + 1), 0.0))
-        rep = relation_residual(
-            commutator(boson.triple.lower, boson.triple.raise_),
-            theta_operator(space, 1, a), margin=2, norm=norm)
         checks.append(_residual_check(
             f"alpha/commutator-step-{a}", "[a(alpha), a+(alpha)] = theta(N - alpha)",
-            rep.residual, machine))
+            relation_residual(commutator(boson.triple.lower, boson.triple.raise_),
+                              theta_operator(space, 1, a), margin=2, norm=norm),
+            machine))
         diag = boson.triple.number.matrix.diagonal().real
         dev = max(abs(diag[space.flat_index([n + a])] - n) for n in range(cutoff - a + 1))
         checks.append(_residual_check(
@@ -415,12 +412,12 @@ def alpha_suite(cutoff: int = 32, alphas=(1, 2, 3), norm: str = "spectral") -> l
             float(dev), machine))
         pair = alpha_phase_pair(space, 1, a)
         defect = pair.lower @ pair.raise_ - pair.raise_ @ pair.lower
-        rep = relation_residual(defect, number_state_projector(space, 1, a),
-                                margin=1, norm=norm)
         checks.append(_residual_check(
             f"alpha/phase-defect-projector-{a}",
             "e(alpha) e+(alpha) - e+(alpha) e(alpha) = |alpha><alpha|",
-            rep.residual, 0.0))
+            relation_residual(defect, number_state_projector(space, 1, a),
+                              margin=1, norm=norm),
+            0.0))
     return checks
 
 
@@ -432,9 +429,9 @@ def multimode_suite(modes: int = 3, q: float = 0.5, cutoff: int = 8,
     family = mm.covariant_bosons(modes, q, [cutoff] * modes)
     checks = []
     groups: dict[str, float] = {}
-    for rep in mm.covariant_relation_residuals(family, margin=1, norm=norm):
-        key = rep.relation_name.split(" ")[0]
-        groups[key] = max(groups.get(key, 0.0), rep.residual)
+    for name, residual in mm.covariant_relation_residuals(family, margin=1, norm=norm).items():
+        key = name.split(" ")[0]
+        groups[key] = max(groups.get(key, 0.0), residual)
     relation_text = {
         "diagonal": "B-i B+i - q^2 B+i B-i = q^(2 sum_(k<i) Nk)",
         "lower-lower": "B-i B-j = q B-j B-i (i < j)",
@@ -446,9 +443,9 @@ def multimode_suite(modes: int = 3, q: float = 0.5, cutoff: int = 8,
             f"multimode/N{modes}-{key}-max", relation_text[key], groups[key], tolerance))
     rmatrix = mm.su_r_matrix(modes, q)
     rtt_groups: dict[str, float] = {}
-    for rep in mm.rtt_residuals(family, rmatrix, margin=1, norm=norm):
-        key = rep.relation_name.split(" ")[0]
-        rtt_groups[key] = max(rtt_groups.get(key, 0.0), rep.residual)
+    for name, residual in mm.rtt_residuals(family, rmatrix, margin=1, norm=norm).items():
+        key = name.split(" ")[0]
+        rtt_groups[key] = max(rtt_groups.get(key, 0.0), residual)
     for key in sorted(rtt_groups):
         checks.append(_residual_check(
             f"multimode/N{modes}-{key}-max", "R-matrix (RTT) form of the relations",
@@ -562,35 +559,44 @@ def _suite_checks(config: SuiteConfig) -> list[Check]:
     name = config.suite
     q2 = config.resolved_q_squared()
     q = math.sqrt(q2)
-    cutoff = config.cutoff
     tol = config.tolerance
     margin = config.margin
     norm = config.norm
-    modes = config.modes
+
+    # An explicit value, even an invalid one such as 0, reaches the suite's
+    # own validation; only an absent one takes the suite's default.
+    def cutoff(default: int) -> int:
+        return default if config.cutoff is None else config.cutoff
+
+    def modes(default: int) -> int:
+        return default if config.modes is None else config.modes
 
     if name == "cuntz":
-        return cuntz_suite(cutoff or 32, margin, norm, tol)
+        return cuntz_suite(cutoff(32), margin, norm, tol)
     if name == "thermal":
-        return thermal_suite(q2, cutoff or 80, tol)
+        return thermal_suite(q2, cutoff(80), tol)
     if name == "coherent":
-        return coherent_suite(cutoff or 60)
+        return coherent_suite(cutoff(60))
     if name == "asymptotics":
-        return asymptotics_suite(cutoff or 600)
+        return asymptotics_suite(cutoff(600))
     if name == "qboson":
-        return qboson_suite(q2, config.qtype, cutoff or 24, tol)
+        return qboson_suite(q2, config.qtype, cutoff(24), tol)
     if name == "recipe":
-        return recipe_suite(q2, cutoff or 80, tolerance_floor=tol)
+        return recipe_suite(q2, cutoff(80), tolerance_floor=tol)
     if name == "alpha":
         if config.alpha is not None:
-            return alpha_suite(cutoff or 32, alphas=(config.alpha,), norm=norm)
-        return alpha_suite(cutoff or 32, norm=norm)
+            return alpha_suite(cutoff(32), alphas=(config.alpha,), norm=norm)
+        return alpha_suite(cutoff(32), norm=norm)
     if name == "multimode":
-        return multimode_suite(modes or 3, q, cutoff or 8, norm=norm)
+        return multimode_suite(modes(3), q, cutoff(8), norm=norm)
     if name == "rmatrix":
-        return rmatrix_suite((modes,) if modes else (2, 3), q)
+        return rmatrix_suite((2, 3) if config.modes is None else (config.modes,), q)
     if name == "chevalley":
-        return chevalley_suite(modes or 3, q, cutoff or 6, norm=norm)
+        return chevalley_suite(modes(3), q, cutoff(6), norm=norm)
     if name == "all":
+        for flag in ("cutoff", "modes", "alpha", "qtype"):
+            if getattr(config, flag) is not None:
+                raise ConfigError(f"--suite all runs fixed sizes and does not take --{flag}")
         checks = []
         checks += cuntz_suite(32, margin, norm, tol)
         checks += thermal_suite(q2, 80, tol)

@@ -114,10 +114,31 @@ def test_cli_rejects_bad_tolerance(tol):
     assert "--tol" in proc.stderr
 
 
-def test_cli_multimode_modes_validation():
-    proc = run_cli("run", "--suite", "multimode", "--modes", "1")
+@pytest.mark.parametrize("suite,flag,value,message", [
+    ("multimode", "--modes", "1", "modes"),
+    ("multimode", "--modes", "0", "modes"),
+    ("chevalley", "--modes", "0", "modes"),
+    ("rmatrix", "--modes", "0", "n must be >= 2"),
+    ("cuntz", "--cutoff", "0", "cutoff"),
+], ids=["multimode-modes-1", "multimode-modes-0", "chevalley-modes-0", "rmatrix-modes-0",
+        "cuntz-cutoff-0"])
+def test_cli_multimode_modes_validation(suite, flag, value, message):
+    # A zero size is validated, not replaced by the suite's default.
+    proc = run_cli("run", "--suite", suite, flag, value)
     assert proc.returncode == 2
-    assert "modes" in proc.stderr
+    assert proc.stdout == ""
+    assert message in proc.stderr
+
+
+@pytest.mark.parametrize("flag,value", [("--cutoff", 5), ("--modes", 9),
+                                        ("--alpha", 1), ("--qtype", "II")])
+def test_cli_all_rejects_size_flags(flag, value):
+    with pytest.raises(ConfigError, match=flag):
+        run_suite(SuiteConfig(suite="all", **{flag[2:]: value}))
+    proc = run_cli("run", "--suite", "all", flag, str(value), "--format", "json")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert flag in proc.stderr
 
 
 def test_cli_thermal_temperature_source():

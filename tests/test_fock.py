@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qboson_kit import (
     DimensionLimitError,
+    LinearOperator,
     basis_state,
     commutator,
     diagonal_operator,
@@ -17,7 +18,6 @@ from qboson_kit import (
     make_space,
     number_state_projector,
     relation_residual,
-    safe_subspace_projector,
     thermal_density,
     ThermalParams,
 )
@@ -84,25 +84,22 @@ def test_ladder_mode_out_of_range():
 def test_commutator_identity_below_cutoff():
     space = make_space([8])
     t = ladder(space, 1)
-    rep = relation_residual(commutator(t.lower, t.raise_), identity_operator(space),
-                            margin=1, tolerance=machine_zero_bound(space))
-    assert rep.passed
+    assert relation_residual(commutator(t.lower, t.raise_), identity_operator(space),
+                             margin=1) <= machine_zero_bound(space)
 
 
 def test_number_raise_commutator():
     """[N, a+] = a+ below the cutoff; sqrt-entry products leave float dust only."""
     space = make_space([8])
     t = ladder(space, 1)
-    rep = relation_residual(commutator(t.number, t.raise_), t.raise_, margin=1,
-                            tolerance=machine_zero_bound(space))
-    assert rep.passed
+    assert relation_residual(commutator(t.number, t.raise_), t.raise_,
+                             margin=1) <= machine_zero_bound(space)
 
 
 def test_disjoint_support_operators_commute_exactly():
     space = make_space([3, 3])
     a1 = ladder(space, 1).lower
     b2_raise = ladder(space, 2).raise_
-    assert a1.mode_support.isdisjoint(b2_raise.mode_support)
     diff = commutator(a1, b2_raise).matrix
     diff.eliminate_zeros()
     assert diff.nnz == 0
@@ -145,8 +142,7 @@ def test_expectation_space_mismatch():
 def test_relation_residual_identical_operands():
     space = make_space([6])
     a = ladder(space, 1).lower
-    rep = relation_residual(a, a, margin=1, name="self")
-    assert rep.residual == 0.0 and rep.passed
+    assert relation_residual(a, a, margin=1) == 0.0
 
 
 def test_relation_residual_margin_validation():
@@ -158,12 +154,25 @@ def test_relation_residual_margin_validation():
         relation_residual(one, one, margin=-1)
 
 
-def test_safe_subspace_projector_masks_top_states():
+def test_relation_residual_masks_top_states():
     space = make_space([3, 3])
-    proj = safe_subspace_projector(space, 1)
-    diag = proj.matrix.diagonal().real
-    occ = space.occupations
-    np.testing.assert_array_equal(diag, np.all(occ <= 2, axis=1).astype(float))
+    zero = diagonal_operator(space, np.zeros(space.dimension))
+    for flat, occ in enumerate(space.occupations):
+        vals = np.zeros(space.dimension, dtype=complex)
+        vals[flat] = 2.0 + flat
+        diff = diagonal_operator(space, vals)
+        at_margin_one = relation_residual(diff, zero, margin=1)
+        if np.any(occ == 3):
+            assert at_margin_one == 0.0, occ
+        else:
+            assert at_margin_one == 2.0 + flat, occ
+        assert relation_residual(diff, zero, margin=0) == 2.0 + flat
+    # A top state masks its column as well as its row.
+    entry = np.zeros((space.dimension, space.dimension), dtype=complex)
+    entry[space.flat_index([2, 2]), space.flat_index([3, 2])] = 1.0
+    off_diagonal = LinearOperator(space, entry)
+    assert relation_residual(off_diagonal, zero, margin=1) == 0.0
+    assert relation_residual(off_diagonal, zero, margin=0) == 1.0
 
 
 def test_frobenius_norm_option():
@@ -212,9 +221,8 @@ def test_degree_two_relations_exact_at_margin_two():
     space = make_space([16])
     t = ladder(space, 1)
     bound = machine_zero_bound(space)
-    rep = relation_residual(commutator(t.lower, t.raise_), identity_operator(space),
-                            margin=2, tolerance=bound)
-    assert rep.passed
+    assert relation_residual(commutator(t.lower, t.raise_), identity_operator(space),
+                             margin=2) <= bound
 
 
 def test_number_state_projector():

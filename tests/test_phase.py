@@ -44,11 +44,9 @@ def test_shift_inverses_margin_one():
     space = make_space([10])
     pair = phase_pair(space, 1)
     one = identity_operator(space)
-    rep = relation_residual(pair.lower @ pair.raise_, one, margin=1)
-    assert rep.residual == 0.0
-    rep = relation_residual(pair.raise_ @ pair.lower,
-                            one - number_state_projector(space, 1, 0), margin=1)
-    assert rep.residual == 0.0
+    assert relation_residual(pair.lower @ pair.raise_, one, margin=1) == 0.0
+    assert relation_residual(pair.raise_ @ pair.lower,
+                             one - number_state_projector(space, 1, 0), margin=1) == 0.0
 
 
 def test_polar_decomposition_exact_on_full_space():
@@ -65,9 +63,9 @@ def test_shift_number_commutators():
     t = ladder(space, 1)
     pair = phase_pair(space, 1)
     assert relation_residual(commutator(t.number, pair.lower), -1.0 * pair.lower,
-                             margin=1).residual == 0.0
+                             margin=1) == 0.0
     assert relation_residual(commutator(t.number, pair.raise_), pair.raise_,
-                             margin=1).residual == 0.0
+                             margin=1) == 0.0
 
 
 def test_theta_convention():
@@ -102,8 +100,7 @@ def test_reverse_adjoint_restores_step_to_identity():
     for a in (1, 2, 3):
         th = theta_operator(space, 1, a)
         out = alpha_adjoint_reverse(space, 1, th, a)
-        rep = relation_residual(out, identity_operator(space), margin=a)
-        assert rep.residual == 0.0
+        assert relation_residual(out, identity_operator(space), margin=a) == 0.0
 
 
 def test_forward_adjoint_of_step_shifts_threshold_down():
@@ -159,10 +156,8 @@ def test_alpha_boson_kernel_dimension():
 def test_alpha_boson_commutator_is_step():
     space = make_space([16])
     boson = alpha_boson(space, 1, 2)
-    rep = relation_residual(commutator(boson.triple.lower, boson.triple.raise_),
-                            theta_operator(space, 1, 2), margin=2,
-                            tolerance=machine_zero_bound(space))
-    assert rep.passed
+    assert relation_residual(commutator(boson.triple.lower, boson.triple.raise_),
+                             theta_operator(space, 1, 2), margin=2) <= machine_zero_bound(space)
 
 
 def test_alpha_boson_number_states():
@@ -185,5 +180,4 @@ def test_alpha_phase_defect_is_projector():
     for a in (1, 2, 3):
         pair = alpha_phase_pair(space, 1, a)
         defect = pair.lower @ pair.raise_ - pair.raise_ @ pair.lower
-        rep = relation_residual(defect, number_state_projector(space, 1, a), margin=1)
-        assert rep.residual == 0.0
+        assert relation_residual(defect, number_state_projector(space, 1, a), margin=1) == 0.0
