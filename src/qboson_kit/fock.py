@@ -202,21 +202,28 @@ def diagonal_operator(space: FockSpace, values: np.ndarray) -> LinearOperator:
     return LinearOperator(space, sp.diags(vals, format="csr", dtype=complex))
 
 
-def operator_on_mode(space: FockSpace, mode: int, block: np.ndarray | sp.spmatrix) -> LinearOperator:
-    """Embed a single-mode matrix into the full space (identity on other modes)."""
+def operator_on_mode(space: FockSpace, mode: int, values: np.ndarray,
+                     lower: int = 0) -> LinearOperator:
+    """Single-mode operator |n> -> values[n] |n - lower> on `mode`, identity elsewhere.
+
+    It is one diagonal of the full matrix.  Lowering mode k by `lower` steps
+    lowers the flat index by lower * prod(shape[k+1:]), so the entries sit at
+    that flat offset above the main diagonal; each column holds values[n_k]
+    where n_k >= lower and 0 elsewhere (the bottom `lower` states of the mode
+    are annihilated).
+    """
     k = space._check_mode(mode)
-    d = space.shape[k]
-    blk = sp.csr_matrix(block, dtype=complex)
-    if blk.shape != (d, d):
-        raise ValueError(f"block shape {blk.shape} does not match mode dimension {d}")
-    before = int(np.prod(space.shape[:k], dtype=np.int64)) if k else 1
-    after = int(np.prod(space.shape[k + 1:], dtype=np.int64)) if k < space.mode_count - 1 else 1
-    m = blk
-    if before > 1:
-        m = sp.kron(sp.identity(before, dtype=complex), m)
-    if after > 1:
-        m = sp.kron(m, sp.identity(after, dtype=complex))
-    return LinearOperator(space, m.tocsr())
+    cutoff = space.cutoffs[k]
+    vals = np.asarray(values, dtype=complex)
+    if vals.shape != (cutoff + 1,):
+        raise ValueError(f"values have shape {vals.shape}, expected ({cutoff + 1},)")
+    if not 0 <= lower <= cutoff:
+        raise ValueError(f"lower {lower} outside [0, {cutoff}] for mode {mode}")
+    offset = lower * int(np.prod(space.shape[k + 1:], dtype=np.int64))
+    n = space.occupations[offset:, k]
+    column = np.where(n >= lower, vals[n], 0.0)
+    return LinearOperator(space, sp.diags(column, offsets=offset, shape=(space.dimension,) * 2,
+                                          format="csr", dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -228,13 +235,6 @@ class LadderTriple:
     number: LinearOperator
 
 
-def _lower_block_from_magnitudes(magnitudes: np.ndarray) -> sp.csr_matrix:
-    """Single-mode lowering matrix with |n> -> sqrt(magnitudes[n]) |n-1>."""
-    d = len(magnitudes)
-    amps = np.sqrt(np.asarray(magnitudes[1:], dtype=float))
-    return sp.diags(amps.astype(complex), offsets=1, shape=(d, d), format="csr")
-
-
 def ladder(space: FockSpace, mode: int) -> LadderTriple:
     """Boson ladder triple on one mode of a truncated space.
 
@@ -242,14 +242,11 @@ def ladder(space: FockSpace, mode: int) -> LadderTriple:
     sqrt(n+1) |n+1> and annihilates the cutoff state (truncation); number is
     the diagonal occupation operator.
     """
-    k = space._check_mode(mode)
-    d = space.shape[k]
-    low = _lower_block_from_magnitudes(np.arange(d, dtype=float))
-    num = sp.diags(np.arange(d, dtype=complex), format="csr")
-    lower = operator_on_mode(space, mode, low)
+    n = np.arange(space.shape[space._check_mode(mode)], dtype=float)
+    lower = operator_on_mode(space, mode, np.sqrt(n), lower=1)
     return LadderTriple(lower=lower,
                         raise_=lower.adjoint(),
-                        number=operator_on_mode(space, mode, num))
+                        number=operator_on_mode(space, mode, n))
 
 
 def number_state_projector(space: FockSpace, mode: int, n: int) -> LinearOperator:
@@ -257,8 +254,7 @@ def number_state_projector(space: FockSpace, mode: int, n: int) -> LinearOperato
     k = space._check_mode(mode)
     if not 0 <= n <= space.cutoffs[k]:
         raise ValueError(f"occupation {n} outside [0, {space.cutoffs[k]}]")
-    mask = (space.occupations[:, k] == n).astype(complex)
-    return diagonal_operator(space, mask)
+    return operator_on_mode(space, mode, np.arange(space.shape[k]) == n)
 
 
 def commutator(x: LinearOperator, y: LinearOperator) -> LinearOperator:

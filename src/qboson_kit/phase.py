@@ -17,13 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fock import (
     FockSpace,
     LadderTriple,
     LinearOperator,
-    diagonal_operator,
     ladder,
     operator_on_mode,
     _require_same_space,
@@ -41,18 +39,14 @@ class PhasePair:
 
 def phase_pair(space: FockSpace, mode: int) -> PhasePair:
     """The exponential phase pair: unit-amplitude shifts down/up one step."""
-    k = space._check_mode(mode)
-    d = space.shape[k]
-    low = sp.diags(np.ones(d - 1, dtype=complex), offsets=1, shape=(d, d), format="csr")
-    lower = operator_on_mode(space, mode, low)
+    lower = _lower_shift(space, mode, 1)
     return PhasePair(lower=lower, raise_=lower.adjoint(), mode=mode)
 
 
 def sqrt_number_operator(space: FockSpace, mode: int) -> LinearOperator:
     """Diagonal principal square root of the occupation operator of one mode."""
-    k = space._check_mode(mode)
-    vals = np.sqrt(space.occupations[:, k].astype(float)).astype(complex)
-    return diagonal_operator(space, vals)
+    n = np.arange(space.shape[space._check_mode(mode)], dtype=float)
+    return operator_on_mode(space, mode, np.sqrt(n))
 
 
 def theta_operator(space: FockSpace, mode: int, alpha: int) -> LinearOperator:
@@ -66,8 +60,7 @@ def theta_operator(space: FockSpace, mode: int, alpha: int) -> LinearOperator:
         raise ValueError("alpha must be nonnegative")
     if alpha > space.cutoffs[k]:
         raise ValueError(f"alpha {alpha} exceeds cutoff {space.cutoffs[k]} of mode {mode}")
-    mask = (space.occupations[:, k] >= alpha).astype(complex)
-    return diagonal_operator(space, mask)
+    return operator_on_mode(space, mode, np.arange(space.shape[k]) >= alpha)
 
 
 def _lower_shift(space: FockSpace, mode: int, alpha: int) -> LinearOperator:
@@ -75,7 +68,7 @@ def _lower_shift(space: FockSpace, mode: int, alpha: int) -> LinearOperator:
     k = space._check_mode(mode)
     if not 0 <= alpha <= space.cutoffs[k]:
         raise ValueError(f"alpha {alpha} outside [0, {space.cutoffs[k]}] for mode {mode}")
-    return operator_on_mode(space, mode, sp.eye(space.shape[k], k=alpha, dtype=complex))
+    return operator_on_mode(space, mode, np.ones(space.shape[k]), lower=alpha)
 
 
 def alpha_adjoint(space: FockSpace, mode: int, x: LinearOperator, alpha: int) -> LinearOperator:

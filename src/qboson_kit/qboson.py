@@ -40,14 +40,12 @@ from .fock import (
     FockSpace,
     LinearOperator,
     basis_state,
-    diagonal_operator,
     expectation,
     identity_operator,
     make_space,
     operator_on_mode,
     ladder,
     relation_residual,
-    _lower_block_from_magnitudes,
 )
 from .phase import alpha_phase_pair, phase_pair, theta_operator
 
@@ -93,9 +91,8 @@ def family_on_space(space: FockSpace, mode: int, beta: np.ndarray, q_squared: fl
     k = space._check_mode(mode)
     if len(beta) != space.shape[k]:
         raise ValueError(f"beta has length {len(beta)}, expected {space.shape[k]}")
-    low = _lower_block_from_magnitudes(beta)
-    lower = operator_on_mode(space, mode, low)
-    num = operator_on_mode(space, mode, np.diag(np.arange(space.shape[k], dtype=complex)))
+    lower = operator_on_mode(space, mode, np.sqrt(np.asarray(beta, dtype=float)), lower=1)
+    num = operator_on_mode(space, mode, np.arange(space.shape[k]))
     return QBosonFamily(lower=lower, raise_=lower.adjoint(), number=num,
                         q_squared=q_squared, type_tag=type_tag, beta=np.asarray(beta))
 
@@ -157,7 +154,6 @@ def family_rhs_operator(family: QBosonFamily, mode: int = 1) -> LinearOperator:
     """
     space = family.space
     k = space._check_mode(mode)
-    occ = space.occupations[:, k]
     if family.type_tag in STANDARD_TYPES:
         rhs = standard_rhs(family.type_tag, family.q_squared)
         vals = np.array([rhs(int(n)) for n in range(space.shape[k])])
@@ -165,7 +161,7 @@ def family_rhs_operator(family: QBosonFamily, mode: int = 1) -> LinearOperator:
         beta = family.beta
         vals = np.zeros(space.shape[k])
         vals[:-1] = beta[1:] - family.q_squared * beta[:-1]
-    return diagonal_operator(space, vals[occ].astype(complex))
+    return operator_on_mode(space, mode, vals)
 
 
 def defining_relation_residual(family: QBosonFamily, margin: int = 1,
@@ -313,14 +309,16 @@ def family_from_relation(relation: EffectiveRelation, cutoff: int) -> QBosonFami
 
 def precision_capped_cutoff(q_squared: float, type_tag: str, cutoff: int,
                             tolerance: float) -> int:
-    """Largest cutoff at which a growing rhs keeps round-off below tolerance.
+    """Largest cutoff up to `cutoff` at which a growing rhs keeps round-off below tolerance.
 
     The defining-relation residual carries float dust of order
     eps * q^(-2 cutoff) for types II and IV; bounded targets are unaffected.
+    The cap never goes below 2, and a requested cutoff below 2 is returned
+    as it is, so the margin validation downstream rejects it.
     """
     if type_tag not in ("II", "IV"):
         return cutoff
     eps = float(np.finfo(float).eps)
     cap = int(math.floor(math.log(max(tolerance, 32.0 * eps) / (16.0 * eps))
                          / math.log(1.0 / q_squared)))
-    return max(2, min(cutoff, cap))
+    return min(cutoff, max(2, cap))

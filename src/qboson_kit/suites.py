@@ -479,6 +479,8 @@ def multimode_suite(modes: int = 3, q: float = 0.5, cutoff: int = 8,
 
 def rmatrix_suite(ns=(2, 3), q: float = 0.5) -> list[Check]:
     """Entry conventions and the Yang-Baxter identity."""
+    if min(ns) < 2:
+        raise ConfigError("the rmatrix suite needs --modes >= 2")
     checks = []
     for n in ns:
         rmatrix = mm.su_r_matrix(n, q)

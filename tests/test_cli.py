@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qboson_kit import ladder, make_space, su_r_matrix
+from qboson_kit import cli, ladder, make_space, su_r_matrix
 from qboson_kit.dump import format_operator, format_rmatrix, parse_operator_dump
+from qboson_kit.qboson import precision_capped_cutoff
 from qboson_kit.suites import ConfigError, SuiteConfig, render_report, run_suite
 
 CLI = [sys.executable, "-m", "qboson_kit"]
@@ -118,10 +120,11 @@ def test_cli_rejects_bad_tolerance(tol):
     ("multimode", "--modes", "1", "modes"),
     ("multimode", "--modes", "0", "modes"),
     ("chevalley", "--modes", "0", "modes"),
-    ("rmatrix", "--modes", "0", "n must be >= 2"),
+    ("rmatrix", "--modes", "0", "--modes"),
+    ("rmatrix", "--modes", "1", "--modes"),
     ("cuntz", "--cutoff", "0", "cutoff"),
 ], ids=["multimode-modes-1", "multimode-modes-0", "chevalley-modes-0", "rmatrix-modes-0",
-        "cuntz-cutoff-0"])
+        "rmatrix-modes-1", "cuntz-cutoff-0"])
 def test_cli_multimode_modes_validation(suite, flag, value, message):
     # A zero size is validated, not replaced by the suite's default.
     proc = run_cli("run", "--suite", suite, flag, value)
@@ -139,6 +142,17 @@ def test_cli_all_rejects_size_flags(flag, value):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert flag in proc.stderr
+
+
+@pytest.mark.parametrize("qtype", ["I", "II", "III", "IV"])
+def test_cli_qboson_cutoff_below_two_is_rejected(qtype):
+    # The precision cap lowers a growing family's cutoff but never raises it.
+    assert precision_capped_cutoff(0.5, qtype, 1, 1e-10) == 1
+    proc = run_cli("run", "--suite", "qboson", "--qtype", qtype, "--cutoff", "1",
+                   "--format", "json")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "margin 1 >= smallest cutoff 1" in proc.stderr
 
 
 def test_cli_thermal_temperature_source():
@@ -195,6 +209,34 @@ def test_cli_dump_theta_and_qboson():
                    "--q", "0.5", "--cutoff", "4")
     _, dense = parse_operator_dump(proc.stdout)
     assert dense[0, 1] == np.sqrt(1 - 0.25)  # sqrt(beta(1)) with q^2 = 0.25
+
+
+# Each file holds the output of `python -m qboson_kit dump-operator <args>`.  The
+# ops are those whose entries come from IEEE-exact arithmetic only (sqrt, +, *,
+# /), so the bytes do not depend on the platform's libm; types II and IV use pow
+# and are left out.
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_DUMPS = {
+    "a": ["--op", "a"],
+    "adag": ["--op", "adag"],
+    "n": ["--op", "n"],
+    "sqrtn": ["--op", "sqrtn"],
+    "e": ["--op", "e"],
+    "edag": ["--op", "edag"],
+    "theta-alpha3": ["--op", "theta", "--alpha", "3"],
+    "qboson-lower-I": ["--op", "qboson-lower", "--qtype", "I"],
+    "qboson-raise-I": ["--op", "qboson-raise", "--qtype", "I"],
+    "qboson-lower-III": ["--op", "qboson-lower", "--qtype", "III"],
+    "qboson-raise-III": ["--op", "qboson-raise", "--qtype", "III"],
+    "rmatrix-modes2": ["--op", "rmatrix", "--modes", "2"],
+    "rmatrix-modes3": ["--op", "rmatrix", "--modes", "3"],
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_DUMPS)
+def test_dump_matches_golden_file(name, capsys):
+    assert cli.main(["dump-operator", *GOLDEN_DUMPS[name]]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN_DIR / f"{name}.txt").read_bytes()
 
 
 def test_cli_asymptotics_csv():

@@ -17,6 +17,7 @@ from qboson_kit import (
     ladder,
     make_space,
     number_state_projector,
+    operator_on_mode,
     relation_residual,
     thermal_density,
     ThermalParams,
@@ -79,6 +80,42 @@ def test_ladder_mode_out_of_range():
         ladder(space, 2)
     with pytest.raises(ValueError):
         ladder(space, 0)
+
+
+def _kron_reference(shape, mode, values, lower):
+    """Dense embedding of the single-mode block |n> -> values[n] |n - lower>."""
+    k = mode - 1
+    d = shape[k]
+    block = np.zeros((d, d), dtype=complex)
+    for n in range(lower, d):
+        block[n - lower, n] = values[n]
+    before = int(np.prod(shape[:k]))
+    after = int(np.prod(shape[k + 1:]))
+    return np.kron(np.eye(before), np.kron(block, np.eye(after)))
+
+
+@pytest.mark.parametrize("mode", [1, 2, 3])
+def test_operator_on_mode_matches_kron_reference(mode):
+    space = make_space([2, 3, 1])
+    cutoff = space.cutoffs[mode - 1]
+    rng = np.random.default_rng(mode)
+    for lower in sorted({0, 1, cutoff}):
+        values = rng.normal(size=cutoff + 1) + 1j * rng.normal(size=cutoff + 1)
+        op = operator_on_mode(space, mode, values, lower=lower)
+        np.testing.assert_array_equal(op.toarray(),
+                                      _kron_reference(space.shape, mode, values, lower))
+
+
+def test_operator_on_mode_validation():
+    space = make_space([2, 3, 1])
+    with pytest.raises(ValueError):
+        operator_on_mode(space, 2, np.ones(3))
+    with pytest.raises(ValueError):
+        operator_on_mode(space, 2, np.ones(4), lower=-1)
+    with pytest.raises(ValueError):
+        operator_on_mode(space, 2, np.ones(4), lower=4)
+    with pytest.raises(ValueError):
+        operator_on_mode(space, 0, np.ones(3))
 
 
 def test_commutator_identity_below_cutoff():
