@@ -10,12 +10,14 @@
 
 `run` exits 0 exactly when every check of the suite passes; reports go to
 stdout or --out.  Reports are deterministic apart from the wall_time field.
+A flag the suite or the operator does not use exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .densities import asymptotics_csv, phase_asymptotics
 from .dump import format_operator, format_rmatrix
@@ -25,8 +27,15 @@ from .phase import phase_pair, sqrt_number_operator, theta_operator
 from .qboson import standard_qboson
 from .suites import SUITES, ConfigError, SuiteConfig, render_report, run_suite
 
-DUMPABLE_OPS = ("a", "adag", "n", "sqrtn", "e", "edag", "theta",
-                "qboson-lower", "qboson-raise", "rmatrix")
+# The flags each dumpable operator uses, with their defaults.
+_CUTOFF = {"cutoff": 16}
+_QBOSON = {**_CUTOFF, "qtype": "I", "q": 0.7071067811865476}
+DUMP_FLAGS: dict[str, dict[str, object]] = {
+    "a": _CUTOFF, "adag": _CUTOFF, "n": _CUTOFF, "sqrtn": _CUTOFF, "e": _CUTOFF,
+    "edag": _CUTOFF, "theta": {**_CUTOFF, "alpha": 0},
+    "qboson-lower": _QBOSON, "qboson-raise": _QBOSON,
+    "rmatrix": {"modes": 2, "q": _QBOSON["q"]},
+}
 
 
 def _margin(value: str):
@@ -50,21 +59,20 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--alpha", type=int, help="step/shift parameter where applicable")
     run.add_argument("--modes", type=int, help="number of modes (multimode suites)")
     run.add_argument("--qtype", choices=("I", "II", "III", "IV"))
-    run.add_argument("--tol", type=float, default=1e-10, help="tolerance floor")
-    run.add_argument("--margin", type=_margin, default="auto",
-                     help="safe-subspace margin or 'auto'")
-    run.add_argument("--norm", choices=("spectral", "frobenius"), default="spectral")
+    run.add_argument("--tol", dest="tolerance", type=float, help="tolerance floor")
+    run.add_argument("--margin", type=_margin, help="safe-subspace margin or 'auto'")
+    run.add_argument("--norm", choices=("spectral", "frobenius"))
     run.add_argument("--format", dest="fmt", choices=("json", "csv", "text"),
                      default="text")
     run.add_argument("--out", help="write the report to this path instead of stdout")
 
     dump = sub.add_parser("dump-operator", help="print an operator in the text dump format")
-    dump.add_argument("--op", required=True, choices=DUMPABLE_OPS)
-    dump.add_argument("--cutoff", type=int, default=16)
-    dump.add_argument("--alpha", type=int, default=0, help="step threshold for theta")
-    dump.add_argument("--qtype", choices=("I", "II", "III", "IV"), default="I")
-    dump.add_argument("--q", type=float, default=0.7071067811865476)
-    dump.add_argument("--modes", type=int, default=2, help="rank N for rmatrix")
+    dump.add_argument("--op", required=True, choices=DUMP_FLAGS)
+    dump.add_argument("--cutoff", type=int)
+    dump.add_argument("--alpha", type=int, help="step threshold for theta")
+    dump.add_argument("--qtype", choices=("I", "II", "III", "IV"))
+    dump.add_argument("--q", type=float)
+    dump.add_argument("--modes", type=int, help="rank N for rmatrix")
     dump.add_argument("--out")
 
     asym = sub.add_parser("asymptotics",
@@ -85,22 +93,27 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_run(args) -> int:
-    config = SuiteConfig(suite=args.suite, cutoff=args.cutoff, q=args.q,
-                         epsilon0=args.epsilon0, kT=args.kT, alpha=args.alpha,
-                         modes=args.modes, qtype=args.qtype, tolerance=args.tol,
-                         margin=args.margin, norm=args.norm, fmt=args.fmt,
-                         out=args.out)
+    config = SuiteConfig(**{f.name: getattr(args, f.name) for f in fields(SuiteConfig)})
     report = run_suite(config)
     _emit(render_report(report, args.fmt), args.out)
     return 0 if report.overall_passed else 1
 
 
 def _cmd_dump(args) -> int:
+    given = {flag: getattr(args, flag) for flag in ("cutoff", "alpha", "qtype", "q", "modes")
+             if getattr(args, flag) is not None}
+    for flag in given:
+        if flag not in DUMP_FLAGS[args.op]:
+            raise ConfigError(f"--op {args.op} does not take --{flag}")
+    v = {**DUMP_FLAGS[args.op], **given}
     if args.op == "rmatrix":
-        text = format_rmatrix(su_r_matrix(args.modes, args.q))
-        _emit(text, args.out)
+        if v["modes"] < 2:
+            raise ConfigError(f"--op rmatrix needs --modes >= 2, got {v['modes']}")
+        _emit(format_rmatrix(su_r_matrix(v["modes"], v["q"])), args.out)
         return 0
-    space = make_space([args.cutoff])
+    if v["cutoff"] < 1:
+        raise ConfigError(f"--cutoff must be >= 1, got {v['cutoff']}")
+    space = make_space([v["cutoff"]])
     if args.op in ("a", "adag", "n"):
         triple = ladder(space, 1)
         op = {"a": triple.lower, "adag": triple.raise_, "n": triple.number}[args.op]
@@ -110,9 +123,9 @@ def _cmd_dump(args) -> int:
         pair = phase_pair(space, 1)
         op = pair.lower if args.op == "e" else pair.raise_
     elif args.op == "theta":
-        op = theta_operator(space, 1, args.alpha)
+        op = theta_operator(space, 1, v["alpha"])
     else:
-        family = standard_qboson(args.qtype, args.q * args.q, args.cutoff)
+        family = standard_qboson(v["qtype"], v["q"] * v["q"], v["cutoff"])
         op = family.lower if args.op == "qboson-lower" else family.raise_
     _emit(format_operator(op), args.out)
     return 0

@@ -49,7 +49,7 @@ class FockSpace:
     def shape(self) -> tuple[int, ...]:
         return tuple(c + 1 for c in self.cutoffs)
 
-    @property
+    @cached_property
     def dimension(self) -> int:
         return int(np.prod(self.shape))
 

@@ -3,16 +3,18 @@ the SU(N) R-matrix with RTT-form residuals, and Chevalley-basis checks.
 
 Independent families live on disjoint tensor legs and commute exactly.  The
 covariant family dresses each hatted (independent) pair with the diagonal
-factor q^(s * sum_{k<i} N_k); with s = +1 this produces the q-commuting
-relations
+factor q^(sum_{k<i} N_k), which produces the q-commuting relations
 
     B-_i B+_i - q^2 B+_i B-_i = q^(2 sum_{k<i} N_k)
     B-_i B-_j = q B-_j B-_i                (i < j)
     B-_i B+_j = q B+_j B-_i                (i != j)
 
-and, by adjointness, B+_i B+_j = q B+_j B+_i for i > j.  The same algebra is
-expressed through the SU(N) R-matrix in RTT form, and the R-matrix itself is
-checked against the Yang-Baxter identity by brute-force matrix products.
+and, by adjointness, B+_i B+_j = q B+_j B+_i for i > j.  This orientation,
+that of the Pusz-Woronowicz twisted CCR, fixes the sign +1 of the dressing
+exponent; dressing with q^(-sum_{k<i} N_k) breaks the relations.  The same
+algebra is expressed through the SU(N) R-matrix in RTT form, and the
+R-matrix itself is checked against the Yang-Baxter identity by brute-force
+matrix products.
 """
 
 from __future__ import annotations
@@ -74,22 +76,19 @@ class CovariantFamily:
     dressing_exponent_sign: int
 
 
-def _dressing_factor(space: FockSpace, q: float, i: int, sign: int,
-                     scale: int = 1) -> LinearOperator:
-    """Diagonal factor q^(sign * scale * sum_{k<i} N_k) (1-based mode i)."""
-    occ = space.occupations
-    expo = occ[:, : i - 1].sum(axis=1)
-    vals = q ** (sign * scale * expo.astype(float))
+def _dressing_factor(space: FockSpace, q: float, i: int, power: int) -> LinearOperator:
+    """Diagonal factor q^(power * sum_{k<i} N_k) (1-based mode i)."""
+    expo = space.occupations[:, : i - 1].sum(axis=1)
+    vals = q ** (power * expo.astype(float))
     return diagonal_operator(space, vals.astype(complex))
 
 
 def covariant_bosons(n_modes: int, q: float, cutoffs: Sequence[int]) -> CovariantFamily:
     """Build the covariant family by dressing independent type-I pairs.
 
-    The dressing exponent sign is probed so that the full set of q-commuting
-    relations holds simultaneously; the winning sign is recorded on the
-    result.  A consistency error here would indicate an implementation bug,
-    not a parameter problem.
+    Mode i's pair is multiplied by q^(sum_{k<i} N_k); the exponent sign +1 is
+    fixed by the relations' orientation (module docstring) and recorded on
+    the result.
     """
     if n_modes < 2:
         raise ValueError("a covariant family needs at least two modes")
@@ -98,25 +97,12 @@ def covariant_bosons(n_modes: int, q: float, cutoffs: Sequence[int]) -> Covarian
     hatted = independent_qbosons(n_modes, [q * q] * n_modes, cutoffs)
     space = hatted[0].space
     numbers = tuple(fam.number for fam in hatted)
-
-    best = None
-    for sign in (+1, -1):
-        dressed = tuple(
-            (_dressing_factor(space, q, i, sign) @ fam.lower,
-             _dressing_factor(space, q, i, sign) @ fam.raise_)
-            for i, fam in enumerate(hatted, start=1))
-        family = CovariantFamily(modes=n_modes, q=q, space=space, hatted=tuple(hatted),
-                                 dressed=dressed, numbers=numbers,
-                                 dressing_exponent_sign=sign)
-        # Frobenius is enough to discriminate the sign and is much cheaper.
-        worst = max(covariant_relation_residuals(family, margin=1, norm="frobenius").values())
-        if best is None or worst < best[0]:
-            best = (worst, family)
-    worst, family = best
-    if worst > 1e-10:
-        raise AssertionError(
-            f"no dressing sign satisfies the covariant relations (worst residual {worst:.3g})")
-    return family
+    dressed = []
+    for i, fam in enumerate(hatted, start=1):
+        factor = _dressing_factor(space, q, i, 1)
+        dressed.append((factor @ fam.lower, factor @ fam.raise_))
+    return CovariantFamily(modes=n_modes, q=q, space=space, hatted=tuple(hatted),
+                           dressed=tuple(dressed), numbers=numbers, dressing_exponent_sign=1)
 
 
 def covariant_relation_residuals(family: CovariantFamily, margin: int = 1,
@@ -133,7 +119,7 @@ def covariant_relation_residuals(family: CovariantFamily, margin: int = 1,
     residuals = {}
     for i in range(1, family.modes + 1):
         bm_i, bp_i = family.dressed[i - 1]
-        rhs = _dressing_factor(space, q, i, family.dressing_exponent_sign, scale=2)
+        rhs = _dressing_factor(space, q, i, 2 * family.dressing_exponent_sign)
         lhs = bm_i @ bp_i - q2 * (bp_i @ bm_i)
         residuals[f"diagonal i={i}"] = relation_residual(lhs, rhs, margin, norm=norm)
         for j in range(1, family.modes + 1):

@@ -2,9 +2,10 @@
 
 Each suite evaluates a fixed set of named checks; a check either measures a
 scalar against a closed form or measures an operator-identity residual on a
-truncation-safe subspace.  Reports are assembled in check-name order, carry
-the full configuration echo, and are byte-stable across runs apart from the
-wall_time field.  Nothing in the toolkit draws random numbers.
+truncation-safe subspace.  Reports are assembled in check-name order, echo
+the configuration with each honoured flag resolved, and are byte-stable
+across runs apart from the wall_time field.  Nothing in the toolkit draws
+random numbers.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -54,9 +56,6 @@ from .qboson import (
     standard_qboson,
 )
 
-SUITES = ("cuntz", "thermal", "coherent", "asymptotics", "qboson", "recipe",
-          "alpha", "multimode", "rmatrix", "chevalley", "all")
-
 
 class ConfigError(ValueError):
     """Invalid or inconsistent suite configuration."""
@@ -64,6 +63,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class SuiteConfig:
+    """One `run` invocation; a flag left None takes the suite's default (SUITE_FLAGS)."""
+
     suite: str
     cutoff: int | None = None
     q: float | None = None
@@ -72,9 +73,9 @@ class SuiteConfig:
     alpha: int | None = None
     modes: int | None = None
     qtype: str | None = None
-    tolerance: float = 1e-10
-    margin: int | str = "auto"
-    norm: str = "spectral"
+    tolerance: float | None = None
+    margin: int | str | None = None
+    norm: str | None = None
     fmt: str = "text"
     out: str | None = None
 
@@ -91,7 +92,7 @@ class SuiteConfig:
             if self.epsilon0 is None or self.kT is None:
                 raise ConfigError("--epsilon0 and --kT must be given together")
             return ThermalParams.from_temperature(self.epsilon0, self.kT).q_squared
-        return 0.5
+        return SETTINGS["q_squared"]
 
 
 @dataclass
@@ -138,8 +139,7 @@ def _info_check(name: str, relation: str, measured: float) -> Check:
 
 # -- individual suites ---------------------------------------------------------
 
-def cuntz_suite(cutoff: int = 32, margin: int | str = "auto", norm: str = "spectral",
-                tolerance: float = 1e-10) -> list[Check]:
+def cuntz_suite(cutoff: int, margin: int | str, norm: str, tolerance: float) -> list[Check]:
     """Boson commutator, polar decomposition, shift products, shift commutators."""
     space = make_space([cutoff])
     triple = ladder(space, 1)
@@ -167,18 +167,14 @@ def cuntz_suite(cutoff: int = 32, margin: int | str = "auto", norm: str = "spect
         ("cuntz/shift-right-inverse", "e e+ = 1",
          pair.lower @ pair.raise_, one, m(2)),
     ]
-    checks = []
-    for name, relation, lhs, rhs, mg in specs:
-        checks.append(_residual_check(name, relation,
-                                      relation_residual(lhs, rhs, mg, norm=norm), tolerance))
-    return checks
+    return [_residual_check(name, relation, relation_residual(lhs, rhs, mg, norm=norm), tolerance)
+            for name, relation, lhs, rhs, mg in specs]
 
 
-def thermal_suite(q_squared: float, cutoff: int = 80,
-                  tolerance_floor: float = 1e-10) -> list[Check]:
+def thermal_suite(q_squared: float, cutoff: int, tolerance: float) -> list[Check]:
     """Geometric-state expectations against their closed forms.
 
-    Tolerance per check is analytic_value * max(floor, tail_mass); the lost
+    Tolerance per check is analytic_value * max(tolerance, tail_mass); the lost
     tail bounds the truncation error of the bounded observables.  The
     occupation-weighted observables can exceed that budget by a factor of
     order cutoff when the tail dominates the floor (see README).
@@ -191,7 +187,7 @@ def thermal_suite(q_squared: float, cutoff: int = 80,
     q2 = q_squared
 
     def tol(analytic: float) -> float:
-        return analytic * max(tolerance_floor, tail)
+        return analytic * max(tolerance, tail)
 
     checks = [
         _value_check("thermal/mean-occupation", "<a+ a> = q^2/(1-q^2)",
@@ -228,14 +224,13 @@ def _z_label(z: complex) -> str:
     return f"{z.real:g}{z.imag:+g}j"
 
 
-def coherent_suite(cutoff: int = 60, z_values=(1.0, 2.0, 2.0j)) -> list[Check]:
+def coherent_suite(cutoff: int) -> list[Check]:
     """Eigenvector residual, mean occupation, and Poisson statistics."""
     space = make_space([cutoff])
     triple = ladder(space, 1)
     n_max = min(40, cutoff - 5)
     checks = []
-    for z in z_values:
-        z = complex(z)
+    for z in (1.0 + 0j, 2.0 + 0j, 2.0j):
         label = _z_label(z)
         state = coherent_state(space, 1, z)
         shifted = triple.lower.apply(state).amplitudes - z * state.amplitudes
@@ -255,10 +250,10 @@ def coherent_suite(cutoff: int = 60, z_values=(1.0, 2.0, 2.0j)) -> list[Check]:
     return checks
 
 
-def asymptotics_suite(cutoff: int = 600, z_values=(4.0, 6.0, 8.0, 12.0)) -> list[Check]:
+def asymptotics_suite(cutoff: int) -> list[Check]:
     """Two-route agreement and large-amplitude error behavior of <z|e|z>."""
     space = make_space([cutoff])
-    rows = phase_asymptotics(z_values, cutoff)
+    rows = phase_asymptotics((4.0, 6.0, 8.0, 12.0), cutoff)
     checks = []
     errors = []
     for row in rows:
@@ -287,17 +282,18 @@ def asymptotics_suite(cutoff: int = 600, z_values=(4.0, 6.0, 8.0, 12.0)) -> list
     return checks
 
 
-def qboson_suite(q_squared: float, qtype: str | None = None, cutoff: int = 24,
-                 tolerance: float = 1e-10) -> list[Check]:
-    """Defining relations and closed-form magnitude sequences of the four families.
+def qboson_suite(q_squared: float, qtype: tuple[str, ...], cutoff: int,
+                 tolerance: float) -> list[Check]:
+    """Defining relations and closed-form magnitude sequences of the given families.
 
     For the growing targets (types II and IV) the effective cutoff is capped
     so float round-off stays below the tolerance; the capped value appears in
     the relation text.
     """
-    types = STANDARD_TYPES if qtype is None else (qtype,)
+    if cutoff < 2:
+        raise ConfigError(f"the qboson suite needs --cutoff >= 2, got {cutoff}")
     checks = []
-    for t in types:
+    for t in qtype:
         eff = precision_capped_cutoff(q_squared, t, cutoff, tolerance)
         family = standard_qboson(t, q_squared, eff)
         checks.append(_residual_check(
@@ -313,16 +309,16 @@ def qboson_suite(q_squared: float, qtype: str | None = None, cutoff: int = 24,
     return checks
 
 
-def recipe_suite(q_squared: float, cutoff: int = 80, b_cutoff: int = 8,
-                 tolerance_floor: float = 1e-10) -> list[Check]:
+def recipe_suite(q_squared: float, cutoff: int, tolerance: float) -> list[Check]:
     """Averaged two-mode relations against their normalized targets."""
     q2 = q_squared
+    cutoffs = (cutoff, 8)
     checks = []
 
     def tol(analytic: float, tail: float) -> float:
-        return abs(analytic) * max(tolerance_floor, tail)
+        return abs(analytic) * max(tolerance, tail)
 
-    rel = expectation_recipe("phase", "identity", q2, (cutoff, b_cutoff))
+    rel = expectation_recipe("phase", "identity", q2, cutoffs)
     checks.append(_value_check("recipe/shift-gauge-q2",
                                "coeff ratio <e+ e>/<e e+> = q^2",
                                rel.q_squared_effective, q2, tol(q2, rel.tail_mass),
@@ -333,7 +329,7 @@ def recipe_suite(q_squared: float, cutoff: int = 80, b_cutoff: int = 8,
                                rel.tail_mass))
     checks.append(_closure_check("recipe/closure-shift-gauge", rel))
 
-    rel = expectation_recipe("boson", "identity", q2, (cutoff, b_cutoff))
+    rel = expectation_recipe("boson", "identity", q2, cutoffs)
     checks.append(_value_check("recipe/boson-gauge-q2",
                                "coeff ratio <a+ a>/<a a+> = q^2",
                                rel.q_squared_effective, q2, tol(q2, rel.tail_mass),
@@ -345,7 +341,7 @@ def recipe_suite(q_squared: float, cutoff: int = 80, b_cutoff: int = 8,
     checks.append(_closure_check("recipe/closure-boson-gauge", rel))
 
     for a in (0, 1, 2):
-        rel = expectation_recipe("alpha_phase", "identity", q2, (cutoff, b_cutoff), alpha=a)
+        rel = expectation_recipe("alpha_phase", "identity", q2, cutoffs, alpha=a)
         target = q2 ** (-a)
         checks.append(_value_check(
             f"recipe/shifted-gauge-alpha{a}-rhs",
@@ -354,7 +350,7 @@ def recipe_suite(q_squared: float, cutoff: int = 80, b_cutoff: int = 8,
     checks.append(_closure_check("recipe/closure-shifted-gauge", rel))
 
     for a in (1, 2):
-        rel = expectation_recipe("boson", "theta", q2, (cutoff, b_cutoff), alpha=a)
+        rel = expectation_recipe("boson", "theta", q2, cutoffs, alpha=a)
         sign = rel.rhs_exponent_sign or 1
         target = (1.0 - q2) * q2 ** (sign * a)
         checks.append(_value_check(
@@ -366,7 +362,7 @@ def recipe_suite(q_squared: float, cutoff: int = 80, b_cutoff: int = 8,
             "measured step-projector exponent sign (+1: rhs = (1-q^2) q^(+2 alpha))",
             float(sign)))
 
-    pure = expectation_recipe("phase", "identity", q2, (cutoff, b_cutoff),
+    pure = expectation_recipe("phase", "identity", q2, cutoffs,
                               density="pure", pure_level=1)
     dev = max(abs(pure.coeff_plus - 1.0), abs(pure.coeff_minus - 1.0),
               abs(pure.rhs - 1.0))
@@ -387,12 +383,12 @@ def _closure_check(name: str, rel) -> Check:
         relation_residual(lhs, rhs, margin=1), tolerance, rel.tail_mass)
 
 
-def alpha_suite(cutoff: int = 32, alphas=(1, 2, 3), norm: str = "spectral") -> list[Check]:
+def alpha_suite(cutoff: int, alpha: tuple[int, ...], norm: str) -> list[Check]:
     """Shifted-vacuum boson: kernel size, step commutator, eigenvalues, phase defect."""
     space = make_space([cutoff])
     machine = machine_zero_bound(space)
     checks = []
-    for a in alphas:
+    for a in alpha:
         boson = alpha_boson(space, 1, a)
         lower = boson.triple.lower.matrix.copy()
         lower.eliminate_zeros()
@@ -421,15 +417,17 @@ def alpha_suite(cutoff: int = 32, alphas=(1, 2, 3), norm: str = "spectral") -> l
     return checks
 
 
-def multimode_suite(modes: int = 3, q: float = 0.5, cutoff: int = 8,
-                    tolerance: float = 1e-12, norm: str = "spectral") -> list[Check]:
+def multimode_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> list[Check]:
     """Covariant family relations, RTT forms, Yang-Baxter, and recipe rows."""
     if modes < 2:
         raise ConfigError("the multimode suite needs --modes >= 2")
+    q = math.sqrt(q_squared)
     family = mm.covariant_bosons(modes, q, [cutoff] * modes)
+    rmatrix = mm.su_r_matrix(modes, q)
     checks = []
     groups: dict[str, float] = {}
-    for name, residual in mm.covariant_relation_residuals(family, margin=1, norm=norm).items():
+    for name, residual in {**mm.covariant_relation_residuals(family, margin=1, norm=norm),
+                           **mm.rtt_residuals(family, rmatrix, margin=1, norm=norm)}.items():
         key = name.split(" ")[0]
         groups[key] = max(groups.get(key, 0.0), residual)
     relation_text = {
@@ -440,23 +438,15 @@ def multimode_suite(modes: int = 3, q: float = 0.5, cutoff: int = 8,
     }
     for key in sorted(groups):
         checks.append(_residual_check(
-            f"multimode/N{modes}-{key}-max", relation_text[key], groups[key], tolerance))
-    rmatrix = mm.su_r_matrix(modes, q)
-    rtt_groups: dict[str, float] = {}
-    for name, residual in mm.rtt_residuals(family, rmatrix, margin=1, norm=norm).items():
-        key = name.split(" ")[0]
-        rtt_groups[key] = max(rtt_groups.get(key, 0.0), residual)
-    for key in sorted(rtt_groups):
-        checks.append(_residual_check(
-            f"multimode/N{modes}-{key}-max", "R-matrix (RTT) form of the relations",
-            rtt_groups[key], tolerance))
+            f"multimode/N{modes}-{key}-max",
+            relation_text.get(key, "R-matrix (RTT) form of the relations"), groups[key], 1e-12))
     checks.append(_residual_check(
         f"multimode/N{modes}-undressing",
         "inverse diagonal dressing recovers the independent pairs",
         mm.undressing_residual(family), 1e-13))
     checks.append(_residual_check(
         f"multimode/N{modes}-yang-baxter", "R12 R13 R23 = R23 R13 R12",
-        mm.yang_baxter_residual(rmatrix), tolerance))
+        mm.yang_baxter_residual(rmatrix), 1e-12))
     checks.append(_info_check(
         f"multimode/N{modes}-dressing-sign",
         "dressing exponent sign satisfying all relations",
@@ -477,12 +467,13 @@ def multimode_suite(modes: int = 3, q: float = 0.5, cutoff: int = 8,
     return checks
 
 
-def rmatrix_suite(ns=(2, 3), q: float = 0.5) -> list[Check]:
-    """Entry conventions and the Yang-Baxter identity."""
-    if min(ns) < 2:
+def rmatrix_suite(q_squared: float, modes: tuple[int, ...]) -> list[Check]:
+    """Entry conventions and the Yang-Baxter identity at each rank in `modes`."""
+    if min(modes) < 2:
         raise ConfigError("the rmatrix suite needs --modes >= 2")
+    q = math.sqrt(q_squared)
     checks = []
-    for n in ns:
+    for n in modes:
         rmatrix = mm.su_r_matrix(n, q)
         dev = 0.0
         for i in range(1, n + 1):
@@ -502,11 +493,11 @@ def rmatrix_suite(ns=(2, 3), q: float = 0.5) -> list[Check]:
     return checks
 
 
-def chevalley_suite(modes: int = 3, q: float = 0.5, cutoff: int = 6,
-                    norm: str = "spectral") -> list[Check]:
+def chevalley_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> list[Check]:
     """Cartan-sector identities plus reported ladder brackets per variant/base."""
     if modes < 2:
         raise ConfigError("the chevalley suite needs --modes >= 2")
+    q = math.sqrt(q_squared)
     checks = []
     combos = [("typeI_q2", q), ("typeI_q2", q * q), ("typeII_symmetric", q)]
     best = math.inf
@@ -547,84 +538,90 @@ class SuiteReport:
     overall_passed: bool
     wall_time: float
 
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "config": self.config,
-            "checks": [asdict(c) for c in self.checks],
-            "overall_passed": self.overall_passed,
-            "wall_time": self.wall_time,
-        }
+
+@dataclass(frozen=True)
+class Suite:
+    """A builder and the flags it honours: `sizes` with this suite's defaults
+    (a tuple default runs each entry, a given size its one value) and the
+    `settings`, whose defaults SETTINGS shares."""
+
+    build: Callable[..., list[Check]]
+    sizes: dict[str, object]
+    settings: tuple[str, ...] = ()
 
 
-def _suite_checks(config: SuiteConfig) -> list[Check]:
-    name = config.suite
-    q2 = config.resolved_q_squared()
-    q = math.sqrt(q2)
-    tol = config.tolerance
-    margin = config.margin
-    norm = config.norm
+# q_squared comes from --q or --epsilon0/--kT (SuiteConfig.resolved_q_squared).
+SETTINGS = {"q_squared": 0.5, "tolerance": 1e-10, "margin": "auto", "norm": "spectral"}
 
-    # An explicit value, even an invalid one such as 0, reaches the suite's
-    # own validation; only an absent one takes the suite's default.
-    def cutoff(default: int) -> int:
-        return default if config.cutoff is None else config.cutoff
+SUITE_TABLE = {
+    "cuntz": Suite(cuntz_suite, {"cutoff": 32}, ("tolerance", "margin", "norm")),
+    "thermal": Suite(thermal_suite, {"cutoff": 80}, ("q_squared", "tolerance")),
+    "coherent": Suite(coherent_suite, {"cutoff": 60}),
+    "asymptotics": Suite(asymptotics_suite, {"cutoff": 600}),
+    "qboson": Suite(qboson_suite, {"qtype": STANDARD_TYPES, "cutoff": 24},
+                    ("q_squared", "tolerance")),
+    "recipe": Suite(recipe_suite, {"cutoff": 80}, ("q_squared", "tolerance")),
+    "alpha": Suite(alpha_suite, {"cutoff": 32, "alpha": (1, 2, 3)}, ("norm",)),
+    "multimode": Suite(multimode_suite, {"modes": 3, "cutoff": 8}, ("q_squared", "norm")),
+    "rmatrix": Suite(rmatrix_suite, {"modes": (2, 3)}, ("q_squared",)),
+    "chevalley": Suite(chevalley_suite, {"modes": 3, "cutoff": 6}, ("q_squared", "norm")),
+}
 
-    def modes(default: int) -> int:
-        return default if config.modes is None else config.modes
+# `--suite all` runs these rows at fixed sizes: the row's own, else the suite's defaults.
+ALL_ROWS = (
+    ("cuntz", {}), ("thermal", {}), ("coherent", {}), ("asymptotics", {}), ("qboson", {}),
+    ("recipe", {}), ("alpha", {}),
+    ("multimode", {"modes": 2, "cutoff": 6}), ("multimode", {"modes": 3, "cutoff": 6}),
+    ("chevalley", {"modes": 2}), ("chevalley", {"modes": 3}), ("rmatrix", {}),
+)
 
-    if name == "cuntz":
-        return cuntz_suite(cutoff(32), margin, norm, tol)
-    if name == "thermal":
-        return thermal_suite(q2, cutoff(80), tol)
-    if name == "coherent":
-        return coherent_suite(cutoff(60))
-    if name == "asymptotics":
-        return asymptotics_suite(cutoff(600))
-    if name == "qboson":
-        return qboson_suite(q2, config.qtype, cutoff(24), tol)
-    if name == "recipe":
-        return recipe_suite(q2, cutoff(80), tolerance_floor=tol)
-    if name == "alpha":
-        if config.alpha is not None:
-            return alpha_suite(cutoff(32), alphas=(config.alpha,), norm=norm)
-        return alpha_suite(cutoff(32), norm=norm)
-    if name == "multimode":
-        return multimode_suite(modes(3), q, cutoff(8), norm=norm)
-    if name == "rmatrix":
-        return rmatrix_suite((2, 3) if config.modes is None else (config.modes,), q)
-    if name == "chevalley":
-        return chevalley_suite(modes(3), q, cutoff(6), norm=norm)
-    if name == "all":
-        for flag in ("cutoff", "modes", "alpha", "qtype"):
-            if getattr(config, flag) is not None:
-                raise ConfigError(f"--suite all runs fixed sizes and does not take --{flag}")
-        checks = []
-        checks += cuntz_suite(32, margin, norm, tol)
-        checks += thermal_suite(q2, 80, tol)
-        checks += coherent_suite(60)
-        checks += asymptotics_suite(600)
-        checks += qboson_suite(q2, None, 24, tol)
-        checks += recipe_suite(q2, 80, tolerance_floor=tol)
-        checks += alpha_suite(32, norm=norm)
-        for n in (2, 3):
-            checks += multimode_suite(n, q, 6, norm=norm)
-            checks += chevalley_suite(n, q, 6, norm=norm)
-        checks += rmatrix_suite((2, 3), q)
-        return checks
-    raise ConfigError(f"unknown suite {name!r}; expected one of {SUITES}")
+# The flags each suite honours, with their defaults; `all` takes no size and
+# each setting one of its rows takes.
+SUITE_FLAGS = {name: {**suite.sizes, **{flag: SETTINGS[flag] for flag in suite.settings}}
+               for name, suite in SUITE_TABLE.items()}
+SUITE_FLAGS["all"] = {flag: default for flag, default in SETTINGS.items()
+                      if any(flag in SUITE_TABLE[row].settings for row, _ in ALL_ROWS)}
+SUITES = tuple(SUITE_FLAGS)
+
+
+def _resolve(config: SuiteConfig) -> dict[str, object]:
+    """The honoured flags, as given or at their defaults; another given flag raises."""
+    if config.suite not in SUITES:
+        raise ConfigError(f"unknown suite {config.suite!r}; expected one of {SUITES}")
+    flags = SUITE_FLAGS[config.suite]
+    for field in fields(SuiteConfig):
+        if field.name in ("suite", "fmt", "out") or getattr(config, field.name) is None:
+            continue
+        if ("q_squared" if field.name in ("q", "epsilon0", "kT") else field.name) not in flags:
+            flag = "--tol" if field.name == "tolerance" else f"--{field.name}"
+            raise ConfigError(f"--suite {config.suite} does not take {flag}")
+    resolved = {}
+    for flag, default in flags.items():
+        value = config.resolved_q_squared() if flag == "q_squared" else getattr(config, flag)
+        if value is None:
+            value = default
+        elif isinstance(default, tuple):
+            value = (value,)
+        resolved[flag] = value
+    tolerance = resolved.get("tolerance")
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0):
+        raise ConfigError(f"--tol must be a positive finite number, got {tolerance}")
+    return resolved
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
     """Execute the configured suite; deterministic apart from wall_time."""
-    if config.suite not in SUITES:
-        raise ConfigError(f"unknown suite {config.suite!r}; expected one of {SUITES}")
-    if not (math.isfinite(config.tolerance) and config.tolerance > 0):
-        raise ConfigError(f"--tol must be a positive finite number, got {config.tolerance}")
+    resolved = _resolve(config)
     start = time.perf_counter()
-    checks = sorted(_suite_checks(config), key=lambda c: c.name)
+    checks = []
+    for name, fixed in ALL_ROWS if config.suite == "all" else ((config.suite, {}),):
+        checks += SUITE_TABLE[name].build(**{flag: fixed.get(flag, resolved.get(flag, default))
+                                             for flag, default in SUITE_FLAGS[name].items()})
+    checks.sort(key=lambda c: c.name)
     elapsed = time.perf_counter() - start
-    config_echo = {k: v for k, v in asdict(config).items()}
+    # The deformation source is echoed as given (q, or epsilon0 and kT).
+    config_echo = asdict(config) | {flag: value for flag, value in resolved.items()
+                                    if flag != "q_squared"}
     return SuiteReport(suite=config.suite, config=config_echo, checks=checks,
                        overall_passed=all(c.passed for c in checks),
                        wall_time=elapsed)
@@ -633,7 +630,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 # -- rendering -------------------------------------------------------------------
 
 def report_to_json(report: SuiteReport) -> str:
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    return json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
 
 
 def report_to_csv(report: SuiteReport) -> str:

@@ -9,7 +9,14 @@ import pytest
 from qboson_kit import cli, ladder, make_space, su_r_matrix
 from qboson_kit.dump import format_operator, format_rmatrix, parse_operator_dump
 from qboson_kit.qboson import precision_capped_cutoff
-from qboson_kit.suites import ConfigError, SuiteConfig, render_report, run_suite
+from qboson_kit.suites import (
+    SUITE_FLAGS,
+    SUITES,
+    ConfigError,
+    SuiteConfig,
+    render_report,
+    run_suite,
+)
 
 CLI = [sys.executable, "-m", "qboson_kit"]
 
@@ -152,7 +159,47 @@ def test_cli_qboson_cutoff_below_two_is_rejected(qtype):
                    "--format", "json")
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert "margin 1 >= smallest cutoff 1" in proc.stderr
+    assert "--cutoff >= 2" in proc.stderr
+
+
+RUN_FLAGS = ("--q", "--epsilon0", "--kT", "--cutoff", "--modes", "--alpha", "--qtype",
+             "--tol", "--margin", "--norm")
+
+
+def _honoured_args(flag: str, default) -> list[str]:
+    """Arguments that give `flag` a valid value; --epsilon0 and --kT come as a pair."""
+    if flag in ("--epsilon0", "--kT"):
+        return ["--epsilon0", "1", "--kT", "2"]
+    value = {"--q": "0.6", "--tol": "1e-9", "--margin": "3", "--norm": "frobenius"}.get(flag)
+    if value is None:  # a size next to the suite's default, so the run stays small
+        value = str(default[-1] if isinstance(default, tuple) else default - 1)
+    return [flag, value]
+
+
+@pytest.mark.parametrize("flag", RUN_FLAGS)
+@pytest.mark.parametrize("suite", SUITES)
+def test_run_flag_is_honoured_or_rejected(suite, flag, capsys):
+    # No flag is accepted and then ignored: it runs and is echoed, or it exits 2.
+    flags = SUITE_FLAGS[suite]
+    key = {"--q": "q_squared", "--epsilon0": "q_squared", "--kT": "q_squared",
+           "--tol": "tolerance"}.get(flag, flag[2:])
+    if key not in flags:
+        value = {"--qtype": "II", "--norm": "frobenius"}.get(flag, "3")
+        code = cli.main(["run", "--suite", suite, flag, value, "--format", "json"])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert out.err == f"error: --suite {suite} does not take {flag}\n"
+        return
+    args = _honoured_args(flag, flags[key])
+    assert cli.main(["run", "--suite", suite, *args, "--format", "json"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    for name, value in zip(args[::2], args[1::2]):
+        echoed = config["tolerance" if name == "--tol" else name[2:]]
+        if isinstance(echoed, list):  # a list-valued size runs the one value given
+            assert echoed == [type(echoed[0])(value)]
+        else:
+            assert echoed == type(echoed)(value)
 
 
 def test_cli_thermal_temperature_source():
@@ -209,6 +256,33 @@ def test_cli_dump_theta_and_qboson():
                    "--q", "0.5", "--cutoff", "4")
     _, dense = parse_operator_dump(proc.stdout)
     assert dense[0, 1] == np.sqrt(1 - 0.25)  # sqrt(beta(1)) with q^2 = 0.25
+
+
+@pytest.mark.parametrize("flag,value", [("--cutoff", "5"), ("--alpha", "1"), ("--qtype", "II"),
+                                        ("--q", "0.5"), ("--modes", "3")])
+@pytest.mark.parametrize("op", cli.DUMP_FLAGS)
+def test_dump_flag_is_used_or_rejected(op, flag, value, capsys):
+    code = cli.main(["dump-operator", "--op", op, flag, value])
+    out = capsys.readouterr()
+    if flag[2:] in cli.DUMP_FLAGS[op]:
+        assert code == 0
+        assert out.out and out.err == ""
+    else:
+        assert code == 2
+        assert out.out == ""
+        assert out.err == f"error: --op {op} does not take {flag}\n"
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--op", "rmatrix", "--modes", "1"], "--op rmatrix needs --modes >= 2, got 1"),
+    (["--op", "a", "--cutoff", "0"], "--cutoff must be >= 1, got 0"),
+    (["--op", "qboson-raise", "--cutoff", "-1"], "--cutoff must be >= 1, got -1"),
+])
+def test_dump_size_error_names_the_flag(args, message, capsys):
+    assert cli.main(["dump-operator", *args]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
 
 
 # Each file holds the output of `python -m qboson_kit dump-operator <args>`.  The

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from qboson_kit import (
     covariant_recipe_check,
     covariant_relation_residuals,
     defining_relation_residual,
+    diagonal_operator,
     identity_operator,
     independent_qbosons,
     relation_residual,
@@ -73,6 +76,20 @@ def test_covariant_diagonal_relations():
     residuals = covariant_relation_residuals(fam, margin=1)
     assert all(r < 1e-12 for r in residuals.values())
     assert fam.dressing_exponent_sign == 1
+
+
+@pytest.mark.parametrize("n,worst", [(2, 31.96875), (3, 32736.0)])
+def test_covariant_negative_dressing_sign_breaks_relations(n, worst):
+    """Dressing with q^(-sum_{k<i} N_k) fails the relations the +1 sign meets."""
+    fam = covariant_bosons(n, 0.5, [6] * n)
+    occ = fam.space.occupations
+    dressed = []
+    for i, hat in enumerate(fam.hatted, start=1):
+        factor = diagonal_operator(fam.space, 0.5 ** -occ[:, : i - 1].sum(axis=1).astype(float))
+        dressed.append((factor @ hat.lower, factor @ hat.raise_))
+    flipped = dataclasses.replace(fam, dressed=tuple(dressed), dressing_exponent_sign=-1)
+    assert max(covariant_relation_residuals(fam).values()) < 1e-15
+    assert max(covariant_relation_residuals(flipped).values()) == pytest.approx(worst)
 
 
 def test_covariant_lower_lower_q_commutation():

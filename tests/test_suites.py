@@ -3,7 +3,7 @@ import pytest
 
 from qboson_kit import identity_operator, ladder, make_space
 from qboson_kit.dump import format_operator
-from qboson_kit.suites import SUITES, ConfigError, SuiteConfig, run_suite
+from qboson_kit.suites import SUITE_FLAGS, SUITES, ConfigError, SuiteConfig, run_suite
 
 
 def test_every_suite_runs_green_with_defaults():
@@ -12,6 +12,12 @@ def test_every_suite_runs_green_with_defaults():
         assert report.overall_passed, suite
         assert report.suite == suite
         assert len(report.checks) > 0
+        # The echo holds each honoured flag's default; the rest stay null.
+        flags = SUITE_FLAGS[suite]
+        for field in ("cutoff", "alpha", "modes", "qtype", "tolerance", "margin", "norm"):
+            default = flags.get(field)
+            assert report.config[field] == default, (suite, field)
+        assert report.config["q"] is None
 
 
 def test_unknown_suite_rejected():
