@@ -38,7 +38,6 @@ from .fock import (
     identity_operator,
     ladder,
     make_space,
-    matrix_norm,
     number_state_projector,
     operator_on_mode,
     relation_residual,

@@ -17,12 +17,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fock import (
     FockSpace,
     LinearOperator,
     StateVector,
+    _shift,
+    _tidy,
     diagonal_operator,
 )
 from .phase import phase_pair
@@ -86,11 +87,12 @@ class DensityOperator:
 def mixture_density(states: Sequence[StateVector], probs: Sequence[float]) -> DensityOperator:
     """Statistical mixture sum_R P_R |R><R|.
 
-    Stored sparse: each term is built on its state's nonzero support only, so
-    memory grows with the union of the supports squared, not with dim^2.
-    Probabilities must be nonnegative and sum to 1 within 1e-10; each state
-    must be normalized.  A single-state mixture is tagged pure (and is then
-    idempotent).
+    Each term fills only the diagonals its state's support reaches, so memory
+    is (number of distinct flat offsets between support states) x dim: one
+    diagonal for a number state, 2 cutoff + 1 for a coherent state of one
+    mode.  Probabilities must be nonnegative and sum to 1 within 1e-10; each
+    state must be normalized.  A single-state mixture is tagged pure (and is
+    then idempotent).
     """
     if len(states) == 0:
         raise ValueError("at least one state is required")
@@ -102,22 +104,19 @@ def mixture_density(states: Sequence[StateVector], probs: Sequence[float]) -> De
     if abs(p.sum() - 1.0) > 1e-10:
         raise ValueError(f"probabilities sum to {p.sum()}, expected 1")
     space = states[0].space
-    dim = space.dimension
-    rho = sp.csr_matrix((dim, dim), dtype=complex)
+    diagonals: dict[int, np.ndarray] = {}
     for state, weight in zip(states, p):
         if state.space != space:
             raise ValueError("all states must live on the same space")
         if not state.normalized(1e-12):
             raise ValueError(f"state with norm {state.norm()} is not normalized")
-        # The outer product vanishes off the state's support: build only that block.
-        support = np.flatnonzero(state.amplitudes)
-        amps = state.amplitudes[support]
-        block = weight * np.outer(amps, amps.conjugate())
-        rho = rho + sp.csr_matrix(
-            (block.ravel(), (np.repeat(support, len(support)), np.tile(support, len(support)))),
-            shape=(dim, dim))
-    rho.eliminate_zeros()
-    op = LinearOperator(space, rho)
+        # |psi><psi| puts psi_i conj(psi_j) on diagonal j - i, which only the
+        # differences of the support reach.
+        psi = state.amplitudes
+        support = np.flatnonzero(psi)
+        for d in np.unique(support[None, :] - support[:, None]).tolist():
+            diagonals[d] = diagonals.get(d, 0.0) + weight * (_shift(psi, d) * psi.conjugate())
+    op = LinearOperator(space, _tidy(diagonals))
     return DensityOperator(op=op, tail_mass=0.0,
                            kind="pure" if len(states) == 1 else "mixture")
 
@@ -145,20 +144,12 @@ def thermal_density(space: FockSpace, mode: int, params: ThermalParams,
     (vacuum by default), so the result is a thermal x pure product state.
     """
     k = space._check_mode(mode)
-    w, tail = _thermal_weights(params.q_squared, space.cutoffs[k])
     levels = [0] * (space.mode_count - 1) if other_levels is None else list(other_levels)
     if len(levels) != space.mode_count - 1:
         raise ValueError(f"expected {space.mode_count - 1} other-mode levels, got {len(levels)}")
-    other = [m for m in range(space.mode_count) if m != k]
-    for m, lvl in zip(other, levels):
-        if not 0 <= lvl <= space.cutoffs[m]:
-            raise ValueError(f"level {lvl} outside [0, {space.cutoffs[m]}] for mode {m + 1}")
-    occ = space.occupations
-    diag = w[occ[:, k]].astype(complex)
-    for m, lvl in zip(other, levels):
-        diag = diag * (occ[:, m] == lvl)
-    op = diagonal_operator(space, diag)
-    return DensityOperator(op=op, tail_mass=tail, kind="thermal")
+    product = thermal_product_density(space, levels[:k] + [params] + levels[k:])
+    tail = _thermal_weights(params.q_squared, space.cutoffs[k])[1]
+    return DensityOperator(op=product.op, tail_mass=tail, kind="thermal")
 
 
 def thermal_product_density(space: FockSpace,
@@ -212,10 +203,7 @@ def coherent_state(space: FockSpace, mode: int, z: complex,
     amps /= np.linalg.norm(amps)
     full = np.zeros(space.dimension, dtype=complex)
     occ = space.occupations
-    rest = np.ones(space.dimension, dtype=bool)
-    for m in range(space.mode_count):
-        if m != k:
-            rest &= occ[:, m] == 0
+    rest = np.all(np.delete(occ, k, axis=1) == 0, axis=1)
     full[rest] = amps[occ[rest, k]]
     return StateVector(space, full)
 
@@ -227,9 +215,9 @@ def coherent_density(space: FockSpace, mode: int, z: complex,
     d = pure_density(state)
     # Poisson tail beyond the cutoff, lost before normalization.
     cutoff = space.cutoffs[space._check_mode(mode)]
-    from scipy.stats import poisson
+    from scipy.special import pdtrc
 
-    tail = float(poisson.sf(cutoff, abs(z) ** 2))
+    tail = float(pdtrc(cutoff, abs(z) ** 2))
     return DensityOperator(op=d.op, tail_mass=tail, kind="coherent")
 
 

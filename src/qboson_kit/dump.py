@@ -13,34 +13,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import LinearOperator
+from .fock import LinearOperator, _row_major
 from .multimode import RMatrix
 
 
-def _entry_lines(matrix) -> list[str]:
-    coo = matrix.tocoo() if hasattr(matrix, "tocoo") else None
-    if coo is not None:
-        order = np.lexsort((coo.col, coo.row))
-        triples = zip(coo.row[order], coo.col[order], coo.data[order])
-    else:
-        dense = np.asarray(matrix)
-        rows, cols = np.nonzero(dense)
-        triples = ((r, c, dense[r, c]) for r, c in zip(rows, cols))
-    return [f"{int(r)} {int(c)} {v.real:.17g} {v.imag:.17g}" for r, c, v in triples]
+def _entry_lines(rows, cols, values) -> list[str]:
+    return [f"{int(r)} {int(c)} {v.real:.17g} {v.imag:.17g}"
+            for r, c, v in zip(rows, cols, values)]
 
 
 def format_operator(op: LinearOperator) -> str:
     space = op.space
     header = (f"dim {space.dimension} modes {space.mode_count} "
               f"cutoffs {','.join(str(c) for c in space.cutoffs)}")
-    m = op.matrix.copy()
-    m.eliminate_zeros()
-    return "\n".join([header] + _entry_lines(m)) + "\n"
+    return "\n".join([header] + _entry_lines(*_row_major(op))) + "\n"
 
 
 def format_rmatrix(rmatrix: RMatrix) -> str:
     header = f"rmatrix n {rmatrix.n} q {rmatrix.q:.17g}"
-    return "\n".join([header] + _entry_lines(rmatrix.entries)) + "\n"
+    rows, cols = np.nonzero(rmatrix.entries)
+    return "\n".join([header] + _entry_lines(rows, cols, rmatrix.entries[rows, cols])) + "\n"
 
 
 def parse_operator_dump(text: str) -> tuple[dict, np.ndarray]:

@@ -2,7 +2,7 @@
 
 Every mode carries an occupation cutoff; the basis is the set of multi-indices
 (n_1, ..., n_M) with 0 <= n_i <= cutoff_i, enumerated row-major with mode 1
-slowest.  Operators are immutable sparse complex matrices.  Algebraic
+slowest.  Operators are immutable matrices stored as diagonals.  Algebraic
 identities that hold in the untruncated algebra are checked on a "safe
 subspace" (states at least `margin` steps below every cutoff), where they hold
 to machine precision.
@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 DEFAULT_DIMENSION_LIMIT = 10_000_000
 
@@ -133,40 +132,78 @@ def _require_same_space(a: FockSpace, b: FockSpace) -> None:
         raise ValueError(f"operands live on different spaces: {a.cutoffs} vs {b.cutoffs}")
 
 
+def _shift(x: np.ndarray, s: int) -> np.ndarray:
+    """y with y[j] = x[j - s], zero where j - s falls outside x."""
+    y = np.zeros_like(x)
+    y[max(s, 0):len(x) + min(s, 0)] = x[max(-s, 0):len(x) - max(s, 0)]
+    return y
+
+
+def _tidy(diagonals: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """Store every zero entry as +0 and drop all-zero diagonals (the arrays are fresh)."""
+    for c in diagonals.values():
+        c[c == 0] = 0
+    return {d: c for d, c in diagonals.items() if c.any()}
+
+
 @dataclass(frozen=True, eq=False)
 class LinearOperator:
-    """Immutable complex matrix on a FockSpace, stored as CSR."""
+    """Immutable complex matrix on a FockSpace, stored as its nonzero diagonals.
+
+    `diagonals` maps a flat offset d to a complex array c of length
+    `dimension`, c[j] being the entry (j - d, j) and zero where that row is
+    outside the matrix.  A single-mode operator is one diagonal, and a
+    product of diagonals d1 and d2 lands on d1 + d2.  Zero entries are +0,
+    all-zero diagonals are dropped, and the arrays are never written again.
+    """
 
     space: FockSpace
-    matrix: sp.csr_matrix
+    diagonals: dict[int, np.ndarray]
 
     def __post_init__(self):
-        m = self.matrix
-        if not sp.issparse(m):
-            m = sp.csr_matrix(np.asarray(m, dtype=complex))
-        elif m.format != "csr" or m.dtype != np.complex128:
-            m = m.tocsr().astype(np.complex128)
         dim = self.space.dimension
-        if m.shape != (dim, dim):
-            raise ValueError(f"matrix shape {m.shape} does not match dimension {dim}")
-        object.__setattr__(self, "matrix", m)
+        for d, c in self.diagonals.items():
+            if not -dim < d < dim or getattr(c, "shape", None) != (dim,) or c.dtype != complex:
+                raise ValueError(f"diagonal {d}: expected a complex array of length {dim} "
+                                 f"at an offset inside ({-dim}, {dim})")
+
+    @cached_property
+    def matrix(self):
+        """The operator as a scipy.sparse CSR matrix, built on first access."""
+        import scipy.sparse as sp
+
+        rows, cols, values = _row_major(self)
+        return sp.csr_matrix((values, (rows, cols)), shape=(self.space.dimension,) * 2)
 
     # -- algebra -----------------------------------------------------------
 
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
         _require_same_space(self.space, other.space)
-        return LinearOperator(self.space, self.matrix @ other.matrix)
+        dim = self.space.dimension
+        out: dict[int, np.ndarray] = {}
+        # c[j] = a[j - d2] b[j] lands on d1 + d2.  Pairs that share an output
+        # diagonal add up from +0 in ascending d1, as a row-major product does.
+        for d1 in sorted(self.diagonals):
+            for d2, b in other.diagonals.items():
+                if -dim < d1 + d2 < dim:
+                    out[d1 + d2] = out.get(d1 + d2, 0.0) + _shift(self.diagonals[d1], d2) * b
+        return LinearOperator(self.space, {d: c for d, c in out.items() if c.any()})
+
+    def _merge(self, other: "LinearOperator", op) -> "LinearOperator":
+        _require_same_space(self.space, other.space)
+        a, b = self.diagonals, other.diagonals
+        return LinearOperator(self.space, _tidy({d: op(a.get(d, 0.0), b.get(d, 0.0))
+                                                 for d in a.keys() | b.keys()}))
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        _require_same_space(self.space, other.space)
-        return LinearOperator(self.space, self.matrix + other.matrix)
+        return self._merge(other, np.add)
 
     def __sub__(self, other: "LinearOperator") -> "LinearOperator":
-        _require_same_space(self.space, other.space)
-        return LinearOperator(self.space, self.matrix - other.matrix)
+        return self._merge(other, np.subtract)
 
     def __mul__(self, scalar: complex) -> "LinearOperator":
-        return LinearOperator(self.space, self.matrix * scalar)
+        return LinearOperator(self.space,
+                              _tidy({d: c * scalar for d, c in self.diagonals.items()}))
 
     __rmul__ = __mul__
 
@@ -174,32 +211,79 @@ class LinearOperator:
         return self * (-1.0)
 
     def adjoint(self) -> "LinearOperator":
-        return LinearOperator(self.space, self.matrix.conjugate().transpose().tocsr())
+        # Entry (j - d, j) moves to (j, j - d): diagonal -d, column j - d.
+        return LinearOperator(self.space, _tidy({-d: _shift(np.conjugate(c), -d)
+                                                 for d, c in self.diagonals.items()}))
 
     def apply(self, state: StateVector) -> StateVector:
         _require_same_space(self.space, state.space)
-        return StateVector(self.space, self.matrix @ state.amplitudes)
+        y = np.zeros(self.space.dimension, dtype=complex)
+        for d in sorted(self.diagonals):
+            y += _shift(self.diagonals[d] * state.amplitudes, -d)
+        return StateVector(self.space, y)
+
+    def diagonal(self) -> np.ndarray:
+        """The main diagonal as a fresh length-`dimension` array."""
+        return self.diagonals.get(0, np.zeros(self.space.dimension, dtype=complex)) + 0.0
 
     def trace(self) -> complex:
-        return complex(self.matrix.diagonal().sum())
+        return complex(self.diagonal().sum())
 
     def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
+        rows, cols, values = _row_major(self)
+        dense = np.zeros((self.space.dimension,) * 2, dtype=complex)
+        dense[rows, cols] = values
+        return dense
 
     def norm(self, kind: str = "spectral") -> float:
-        return matrix_norm(self.matrix, kind)
+        """Spectral (largest singular value) or Frobenius norm.
+
+        A monomial matrix (at most one nonzero per row and per column, as a
+        single diagonal and every residual of a homogeneous relation is) has
+        its largest entry modulus as spectral norm, exactly.  Any other matrix
+        is compacted to its nonzero rows and columns and gets a dense SVD, or
+        ValueError past `_DENSE_NORM_LIMIT` rows or columns.
+        """
+        if kind not in ("spectral", "frobenius"):
+            raise ValueError(f"unknown norm kind {kind!r}")
+        if kind == "spectral" and len(self.diagonals) <= 1:
+            return max((float(np.abs(c).max()) for c in self.diagonals.values()), default=0.0)
+        rows, cols, values = _row_major(self)
+        if kind == "frobenius":
+            return float(np.sqrt(np.sum(np.abs(values) ** 2)))
+        kept_rows, kept_cols = np.unique(rows), np.unique(cols)
+        if len(kept_rows) == len(kept_cols) == len(values):
+            return float(np.abs(values).max(initial=0.0))
+        if max(len(kept_rows), len(kept_cols)) > _DENSE_NORM_LIMIT:
+            raise ValueError(
+                f"spectral norm of a non-monomial {len(kept_rows)}x{len(kept_cols)} matrix "
+                f"exceeds the dense limit {_DENSE_NORM_LIMIT}; use the frobenius norm")
+        block = np.zeros((len(kept_rows), len(kept_cols)), dtype=complex)
+        block[np.searchsorted(kept_rows, rows), np.searchsorted(kept_cols, cols)] = values
+        return float(np.linalg.norm(block, 2))
+
+
+def _row_major(op: LinearOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the nonzero entries, by row, then column."""
+    offsets = np.array(sorted(op.diagonals), dtype=np.int64)
+    # Row i of `grid` holds the entries (i, i + d) in ascending d.
+    grid = np.zeros((op.space.dimension, len(offsets)), dtype=complex)
+    for k, d in enumerate(offsets.tolist()):
+        grid[:, k] = _shift(op.diagonals[d], -d)
+    rows, k = np.divmod(np.flatnonzero(grid), max(len(offsets), 1))
+    return rows, rows + offsets[k], grid[rows, k]
 
 
 def identity_operator(space: FockSpace) -> LinearOperator:
-    return LinearOperator(space, sp.identity(space.dimension, dtype=complex, format="csr"))
+    return LinearOperator(space, {0: np.ones(space.dimension, dtype=complex)})
 
 
 def diagonal_operator(space: FockSpace, values: np.ndarray) -> LinearOperator:
     """Diagonal operator from a length-`dimension` vector of eigenvalues."""
-    vals = np.asarray(values, dtype=complex)
+    vals = np.array(values, dtype=complex)
     if vals.shape != (space.dimension,):
         raise ValueError(f"diagonal has shape {vals.shape}, expected ({space.dimension},)")
-    return LinearOperator(space, sp.diags(vals, format="csr", dtype=complex))
+    return LinearOperator(space, _tidy({0: vals}))
 
 
 def operator_on_mode(space: FockSpace, mode: int, values: np.ndarray,
@@ -220,10 +304,8 @@ def operator_on_mode(space: FockSpace, mode: int, values: np.ndarray,
     if not 0 <= lower <= cutoff:
         raise ValueError(f"lower {lower} outside [0, {cutoff}] for mode {mode}")
     offset = lower * int(np.prod(space.shape[k + 1:], dtype=np.int64))
-    n = space.occupations[offset:, k]
-    column = np.where(n >= lower, vals[n], 0.0)
-    return LinearOperator(space, sp.diags(column, offsets=offset, shape=(space.dimension,) * 2,
-                                          format="csr", dtype=complex))
+    n = space.occupations[:, k]
+    return LinearOperator(space, _tidy({offset: np.where(n >= lower, vals[n], 0.0)}))
 
 
 @dataclass(frozen=True)
@@ -259,7 +341,6 @@ def number_state_projector(space: FockSpace, mode: int, n: int) -> LinearOperato
 
 def commutator(x: LinearOperator, y: LinearOperator) -> LinearOperator:
     """xy - yx, computed exactly (no tolerance applied)."""
-    _require_same_space(x.space, y.space)
     return x @ y - y @ x
 
 
@@ -272,49 +353,23 @@ def expectation(rho, op: LinearOperator) -> complex:
     """
     rho_op = getattr(rho, "op", rho)
     _require_same_space(rho_op.space, op.space)
-    # Tr(AB) = sum_ij A_ij B_ji, no need to form the product.
-    return complex(rho_op.matrix.multiply(op.matrix.T).sum())
+    # Tr(AB) = sum_ij A_ij B_ji: diagonal d of A meets diagonal -d of B at
+    # b[j - d], and the nonzero products are summed in row-major order.
+    products = {d: a * _shift(op.diagonals[-d], d)
+                for d, a in rho_op.diagonals.items() if -d in op.diagonals}
+    return complex(np.sum(_row_major(LinearOperator(op.space, products))[2]))
 
 
 # -- residual measurement ---------------------------------------------------
-
-def matrix_norm(matrix: sp.spmatrix, kind: str = "spectral") -> float:
-    """Spectral (largest singular value) or Frobenius norm of a sparse matrix.
-
-    A monomial matrix (at most one nonzero per row and per column, as every
-    residual of a homogeneous relation is) is a permutation times a diagonal,
-    so its spectral norm is its largest entry modulus, exactly.  Any other
-    matrix is compacted to its nonzero rows and columns (norm-invariant) and
-    gets a dense SVD; past `_DENSE_NORM_LIMIT` rows or columns that raises
-    ValueError instead.
-    """
-    m = matrix.tocsr(copy=True)
-    m.eliminate_zeros()
-    if m.nnz == 0:
-        return 0.0
-    if kind == "frobenius":
-        return float(np.sqrt(np.sum(np.abs(m.data) ** 2)))
-    if kind != "spectral":
-        raise ValueError(f"unknown norm kind {kind!r}")
-    coo = m.tocoo()
-    rows = np.unique(coo.row)
-    cols = np.unique(coo.col)
-    if len(rows) == len(cols) == m.nnz:
-        return float(np.abs(m.data).max())
-    if max(len(rows), len(cols)) > _DENSE_NORM_LIMIT:
-        raise ValueError(
-            f"spectral norm of a non-monomial {len(rows)}x{len(cols)} matrix exceeds the "
-            f"dense limit {_DENSE_NORM_LIMIT}; use the frobenius norm")
-    return float(np.linalg.norm(m[rows][:, cols].toarray(), 2))
-
 
 def relation_residual(lhs: LinearOperator, rhs: LinearOperator, margin: int,
                       norm: str = "spectral") -> float:
     """Norm of the safe block of lhs - rhs.
 
     The safe block keeps the rows and columns of the states with
-    n_i <= cutoff_i - margin for every mode; it has the norm of P (lhs - rhs) P
-    for the projector P onto those states.
+    n_i <= cutoff_i - margin for every mode: each diagonal is masked to the
+    entries whose row and column are both kept, which is P (lhs - rhs) P for
+    the projector P onto those states.
     """
     _require_same_space(lhs.space, rhs.space)
     space = lhs.space
@@ -322,9 +377,9 @@ def relation_residual(lhs: LinearOperator, rhs: LinearOperator, margin: int,
         raise ValueError("margin must be nonnegative")
     if margin >= min(space.cutoffs):
         raise ValueError(f"margin {margin} >= smallest cutoff {min(space.cutoffs)}")
-    keep = np.flatnonzero(np.all(space.occupations <= np.array(space.cutoffs) - margin,
-                                 axis=1))
-    return matrix_norm((lhs - rhs).matrix[keep][:, keep], norm)
+    keep = np.all(space.occupations <= np.array(space.cutoffs) - margin, axis=1)
+    block = {d: np.where(keep & _shift(keep, d), c, 0) for d, c in (lhs - rhs).diagonals.items()}
+    return LinearOperator(space, _tidy(block)).norm(norm)
 
 
 def machine_zero_bound(space: FockSpace, scale: float = 1.0) -> float:

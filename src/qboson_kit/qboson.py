@@ -24,7 +24,7 @@ normalized form is one of the families above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -142,8 +142,7 @@ def standard_qboson(type_tag: str, q_squared: float, cutoff: int) -> QBosonFamil
             f"q^(-2n) reaches 1e{cutoff * math.log10(1.0 / q_squared):.0f} at cutoff "
             f"{cutoff}, beyond the {OVERFLOW_GUARD:g} guard")
     family = solve_deformed_oscillator(q_squared, standard_rhs(type_tag, q_squared), cutoff)
-    return QBosonFamily(lower=family.lower, raise_=family.raise_, number=family.number,
-                        q_squared=q_squared, type_tag=type_tag, beta=family.beta)
+    return replace(family, type_tag=type_tag)
 
 
 def family_rhs_operator(family: QBosonFamily, mode: int = 1) -> LinearOperator:
@@ -273,8 +272,8 @@ def expectation_recipe(a_choice: str, d0_choice: str, q_squared: float,
         raise ValueError(f"density must be 'thermal' or 'pure', got {density!r}")
     if rho.tail_mass > max_tail:
         raise TruncationAccuracyError(
-            f"tail mass {rho.tail_mass:.3g} exceeds budget {max_tail:.3g}; "
-            f"raise the first cutoff")
+            f"tail mass {rho.tail_mass:.3g} exceeds budget {max_tail:.3g} at cutoff "
+            f"{cutoffs[0]} of the averaged mode")
 
     coeff_plus = _real_expectation(rho, a_minus @ a_plus)
     coeff_minus = _real_expectation(rho, a_plus @ a_minus)

@@ -285,6 +285,28 @@ def test_dump_size_error_names_the_flag(args, message, capsys):
     assert out.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--suite", "thermal", "--cutoff", "1"], "the thermal suite needs --cutoff >= 3, got 1"),
+    (["--suite", "thermal", "--cutoff", "2"], "the thermal suite needs --cutoff >= 3, got 2"),
+    (["--suite", "recipe", "--cutoff", "2"],
+     "the recipe suite needs a larger --cutoff: tail mass 0.125 exceeds budget 1e-06 at "
+     "cutoff 2 of the averaged mode"),
+])
+def test_run_size_error_names_the_flag(args, message, capsys):
+    assert cli.main(["run", *args]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
+
+
+def test_import_needs_numpy_only():
+    probe = ("import sys, qboson_kit; "
+             "print(sorted(m for m in ('scipy.sparse', 'scipy.stats') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout == "[]\n"
+
+
 # Each file holds the output of `python -m qboson_kit dump-operator <args>`.  The
 # ops are those whose entries come from IEEE-exact arithmetic only (sqrt, +, *,
 # /), so the bytes do not depend on the platform's libm; types II and IV use pow
@@ -311,6 +333,23 @@ GOLDEN_DUMPS = {
 def test_dump_matches_golden_file(name, capsys):
     assert cli.main(["dump-operator", *GOLDEN_DUMPS[name]]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN_DIR / f"{name}.txt").read_bytes()
+
+
+# Each file holds the `checks` of `python -m qboson_kit run <args> --format json`,
+# as JSON with indent 2 and sorted keys: "report checks are byte-identical" as a test.
+GOLDEN_REPORTS = {
+    "checks-all": ["--suite", "all"],
+    "checks-recipe-cutoff400": ["--suite", "recipe", "--cutoff", "400"],
+    "checks-multimode-modes4-cutoff6": ["--suite", "multimode", "--modes", "4", "--cutoff", "6"],
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_REPORTS)
+def test_report_checks_match_golden_file(name, capsys):
+    assert cli.main(["run", *GOLDEN_REPORTS[name], "--format", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    text = json.dumps(checks, indent=2, sort_keys=True) + "\n"
+    assert text.encode() == (GOLDEN_DIR / f"{name}.json").read_bytes()
 
 
 def test_cli_asymptotics_csv():

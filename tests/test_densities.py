@@ -113,6 +113,15 @@ def test_pure_number_state_density_stores_one_entry():
     assert rho.op.matrix[k, k] == 1.0
 
 
+
+def test_mixture_density_stores_one_diagonal_per_support_offset():
+    space = make_space([12, 3])
+    assert list(pure_density(basis_state(space, [5, 2])).op.diagonals) == [0]
+    one_mode = make_space([12])
+    rho = coherent_density(one_mode, 1, 1.1 - 0.4j)
+    assert sorted(rho.op.diagonals) == list(range(-12, 13))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=4))
 def test_mixture_trace_one_property(raw):
@@ -222,6 +231,15 @@ def test_coherent_density_expectation():
     assert rho.kind == "coherent"
     assert expectation(rho, t.number).real == pytest.approx(4.0, abs=1e-8)
     assert rho.tail_mass < 1e-8
+
+
+@pytest.mark.parametrize("cutoff,z", [(10, 0.1), (10, 3.0j), (60, 4 * np.exp(1j)),
+                                      (100, 12.0), (600, -7.5), (25, 0.5 - 2j)])
+def test_coherent_tail_mass_is_the_poisson_survival_function(cutoff, z):
+    from scipy.stats import poisson
+
+    rho = coherent_density(make_space([cutoff]), 1, z, intensity_limit=math.inf)
+    assert rho.tail_mass == float(poisson.sf(cutoff, abs(z) ** 2))
 
 
 def test_thermal_product_density_with_pure_pin():
