@@ -72,6 +72,7 @@ from .qboson import (
     EffectiveRelation,
     OverflowGuardError,
     QBosonFamily,
+    averaged_relation,
     beta_closed_form,
     defining_relation_residual,
     expectation_recipe,

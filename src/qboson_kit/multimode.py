@@ -29,13 +29,13 @@ from .fock import (
     FockSpace,
     LinearOperator,
     diagonal_operator,
-    expectation,
     identity_operator,
     make_space,
     relation_residual,
 )
 from .phase import phase_pair
-from .qboson import QBosonFamily, _beta_recursion, family_on_space, standard_rhs
+from .qboson import (EffectiveRelation, QBosonFamily, _beta_recursion, averaged_relation,
+                     family_on_space, standard_rhs)
 
 BOSON_VARIANTS = ("typeI_q2", "typeII_symmetric")
 
@@ -72,7 +72,6 @@ class CovariantFamily:
     space: FockSpace
     hatted: tuple[QBosonFamily, ...]
     dressed: tuple[tuple[LinearOperator, LinearOperator], ...]
-    numbers: tuple[LinearOperator, ...]
     dressing_exponent_sign: int
 
 
@@ -96,13 +95,12 @@ def covariant_bosons(n_modes: int, q: float, cutoffs: Sequence[int]) -> Covarian
         raise ValueError(f"q must lie in (0, 1), got {q}")
     hatted = independent_qbosons(n_modes, [q * q] * n_modes, cutoffs)
     space = hatted[0].space
-    numbers = tuple(fam.number for fam in hatted)
     dressed = []
     for i, fam in enumerate(hatted, start=1):
         factor = _dressing_factor(space, q, i, 1)
         dressed.append((factor @ fam.lower, factor @ fam.raise_))
     return CovariantFamily(modes=n_modes, q=q, space=space, hatted=tuple(hatted),
-                           dressed=tuple(dressed), numbers=numbers, dressing_exponent_sign=1)
+                           dressed=tuple(dressed), dressing_exponent_sign=1)
 
 
 def covariant_relation_residuals(family: CovariantFamily, margin: int = 1,
@@ -263,10 +261,6 @@ class ChevalleyReport:
     [x] = (b^x - b^-x)/(b - 1/b) evaluated at the configured base b.
     """
 
-    h: tuple[LinearOperator, ...]
-    e: tuple[LinearOperator, ...]
-    f: tuple[LinearOperator, ...]
-    boson_variant: str
     bracket_base: float
     hh_residuals: dict[tuple[int, int], float]
     cartan_e_residuals: dict[tuple[int, int], float]
@@ -290,13 +284,14 @@ def _variant_families(variant: str, q: float, space: FockSpace) -> list[QBosonFa
 
 def chevalley_check(n_modes: int, q: float, cutoffs: Sequence[int],
                     boson_variant: str, bracket_base: float | None = None,
-                    margin: int = 2, norm: str = "spectral") -> ChevalleyReport:
+                    norm: str = "spectral") -> ChevalleyReport:
     """Build H_i, E_i, F_i from per-mode families and measure the algebra.
 
     H_i = N_i - N_{i+1}, E_i = B+_i B-_{i+1}, F_i = B+_{i+1} B-_i.  The
     Cartan-sector relations hold for any number-conserving bilinear; the
     [E_i, F_i] = [H_i] relation is exact for the symmetric variant at the
     default bracket base b = q and is reported (not asserted) otherwise.
+    Residuals are taken on the margin-2 safe subspace.
     """
     if n_modes < 2:
         raise ValueError("the Chevalley basis needs at least two modes")
@@ -318,6 +313,7 @@ def chevalley_check(n_modes: int, q: float, cutoffs: Sequence[int],
 
     a = cartan_matrix(n_modes)
     rank = n_modes - 1
+    margin = 2
     hh = {}
     ce = {}
     cf = {}
@@ -336,9 +332,7 @@ def chevalley_check(n_modes: int, q: float, cutoffs: Sequence[int],
         ef[i + 1] = relation_residual(
             e_ops[i] @ f_ops[i] - f_ops[i] @ e_ops[i], bracket, margin, norm=norm)
 
-    return ChevalleyReport(h=tuple(h_ops), e=tuple(e_ops), f=tuple(f_ops),
-                           boson_variant=boson_variant, bracket_base=base,
-                           hh_residuals=hh, cartan_e_residuals=ce,
+    return ChevalleyReport(bracket_base=base, hh_residuals=hh, cartan_e_residuals=ce,
                            cartan_f_residuals=cf, ef_residuals=ef)
 
 
@@ -351,21 +345,8 @@ def _diagonal_bracket(space: FockSpace, h: LinearOperator, base: float) -> Linea
 
 # -- multimode averaging consistency ------------------------------------------
 
-@dataclass(frozen=True)
-class RecipeConsistency:
-    """Measured vs expected coefficients of one diagonal covariant relation."""
-
-    coeff_plus: float
-    coeff_minus: float
-    rhs: float
-    expected_plus: float
-    expected_minus: float
-    expected_rhs: float
-    tail_mass: float
-
-
 def covariant_recipe_check(q_squared: float, b_levels: Sequence[int],
-                           a_cutoff: int = 80) -> RecipeConsistency:
+                           a_cutoff: int = 80) -> EffectiveRelation:
     """Average the step-projector relation that generates one covariant row.
 
     Mode 1 carries the thermal average; the remaining modes are pinned to the
@@ -374,20 +355,10 @@ def covariant_recipe_check(q_squared: float, b_levels: Sequence[int],
     are (1, q^2, q^(2 sum levels)).
     """
     levels = [int(v) for v in b_levels]
-    cutoffs = [a_cutoff] + [max(lvl, 1) for lvl in levels]
-    space = make_space(cutoffs)
+    space = make_space([a_cutoff] + [max(lvl, 1) for lvl in levels])
     rho = thermal_density(space, 1, ThermalParams.from_q_squared(q_squared),
                           other_levels=levels)
     pair = phase_pair(space, 1)
     occ = space.occupations
-    shift = occ[:, 1:].sum(axis=1)
-    mask = (occ[:, 0] >= shift).astype(complex)
-    d0 = diagonal_operator(space, mask)
-
-    plus = expectation(rho, pair.lower @ pair.raise_).real
-    minus = expectation(rho, pair.raise_ @ pair.lower).real
-    rhs = expectation(rho, d0).real
-    return RecipeConsistency(coeff_plus=plus, coeff_minus=minus, rhs=rhs,
-                             expected_plus=1.0, expected_minus=q_squared,
-                             expected_rhs=q_squared ** sum(levels),
-                             tail_mass=rho.tail_mass)
+    d0 = diagonal_operator(space, (occ[:, 0] >= occ[:, 1:].sum(axis=1)).astype(complex))
+    return averaged_relation(rho, pair.lower, pair.raise_, d0)

@@ -34,13 +34,12 @@ class PhasePair:
 
     lower: LinearOperator
     raise_: LinearOperator
-    mode: int
 
 
 def phase_pair(space: FockSpace, mode: int) -> PhasePair:
     """The exponential phase pair: unit-amplitude shifts down/up one step."""
     lower = _lower_shift(space, mode, 1)
-    return PhasePair(lower=lower, raise_=lower.adjoint(), mode=mode)
+    return PhasePair(lower=lower, raise_=lower.adjoint())
 
 
 def sqrt_number_operator(space: FockSpace, mode: int) -> LinearOperator:
@@ -103,7 +102,6 @@ class AlphaBoson:
     """Boson-like triple with vacuum shifted up by `alpha` number states."""
 
     triple: LadderTriple
-    alpha: int
     kernel_dimension: int
 
 
@@ -122,7 +120,7 @@ def alpha_boson(space: FockSpace, mode: int, alpha: int) -> AlphaBoson:
     lower = alpha_adjoint(space, mode, ladder(space, mode).lower, alpha)
     raise_ = lower.adjoint()
     triple = LadderTriple(lower=lower, raise_=raise_, number=raise_ @ lower)
-    return AlphaBoson(triple=triple, alpha=alpha, kernel_dimension=alpha + 1)
+    return AlphaBoson(triple=triple, kernel_dimension=alpha + 1)
 
 
 def alpha_phase_pair(space: FockSpace, mode: int, alpha: int) -> PhasePair:
@@ -133,4 +131,4 @@ def alpha_phase_pair(space: FockSpace, mode: int, alpha: int) -> PhasePair:
     projector onto |alpha> on the margin-1 safe subspace.
     """
     lower = alpha_adjoint(space, mode, phase_pair(space, mode).lower, alpha)
-    return PhasePair(lower=lower, raise_=lower.adjoint(), mode=mode)
+    return PhasePair(lower=lower, raise_=lower.adjoint())

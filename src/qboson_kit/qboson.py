@@ -33,13 +33,11 @@ from .densities import (
     DensityOperator,
     ThermalParams,
     TruncationAccuracyError,
-    pure_density,
     thermal_density,
 )
 from .fock import (
     FockSpace,
     LinearOperator,
-    basis_state,
     expectation,
     identity_operator,
     make_space,
@@ -191,6 +189,9 @@ def beta_closed_form(type_tag: str, q_squared: float, n: int) -> float:
 A_CHOICES = ("phase", "boson", "alpha_phase")
 D0_CHOICES = ("identity", "theta")
 
+# Largest thermal tail mass the recipe accepts on the averaged mode.
+RECIPE_TAIL_BUDGET = 1e-6
+
 
 @dataclass(frozen=True)
 class EffectiveRelation:
@@ -206,9 +207,6 @@ class EffectiveRelation:
     coeff_plus: float
     coeff_minus: float
     rhs: float
-    a_choice: str
-    d0_choice: str
-    alpha: int
     tail_mass: float
     rhs_exponent_sign: int | None = None
 
@@ -221,22 +219,29 @@ class EffectiveRelation:
         return self.rhs / self.coeff_plus
 
 
+def averaged_relation(rho: DensityOperator, a_minus: LinearOperator, a_plus: LinearOperator,
+                      d0: LinearOperator) -> EffectiveRelation:
+    """Trace < A- A+ >, < A+ A- > and < D0 > against rho.
+
+    Every recipe coefficient in the toolkit is measured here, as a genuine
+    matrix trace; each must be real to 1e-10.
+    """
+    values = [expectation(rho, op) for op in (a_minus @ a_plus, a_plus @ a_minus, d0)]
+    if any(abs(value.imag) > 1e-10 for value in values):
+        raise ValueError(f"expectations {values} are not all real")
+    return EffectiveRelation(*(float(value.real) for value in values), tail_mass=rho.tail_mass)
+
+
 def expectation_recipe(a_choice: str, d0_choice: str, q_squared: float,
-                       cutoffs: Sequence[int], alpha: int = 0, *,
-                       b_level: int = 0, density: str = "thermal",
-                       pure_level: int = 1, max_tail: float = 1e-6) -> EffectiveRelation:
-    """Average the two-mode product relation and return its scalar coefficients.
+                       cutoffs: Sequence[int], alpha: int = 0) -> EffectiveRelation:
+    """Average the two-mode product relation over thermal x vacuum.
 
     a_choice picks A±: "phase" (shift pair), "boson" (ladder pair), or
     "alpha_phase" (shift pair conjugated by alpha shift powers).  d0_choice
     picks the right-hand operator: "identity" or "theta" (step projector at
     alpha on the averaged mode).  The average runs over a thermal state on
-    mode 1 tensored with the pure state |b_level> on mode 2 ("thermal"), or
-    over the pure product |pure_level, b_level> ("pure"), which recovers the
-    undeformed coefficients.
-
-    All three coefficients are genuine matrix traces; nothing is substituted
-    from closed forms.
+    mode 1 tensored with the vacuum of mode 2; its tail mass must stay
+    within RECIPE_TAIL_BUDGET.  Other densities go to averaged_relation.
     """
     if a_choice not in A_CHOICES:
         raise ValueError(f"a_choice must be one of {A_CHOICES}, got {a_choice!r}")
@@ -250,53 +255,30 @@ def expectation_recipe(a_choice: str, d0_choice: str, q_squared: float,
 
     if a_choice == "phase":
         pair = phase_pair(space, 1)
-        a_minus, a_plus = pair.lower, pair.raise_
     elif a_choice == "boson":
-        triple = ladder(space, 1)
-        a_minus, a_plus = triple.lower, triple.raise_
+        pair = ladder(space, 1)
     else:
         pair = alpha_phase_pair(space, 1, alpha)
-        a_minus, a_plus = pair.lower, pair.raise_
-
     if d0_choice == "identity":
         d0 = identity_operator(space)
     else:
         d0 = theta_operator(space, 1, alpha)
 
-    if density == "thermal":
-        rho = thermal_density(space, 1, ThermalParams.from_q_squared(q_squared),
-                              other_levels=[b_level])
-    elif density == "pure":
-        rho = pure_density(basis_state(space, [pure_level, b_level]))
-    else:
-        raise ValueError(f"density must be 'thermal' or 'pure', got {density!r}")
-    if rho.tail_mass > max_tail:
+    rho = thermal_density(space, 1, ThermalParams.from_q_squared(q_squared))
+    if rho.tail_mass > RECIPE_TAIL_BUDGET:
         raise TruncationAccuracyError(
-            f"tail mass {rho.tail_mass:.3g} exceeds budget {max_tail:.3g} at cutoff "
-            f"{cutoffs[0]} of the averaged mode")
+            f"tail mass {rho.tail_mass:.3g} exceeds budget {RECIPE_TAIL_BUDGET:.3g} at "
+            f"cutoff {cutoffs[0]} of the averaged mode")
+    rel = averaged_relation(rho, pair.lower, pair.raise_, d0)
 
-    coeff_plus = _real_expectation(rho, a_minus @ a_plus)
-    coeff_minus = _real_expectation(rho, a_plus @ a_minus)
-    rhs = _real_expectation(rho, d0)
-
-    sign = None
-    if d0_choice == "theta" and alpha > 0 and coeff_plus > 0:
-        q2_eff = coeff_minus / coeff_plus
-        measured = rhs / coeff_plus
+    if d0_choice == "theta" and alpha > 0 and rel.coeff_plus > 0:
+        q2_eff = rel.q_squared_effective
+        measured = rel.normalized_rhs
         plus_candidate = (1.0 - q2_eff) * q2_eff ** alpha
         minus_candidate = (1.0 - q2_eff) * q2_eff ** (-alpha)
         sign = 1 if abs(measured - plus_candidate) <= abs(measured - minus_candidate) else -1
-
-    return EffectiveRelation(coeff_plus=coeff_plus, coeff_minus=coeff_minus, rhs=rhs,
-                             a_choice=a_choice, d0_choice=d0_choice, alpha=alpha,
-                             tail_mass=rho.tail_mass, rhs_exponent_sign=sign)
-
-
-def _real_expectation(rho: DensityOperator, op: LinearOperator) -> float:
-    value = expectation(rho, op)
-    if abs(value.imag) > 1e-10:
-        raise ValueError(f"expectation {value} is not real")
-    return float(value.real)
+        rel = replace(rel, rhs_exponent_sign=sign)
+    return rel
 
 
 def family_from_relation(relation: EffectiveRelation, cutoff: int) -> QBosonFamily:
@@ -313,11 +295,12 @@ def precision_capped_cutoff(q_squared: float, type_tag: str, cutoff: int,
     The defining-relation residual carries float dust of order
     eps * q^(-2 cutoff) for types II and IV; bounded targets are unaffected.
     The cap never goes below 2, and a requested cutoff below 2 is returned
-    as it is, so the margin validation downstream rejects it.
+    as it is, so the margin validation downstream rejects it.  A tolerance so
+    large that tolerance / (16 eps) overflows needs no cap.
     """
-    if type_tag not in ("II", "IV"):
-        return cutoff
     eps = float(np.finfo(float).eps)
-    cap = int(math.floor(math.log(max(tolerance, 32.0 * eps) / (16.0 * eps))
-                         / math.log(1.0 / q_squared)))
+    headroom = max(tolerance, 32.0 * eps) / (16.0 * eps)
+    if type_tag not in ("II", "IV") or math.isinf(headroom):
+        return cutoff
+    cap = int(math.floor(math.log(headroom) / math.log(1.0 / q_squared)))
     return min(cutoff, max(2, cap))

@@ -27,10 +27,12 @@ from .densities import (
     coherent_state,
     phase_asymptotics,
     poisson_probability,
+    pure_density,
     shift_expectation_matrix,
     thermal_density,
 )
 from .fock import (
+    basis_state,
     commutator,
     expectation,
     identity_operator,
@@ -49,6 +51,7 @@ from .phase import (
 )
 from .qboson import (
     STANDARD_TYPES,
+    averaged_relation,
     beta_closed_form,
     defining_relation_residual,
     expectation_recipe,
@@ -142,6 +145,8 @@ def _info_check(name: str, relation: str, measured: float) -> Check:
 
 def cuntz_suite(cutoff: int, margin: int | str, norm: str, tolerance: float) -> list[Check]:
     """Boson commutator, polar decomposition, shift products, shift commutators."""
+    if margin == "auto" and cutoff < 3:
+        raise ConfigError(f"the cuntz suite needs --cutoff >= 3, got {cutoff}")
     space = make_space([cutoff])
     triple = ladder(space, 1)
     pair = phase_pair(space, 1)
@@ -340,17 +345,18 @@ def recipe_suite(q_squared: float, cutoff: int, tolerance: float) -> list[Check]
 
     for a in (1, 2):
         rel = expectation_recipe("boson", "theta", q2, cutoffs, alpha=a)
-        sign = rel.rhs_exponent_sign or 1
         checks.append(value(f"step-gauge-alpha{a}-magnitude",
                             f"normalized rhs magnitude = (1-q^2) q^(2*{a})",
-                            rel.normalized_rhs, (1.0 - q2) * q2 ** (sign * a), rel))
+                            rel.normalized_rhs, (1.0 - q2) * q2 ** a, rel))
         checks.append(_info_check(
             f"recipe/step-gauge-alpha{a}-exponent-sign",
             "measured step-projector exponent sign (+1: rhs = (1-q^2) q^(+2 alpha))",
-            float(sign)))
+            float(rel.rhs_exponent_sign)))
 
-    pure = expectation_recipe("phase", "identity", q2, cutoffs,
-                              density="pure", pure_level=1)
+    space = make_space(cutoffs)
+    pair = phase_pair(space, 1)
+    pure = averaged_relation(pure_density(basis_state(space, [1, 0])), pair.lower,
+                             pair.raise_, identity_operator(space))
     dev = max(abs(pure.coeff_plus - 1.0), abs(pure.coeff_minus - 1.0),
               abs(pure.rhs - 1.0))
     checks.append(_residual_check(
@@ -407,6 +413,8 @@ def multimode_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> lis
     """Covariant family relations, RTT forms, Yang-Baxter, and recipe rows."""
     if modes < 2:
         raise ConfigError("the multimode suite needs --modes >= 2")
+    if cutoff < 2:
+        raise ConfigError(f"the multimode suite needs --cutoff >= 2, got {cutoff}")
     q = math.sqrt(q_squared)
     family = mm.covariant_bosons(modes, q, [cutoff] * modes)
     rmatrix = mm.su_r_matrix(modes, q)
@@ -442,9 +450,8 @@ def multimode_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> lis
     level_sets = [tuple()] + [tuple([1] * k) for k in range(1, modes)]
     for i, levels in enumerate(level_sets, start=1):
         res = mm.covariant_recipe_check(q2, levels, a_cutoff=60)
-        dev = max(abs(res.coeff_plus - res.expected_plus),
-                  abs(res.coeff_minus - res.expected_minus),
-                  abs(res.rhs - res.expected_rhs))
+        dev = max(abs(res.coeff_plus - 1.0), abs(res.coeff_minus - q2),
+                  abs(res.rhs - q2 ** sum(levels)))
         tolerance_row = max(1e-10, res.tail_mass)
         checks.append(_residual_check(
             f"multimode/N{modes}-recipe-row-{i}",
@@ -483,6 +490,8 @@ def chevalley_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> lis
     """Cartan-sector identities plus reported ladder brackets per variant/base."""
     if modes < 2:
         raise ConfigError("the chevalley suite needs --modes >= 2")
+    if cutoff < 3:
+        raise ConfigError(f"the chevalley suite needs --cutoff >= 3, got {cutoff}")
     q = math.sqrt(q_squared)
     checks = []
     combos = [("typeI_q2", q), ("typeI_q2", q * q), ("typeII_symmetric", q)]

@@ -291,12 +291,25 @@ def test_dump_size_error_names_the_flag(args, message, capsys):
     (["--suite", "recipe", "--cutoff", "2"],
      "the recipe suite needs a larger --cutoff: tail mass 0.125 exceeds budget 1e-06 at "
      "cutoff 2 of the averaged mode"),
+    (["--suite", "multimode", "--cutoff", "1"], "the multimode suite needs --cutoff >= 2, got 1"),
+    (["--suite", "chevalley", "--cutoff", "2"], "the chevalley suite needs --cutoff >= 3, got 2"),
+    (["--suite", "cuntz", "--cutoff", "2"], "the cuntz suite needs --cutoff >= 3, got 2"),
+    # A margin the user set is what is too large, so the message names it.
+    (["--suite", "cuntz", "--cutoff", "2", "--margin", "2"], "margin 2 >= smallest cutoff 2"),
 ])
 def test_run_size_error_names_the_flag(args, message, capsys):
     assert cli.main(["run", *args]) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: {message}\n"
+
+
+def test_run_huge_tolerance_needs_no_precision_cap():
+    proc = run_cli("run", "--suite", "qboson", "--tol", "1e300", "--format", "json")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    relations = {c["name"]: c["relation"] for c in json.loads(proc.stdout)["checks"]}
+    assert relations["qboson/defining-relation-II"].endswith("at cutoff 24")
 
 
 def test_import_needs_numpy_only():

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from qboson_kit import (
     OverflowGuardError,
+    ThermalParams,
+    averaged_relation,
     basis_state,
     beta_closed_form,
     commutator,
@@ -12,13 +14,18 @@ from qboson_kit import (
     expectation_recipe,
     family_from_relation,
     identity_operator,
+    ladder,
     make_space,
+    phase_pair,
+    pure_density,
     relation_residual,
     solve_deformed_oscillator,
     standard_qboson,
+    theta_operator,
+    thermal_density,
 )
 from qboson_kit.fock import machine_zero_bound
-from qboson_kit.qboson import precision_capped_cutoff
+from qboson_kit.qboson import precision_capped_cutoff, standard_rhs
 
 
 def recursion_oracle(q_squared, rhs, cutoff):
@@ -76,13 +83,25 @@ def test_type_ii_beta_closed_form_value():
 
 
 @pytest.mark.parametrize("tag", ["I", "II", "III", "IV"])
+def test_beta_closed_form_solves_recursion_symbolically(tag):
+    """sympy proves beta(0) = 0 and beta(n+1) = rhs(n) + q^2 beta(n) for symbolic
+    q^2 and n, a reference that shares no float code with the recursion."""
+    sp = pytest.importorskip("sympy")
+    q2 = sp.Symbol("q2", positive=True)
+    n = sp.Symbol("n", integer=True, nonnegative=True)
+    beta = lambda m: beta_closed_form(tag, q2, m)
+    rhs = standard_rhs(tag, q2)
+    assert sp.simplify(sp.nsimplify(beta(0))) == 0
+    assert sp.simplify(sp.nsimplify(beta(n + 1) - rhs(n) - q2 * beta(n))) == 0
+
+
+@pytest.mark.parametrize("tag", ["I", "II", "III", "IV"])
 @pytest.mark.parametrize("q2", [0.25, 0.5])
 def test_defining_relations_margin_one(tag, q2):
     cutoff = precision_capped_cutoff(q2, tag, 24, 1e-12)
     family = standard_qboson(tag, q2, cutoff)
     assert defining_relation_residual(family, margin=1) < 1e-12
-    oracle = recursion_oracle(q2, __import__("qboson_kit").qboson.standard_rhs(tag, q2),
-                              cutoff)
+    oracle = recursion_oracle(q2, standard_rhs(tag, q2), cutoff)
     assert list(family.beta) == oracle
 
 
@@ -178,11 +197,21 @@ def test_recipe_closure():
 
 
 def test_recipe_pure_state_recovers_undeformed_boson():
-    rel = expectation_recipe("phase", "identity", 0.5, (40, 6),
-                             density="pure", pure_level=2)
+    space = make_space([40, 6])
+    pair = phase_pair(space, 1)
+    rel = averaged_relation(pure_density(basis_state(space, [2, 0])), pair.lower,
+                            pair.raise_, identity_operator(space))
     assert rel.coeff_plus == 1.0
     assert rel.coeff_minus == 1.0
     assert rel.rhs == 1.0
+
+
+def test_averaged_relation_rejects_complex_expectation():
+    space = make_space([6, 2])
+    pair = phase_pair(space, 1)
+    rho = pure_density(basis_state(space, [2, 0]))
+    with pytest.raises(ValueError, match="not all real"):
+        averaged_relation(rho, pair.lower, pair.raise_, 1j * identity_operator(space))
 
 
 def test_recipe_validation():
@@ -197,7 +226,15 @@ def test_recipe_validation():
 
 
 def test_recipe_b_mode_level_does_not_affect_scalar_coefficients():
-    r0 = expectation_recipe("boson", "theta", 0.5, (80, 8), alpha=2, b_level=0)
-    r3 = expectation_recipe("boson", "theta", 0.5, (80, 8), alpha=2, b_level=3)
+    space = make_space([80, 8])
+    boson = ladder(space, 1)
+    step = theta_operator(space, 1, 2)
+
+    def average(b_level):
+        rho = thermal_density(space, 1, ThermalParams.from_q_squared(0.5),
+                              other_levels=[b_level])
+        return averaged_relation(rho, boson.lower, boson.raise_, step)
+
+    r0, r3 = average(0), average(3)
     assert r0.coeff_plus == r3.coeff_plus
     assert r0.rhs == r3.rhs

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qboson_kit import identity_operator, ladder, make_space
+from qboson_kit import identity_operator, ladder, make_space, suites
 from qboson_kit.dump import format_operator
 from qboson_kit.suites import SUITE_FLAGS, SUITES, ConfigError, SuiteConfig, run_suite
 
@@ -71,3 +73,23 @@ def test_text_report_marks_failures():
     text = render_report(report, "text")
     assert "FAIL" in text
     assert "overall: FAIL" in text
+
+
+def test_recipe_magnitude_row_fails_on_flipped_step_exponent(monkeypatch):
+    """The step-gauge magnitude is compared with (1-q^2) q^(+2 alpha), the
+    convention theta_operator fixes, not with whichever sign the probe measured."""
+    recipe = suites.expectation_recipe
+
+    def flipped(a_choice, d0_choice, q_squared, cutoffs, alpha=0):
+        rel = recipe(a_choice, d0_choice, q_squared, cutoffs, alpha)
+        if d0_choice != "theta":
+            return rel
+        q2 = rel.q_squared_effective
+        return dataclasses.replace(rel, rhs=rel.coeff_plus * (1.0 - q2) * q2 ** (-alpha),
+                                   rhs_exponent_sign=-1)
+
+    monkeypatch.setattr(suites, "expectation_recipe", flipped)
+    checks = {c.name: c for c in run_suite(SuiteConfig(suite="recipe")).checks}
+    for a in (1, 2):
+        assert not checks[f"recipe/step-gauge-alpha{a}-magnitude"].passed
+        assert checks[f"recipe/step-gauge-alpha{a}-exponent-sign"].measured == -1.0
