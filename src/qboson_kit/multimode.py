@@ -34,8 +34,8 @@ from .fock import (
     relation_residual,
 )
 from .phase import phase_pair
-from .qboson import (EffectiveRelation, QBosonFamily, _beta_recursion, averaged_relation,
-                     family_on_space, standard_rhs)
+from .qboson import (EffectiveRelation, QBosonFamily, averaged_relation, family_on_space,
+                     standard_rhs)
 
 BOSON_VARIANTS = ("typeI_q2", "typeII_symmetric")
 
@@ -54,13 +54,8 @@ def independent_qbosons(n_modes: int, q_squared_list: Sequence[float],
     if len(cutoffs) != n_modes:
         raise ValueError(f"expected {n_modes} cutoffs, got {len(cutoffs)}")
     space = make_space(cutoffs)
-    families = []
-    for i, q2 in enumerate(q_squared_list, start=1):
-        if not 0.0 < q2 < 1.0:
-            raise ValueError(f"q_squared must lie in (0, 1), got {q2}")
-        beta = _beta_recursion(q2, standard_rhs("I", q2), space.cutoffs[i - 1])
-        families.append(family_on_space(space, i, beta, q2, "I"))
-    return families
+    return [family_on_space(space, i, q2, standard_rhs("I", q2))
+            for i, q2 in enumerate(q_squared_list, start=1)]
 
 
 @dataclass(frozen=True)
@@ -194,18 +189,17 @@ def yang_baxter_residual(rmatrix: RMatrix) -> float:
     return float(np.linalg.norm(diff, 2))
 
 
-def rtt_residuals(family: CovariantFamily, rmatrix: RMatrix | None = None,
-                  margin: int = 1, norm: str = "spectral") -> dict[str, float]:
+def rtt_residuals(family: CovariantFamily, margin: int = 1,
+                  norm: str = "spectral") -> dict[str, float]:
     """Residuals of the three R-matrix forms of the covariant relations, by name.
 
         B-_i B-_j = (1/q) R_{ij,kl} B-_l B-_k
         B+_i B+_j = (1/q) R_{lk,ij} B+_k B+_l
         B-_i B+_j = delta_ij + q R_{ki,jl} B+_k B-_l
+
+    with R = su_r_matrix(N, q) for the family's N modes and q.
     """
-    if rmatrix is None:
-        rmatrix = su_r_matrix(family.modes, family.q)
-    if rmatrix.n != family.modes:
-        raise ValueError("R-matrix rank does not match the family's mode count")
+    rmatrix = su_r_matrix(family.modes, family.q)
     q = family.q
     nm = family.modes
     space = family.space
@@ -275,11 +269,8 @@ def _variant_families(variant: str, q: float, space: FockSpace) -> list[QBosonFa
         raise ValueError(f"boson_variant must be one of {BOSON_VARIANTS}, got {variant!r}")
     # symmetric magnitudes [n] = (q^n - q^-n)/(q - 1/q), solving
     # beta(n+1) = q^-n + q beta(n)
-    families = []
-    for i, c in enumerate(space.cutoffs, start=1):
-        beta = _beta_recursion(q, lambda n: (1.0 / q) ** n, c)
-        families.append(family_on_space(space, i, beta, q, "custom"))
-    return families
+    return [family_on_space(space, i, q, lambda n: (1.0 / q) ** n)
+            for i in range(1, space.mode_count + 1)]
 
 
 def chevalley_check(n_modes: int, q: float, cutoffs: Sequence[int],

@@ -58,13 +58,13 @@ class OverflowGuardError(ValueError):
 
 @dataclass(frozen=True)
 class QBosonFamily:
-    """Deformed ladder pair with its magnitude sequence and deformation tag."""
+    """Deformed ladder pair with its magnitude sequence and the rhs(N) it solves."""
 
     lower: LinearOperator
     raise_: LinearOperator
     number: LinearOperator
     q_squared: float
-    type_tag: str
+    rhs: LinearOperator
     beta: np.ndarray
 
     @property
@@ -72,43 +72,40 @@ class QBosonFamily:
         return self.lower.space
 
 
-def _beta_recursion(q_squared: float, rhs: Callable[[int], float], cutoff: int) -> np.ndarray:
+def family_on_space(space: FockSpace, mode: int, q_squared: float,
+                    rhs: Callable[[int], float]) -> QBosonFamily:
+    """Solve the magnitude recursion on one mode of `space` and build the family.
+
+    rhs(n) is evaluated for n = 0..cutoff of that mode and recorded as the
+    diagonal operator rhs(N) there; defining_relation_residual checks against
+    it.  Its top entry only enters residuals at margin 0.
+    """
+    if not 0.0 < q_squared < 1.0:
+        raise ValueError(f"q_squared must lie in (0, 1), got {q_squared}")
+    cutoff = space.cutoffs[space._check_mode(mode)]
+    values = [rhs(n) for n in range(cutoff + 1)]
     beta = np.zeros(cutoff + 1)
     for n in range(cutoff):
-        r = rhs(n)
-        if r < 0:
-            raise ValueError(f"rhs({n}) = {r} is negative: magnitudes must stay nonnegative")
-        beta[n + 1] = r + q_squared * beta[n]
+        if values[n] < 0:
+            raise ValueError(
+                f"rhs({n}) = {values[n]} is negative: magnitudes must stay nonnegative")
+        beta[n + 1] = values[n] + q_squared * beta[n]
     beta.flags.writeable = False
-    return beta
-
-
-def family_on_space(space: FockSpace, mode: int, beta: np.ndarray, q_squared: float,
-                    type_tag: str) -> QBosonFamily:
-    """Embed a beta-defined family on one mode of an existing space."""
-    k = space._check_mode(mode)
-    if len(beta) != space.shape[k]:
-        raise ValueError(f"beta has length {len(beta)}, expected {space.shape[k]}")
-    lower = operator_on_mode(space, mode, np.sqrt(np.asarray(beta, dtype=float)), lower=1)
-    num = operator_on_mode(space, mode, np.arange(space.shape[k]))
-    return QBosonFamily(lower=lower, raise_=lower.adjoint(), number=num,
-                        q_squared=q_squared, type_tag=type_tag, beta=np.asarray(beta))
+    lower = operator_on_mode(space, mode, np.sqrt(beta), lower=1)
+    return QBosonFamily(lower=lower, raise_=lower.adjoint(),
+                        number=operator_on_mode(space, mode, np.arange(cutoff + 1)),
+                        q_squared=q_squared, rhs=operator_on_mode(space, mode, np.array(values)),
+                        beta=beta)
 
 
 def solve_deformed_oscillator(q_squared: float, rhs: Callable[[int], float],
                               cutoff: int) -> QBosonFamily:
-    """Solve the magnitude difference equation and build the operators.
+    """The family realizing  B- B+ - q^2 B+ B-  =  rhs(N)  on a one-mode space.
 
-    Realizes  B- B+ - q^2 B+ B-  =  rhs(N)  with zero residual on the
-    margin-1 safe subspace, up to float round-off in the stored square roots.
+    The residual on the margin-1 safe subspace is zero up to float round-off
+    in the stored square roots.
     """
-    if not 0.0 < q_squared < 1.0:
-        raise ValueError(f"q_squared must lie in (0, 1), got {q_squared}")
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    beta = _beta_recursion(q_squared, rhs, cutoff)
-    space = make_space([cutoff])
-    return family_on_space(space, 1, beta, q_squared, "custom")
+    return family_on_space(make_space([cutoff]), 1, q_squared, rhs)
 
 
 def standard_rhs(type_tag: str, q_squared: float) -> Callable[[int], float]:
@@ -121,51 +118,30 @@ def standard_rhs(type_tag: str, q_squared: float) -> Callable[[int], float]:
         return lambda n: 1.0
     if type_tag == "III":
         return lambda n: 1.0 - q_squared
-    inv = 1.0 / q_squared
     if type_tag == "II":
-        return lambda n: inv ** n
+        return lambda n: (1.0 / q_squared) ** n
     if type_tag == "IV":
-        return lambda n: (inv ** n) * (1.0 - q_squared)
+        return lambda n: ((1.0 / q_squared) ** n) * (1.0 - q_squared)
     raise ValueError(f"unknown type tag {type_tag!r}; expected one of {STANDARD_TYPES}")
 
 
 def standard_qboson(type_tag: str, q_squared: float, cutoff: int) -> QBosonFamily:
     """One of the four standard deformed families at the given cutoff."""
-    if type_tag not in STANDARD_TYPES:
-        raise ValueError(f"unknown type tag {type_tag!r}; expected one of {STANDARD_TYPES}")
-    if not 0.0 < q_squared < 1.0:
-        raise ValueError(f"q_squared must lie in (0, 1), got {q_squared}")
-    if type_tag in ("II", "IV") and cutoff * math.log(1.0 / q_squared) > math.log(OVERFLOW_GUARD):
+    rhs = standard_rhs(type_tag, q_squared)
+    # q_squared outside (0, 1) never trips the guard; family_on_space rejects it.
+    if (type_tag in ("II", "IV") and q_squared > 0.0
+            and cutoff * math.log(1.0 / q_squared) > math.log(OVERFLOW_GUARD)):
         raise OverflowGuardError(
             f"q^(-2n) reaches 1e{cutoff * math.log10(1.0 / q_squared):.0f} at cutoff "
             f"{cutoff}, beyond the {OVERFLOW_GUARD:g} guard")
-    family = solve_deformed_oscillator(q_squared, standard_rhs(type_tag, q_squared), cutoff)
-    return replace(family, type_tag=type_tag)
-
-
-def family_rhs_operator(family: QBosonFamily, mode: int = 1) -> LinearOperator:
-    """Diagonal rhs(N) operator matching the family's defining relation.
-
-    For custom families the rhs is reconstructed from the stored beta
-    sequence (top entry padded with zero; it is invisible at margin >= 1).
-    """
-    space = family.space
-    k = space._check_mode(mode)
-    if family.type_tag in STANDARD_TYPES:
-        rhs = standard_rhs(family.type_tag, family.q_squared)
-        vals = np.array([rhs(int(n)) for n in range(space.shape[k])])
-    else:
-        beta = family.beta
-        vals = np.zeros(space.shape[k])
-        vals[:-1] = beta[1:] - family.q_squared * beta[:-1]
-    return operator_on_mode(space, mode, vals)
+    return solve_deformed_oscillator(q_squared, rhs, cutoff)
 
 
 def defining_relation_residual(family: QBosonFamily, margin: int = 1,
                                norm: str = "spectral") -> float:
     """Residual of  B- B+ - q^2 B+ B-  =  rhs(N)  on the safe subspace."""
     lhs = family.lower @ family.raise_ - family.q_squared * (family.raise_ @ family.lower)
-    return relation_residual(lhs, family_rhs_operator(family), margin, norm=norm)
+    return relation_residual(lhs, family.rhs, margin, norm=norm)
 
 
 # -- closed-form magnitude sequences (independent of the recursion) ----------

@@ -228,6 +228,8 @@ def _z_label(z: complex) -> str:
 
 def coherent_suite(cutoff: int) -> list[Check]:
     """Eigenvector residual, mean occupation, and Poisson statistics."""
+    if cutoff < 16:  # coherent_state's |z|^2 <= cutoff / 4 guard at |z|^2 = 4
+        raise ConfigError(f"the coherent suite needs --cutoff >= 16, got {cutoff}")
     space = make_space([cutoff])
     triple = ladder(space, 1)
     n_max = min(40, cutoff - 5)
@@ -254,6 +256,8 @@ def coherent_suite(cutoff: int) -> list[Check]:
 
 def asymptotics_suite(cutoff: int) -> list[Check]:
     """Two-route agreement and large-amplitude error behavior of <z|e|z>."""
+    if cutoff < 576:  # phase_asymptotics needs cutoff >= 4 |z|^2 at |z| = 12
+        raise ConfigError(f"the asymptotics suite needs --cutoff >= 576, got {cutoff}")
     space = make_space([cutoff])
     rows = phase_asymptotics((4.0, 6.0, 8.0, 12.0), cutoff)
     checks = []
@@ -367,17 +371,19 @@ def recipe_suite(q_squared: float, cutoff: int, tolerance: float) -> list[Check]
 
 
 def _closure_check(name: str, rel) -> Check:
-    family = family_from_relation(rel, cutoff=20)
-    lhs = family.lower @ family.raise_ - family.q_squared * (family.raise_ @ family.lower)
-    rhs = rel.normalized_rhs * identity_operator(family.space)
-    tolerance = max(1e-12, rel.tail_mass)
     return _residual_check(
         name, "family rebuilt from the normalized relation satisfies it",
-        relation_residual(lhs, rhs, margin=1), tolerance, rel.tail_mass)
+        defining_relation_residual(family_from_relation(rel, cutoff=20), margin=1),
+        max(1e-12, rel.tail_mass), rel.tail_mass)
 
 
 def alpha_suite(cutoff: int, alpha: tuple[int, ...], norm: str) -> list[Check]:
     """Shifted-vacuum boson: kernel size, step commutator, eigenvalues, phase defect."""
+    if min(alpha) < 0:
+        raise ConfigError(f"--alpha must be >= 0, got {min(alpha)}")
+    need = max(3, max(alpha) + 2)  # margin 2 below the cutoff, alpha <= cutoff - 2
+    if cutoff < need:
+        raise ConfigError(f"the alpha suite needs --cutoff >= {need}, got {cutoff}")
     space = make_space([cutoff])
     machine = machine_zero_bound(space)
     checks = []
@@ -421,7 +427,7 @@ def multimode_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> lis
     checks = []
     groups: dict[str, float] = {}
     for name, residual in {**mm.covariant_relation_residuals(family, margin=1, norm=norm),
-                           **mm.rtt_residuals(family, rmatrix, margin=1, norm=norm)}.items():
+                           **mm.rtt_residuals(family, margin=1, norm=norm)}.items():
         key = name.split(" ")[0]
         groups[key] = max(groups.get(key, 0.0), residual)
     relation_text = {

@@ -296,6 +296,15 @@ def test_dump_size_error_names_the_flag(args, message, capsys):
     (["--suite", "cuntz", "--cutoff", "2"], "the cuntz suite needs --cutoff >= 3, got 2"),
     # A margin the user set is what is too large, so the message names it.
     (["--suite", "cuntz", "--cutoff", "2", "--margin", "2"], "margin 2 >= smallest cutoff 2"),
+    (["--suite", "alpha", "--cutoff", "4"], "the alpha suite needs --cutoff >= 5, got 4"),
+    (["--suite", "alpha", "--alpha", "1", "--cutoff", "2"],
+     "the alpha suite needs --cutoff >= 3, got 2"),
+    (["--suite", "alpha", "--alpha", "0", "--cutoff", "2"],
+     "the alpha suite needs --cutoff >= 3, got 2"),
+    (["--suite", "alpha", "--alpha", "-1"], "--alpha must be >= 0, got -1"),
+    (["--suite", "coherent", "--cutoff", "15"], "the coherent suite needs --cutoff >= 16, got 15"),
+    (["--suite", "asymptotics", "--cutoff", "575"],
+     "the asymptotics suite needs --cutoff >= 576, got 575"),
 ])
 def test_run_size_error_names_the_flag(args, message, capsys):
     assert cli.main(["run", *args]) == 2

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qboson_kit import (
     cartan_matrix,
@@ -20,7 +22,10 @@ from qboson_kit import (
     undressing_residual,
     yang_baxter_residual,
 )
-from qboson_kit.qboson import beta_closed_form
+from qboson_kit.fock import make_space
+from qboson_kit.multimode import _variant_families
+from qboson_kit.qboson import (beta_closed_form, family_on_space, precision_capped_cutoff,
+                               standard_rhs)
 
 
 # -- independent families --------------------------------------------------------
@@ -54,6 +59,22 @@ def test_independent_equal_q_mode_permutation_invariance():
                                            margin=1))
         np.testing.assert_array_equal(fam.beta, families[0].beta)
     assert residuals[0] == residuals[1] == residuals[2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=0.01, max_value=0.99), st.integers(min_value=2, max_value=60),
+       st.sampled_from(["I", "II", "III", "IV"]), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=3), st.sampled_from([1e-10, 1e-12]))
+@example(0.5, 12, "II", 2, 2, 1e-10)  # space [2, 12]; rhs(N) read on mode 1 gives 2047.0
+@example(0.5, 12, "IV", 2, 2, 1e-10)  # 1023.5 likewise
+def test_family_satisfies_its_relation_on_any_mode(q2, cutoff, tag, modes, position, tol):
+    """A standard family solves its own relation on whichever mode it sits,
+    at the precision-capped cutoff; the other modes are spectators."""
+    mode = min(position, modes)
+    cutoffs = [2] * modes
+    cutoffs[mode - 1] = precision_capped_cutoff(q2, tag, cutoff, tol)
+    family = family_on_space(make_space(cutoffs), mode, q2, standard_rhs(tag, q2))
+    assert defining_relation_residual(family, margin=1) <= tol
 
 
 def test_independent_argument_validation():
@@ -194,6 +215,11 @@ def test_chevalley_unit_target_variant_carries_number_prefactor():
             diag = beta[n1] * beta[n2 + 1] - beta[n1 + 1] * beta[n2]
             expected = q ** (n1 + n2 - 1) * bracket(n1 - n2)
             assert diag == pytest.approx(expected, abs=1e-12)
+
+
+def test_symmetric_variant_families_solve_their_relation_on_every_mode():
+    for family in _variant_families("typeII_symmetric", 0.7, make_space([6, 6, 6])):
+        assert defining_relation_residual(family, margin=1) <= 1e-12
 
 
 def test_chevalley_validation():
