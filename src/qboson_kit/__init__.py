@@ -23,7 +23,6 @@ from .densities import (
     shift_expectation_matrix,
     shift_expectation_series,
     thermal_density,
-    thermal_product_density,
 )
 from .fock import (
     DimensionLimitError,
@@ -61,7 +60,6 @@ from .phase import (
     AlphaBoson,
     PhasePair,
     alpha_adjoint,
-    alpha_adjoint_reverse,
     alpha_boson,
     alpha_phase_pair,
     phase_pair,

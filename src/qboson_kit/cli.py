@@ -16,6 +16,7 @@ A flag the suite or the operator does not use exits 2.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields
 
@@ -123,8 +124,15 @@ def _cmd_dump(args) -> int:
         pair = phase_pair(space, 1)
         op = pair.lower if args.op == "e" else pair.raise_
     elif args.op == "theta":
+        if v["alpha"] < 0:
+            raise ConfigError(f"--alpha must be >= 0, got {v['alpha']}")
+        if v["alpha"] > v["cutoff"]:
+            raise ConfigError(f"--op theta needs --alpha <= --cutoff {v['cutoff']}, "
+                              f"got {v['alpha']}")
         op = theta_operator(space, 1, v["alpha"])
     else:
+        if not 0.0 < v["q"] < 1.0:
+            raise ConfigError(f"--q must lie in (0, 1), got {v['q']}")
         family = standard_qboson(v["qtype"], v["q"] * v["q"], v["cutoff"])
         op = family.lower if args.op == "qboson-lower" else family.raise_
     _emit(format_operator(op), args.out)
@@ -136,6 +144,15 @@ def _cmd_asymptotics(args) -> int:
         z_values = [complex(z) for z in args.z]
     except ValueError as exc:
         raise ConfigError(f"could not parse --z value: {exc}") from exc
+    for text, z in zip(args.z, z_values):
+        if not abs(z) >= 1:
+            raise ConfigError(f"--z needs abs(z) >= 1, got {text}")
+    text, z = max(zip(args.z, z_values), key=lambda pair: abs(pair[1]))
+    # The least cutoff that phase_asymptotics' guard |z|^2 <= cutoff / 4 accepts.
+    need = math.ceil(4 * abs(z) ** 2)
+    if args.cutoff < need:
+        raise ConfigError(f"asymptotics needs --cutoff >= {need} for --z {text}, "
+                          f"got {args.cutoff}")
     rows = phase_asymptotics(z_values, args.cutoff)
     _emit(asymptotics_csv(rows), args.out)
     return 0
@@ -150,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "dump-operator":
             return _cmd_dump(args)
         return _cmd_asymptotics(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

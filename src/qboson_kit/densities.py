@@ -35,49 +35,39 @@ class TruncationAccuracyError(ValueError):
 
 @dataclass(frozen=True)
 class ThermalParams:
-    """Geometric-distribution parameters tied to a physical temperature.
+    """Geometric-distribution parameter q_squared in (0, 1).
 
-    q_squared = exp(-epsilon0 / kT); epsilon0 is the quantal energy and kT the
-    temperature in the same units.
+    At a physical temperature q_squared = exp(-epsilon0 / kT), epsilon0 being
+    the quantal energy and kT the temperature in the same units.
     """
 
     q_squared: float
-    epsilon0: float
-    kT: float
 
     def __post_init__(self):
         if not 0.0 < self.q_squared < 1.0:
             raise ValueError(f"q_squared must lie in (0, 1), got {self.q_squared}")
-        if self.epsilon0 <= 0 or self.kT <= 0:
-            raise ValueError("epsilon0 and kT must be positive")
-        if abs(self.q_squared - math.exp(-self.epsilon0 / self.kT)) > 1e-12:
-            raise ValueError("inconsistent parameters: q_squared != exp(-epsilon0/kT)")
 
     @classmethod
     def from_temperature(cls, epsilon0: float, kT: float) -> "ThermalParams":
         if epsilon0 <= 0 or kT <= 0:
             raise ValueError("epsilon0 and kT must be positive")
-        return cls(q_squared=math.exp(-epsilon0 / kT), epsilon0=epsilon0, kT=kT)
+        return cls(q_squared=math.exp(-epsilon0 / kT))
 
     @classmethod
-    def from_q_squared(cls, q_squared: float, epsilon0: float = 1.0) -> "ThermalParams":
-        if not 0.0 < q_squared < 1.0:
-            raise ValueError(f"q_squared must lie in (0, 1), got {q_squared}")
-        return cls(q_squared=q_squared, epsilon0=epsilon0,
-                   kT=epsilon0 / (-math.log(q_squared)))
+    def from_q_squared(cls, q_squared: float) -> "ThermalParams":
+        return cls(q_squared=q_squared)
 
 
 @dataclass(frozen=True)
 class DensityOperator:
     """Positive semidefinite unit-trace operator plus truncation metadata.
 
-    kind is one of {"mixture", "pure", "thermal", "coherent"}; tail_mass is
-    the probability weight lost to truncation before renormalization.
+    tail_mass is the probability weight lost to truncation before
+    renormalization.
     """
 
     op: LinearOperator
     tail_mass: float
-    kind: str
 
     @property
     def space(self) -> FockSpace:
@@ -91,8 +81,8 @@ def mixture_density(states: Sequence[StateVector], probs: Sequence[float]) -> De
     is (number of distinct flat offsets between support states) x dim: one
     diagonal for a number state, 2 cutoff + 1 for a coherent state of one
     mode.  Probabilities must be nonnegative and sum to 1 within 1e-10; each
-    state must be normalized.  A single-state mixture is tagged pure (and is
-    then idempotent).
+    state must be normalized.  A single-state mixture is pure (and then
+    idempotent).
     """
     if len(states) == 0:
         raise ValueError("at least one state is required")
@@ -116,22 +106,12 @@ def mixture_density(states: Sequence[StateVector], probs: Sequence[float]) -> De
         support = np.flatnonzero(psi)
         for d in np.unique(support[None, :] - support[:, None]).tolist():
             diagonals[d] = diagonals.get(d, 0.0) + weight * (_shift(psi, d) * psi.conjugate())
-    op = LinearOperator(space, _tidy(diagonals))
-    return DensityOperator(op=op, tail_mass=0.0,
-                           kind="pure" if len(states) == 1 else "mixture")
+    return DensityOperator(op=LinearOperator(space, _tidy(diagonals)), tail_mass=0.0)
 
 
 def pure_density(state: StateVector) -> DensityOperator:
     """Projector density |R><R| for a single normalized state."""
     return mixture_density([state], [1.0])
-
-
-def _thermal_weights(q_squared: float, cutoff: int) -> tuple[np.ndarray, float]:
-    """Renormalized geometric weights on 0..cutoff and the pre-normalization tail."""
-    n = np.arange(cutoff + 1)
-    tail = q_squared ** (cutoff + 1)
-    w = (1.0 - q_squared) * q_squared ** n / (1.0 - tail)
-    return w, tail
 
 
 def thermal_density(space: FockSpace, mode: int, params: ThermalParams,
@@ -147,36 +127,14 @@ def thermal_density(space: FockSpace, mode: int, params: ThermalParams,
     levels = [0] * (space.mode_count - 1) if other_levels is None else list(other_levels)
     if len(levels) != space.mode_count - 1:
         raise ValueError(f"expected {space.mode_count - 1} other-mode levels, got {len(levels)}")
-    product = thermal_product_density(space, levels[:k] + [params] + levels[k:])
-    tail = _thermal_weights(params.q_squared, space.cutoffs[k])[1]
-    return DensityOperator(op=product.op, tail_mass=tail, kind="thermal")
-
-
-def thermal_product_density(space: FockSpace,
-                            mode_params: Sequence[ThermalParams | int]) -> DensityOperator:
-    """Tensor product of per-mode factors: thermal for ThermalParams entries,
-    pure number states for integer entries.
-
-    tail_mass accumulates the probability lost by every thermal factor:
-    1 - prod_i (1 - tail_i).
-    """
-    if len(mode_params) != space.mode_count:
-        raise ValueError(f"expected {space.mode_count} per-mode entries, got {len(mode_params)}")
-    occ = space.occupations
-    diag = np.ones(space.dimension, dtype=complex)
-    kept = 1.0
-    for k, entry in enumerate(mode_params):
-        if isinstance(entry, ThermalParams):
-            w, tail = _thermal_weights(entry.q_squared, space.cutoffs[k])
-            diag = diag * w[occ[:, k]]
-            kept *= 1.0 - tail
-        else:
-            lvl = int(entry)
-            if not 0 <= lvl <= space.cutoffs[k]:
-                raise ValueError(f"level {lvl} outside [0, {space.cutoffs[k]}] for mode {k + 1}")
-            diag = diag * (occ[:, k] == lvl)
-    op = diagonal_operator(space, diag)
-    return DensityOperator(op=op, tail_mass=1.0 - kept, kind="thermal")
+    q2, cutoff, occ = params.q_squared, space.cutoffs[k], space.occupations
+    tail = q2 ** (cutoff + 1)
+    diag = ((1.0 - q2) * q2 ** np.arange(cutoff + 1) / (1.0 - tail))[occ[:, k]].astype(complex)
+    for j, lvl in zip([j for j in range(space.mode_count) if j != k], levels):
+        if not 0 <= lvl <= space.cutoffs[j]:
+            raise ValueError(f"level {lvl} outside [0, {space.cutoffs[j]}] for mode {j + 1}")
+        diag = diag * (occ[:, j] == lvl)
+    return DensityOperator(op=diagonal_operator(space, diag), tail_mass=tail)
 
 
 def coherent_state(space: FockSpace, mode: int, z: complex,
@@ -220,7 +178,7 @@ def coherent_density(space: FockSpace, mode: int, z: complex,
     from scipy.special import pdtrc
 
     tail = float(pdtrc(cutoff, abs(z) ** 2))
-    return DensityOperator(op=d.op, tail_mass=tail, kind="coherent")
+    return DensityOperator(op=d.op, tail_mass=tail)
 
 
 def shift_expectation_series(z: complex) -> complex:

@@ -67,11 +67,6 @@ class FockSpace:
                 raise ValueError(f"occupation {n} outside [0, {c}]")
         return int(np.ravel_multi_index(tuple(multi), self.shape))
 
-    def multi_index(self, flat: int) -> tuple[int, ...]:
-        if not 0 <= flat < self.dimension:
-            raise ValueError(f"flat index {flat} outside [0, {self.dimension})")
-        return tuple(int(v) for v in np.unravel_index(flat, self.shape))
-
     def _check_mode(self, mode: int) -> int:
         """Validate a 1-based mode index and return it 0-based."""
         if not 1 <= mode <= self.mode_count:
@@ -382,7 +377,7 @@ def relation_residual(lhs: LinearOperator, rhs: LinearOperator, margin: int,
     return LinearOperator(space, _tidy(block)).norm(norm)
 
 
-def machine_zero_bound(space: FockSpace, scale: float = 1.0) -> float:
+def machine_zero_bound(space: FockSpace) -> float:
     """Round-off allowance for identities that are exact up to float dust."""
     eps = float(np.finfo(float).eps)
-    return 8.0 * eps * scale * (max(space.cutoffs) + 1)
+    return 8.0 * eps * (max(space.cutoffs) + 1)

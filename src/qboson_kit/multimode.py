@@ -199,41 +199,36 @@ def rtt_residuals(family: CovariantFamily, margin: int = 1,
 
     with R = su_r_matrix(N, q) for the family's N modes and q.
     """
-    rmatrix = su_r_matrix(family.modes, family.q)
     q = family.q
     nm = family.modes
-    space = family.space
-    eye = identity_operator(space)
+    R = su_r_matrix(nm, q).entries.reshape((nm,) * 4)
+    eye = identity_operator(family.space)
     zero = 0.0 * eye
     bm, bp = zip(*family.dressed)
-    # every side is a linear combination of these pair products
-    mm_prod = [[bm[k] @ bm[l] for l in range(nm)] for k in range(nm)]
-    pp_prod = [[bp[k] @ bp[l] for l in range(nm)] for k in range(nm)]
-    pm_prod = [[bp[k] @ bm[l] for l in range(nm)] for k in range(nm)]
-    mp_prod = [[bm[k] @ bp[l] for l in range(nm)] for k in range(nm)]
+    pairs = [(i, j) for i in range(nm) for j in range(nm)]
     residuals = {}
-    for i in range(1, nm + 1):
-        for j in range(1, nm + 1):
-            rhs1 = zero
-            rhs2 = zero
-            rhs3 = eye if i == j else zero
-            for k in range(1, nm + 1):
-                for l in range(1, nm + 1):
-                    v1 = rmatrix.entry(i, j, k, l)
-                    if v1 != 0:
-                        rhs1 = rhs1 + (v1 / q) * mm_prod[l - 1][k - 1]
-                    v2 = rmatrix.entry(l, k, i, j)
-                    if v2 != 0:
-                        rhs2 = rhs2 + (v2 / q) * pp_prod[k - 1][l - 1]
-                    v3 = rmatrix.entry(k, i, j, l)
-                    if v3 != 0:
-                        rhs3 = rhs3 + (q * v3) * pm_prod[k - 1][l - 1]
-            residuals[f"rtt-lower i={i} j={j}"] = relation_residual(
-                mm_prod[i - 1][j - 1], rhs1, margin, norm=norm)
-            residuals[f"rtt-raise i={i} j={j}"] = relation_residual(
-                pp_prod[i - 1][j - 1], rhs2, margin, norm=norm)
-            residuals[f"rtt-mixed i={i} j={j}"] = relation_residual(
-                mp_prod[i - 1][j - 1], rhs3, margin, norm=norm)
+
+    def record(name, i, j, lhs, start, terms):
+        residuals[f"{name} i={i + 1} j={j + 1}"] = relation_residual(
+            lhs, sum(terms, start), margin, norm=norm)
+
+    # Each right side sums pair products over R's nonzero entries in row-major
+    # (k, l) order.  One table of N^2 pair products is alive at a time: a table
+    # takes about 60 MB at N = 7, cutoff 4.
+    mm = [[bm[k] @ bm[l] for l in range(nm)] for k in range(nm)]
+    for i, j in pairs:
+        record("rtt-lower", i, j, mm[i][j], zero,
+               (complex(R[i, j, k, l]) / q * mm[l][k] for k, l in zip(*np.nonzero(R[i, j]))))
+    del mm
+    pp = [[bp[k] @ bp[l] for l in range(nm)] for k in range(nm)]
+    for i, j in pairs:
+        record("rtt-raise", i, j, pp[i][j], zero,
+               (complex(R[l, k, i, j]) / q * pp[k][l] for k, l in zip(*np.nonzero(R[..., i, j].T))))
+    del pp
+    pm = [[bp[k] @ bm[l] for l in range(nm)] for k in range(nm)]
+    for i, j in pairs:
+        record("rtt-mixed", i, j, bm[i] @ bp[j], eye if i == j else zero,
+               (q * complex(R[k, i, j, l]) * pm[k][l] for k, l in zip(*np.nonzero(R[:, i, j]))))
     return residuals
 
 
@@ -255,7 +250,6 @@ class ChevalleyReport:
     [x] = (b^x - b^-x)/(b - 1/b) evaluated at the configured base b.
     """
 
-    bracket_base: float
     hh_residuals: dict[tuple[int, int], float]
     cartan_e_residuals: dict[tuple[int, int], float]
     cartan_f_residuals: dict[tuple[int, int], float]
@@ -323,8 +317,8 @@ def chevalley_check(n_modes: int, q: float, cutoffs: Sequence[int],
         ef[i + 1] = relation_residual(
             e_ops[i] @ f_ops[i] - f_ops[i] @ e_ops[i], bracket, margin, norm=norm)
 
-    return ChevalleyReport(bracket_base=base, hh_residuals=hh, cartan_e_residuals=ce,
-                           cartan_f_residuals=cf, ef_residuals=ef)
+    return ChevalleyReport(hh_residuals=hh, cartan_e_residuals=ce, cartan_f_residuals=cf,
+                           ef_residuals=ef)
 
 
 def _diagonal_bracket(space: FockSpace, h: LinearOperator, base: float) -> LinearOperator:
@@ -336,17 +330,16 @@ def _diagonal_bracket(space: FockSpace, h: LinearOperator, base: float) -> Linea
 
 # -- multimode averaging consistency ------------------------------------------
 
-def covariant_recipe_check(q_squared: float, b_levels: Sequence[int],
-                           a_cutoff: int = 80) -> EffectiveRelation:
+def covariant_recipe_check(q_squared: float, b_levels: Sequence[int]) -> EffectiveRelation:
     """Average the step-projector relation that generates one covariant row.
 
-    Mode 1 carries the thermal average; the remaining modes are pinned to the
-    pure occupations in `b_levels`, and the right-hand operator is the step
-    projector theta(N_1 - sum_k N_bk).  The expected normalized coefficients
-    are (1, q^2, q^(2 sum levels)).
+    Mode 1 carries the thermal average at cutoff 60; the remaining modes are
+    pinned to the pure occupations in `b_levels`, and the right-hand operator
+    is the step projector theta(N_1 - sum_k N_bk).  The expected normalized
+    coefficients are (1, q^2, q^(2 sum levels)).
     """
     levels = [int(v) for v in b_levels]
-    space = make_space([a_cutoff] + [max(lvl, 1) for lvl in levels])
+    space = make_space([60] + [max(lvl, 1) for lvl in levels])
     rho = thermal_density(space, 1, ThermalParams.from_q_squared(q_squared),
                           other_levels=levels)
     pair = phase_pair(space, 1)

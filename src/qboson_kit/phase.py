@@ -82,27 +82,11 @@ def alpha_adjoint(space: FockSpace, mode: int, x: LinearOperator, alpha: int) ->
     return e.adjoint() @ x @ e if alpha else x
 
 
-def alpha_adjoint_reverse(space: FockSpace, mode: int, x: LinearOperator,
-                          alpha: int) -> LinearOperator:
-    """The opposite sandwich, x -> e^alpha x e†^alpha.
-
-    For diagonal x = f(N) this shifts the argument up: f(N - alpha) maps back
-    to f(N) on the margin-alpha safe subspace.  In particular it restores the
-    step projector theta(N - alpha) to the identity there, which the forward
-    map does not do (that gives theta(N - 2 alpha); see the shift-rule
-    f(N) e = e f(N - 1)).
-    """
-    e = _lower_shift(space, mode, alpha)
-    _require_same_space(space, x.space)
-    return e @ x @ e.adjoint() if alpha else x
-
-
 @dataclass(frozen=True)
 class AlphaBoson:
     """Boson-like triple with vacuum shifted up by `alpha` number states."""
 
     triple: LadderTriple
-    kernel_dimension: int
 
 
 def alpha_boson(space: FockSpace, mode: int, alpha: int) -> AlphaBoson:
@@ -120,7 +104,7 @@ def alpha_boson(space: FockSpace, mode: int, alpha: int) -> AlphaBoson:
     lower = alpha_adjoint(space, mode, ladder(space, mode).lower, alpha)
     raise_ = lower.adjoint()
     triple = LadderTriple(lower=lower, raise_=raise_, number=raise_ @ lower)
-    return AlphaBoson(triple=triple, kernel_dimension=alpha + 1)
+    return AlphaBoson(triple=triple)
 
 
 def alpha_phase_pair(space: FockSpace, mode: int, alpha: int) -> PhasePair:

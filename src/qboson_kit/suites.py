@@ -219,17 +219,16 @@ def thermal_suite(q_squared: float, cutoff: int, tolerance: float) -> list[Check
 
 
 def _z_label(z: complex) -> str:
-    if z.imag == 0:
-        return f"{z.real:g}"
-    if z.real == 0:
-        return f"{z.imag:g}j"
-    return f"{z.real:g}{z.imag:+g}j"
+    """Label of a real or purely imaginary amplitude."""
+    return f"{z.real:g}" if z.imag == 0 else f"{z.imag:g}j"
 
 
 def coherent_suite(cutoff: int) -> list[Check]:
     """Eigenvector residual, mean occupation, and Poisson statistics."""
-    if cutoff < 16:  # coherent_state's |z|^2 <= cutoff / 4 guard at |z|^2 = 4
-        raise ConfigError(f"the coherent suite needs --cutoff >= 16, got {cutoff}")
+    # The 1e-8 eigen-residual row at |z| = 2 first passes at cutoff 31 (the
+    # coherent_state guard |z|^2 <= cutoff / 4 alone would allow 16).
+    if cutoff < 31:
+        raise ConfigError(f"the coherent suite needs --cutoff >= 31, got {cutoff}")
     space = make_space([cutoff])
     triple = ladder(space, 1)
     n_max = min(40, cutoff - 5)
@@ -455,7 +454,7 @@ def multimode_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> lis
     q2 = q * q
     level_sets = [tuple()] + [tuple([1] * k) for k in range(1, modes)]
     for i, levels in enumerate(level_sets, start=1):
-        res = mm.covariant_recipe_check(q2, levels, a_cutoff=60)
+        res = mm.covariant_recipe_check(q2, levels)
         dev = max(abs(res.coeff_plus - 1.0), abs(res.coeff_minus - q2),
                   abs(res.rhs - q2 ** sum(levels)))
         tolerance_row = max(1e-10, res.tail_mass)

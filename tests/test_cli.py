@@ -277,6 +277,9 @@ def test_dump_flag_is_used_or_rejected(op, flag, value, capsys):
     (["--op", "rmatrix", "--modes", "1"], "--op rmatrix needs --modes >= 2, got 1"),
     (["--op", "a", "--cutoff", "0"], "--cutoff must be >= 1, got 0"),
     (["--op", "qboson-raise", "--cutoff", "-1"], "--cutoff must be >= 1, got -1"),
+    (["--op", "theta", "--alpha", "-1"], "--alpha must be >= 0, got -1"),
+    (["--op", "theta", "--alpha", "17"], "--op theta needs --alpha <= --cutoff 16, got 17"),
+    (["--op", "qboson-lower", "--q", "1.5"], "--q must lie in (0, 1), got 1.5"),
 ])
 def test_dump_size_error_names_the_flag(args, message, capsys):
     assert cli.main(["dump-operator", *args]) == 2
@@ -302,9 +305,10 @@ def test_dump_size_error_names_the_flag(args, message, capsys):
     (["--suite", "alpha", "--alpha", "0", "--cutoff", "2"],
      "the alpha suite needs --cutoff >= 3, got 2"),
     (["--suite", "alpha", "--alpha", "-1"], "--alpha must be >= 0, got -1"),
-    (["--suite", "coherent", "--cutoff", "15"], "the coherent suite needs --cutoff >= 16, got 15"),
+    (["--suite", "coherent", "--cutoff", "15"], "the coherent suite needs --cutoff >= 31, got 15"),
     (["--suite", "asymptotics", "--cutoff", "575"],
      "the asymptotics suite needs --cutoff >= 576, got 575"),
+    (["--suite", "coherent", "--cutoff", "30"], "the coherent suite needs --cutoff >= 31, got 30"),
 ])
 def test_run_size_error_names_the_flag(args, message, capsys):
     assert cli.main(["run", *args]) == 2
@@ -380,6 +384,28 @@ def test_cli_asymptotics_csv():
     lines = proc.stdout.strip().splitlines()
     assert lines[0].startswith("z_re,z_im,exact_re")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--z", "4", "--cutoff", "10"], "asymptotics needs --cutoff >= 64 for --z 4, got 10"),
+    (["--z", "2j", "--z", "1+2j", "--cutoff", "20"],
+     "asymptotics needs --cutoff >= 21 for --z 1+2j, got 20"),
+    (["--z", "0.5"], "--z needs abs(z) >= 1, got 0.5"),
+])
+def test_asymptotics_error_names_the_flag(args, message, capsys):
+    assert cli.main(["asymptotics", *args]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("z", ["inf", "1e200"])
+def test_asymptotics_overflowing_z_exits_two(z, capsys):
+    """No cutoff is large enough: the float overflow is reported, not raised."""
+    assert cli.main(["asymptotics", "--z", z]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ")
 
 
 def test_cli_asymptotics_out_file(tmp_path):

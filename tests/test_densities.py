@@ -25,7 +25,6 @@ from qboson_kit import (
     shift_expectation_matrix,
     shift_expectation_series,
     thermal_density,
-    thermal_product_density,
 )
 from qboson_kit.densities import poisson_probability
 
@@ -36,7 +35,6 @@ def test_pure_density_is_idempotent():
     space = make_space([5])
     rho = pure_density(basis_state(space, [2]))
     m = rho.op.matrix
-    assert rho.kind == "pure"
     assert np.max(np.abs((m @ m - m).toarray())) <= 1e-12
 
 
@@ -139,10 +137,6 @@ def test_mixture_trace_one_property(raw):
 def test_thermal_params_consistency():
     p = ThermalParams.from_temperature(1.0, 1.4426950408889634)
     assert p.q_squared == pytest.approx(0.5, abs=1e-12)
-    p2 = ThermalParams.from_q_squared(0.5)
-    assert p2.q_squared == pytest.approx(math.exp(-p2.epsilon0 / p2.kT), abs=1e-12)
-    with pytest.raises(ValueError):
-        ThermalParams(q_squared=0.5, epsilon0=1.0, kT=1.0)
     with pytest.raises(ValueError):
         ThermalParams.from_q_squared(1.5)
 
@@ -184,16 +178,8 @@ def test_thermal_on_two_mode_space_pins_other_mode():
 
     assert expectation(rho, number_state_projector(space, 2, 2)).real == pytest.approx(1.0)
     assert expectation(rho, number_state_projector(space, 2, 0)).real == pytest.approx(0.0)
-
-
-def test_thermal_product_density_factorizes():
-    space = make_space([20, 20])
-    p = ThermalParams.from_q_squared(0.25)
-    rho = thermal_product_density(space, [p, p])
-    t2 = ladder(space, 2)
-    expected = 0.25 / 0.75
-    assert expectation(rho, t2.raise_ @ t2.lower).real == pytest.approx(expected, abs=1e-9)
-    assert rho.tail_mass == pytest.approx(1 - (1 - 0.25 ** 21) ** 2, rel=1e-6)
+    with pytest.raises(ValueError, match=r"level 4 outside \[0, 3\] for mode 2"):
+        thermal_density(space, 1, ThermalParams.from_q_squared(0.5), other_levels=[4])
 
 
 # -- coherent -----------------------------------------------------------------
@@ -228,7 +214,6 @@ def test_coherent_density_expectation():
     space = make_space([60])
     rho = __import__("qboson_kit").coherent_density(space, 1, 2.0)
     t = ladder(space, 1)
-    assert rho.kind == "coherent"
     assert expectation(rho, t.number).real == pytest.approx(4.0, abs=1e-8)
     assert rho.tail_mass < 1e-8
 
@@ -245,7 +230,7 @@ def test_coherent_tail_mass_is_the_poisson_survival_function(cutoff, z):
 def test_thermal_product_density_with_pure_pin():
     space = make_space([40, 4])
     p = ThermalParams.from_q_squared(0.5)
-    rho = thermal_product_density(space, [p, 2])
+    rho = thermal_density(space, 1, p, other_levels=[2])
     from qboson_kit import number_state_projector
 
     assert expectation(rho, number_state_projector(space, 2, 2)).real == pytest.approx(1.0)

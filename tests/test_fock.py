@@ -58,7 +58,7 @@ def test_basis_round_trip(cutoffs, seed_flat):
     """flat -> multi -> flat is the identity for every basis index."""
     space = make_space(cutoffs)
     flat = seed_flat % space.dimension
-    multi = space.multi_index(flat)
+    multi = tuple(space.occupations[flat].tolist())
     assert space.flat_index(multi) == flat
     assert all(0 <= n <= c for n, c in zip(multi, space.cutoffs))
 
@@ -66,7 +66,7 @@ def test_basis_round_trip(cutoffs, seed_flat):
 def test_basis_order_mode_one_slowest():
     space = make_space([2, 1])
     # row-major with mode 1 slowest: (0,0),(0,1),(1,0),(1,1),(2,0),(2,1)
-    assert [space.multi_index(k) for k in range(space.dimension)] == [
+    assert [tuple(row) for row in space.occupations.tolist()] == [
         (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
 
 

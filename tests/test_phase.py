@@ -4,7 +4,6 @@ import pytest
 from qboson_kit import (
     ThermalParams,
     alpha_adjoint,
-    alpha_adjoint_reverse,
     alpha_boson,
     alpha_phase_pair,
     basis_state,
@@ -94,15 +93,6 @@ def test_theta_alpha_validation():
         theta_operator(space, 1, -1)
 
 
-def test_reverse_adjoint_restores_step_to_identity():
-    """e^a theta(N-a) e+^a = theta(N) = 1 on the margin-a safe subspace."""
-    space = make_space([10])
-    for a in (1, 2, 3):
-        th = theta_operator(space, 1, a)
-        out = alpha_adjoint_reverse(space, 1, th, a)
-        assert relation_residual(out, identity_operator(space), margin=a) == 0.0
-
-
 def test_forward_adjoint_of_step_shifts_threshold_down():
     """The literal sandwich e+^a theta(N-a) e^a equals theta(N - 2a)."""
     space = make_space([12])
@@ -150,7 +140,7 @@ def test_alpha_boson_kernel_dimension():
         boson = alpha_boson(space, 1, a)
         m = boson.triple.lower.matrix.tocsc(copy=True)
         m.eliminate_zeros()
-        assert int(np.sum(np.diff(m.indptr) == 0)) == a + 1 == boson.kernel_dimension
+        assert int(np.sum(np.diff(m.indptr) == 0)) == a + 1
 
 
 def test_alpha_boson_commutator_is_step():

@@ -127,7 +127,7 @@ def test_number_shift_structure():
     """[N, B+-] = +-B+- below the cutoff for every family."""
     for tag in ("I", "II", "III", "IV"):
         family = standard_qboson(tag, 0.5, 8)
-        bound = machine_zero_bound(family.space, scale=float(np.max(family.beta)))
+        bound = machine_zero_bound(family.space) * float(np.max(family.beta))
         assert relation_residual(commutator(family.number, family.raise_),
                                  family.raise_, margin=1) <= bound
         assert relation_residual(commutator(family.number, family.lower),
