@@ -110,6 +110,8 @@ def _cmd_dump(args) -> int:
     if args.op == "rmatrix":
         if v["modes"] < 2:
             raise ConfigError(f"--op rmatrix needs --modes >= 2, got {v['modes']}")
+        if not 0.0 < v["q"] <= 1.0:
+            raise ConfigError(f"--q must lie in (0, 1], got {v['q']}")
         _emit(format_rmatrix(su_r_matrix(v["modes"], v["q"])), args.out)
         return 0
     if v["cutoff"] < 1:
@@ -145,8 +147,11 @@ def _cmd_asymptotics(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"could not parse --z value: {exc}") from exc
     for text, z in zip(args.z, z_values):
-        if not abs(z) >= 1:
+        size = math.hypot(z.real, z.imag)  # abs(z) itself overflows past 1.8e308
+        if not size >= 1:
             raise ConfigError(f"--z needs abs(z) >= 1, got {text}")
+        if size > 1e150:  # past it, 4 abs(z)^2 overflows a float
+            raise ConfigError(f"--z needs abs(z) <= 1e150, got {text}")
     text, z = max(zip(args.z, z_values), key=lambda pair: abs(pair[1]))
     # The least cutoff that phase_asymptotics' guard |z|^2 <= cutoff / 4 accepts.
     need = math.ceil(4 * abs(z) ** 2)

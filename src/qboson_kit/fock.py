@@ -67,6 +67,14 @@ class FockSpace:
                 raise ValueError(f"occupation {n} outside [0, {c}]")
         return int(np.ravel_multi_index(tuple(multi), self.shape))
 
+    def _safe_mask(self, margin: int) -> np.ndarray:
+        """Read-only flags of the states with n_i <= cutoff_i - margin, built once per margin."""
+        masks = self.__dict__.setdefault("_safe_masks", {})
+        if margin not in masks:
+            masks[margin] = np.all(self.occupations <= np.array(self.cutoffs) - margin, axis=1)
+            masks[margin].flags.writeable = False
+        return masks[margin]
+
     def _check_mode(self, mode: int) -> int:
         """Validate a 1-based mode index and return it 0-based."""
         if not 1 <= mode <= self.mode_count:
@@ -129,16 +137,21 @@ def _require_same_space(a: FockSpace, b: FockSpace) -> None:
 
 def _shift(x: np.ndarray, s: int) -> np.ndarray:
     """y with y[j] = x[j - s], zero where j - s falls outside x."""
-    y = np.zeros_like(x)
-    y[max(s, 0):len(x) + min(s, 0)] = x[max(-s, 0):len(x) - max(s, 0)]
+    y = np.empty_like(x)
+    lo, hi = max(s, 0), len(x) + min(s, 0)
+    y[:lo], y[lo:hi], y[hi:] = 0, x[lo - s:hi - s], 0
     return y
 
 
 def _tidy(diagonals: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     """Store every zero entry as +0 and drop all-zero diagonals (the arrays are fresh)."""
-    for c in diagonals.values():
-        c[c == 0] = 0
-    return {d: c for d, c in diagonals.items() if c.any()}
+    kept = {}
+    for d, c in diagonals.items():
+        zero = c == 0
+        if np.count_nonzero(zero) < len(c):
+            np.putmask(c, zero, 0)
+            kept[d] = c
+    return kept
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,12 +189,14 @@ class LinearOperator:
         _require_same_space(self.space, other.space)
         dim = self.space.dimension
         out: dict[int, np.ndarray] = {}
-        # c[j] = a[j - d2] b[j] lands on d1 + d2.  Pairs that share an output
-        # diagonal add up from +0 in ascending d1, as a row-major product does.
+        # c[j] = a[j - d2] b[j], over the j where j - d2 is an index, lands on d1 + d2.
+        # Pairs that share an output diagonal add up from +0 in ascending d1.
         for d1 in sorted(self.diagonals):
             for d2, b in other.diagonals.items():
                 if -dim < d1 + d2 < dim:
-                    out[d1 + d2] = out.get(d1 + d2, 0.0) + _shift(self.diagonals[d1], d2) * b
+                    lo, hi = max(d2, 0), dim + min(d2, 0)
+                    c = out.setdefault(d1 + d2, np.zeros(dim, dtype=complex))
+                    c[lo:hi] += self.diagonals[d1][lo - d2:hi - d2] * b[lo:hi]
         return LinearOperator(self.space, {d: c for d, c in out.items() if c.any()})
 
     def _merge(self, other: "LinearOperator", op) -> "LinearOperator":
@@ -372,8 +387,10 @@ def relation_residual(lhs: LinearOperator, rhs: LinearOperator, margin: int,
         raise ValueError("margin must be nonnegative")
     if margin >= min(space.cutoffs):
         raise ValueError(f"margin {margin} >= smallest cutoff {min(space.cutoffs)}")
-    keep = np.all(space.occupations <= np.array(space.cutoffs) - margin, axis=1)
-    block = {d: np.where(keep & _shift(keep, d), c, 0) for d, c in (lhs - rhs).diagonals.items()}
+    keep = space._safe_mask(margin)
+    a, b = lhs.diagonals, rhs.diagonals
+    block = {d: np.where(keep & _shift(keep, d), a.get(d, 0.0) - b.get(d, 0.0), 0)
+             for d in a.keys() | b.keys()}
     return LinearOperator(space, _tidy(block)).norm(norm)
 
 

@@ -106,26 +106,8 @@ def covariant_relation_residuals(family: CovariantFamily, margin: int = 1,
     B+_i B+_j = q B+_j B+_i for i > j (equivalently q^(-1) for i < j), which
     is the orientation the RTT form reproduces.
     """
-    q = family.q
-    q2 = q * q
-    space = family.space
-    residuals = {}
-    for i in range(1, family.modes + 1):
-        bm_i, bp_i = family.dressed[i - 1]
-        rhs = _dressing_factor(space, q, i, 2 * family.dressing_exponent_sign)
-        lhs = bm_i @ bp_i - q2 * (bp_i @ bm_i)
-        residuals[f"diagonal i={i}"] = relation_residual(lhs, rhs, margin, norm=norm)
-        for j in range(1, family.modes + 1):
-            bm_j, bp_j = family.dressed[j - 1]
-            if i < j:
-                residuals[f"lower-lower i={i} j={j}"] = relation_residual(
-                    bm_i @ bm_j, q * (bm_j @ bm_i), margin, norm=norm)
-                residuals[f"raise-raise i={i} j={j}"] = relation_residual(
-                    q * (bp_i @ bp_j), bp_j @ bp_i, margin, norm=norm)
-            if i != j:
-                residuals[f"lower-raise i={i} j={j}"] = relation_residual(
-                    bm_i @ bp_j, q * (bp_j @ bm_i), margin, norm=norm)
-    return residuals
+    return {name: r for name, r in pair_product_residuals(family, margin, norm).items()
+            if not name.startswith("rtt-")}
 
 
 def undressing_residual(family: CovariantFamily) -> float:
@@ -199,6 +181,16 @@ def rtt_residuals(family: CovariantFamily, margin: int = 1,
 
     with R = su_r_matrix(N, q) for the family's N modes and q.
     """
+    return {name: r for name, r in pair_product_residuals(family, margin, norm).items()
+            if name.startswith("rtt-")}
+
+
+def pair_product_residuals(family: CovariantFamily, margin: int = 1,
+                           norm: str = "spectral") -> dict[str, float]:
+    """The covariant relations and their RTT forms, by name, in one walk over the
+    pair-product tables B-B-, B+B+ and B+B-; each B-_i B+_j is built where it is used.
+    One table is alive at a time (about 60 MB at N = 7, cutoff 4).  Each RTT right
+    side sums pair products over R's nonzero entries in row-major (k, l) order."""
     q = family.q
     nm = family.modes
     R = su_r_matrix(nm, q).entries.reshape((nm,) * 4)
@@ -208,27 +200,35 @@ def rtt_residuals(family: CovariantFamily, margin: int = 1,
     pairs = [(i, j) for i in range(nm) for j in range(nm)]
     residuals = {}
 
-    def record(name, i, j, lhs, start, terms):
-        residuals[f"{name} i={i + 1} j={j + 1}"] = relation_residual(
-            lhs, sum(terms, start), margin, norm=norm)
+    def record(name, lhs, rhs):
+        residuals[name] = relation_residual(lhs, rhs, margin, norm=norm)
 
-    # Each right side sums pair products over R's nonzero entries in row-major
-    # (k, l) order.  One table of N^2 pair products is alive at a time: a table
-    # takes about 60 MB at N = 7, cutoff 4.
     mm = [[bm[k] @ bm[l] for l in range(nm)] for k in range(nm)]
     for i, j in pairs:
-        record("rtt-lower", i, j, mm[i][j], zero,
-               (complex(R[i, j, k, l]) / q * mm[l][k] for k, l in zip(*np.nonzero(R[i, j]))))
+        if i < j:
+            record(f"lower-lower i={i + 1} j={j + 1}", mm[i][j], q * mm[j][i])
+        record(f"rtt-lower i={i + 1} j={j + 1}", mm[i][j], sum(
+            (complex(R[i, j, k, l]) / q * mm[l][k] for k, l in zip(*np.nonzero(R[i, j]))), zero))
     del mm
     pp = [[bp[k] @ bp[l] for l in range(nm)] for k in range(nm)]
     for i, j in pairs:
-        record("rtt-raise", i, j, pp[i][j], zero,
-               (complex(R[l, k, i, j]) / q * pp[k][l] for k, l in zip(*np.nonzero(R[..., i, j].T))))
+        if i < j:
+            record(f"raise-raise i={i + 1} j={j + 1}", q * pp[i][j], pp[j][i])
+        record(f"rtt-raise i={i + 1} j={j + 1}", pp[i][j], sum(
+            (complex(R[l, k, i, j]) / q * pp[k][l] for k, l in zip(*np.nonzero(R[..., i, j].T))),
+            zero))
     del pp
     pm = [[bp[k] @ bm[l] for l in range(nm)] for k in range(nm)]
     for i, j in pairs:
-        record("rtt-mixed", i, j, bm[i] @ bp[j], eye if i == j else zero,
-               (q * complex(R[k, i, j, l]) * pm[k][l] for k, l in zip(*np.nonzero(R[:, i, j]))))
+        mp = bm[i] @ bp[j]
+        if i == j:
+            record(f"diagonal i={i + 1}", mp - q * q * pm[i][i], _dressing_factor(
+                family.space, q, i + 1, 2 * family.dressing_exponent_sign))
+        else:
+            record(f"lower-raise i={i + 1} j={j + 1}", mp, q * pm[j][i])
+        record(f"rtt-mixed i={i + 1} j={j + 1}", mp, sum(
+            (q * complex(R[k, i, j, l]) * pm[k][l] for k, l in zip(*np.nonzero(R[:, i, j]))),
+            eye if i == j else zero))
     return residuals
 
 
@@ -267,65 +267,62 @@ def _variant_families(variant: str, q: float, space: FockSpace) -> list[QBosonFa
             for i in range(1, space.mode_count + 1)]
 
 
-def chevalley_check(n_modes: int, q: float, cutoffs: Sequence[int],
-                    boson_variant: str, bracket_base: float | None = None,
-                    norm: str = "spectral") -> ChevalleyReport:
-    """Build H_i, E_i, F_i from per-mode families and measure the algebra.
-
-    H_i = N_i - N_{i+1}, E_i = B+_i B-_{i+1}, F_i = B+_{i+1} B-_i.  The
-    Cartan-sector relations hold for any number-conserving bilinear; the
-    [E_i, F_i] = [H_i] relation is exact for the symmetric variant at the
-    default bracket base b = q and is reported (not asserted) otherwise.
-    Residuals are taken on the margin-2 safe subspace.
-    """
+def chevalley_generators(n_modes: int, q: float, cutoffs: Sequence[int], boson_variant: str
+                         ) -> list[tuple[LinearOperator, LinearOperator, LinearOperator]]:
+    """(H_i, E_i, F_i) for i < N: H_i = N_i - N_{i+1}, E_i = B+_i B-_{i+1}, F_i = B+_{i+1} B-_i."""
     if n_modes < 2:
         raise ValueError("the Chevalley basis needs at least two modes")
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
     if len(cutoffs) != n_modes:
         raise ValueError(f"expected {n_modes} cutoffs, got {len(cutoffs)}")
+    fams = _variant_families(boson_variant, q, make_space(cutoffs))
+    return [(fams[i].number - fams[i + 1].number, fams[i].raise_ @ fams[i + 1].lower,
+             fams[i + 1].raise_ @ fams[i].lower) for i in range(n_modes - 1)]
+
+
+def ladder_bracket_residuals(generators, bases: Sequence[float],
+                             norm: str = "spectral") -> dict[float, dict[int, float]]:
+    """Residual of [E_i, F_i] - [H_i] (margin 2) by bracket base b, then by i, where
+    [x] = (b^x - b^-x)/(b - 1/b); each commutator is taken once for all the bases."""
+    residuals = {base: {} for base in bases}
+    for i, (h, e, f) in enumerate(generators, start=1):
+        ef = e @ f - f @ e
+        hv = h.diagonal().real
+        for base in bases:
+            bracket = diagonal_operator(h.space, (base ** hv - base ** -hv) / (base - 1 / base))
+            residuals[base][i] = relation_residual(ef, bracket, 2, norm=norm)
+    return residuals
+
+
+def chevalley_check(n_modes: int, q: float, cutoffs: Sequence[int],
+                    boson_variant: str, bracket_base: float | None = None,
+                    norm: str = "spectral") -> ChevalleyReport:
+    """Build H_i, E_i, F_i from per-mode families and measure the algebra.
+
+    The Cartan-sector relations hold for any number-conserving bilinear; the
+    [E_i, F_i] = [H_i] relation is exact for the symmetric variant at the
+    default bracket base b = q and is reported (not asserted) otherwise.
+    Residuals are taken on the margin-2 safe subspace.
+    """
     base = q if bracket_base is None else bracket_base
     if base <= 0.0 or base == 1.0:
         raise ValueError(f"bracket base must be positive and != 1, got {base}")
-    space = make_space(cutoffs)
-    families = _variant_families(boson_variant, q, space)
-
-    h_ops, e_ops, f_ops = [], [], []
-    for i in range(n_modes - 1):
-        h_ops.append(families[i].number - families[i + 1].number)
-        e_ops.append(families[i].raise_ @ families[i + 1].lower)
-        f_ops.append(families[i + 1].raise_ @ families[i].lower)
-
+    generators = chevalley_generators(n_modes, q, cutoffs, boson_variant)
     a = cartan_matrix(n_modes)
-    rank = n_modes - 1
     margin = 2
-    hh = {}
-    ce = {}
-    cf = {}
-    ef = {}
-    for i in range(rank):
-        for j in range(rank):
+    hh, ce, cf = {}, {}, {}
+    hh_products = [[h_i @ h_j for h_j, _, _ in generators] for h_i, _, _ in generators]
+    for i, (h_i, _, _) in enumerate(generators):
+        for j, (_, e_j, f_j) in enumerate(generators):
             hh[(i + 1, j + 1)] = relation_residual(
-                h_ops[i] @ h_ops[j], h_ops[j] @ h_ops[i], margin, norm=norm)
+                hh_products[i][j], hh_products[j][i], margin, norm=norm)
             ce[(i + 1, j + 1)] = relation_residual(
-                h_ops[i] @ e_ops[j] - e_ops[j] @ h_ops[i],
-                float(a[i, j]) * e_ops[j], margin, norm=norm)
+                h_i @ e_j - e_j @ h_i, float(a[i, j]) * e_j, margin, norm=norm)
             cf[(i + 1, j + 1)] = relation_residual(
-                h_ops[i] @ f_ops[j] - f_ops[j] @ h_ops[i],
-                (-float(a[i, j])) * f_ops[j], margin, norm=norm)
-        bracket = _diagonal_bracket(space, h_ops[i], base)
-        ef[i + 1] = relation_residual(
-            e_ops[i] @ f_ops[i] - f_ops[i] @ e_ops[i], bracket, margin, norm=norm)
-
+                h_i @ f_j - f_j @ h_i, (-float(a[i, j])) * f_j, margin, norm=norm)
     return ChevalleyReport(hh_residuals=hh, cartan_e_residuals=ce, cartan_f_residuals=cf,
-                           ef_residuals=ef)
-
-
-def _diagonal_bracket(space: FockSpace, h: LinearOperator, base: float) -> LinearOperator:
-    """[h] = (base^h - base^-h) / (base - 1/base) for diagonal h."""
-    hv = h.diagonal().real
-    vals = (base ** hv - base ** (-hv)) / (base - 1.0 / base)
-    return diagonal_operator(space, vals.astype(complex))
+                           ef_residuals=ladder_bracket_residuals(generators, [base], norm)[base])
 
 
 # -- multimode averaging consistency ------------------------------------------

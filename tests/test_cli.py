@@ -280,6 +280,7 @@ def test_dump_flag_is_used_or_rejected(op, flag, value, capsys):
     (["--op", "theta", "--alpha", "-1"], "--alpha must be >= 0, got -1"),
     (["--op", "theta", "--alpha", "17"], "--op theta needs --alpha <= --cutoff 16, got 17"),
     (["--op", "qboson-lower", "--q", "1.5"], "--q must lie in (0, 1), got 1.5"),
+    (["--op", "rmatrix", "--q", "1.5"], "--q must lie in (0, 1], got 1.5"),
 ])
 def test_dump_size_error_names_the_flag(args, message, capsys):
     assert cli.main(["dump-operator", *args]) == 2
@@ -401,11 +402,11 @@ def test_asymptotics_error_names_the_flag(args, message, capsys):
 
 @pytest.mark.parametrize("z", ["inf", "1e200"])
 def test_asymptotics_overflowing_z_exits_two(z, capsys):
-    """No cutoff is large enough: the float overflow is reported, not raised."""
+    """No cutoff is large enough, and 4 abs(z)^2 would overflow: the message names --z."""
     assert cli.main(["asymptotics", "--z", z]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith("error: ")
+    assert out.err == f"error: --z needs abs(z) <= 1e150, got {z}\n"
 
 
 def test_cli_asymptotics_out_file(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -23,10 +24,11 @@ from qboson_kit import (
     undressing_residual,
     yang_baxter_residual,
 )
-from qboson_kit.fock import make_space
-from qboson_kit.multimode import _variant_families
+from qboson_kit.fock import LinearOperator, make_space
+from qboson_kit.multimode import _variant_families, pair_product_residuals
 from qboson_kit.qboson import (beta_closed_form, family_on_space, precision_capped_cutoff,
                                standard_rhs)
+from qboson_kit.suites import chevalley_suite, multimode_suite
 
 
 # -- independent families --------------------------------------------------------
@@ -182,15 +184,45 @@ def test_rtt_forms():
 
 
 def test_rtt_residuals_hold_one_product_table_at_a_time():
-    """Holding all four tables of N^2 pair products at once peaks near 38 MB here."""
+    """Holding all four tables of N^2 pair products at once peaks near 38 MB here.
+    The pass that measures the covariant relations with the RTT forms, and each
+    selection from it, holds one table at a time too."""
     fam = covariant_bosons(6, 0.8, [4] * 6)
-    tracemalloc.start()
-    try:
-        rtt_residuals(fam)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 20e6
+    for measure in (rtt_residuals, pair_product_residuals, covariant_relation_residuals):
+        tracemalloc.start()
+        try:
+            measure(fam)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, measure.__name__
+
+
+def test_multimode_and_chevalley_suites_compute_each_product_once(monkeypatch):
+    """The covariant and RTT relations share one pass over the N^2 pair products of
+    each kind, and each Chevalley variant is built once for all its brackets.  A
+    product is keyed by its operands' diagonal bytes."""
+    fam = covariant_bosons(3, math.sqrt(0.5), [6] * 3)
+    pairs = []
+    matmul = LinearOperator.__matmul__
+
+    def key(op):
+        return tuple((d, c.tobytes()) for d, c in sorted(op.diagonals.items()))
+
+    def recording(a, b):
+        pairs.append((key(a), key(b)))
+        return matmul(a, b)
+
+    monkeypatch.setattr(LinearOperator, "__matmul__", recording)
+    pair_product_residuals(fam)
+    assert len(pairs) == len(set(pairs)) == 4 * 3 * 3
+    pairs.clear()
+    multimode_suite(0.5, modes=3, cutoff=6, norm="spectral")
+    assert len(pairs) <= 54
+    pairs.clear()
+    chevalley_suite(0.5, modes=3, cutoff=6, norm="spectral")
+    assert len(pairs) == len(set(pairs))
+    assert len(pairs) <= 40
 
 
 # -- Chevalley basis ----------------------------------------------------------------
