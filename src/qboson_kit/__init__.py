@@ -75,7 +75,6 @@ from .qboson import (
     defining_relation_residual,
     expectation_recipe,
     family_from_relation,
-    solve_deformed_oscillator,
     standard_qboson,
 )
 from .suites import SuiteConfig, SuiteReport, run_suite

@@ -23,9 +23,9 @@ from dataclasses import fields
 from .densities import asymptotics_csv, phase_asymptotics
 from .dump import format_operator, format_rmatrix
 from .fock import ladder, make_space
-from .multimode import su_r_matrix
+from .multimode import dense_rank_limit, su_r_matrix
 from .phase import phase_pair, sqrt_number_operator, theta_operator
-from .qboson import standard_qboson
+from .qboson import STANDARD_TYPES, standard_qboson
 from .suites import SUITES, ConfigError, SuiteConfig, render_report, run_suite
 
 # The flags each dumpable operator uses, with their defaults.
@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--cutoff", type=int, help="per-mode occupation cutoff")
     run.add_argument("--alpha", type=int, help="step/shift parameter where applicable")
     run.add_argument("--modes", type=int, help="number of modes (multimode suites)")
-    run.add_argument("--qtype", choices=("I", "II", "III", "IV"))
+    run.add_argument("--qtype", choices=STANDARD_TYPES)
     run.add_argument("--tol", dest="tolerance", type=float, help="tolerance floor")
     run.add_argument("--margin", type=_margin, help="safe-subspace margin or 'auto'")
     run.add_argument("--norm", choices=("spectral", "frobenius"))
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     dump.add_argument("--op", required=True, choices=DUMP_FLAGS)
     dump.add_argument("--cutoff", type=int)
     dump.add_argument("--alpha", type=int, help="step threshold for theta")
-    dump.add_argument("--qtype", choices=("I", "II", "III", "IV"))
+    dump.add_argument("--qtype", choices=STANDARD_TYPES)
     dump.add_argument("--q", type=float)
     dump.add_argument("--modes", type=int, help="rank N for rmatrix")
     dump.add_argument("--out")
@@ -108,8 +108,9 @@ def _cmd_dump(args) -> int:
             raise ConfigError(f"--op {args.op} does not take --{flag}")
     v = {**DUMP_FLAGS[args.op], **given}
     if args.op == "rmatrix":
-        if v["modes"] < 2:
-            raise ConfigError(f"--op rmatrix needs --modes >= 2, got {v['modes']}")
+        if not 2 <= v["modes"] <= dense_rank_limit(4):
+            bound = ">= 2" if v["modes"] < 2 else f"<= {dense_rank_limit(4)}"
+            raise ConfigError(f"--op rmatrix needs --modes {bound}, got {v['modes']}")
         if not 0.0 < v["q"] <= 1.0:
             raise ConfigError(f"--q must lie in (0, 1], got {v['q']}")
         _emit(format_rmatrix(su_r_matrix(v["modes"], v["q"])), args.out)
@@ -172,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "dump-operator":
             return _cmd_dump(args)
         return _cmd_asymptotics(args)
-    except (ConfigError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -98,7 +98,7 @@ def mixture_density(states: Sequence[StateVector], probs: Sequence[float]) -> De
     for state, weight in zip(states, p):
         if state.space != space:
             raise ValueError("all states must live on the same space")
-        if not state.normalized(1e-12):
+        if not state.normalized():
             raise ValueError(f"state with norm {state.norm()} is not normalized")
         # |psi><psi| puts psi_i conj(psi_j) on diagonal j - i, which only the
         # differences of the support reach.

@@ -115,8 +115,8 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self, tol: float = 1e-12) -> bool:
-        return abs(self.norm() - 1.0) <= tol
+    def normalized(self) -> bool:
+        return abs(self.norm() - 1.0) <= 1e-12
 
     def inner(self, other: "StateVector") -> complex:
         _require_same_space(self.space, other.space)

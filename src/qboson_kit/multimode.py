@@ -26,6 +26,7 @@ import numpy as np
 
 from .densities import ThermalParams, thermal_density
 from .fock import (
+    DEFAULT_DIMENSION_LIMIT,
     FockSpace,
     LinearOperator,
     diagonal_operator,
@@ -40,7 +41,7 @@ from .qboson import (EffectiveRelation, QBosonFamily, averaged_relation, family_
 BOSON_VARIANTS = ("typeI_q2", "typeII_symmetric")
 
 
-def independent_qbosons(n_modes: int, q_squared_list: Sequence[float],
+def independent_qbosons(q_squared_list: Sequence[float],
                         cutoffs: Sequence[int]) -> list[QBosonFamily]:
     """Per-mode deformed families on a shared space, one q parameter per mode.
 
@@ -49,10 +50,8 @@ def independent_qbosons(n_modes: int, q_squared_list: Sequence[float],
     legs).  The per-mode deformation parameters may differ, mirroring modes
     with different quantal energies at a common temperature.
     """
-    if len(q_squared_list) != n_modes:
-        raise ValueError(f"expected {n_modes} q_squared values, got {len(q_squared_list)}")
-    if len(cutoffs) != n_modes:
-        raise ValueError(f"expected {n_modes} cutoffs, got {len(cutoffs)}")
+    if len(q_squared_list) != len(cutoffs):
+        raise ValueError(f"expected {len(cutoffs)} q_squared values, got {len(q_squared_list)}")
     space = make_space(cutoffs)
     return [family_on_space(space, i, q2, standard_rhs("I", q2))
             for i, q2 in enumerate(q_squared_list, start=1)]
@@ -62,7 +61,6 @@ def independent_qbosons(n_modes: int, q_squared_list: Sequence[float],
 class CovariantFamily:
     """Dressed q-commuting family together with its independent building blocks."""
 
-    modes: int
     q: float
     space: FockSpace
     hatted: tuple[QBosonFamily, ...]
@@ -88,13 +86,13 @@ def covariant_bosons(n_modes: int, q: float, cutoffs: Sequence[int]) -> Covarian
         raise ValueError("a covariant family needs at least two modes")
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
-    hatted = independent_qbosons(n_modes, [q * q] * n_modes, cutoffs)
+    hatted = independent_qbosons([q * q] * n_modes, cutoffs)
     space = hatted[0].space
     dressed = []
     for i, fam in enumerate(hatted, start=1):
         factor = _dressing_factor(space, q, i, 1)
         dressed.append((factor @ fam.lower, factor @ fam.raise_))
-    return CovariantFamily(modes=n_modes, q=q, space=space, hatted=tuple(hatted),
+    return CovariantFamily(q=q, space=space, hatted=tuple(hatted),
                            dressed=tuple(dressed), dressing_exponent_sign=1)
 
 
@@ -111,13 +109,12 @@ def covariant_relation_residuals(family: CovariantFamily, margin: int = 1,
 
 
 def undressing_residual(family: CovariantFamily) -> float:
-    """Max deviation after inverting the diagonal dressing factor."""
+    """Worst margin-0 residual of inverse dressing, from mode 2 (mode 1's factor is q^0)."""
     worst = 0.0
-    for i, fam in enumerate(family.hatted, start=1):
+    for i, fam in enumerate(family.hatted[1:], start=2):
         inv = _dressing_factor(family.space, family.q, i, -family.dressing_exponent_sign)
         for dressed_op, hatted_op in zip(family.dressed[i - 1], (fam.lower, fam.raise_)):
-            for c in (inv @ dressed_op - hatted_op).diagonals.values():
-                worst = max(worst, float(np.abs(c).max()))
+            worst = max(worst, relation_residual(inv @ dressed_op, hatted_op, 0))
     return worst
 
 
@@ -137,13 +134,18 @@ class RMatrix:
         return complex(self.entries[(i - 1) * n + (j - 1), (k - 1) * n + (l - 1)])
 
 
+def dense_rank_limit(power: int) -> int:
+    """Largest rank n whose n^power dense entries fit in DEFAULT_DIMENSION_LIMIT."""
+    return int(DEFAULT_DIMENSION_LIMIT ** (1 / power))
+
+
 def su_r_matrix(n: int, q: float) -> RMatrix:
     """R = q sum_i e_ii x e_ii + sum_{i!=j} e_ii x e_jj + (q - 1/q) sum_{i<j} e_ij x e_ji.
 
     q = 1 is allowed as the degenerate (identity-coupling) limit.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    if not 2 <= n <= dense_rank_limit(4):
+        raise ValueError(f"n must lie in 2..{dense_rank_limit(4)}, got {n}")
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q must lie in (0, 1], got {q}")
     R = np.zeros((n * n, n * n), dtype=complex)
@@ -161,6 +163,8 @@ def su_r_matrix(n: int, q: float) -> RMatrix:
 def yang_baxter_residual(rmatrix: RMatrix) -> float:
     """Spectral norm of R12 R13 R23 - R23 R13 R12 on the triple tensor space."""
     n = rmatrix.n
+    if n > dense_rank_limit(6):
+        raise ValueError(f"the Yang-Baxter products need n <= {dense_rank_limit(6)}, got {n}")
     R = rmatrix.entries
     eye = np.eye(n)
     r12 = np.kron(R, eye)
@@ -192,7 +196,7 @@ def pair_product_residuals(family: CovariantFamily, margin: int = 1,
     One table is alive at a time (about 60 MB at N = 7, cutoff 4).  Each RTT right
     side sums pair products over R's nonzero entries in row-major (k, l) order."""
     q = family.q
-    nm = family.modes
+    nm = family.space.mode_count
     R = su_r_matrix(nm, q).entries.reshape((nm,) * 4)
     eye = identity_operator(family.space)
     zero = 0.0 * eye
@@ -257,13 +261,12 @@ class ChevalleyReport:
 
 
 def _variant_families(variant: str, q: float, space: FockSpace) -> list[QBosonFamily]:
-    if variant == "typeI_q2":
-        return independent_qbosons(space.mode_count, [q * q] * space.mode_count, space.cutoffs)
-    if variant != "typeII_symmetric":
+    """The Arik-Coon variant is type I at q^2; the symmetric (Macfarlane-Biedenharn)
+    one is type II at base q, with magnitudes [n] = (q^n - q^-n)/(q - 1/q)."""
+    if variant not in BOSON_VARIANTS:
         raise ValueError(f"boson_variant must be one of {BOSON_VARIANTS}, got {variant!r}")
-    # symmetric magnitudes [n] = (q^n - q^-n)/(q - 1/q), solving
-    # beta(n+1) = q^-n + q beta(n)
-    return [family_on_space(space, i, q, lambda n: (1.0 / q) ** n)
+    tag, q2 = ("I", q * q) if variant == "typeI_q2" else ("II", q)
+    return [family_on_space(space, i, q2, standard_rhs(tag, q2))
             for i in range(1, space.mode_count + 1)]
 
 

@@ -98,16 +98,6 @@ def family_on_space(space: FockSpace, mode: int, q_squared: float,
                         beta=beta)
 
 
-def solve_deformed_oscillator(q_squared: float, rhs: Callable[[int], float],
-                              cutoff: int) -> QBosonFamily:
-    """The family realizing  B- B+ - q^2 B+ B-  =  rhs(N)  on a one-mode space.
-
-    The residual on the margin-1 safe subspace is zero up to float round-off
-    in the stored square roots.
-    """
-    return family_on_space(make_space([cutoff]), 1, q_squared, rhs)
-
-
 def standard_rhs(type_tag: str, q_squared: float) -> Callable[[int], float]:
     """Right-hand side n -> value for one of the four standard families.
 
@@ -134,7 +124,7 @@ def standard_qboson(type_tag: str, q_squared: float, cutoff: int) -> QBosonFamil
         raise OverflowGuardError(
             f"q^(-2n) reaches 1e{cutoff * math.log10(1.0 / q_squared):.0f} at cutoff "
             f"{cutoff}, beyond the {OVERFLOW_GUARD:g} guard")
-    return solve_deformed_oscillator(q_squared, rhs, cutoff)
+    return family_on_space(make_space([cutoff]), 1, q_squared, rhs)
 
 
 def defining_relation_residual(family: QBosonFamily, margin: int = 1,
@@ -260,8 +250,8 @@ def expectation_recipe(a_choice: str, d0_choice: str, q_squared: float,
 def family_from_relation(relation: EffectiveRelation, cutoff: int) -> QBosonFamily:
     """Build the deformed family solving the normalized effective relation."""
     rhs_value = relation.normalized_rhs
-    return solve_deformed_oscillator(relation.q_squared_effective,
-                                     lambda n: rhs_value, cutoff)
+    return family_on_space(make_space([cutoff]), 1, relation.q_squared_effective,
+                           lambda n: rhs_value)
 
 
 def precision_capped_cutoff(q_squared: float, type_tag: str, cutoff: int,

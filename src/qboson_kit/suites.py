@@ -417,7 +417,7 @@ def alpha_suite(cutoff: int, alpha: tuple[int, ...], norm: str) -> list[Check]:
 def multimode_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> list[Check]:
     """Covariant family relations, RTT forms, Yang-Baxter, and recipe rows."""
     if modes < 2:
-        raise ConfigError("the multimode suite needs --modes >= 2")
+        raise ConfigError(f"the multimode suite needs --modes >= 2, got {modes}")
     if cutoff < 2:
         raise ConfigError(f"the multimode suite needs --cutoff >= 2, got {cutoff}")
     q = math.sqrt(q_squared)
@@ -466,8 +466,10 @@ def multimode_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> lis
 
 def rmatrix_suite(q_squared: float, modes: tuple[int, ...]) -> list[Check]:
     """Entry conventions and the Yang-Baxter identity at each rank in `modes`."""
-    if min(modes) < 2:
-        raise ConfigError("the rmatrix suite needs --modes >= 2")
+    for n in modes:
+        if not 2 <= n <= mm.dense_rank_limit(6):
+            bound = ">= 2" if n < 2 else f"<= {mm.dense_rank_limit(6)}"
+            raise ConfigError(f"the rmatrix suite needs --modes {bound}, got {n}")
     q = math.sqrt(q_squared)
     checks = []
     for n in modes:
@@ -493,7 +495,7 @@ def rmatrix_suite(q_squared: float, modes: tuple[int, ...]) -> list[Check]:
 def chevalley_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> list[Check]:
     """Cartan-sector identities plus reported ladder brackets per variant/base."""
     if modes < 2:
-        raise ConfigError("the chevalley suite needs --modes >= 2")
+        raise ConfigError(f"the chevalley suite needs --modes >= 2, got {modes}")
     if cutoff < 3:
         raise ConfigError(f"the chevalley suite needs --cutoff >= 3, got {cutoff}")
     q = math.sqrt(q_squared)

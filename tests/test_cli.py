@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -281,6 +282,7 @@ def test_dump_flag_is_used_or_rejected(op, flag, value, capsys):
     (["--op", "theta", "--alpha", "17"], "--op theta needs --alpha <= --cutoff 16, got 17"),
     (["--op", "qboson-lower", "--q", "1.5"], "--q must lie in (0, 1), got 1.5"),
     (["--op", "rmatrix", "--q", "1.5"], "--q must lie in (0, 1], got 1.5"),
+    (["--op", "rmatrix", "--modes", "57"], "--op rmatrix needs --modes <= 56, got 57"),
 ])
 def test_dump_size_error_names_the_flag(args, message, capsys):
     assert cli.main(["dump-operator", *args]) == 2
@@ -310,12 +312,34 @@ def test_dump_size_error_names_the_flag(args, message, capsys):
     (["--suite", "asymptotics", "--cutoff", "575"],
      "the asymptotics suite needs --cutoff >= 576, got 575"),
     (["--suite", "coherent", "--cutoff", "30"], "the coherent suite needs --cutoff >= 31, got 30"),
+    (["--suite", "multimode", "--modes", "1"], "the multimode suite needs --modes >= 2, got 1"),
+    (["--suite", "chevalley", "--modes", "1"], "the chevalley suite needs --modes >= 2, got 1"),
+    (["--suite", "rmatrix", "--modes", "1"], "the rmatrix suite needs --modes >= 2, got 1"),
+    (["--suite", "rmatrix", "--modes", "15"], "the rmatrix suite needs --modes <= 14, got 15"),
 ])
 def test_run_size_error_names_the_flag(args, message, capsys):
     assert cli.main(["run", *args]) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args,message", [
+    (["run", "--suite", "rmatrix", "--modes", "40"], "the rmatrix suite needs --modes <= 14, got 40"),
+    (["dump-operator", "--op", "rmatrix", "--modes", "300"],
+     "--op rmatrix needs --modes <= 56, got 300"),
+])
+def test_rmatrix_rank_error_under_one_gib(args, message):
+    """Ranks whose dense R-matrix products would need 61 GiB (Yang-Baxter at 40) or
+    121 GiB (R at 300) exit 2 with the flag named, also with 1 GiB of address space."""
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(CLI + args, capture_output=True, text=True,
+                          preexec_fn=limit_address_space)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
 
 
 def test_run_huge_tolerance_needs_no_precision_cap():

@@ -25,7 +25,7 @@ from qboson_kit import (
     yang_baxter_residual,
 )
 from qboson_kit.fock import LinearOperator, make_space
-from qboson_kit.multimode import _variant_families, pair_product_residuals
+from qboson_kit.multimode import _dressing_factor, _variant_families, pair_product_residuals
 from qboson_kit.qboson import (beta_closed_form, family_on_space, precision_capped_cutoff,
                                standard_rhs)
 from qboson_kit.suites import chevalley_suite, multimode_suite
@@ -34,7 +34,7 @@ from qboson_kit.suites import chevalley_suite, multimode_suite
 # -- independent families --------------------------------------------------------
 
 def test_independent_per_mode_relations():
-    families = independent_qbosons(2, [0.25, 0.5], [8, 8])
+    families = independent_qbosons([0.25, 0.5], [8, 8])
     for fam, q2 in zip(families, (0.25, 0.5)):
         lhs = fam.lower @ fam.raise_ - q2 * (fam.raise_ @ fam.lower)
         one = identity_operator(fam.space)
@@ -42,7 +42,7 @@ def test_independent_per_mode_relations():
 
 
 def test_independent_cross_mode_commutators_vanish_exactly():
-    families = independent_qbosons(2, [0.25, 0.5], [6, 6])
+    families = independent_qbosons([0.25, 0.5], [6, 6])
     b1, b2 = families
     for x in (b1.lower, b1.raise_):
         for y in (b2.lower, b2.raise_):
@@ -54,7 +54,7 @@ def test_independent_cross_mode_commutators_vanish_exactly():
 def test_independent_equal_q_mode_permutation_invariance():
     """With equal deformation parameters the per-mode residual profile is
     identical across modes (the shared-q family is permutation symmetric)."""
-    families = independent_qbosons(3, [0.5] * 3, [6] * 3)
+    families = independent_qbosons([0.5] * 3, [6] * 3)
     residuals = []
     for fam in families:
         lhs = fam.lower @ fam.raise_ - 0.5 * (fam.raise_ @ fam.lower)
@@ -82,9 +82,9 @@ def test_family_satisfies_its_relation_on_any_mode(q2, cutoff, tag, modes, posit
 
 def test_independent_argument_validation():
     with pytest.raises(ValueError):
-        independent_qbosons(2, [0.5], [4, 4])
+        independent_qbosons([0.5], [4, 4])
     with pytest.raises(ValueError):
-        independent_qbosons(2, [0.5, 1.5], [4, 4])
+        independent_qbosons([0.5, 1.5], [4, 4])
 
 
 # -- covariant family -------------------------------------------------------------
@@ -147,6 +147,22 @@ def test_undressing_recovers_hatted():
     assert undressing_residual(fam) < 1e-13
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.707, 0.95])
+def test_mode_one_is_undressed_already(n, q):
+    """Mode 1's dressing factor is q^0: its dressed pair equals its hatted pair by
+    value (the adjoint's -0 imaginary parts become +0), so undressing_residual
+    starts at mode 2."""
+    fam = covariant_bosons(n, q, [5] * n)
+    hat = fam.hatted[0]
+    inv = _dressing_factor(fam.space, q, 1, -fam.dressing_exponent_sign)
+    for dressed, hatted in zip(fam.dressed[0], (hat.lower, hat.raise_)):
+        assert dressed.diagonals.keys() == hatted.diagonals.keys()
+        for d, c in dressed.diagonals.items():
+            assert np.array_equal(c, hatted.diagonals[d])
+        assert relation_residual(inv @ dressed, hatted, 0) == 0.0
+
+
 def test_covariant_validation():
     with pytest.raises(ValueError):
         covariant_bosons(1, 0.5, [4])
@@ -167,6 +183,16 @@ def test_r_matrix_entries_n2():
 def test_r_matrix_degenerate_limit():
     r = su_r_matrix(3, 1.0)
     np.testing.assert_array_equal(r.entries, np.eye(9))
+
+
+def test_r_matrix_rank_is_capped_by_the_dimension_limit():
+    """R holds n^4 dense entries and the Yang-Baxter products n^6; both stay within
+    DEFAULT_DIMENSION_LIMIT (10^7), so the largest ranks are 56 and 14."""
+    assert su_r_matrix(56, 0.5).n == 56
+    with pytest.raises(ValueError, match="n must lie in 2..56, got 57"):
+        su_r_matrix(57, 0.5)
+    with pytest.raises(ValueError, match="need n <= 14, got 15"):
+        yang_baxter_residual(su_r_matrix(15, 0.5))
 
 
 def test_yang_baxter_identity():
@@ -218,7 +244,8 @@ def test_multimode_and_chevalley_suites_compute_each_product_once(monkeypatch):
     assert len(pairs) == len(set(pairs)) == 4 * 3 * 3
     pairs.clear()
     multimode_suite(0.5, modes=3, cutoff=6, norm="spectral")
-    assert len(pairs) <= 54
+    assert len(pairs) == len(set(pairs))
+    assert len(pairs) <= 52
     pairs.clear()
     chevalley_suite(0.5, modes=3, cutoff=6, norm="spectral")
     assert len(pairs) == len(set(pairs))

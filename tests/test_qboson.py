@@ -19,13 +19,12 @@ from qboson_kit import (
     phase_pair,
     pure_density,
     relation_residual,
-    solve_deformed_oscillator,
     standard_qboson,
     theta_operator,
     thermal_density,
 )
 from qboson_kit.fock import machine_zero_bound
-from qboson_kit.qboson import precision_capped_cutoff, standard_rhs
+from qboson_kit.qboson import family_on_space, precision_capped_cutoff, standard_rhs
 
 
 def recursion_oracle(q_squared, rhs, cutoff):
@@ -39,19 +38,19 @@ def recursion_oracle(q_squared, rhs, cutoff):
 # -- difference-equation solver --------------------------------------------------
 
 def test_solver_unit_rhs_beta2():
-    family = solve_deformed_oscillator(0.25, lambda n: 1.0, 8)
+    family = family_on_space(make_space([8]), 1, 0.25, lambda n: 1.0)
     assert family.beta[2] == 1.25
     assert family.beta[0] == 0.0
 
 
 def test_solver_type_iii_rhs_beta2():
-    family = solve_deformed_oscillator(0.25, lambda n: 0.75, 8)
+    family = family_on_space(make_space([8]), 1, 0.25, lambda n: 0.75)
     assert family.beta[2] == 0.9375
 
 
 def test_solver_rejects_negative_rhs():
     with pytest.raises(ValueError):
-        solve_deformed_oscillator(0.5, lambda n: -1.0, 4)
+        family_on_space(make_space([4]), 1, 0.5, lambda n: -1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -59,12 +58,12 @@ def test_solver_rejects_negative_rhs():
        st.integers(min_value=2, max_value=20))
 def test_solver_matches_recursion_oracle_bitwise(q2, cutoff):
     rhs = lambda n: 1.0 + 0.5 * n
-    family = solve_deformed_oscillator(q2, rhs, cutoff)
+    family = family_on_space(make_space([cutoff]), 1, q2, rhs)
     assert list(family.beta) == recursion_oracle(q2, rhs, cutoff)
 
 
 def test_lower_amplitudes_are_sqrt_beta():
-    family = solve_deformed_oscillator(0.5, lambda n: 1.0, 6)
+    family = family_on_space(make_space([6]), 1, 0.5, lambda n: 1.0)
     space = family.space
     out = family.lower.apply(basis_state(space, [3]))
     np.testing.assert_array_equal(
