@@ -27,8 +27,8 @@ from .densities import (
 from .fock import (
     DimensionLimitError,
     FockSpace,
-    LadderTriple,
     LinearOperator,
+    QBosonFamily,
     StateVector,
     basis_state,
     commutator,
@@ -58,8 +58,6 @@ from .multimode import (
 )
 from .phase import (
     AlphaBoson,
-    PhasePair,
-    alpha_adjoint,
     alpha_boson,
     alpha_phase_pair,
     phase_pair,
@@ -69,7 +67,6 @@ from .phase import (
 from .qboson import (
     EffectiveRelation,
     OverflowGuardError,
-    QBosonFamily,
     averaged_relation,
     beta_closed_form,
     defining_relation_residual,

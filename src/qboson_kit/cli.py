@@ -119,8 +119,8 @@ def _cmd_dump(args) -> int:
         raise ConfigError(f"--cutoff must be >= 1, got {v['cutoff']}")
     space = make_space([v["cutoff"]])
     if args.op in ("a", "adag", "n"):
-        triple = ladder(space, 1)
-        op = {"a": triple.lower, "adag": triple.raise_, "n": triple.number}[args.op]
+        boson = ladder(space, 1)
+        op = {"a": boson.lower, "adag": boson.raise_, "n": boson.number}[args.op]
     elif args.op == "sqrtn":
         op = sqrt_number_operator(space, 1)
     elif args.op in ("e", "edag"):

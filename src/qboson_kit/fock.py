@@ -2,10 +2,11 @@
 
 Every mode carries an occupation cutoff; the basis is the set of multi-indices
 (n_1, ..., n_M) with 0 <= n_i <= cutoff_i, enumerated row-major with mode 1
-slowest.  Operators are immutable matrices stored as diagonals.  Algebraic
+slowest.  Operators are immutable matrices stored as diagonals; a ladder on
+one mode is a QBosonFamily, the boson its member at q^2 = 1.  Algebraic
 identities that hold in the untruncated algebra are checked on a "safe
-subspace" (states at least `margin` steps below every cutoff), where they hold
-to machine precision.
+subspace" (states at least `margin` steps below every cutoff), where they
+hold to machine precision.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class FockSpace:
         return mode - 1
 
 
-def make_space(cutoffs: Sequence[int], max_dimension: int = DEFAULT_DIMENSION_LIMIT) -> FockSpace:
+def make_space(cutoffs: Sequence[int]) -> FockSpace:
     """Create a truncated Fock space with the given per-mode cutoffs."""
     if len(cutoffs) == 0:
         raise ValueError("at least one mode is required")
@@ -92,9 +93,9 @@ def make_space(cutoffs: Sequence[int], max_dimension: int = DEFAULT_DIMENSION_LI
     dim = 1
     for c in cut:
         dim *= c + 1
-        if dim > max_dimension:
+        if dim > DEFAULT_DIMENSION_LIMIT:
             raise DimensionLimitError(
-                f"dimension {dim}+ exceeds limit {max_dimension} for cutoffs {cut}")
+                f"dimension {dim}+ exceeds limit {DEFAULT_DIMENSION_LIMIT} for cutoffs {cut}")
     return FockSpace(cut)
 
 
@@ -318,27 +319,55 @@ def operator_on_mode(space: FockSpace, mode: int, values: np.ndarray,
     return LinearOperator(space, _tidy({offset: np.where(n >= lower, vals[n], 0.0)}))
 
 
-@dataclass(frozen=True)
-class LadderTriple:
-    """Annihilation, creation, and number operator of one mode."""
+@dataclass(frozen=True, eq=False)
+class QBosonFamily:
+    """Ladder pair on one mode: lower maps |n> to sqrt(beta(n)) |n-1>, raise_ is its
+    adjoint, number the occupation operator, and rhs is rhs(N) from `rhs_values`.
 
-    lower: LinearOperator
-    raise_: LinearOperator
-    number: LinearOperator
-
-
-def ladder(space: FockSpace, mode: int) -> LadderTriple:
-    """Boson ladder triple on one mode of a truncated space.
-
-    lower maps |n> to sqrt(n) |n-1> and annihilates |0>; raise_ maps |n> to
-    sqrt(n+1) |n+1> and annihilates the cutoff state (truncation); number is
-    the diagonal occupation operator.
+    beta(0) = 0 and beta(n+1) = rhs(n) + q^2 beta(n), so B- B+ - q^2 B+ B- = rhs(N)
+    below the cutoff.  The operators are built on first read.
     """
-    n = np.arange(space.shape[space._check_mode(mode)], dtype=float)
-    lower = operator_on_mode(space, mode, np.sqrt(n), lower=1)
-    return LadderTriple(lower=lower,
-                        raise_=lower.adjoint(),
-                        number=operator_on_mode(space, mode, n))
+
+    space: FockSpace
+    mode: int
+    q_squared: float
+    beta: np.ndarray
+    rhs_values: np.ndarray
+
+    def __post_init__(self):
+        self.beta.flags.writeable = self.rhs_values.flags.writeable = False
+
+    @cached_property
+    def lower(self) -> LinearOperator:
+        return operator_on_mode(self.space, self.mode, np.sqrt(self.beta), lower=1)
+
+    @cached_property
+    def raise_(self) -> LinearOperator:
+        return self.lower.adjoint()
+
+    @cached_property
+    def number(self) -> LinearOperator:
+        return operator_on_mode(self.space, self.mode, np.arange(len(self.beta)))
+
+    @cached_property
+    def rhs(self) -> LinearOperator:
+        return operator_on_mode(self.space, self.mode, self.rhs_values)
+
+
+def _shifted_family(space: FockSpace, mode: int, q_squared: float, alpha: int) -> QBosonFamily:
+    """The q^2 = 1 (beta(n) = max(n - alpha, 0)) or q^2 = 0 (beta = theta(n - alpha - 1))
+    family with rhs theta(n - alpha): its vacuum sits alpha steps up."""
+    k = space._check_mode(mode)
+    if not 0 <= alpha <= space.cutoffs[k]:
+        raise ValueError(f"alpha {alpha} outside [0, {space.cutoffs[k]}] for mode {mode}")
+    n = np.arange(space.shape[k], dtype=float)
+    beta = np.maximum(n - alpha, 0.0) if q_squared == 1.0 else (n > alpha).astype(float)
+    return QBosonFamily(space, mode, q_squared, beta, (n >= alpha).astype(float))
+
+
+def ladder(space: FockSpace, mode: int) -> QBosonFamily:
+    """The boson on one mode: the q^2 = 1 family with rhs 1, beta(n) = n."""
+    return _shifted_family(space, mode, 1.0, 0)
 
 
 def number_state_projector(space: FockSpace, mode: int, n: int) -> LinearOperator:

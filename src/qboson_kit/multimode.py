@@ -29,14 +29,14 @@ from .fock import (
     DEFAULT_DIMENSION_LIMIT,
     FockSpace,
     LinearOperator,
+    QBosonFamily,
     diagonal_operator,
     identity_operator,
     make_space,
     relation_residual,
 )
 from .phase import phase_pair
-from .qboson import (EffectiveRelation, QBosonFamily, averaged_relation, family_on_space,
-                     standard_rhs)
+from .qboson import EffectiveRelation, averaged_relation, family_on_space, standard_rhs
 
 BOSON_VARIANTS = ("typeI_q2", "typeII_symmetric")
 

@@ -1,15 +1,13 @@
 """Exponential phase (shift) operators, step projectors, and shifted-vacuum bosons.
 
-The Susskind-Glogower pair (e, e†) shifts number states down and up one step:
-e|n> = |n-1>, e†|n> = |n+1>.  On the truncated space e e† = 1 and
-e† e = 1 - |0><0| hold on the margin-1 safe subspace, and the polar
-decomposition a = e sqrt(N) holds exactly on the full truncated space.
-
-Conjugating by powers of the shift yields the alpha-adjoint family
-x -> e†^a x e^a.  Applied to the boson it produces a ladder algebra whose
-vacuum sits a steps up the number basis, with an (a+1)-dimensional
-annihilated subspace; applied to the shift pair it produces operators whose
-commutation defect is the rank-1 projector onto |a> (margin 1).
+The Susskind-Glogower pair e|n> = |n-1>, e†|n> = |n+1> is the q^2 = 0
+q-boson family (fock.QBosonFamily) with rhs 1: e e† = 1 and e† e = 1 - |0><0|
+hold on the margin-1 safe subspace, and a = e sqrt(N) holds exactly.  With
+rhs theta(n - alpha) the same recursion gives the shifted-vacuum pairs: the
+boson a(alpha) at q^2 = 1, with an (alpha+1)-dimensional kernel, and the
+phase pair e(alpha) at q^2 = 0, whose commutation defect is the projector
+onto |alpha>.  Both equal x -> e†^alpha x e^alpha of their alpha = 0
+member, an identity the tests check bit for bit.
 """
 
 from __future__ import annotations
@@ -20,26 +18,16 @@ import numpy as np
 
 from .fock import (
     FockSpace,
-    LadderTriple,
     LinearOperator,
-    ladder,
+    QBosonFamily,
     operator_on_mode,
-    _require_same_space,
+    _shifted_family,
 )
 
 
-@dataclass(frozen=True)
-class PhasePair:
-    """One-step shift pair on a single mode."""
-
-    lower: LinearOperator
-    raise_: LinearOperator
-
-
-def phase_pair(space: FockSpace, mode: int) -> PhasePair:
+def phase_pair(space: FockSpace, mode: int) -> QBosonFamily:
     """The exponential phase pair: unit-amplitude shifts down/up one step."""
-    lower = _lower_shift(space, mode, 1)
-    return PhasePair(lower=lower, raise_=lower.adjoint())
+    return _shifted_family(space, mode, 0.0, 0)
 
 
 def sqrt_number_operator(space: FockSpace, mode: int) -> LinearOperator:
@@ -51,35 +39,20 @@ def sqrt_number_operator(space: FockSpace, mode: int) -> LinearOperator:
 def theta_operator(space: FockSpace, mode: int, alpha: int) -> LinearOperator:
     """Step projector: eigenvalue 1 on states with n_mode >= alpha, else 0.
 
-    The convention theta(0) = 1 is fixed by requiring theta(N) to be the
-    identity and the thermal expectation of theta(N - alpha) to be q^(2 alpha).
+    It is rhs(N) of the shifted-vacuum pairs.  The convention theta(0) = 1 is
+    fixed by requiring theta(N) to be the identity and the thermal
+    expectation of theta(N - alpha) to be q^(2 alpha).
     """
-    k = space._check_mode(mode)
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    if alpha > space.cutoffs[k]:
-        raise ValueError(f"alpha {alpha} exceeds cutoff {space.cutoffs[k]} of mode {mode}")
-    return operator_on_mode(space, mode, np.arange(space.shape[k]) >= alpha)
+    return _shifted_family(space, mode, 0.0, alpha).rhs
 
 
-def _lower_shift(space: FockSpace, mode: int, alpha: int) -> LinearOperator:
-    """e^alpha, mapping |n> to |n - alpha> and annihilating the bottom alpha states."""
-    k = space._check_mode(mode)
-    if not 0 <= alpha <= space.cutoffs[k]:
-        raise ValueError(f"alpha {alpha} outside [0, {space.cutoffs[k]}] for mode {mode}")
-    return operator_on_mode(space, mode, np.ones(space.shape[k]), lower=alpha)
+@dataclass(frozen=True)
+class LadderTriple:
+    """Annihilation, creation, and number operator of one mode."""
 
-
-def alpha_adjoint(space: FockSpace, mode: int, x: LinearOperator, alpha: int) -> LinearOperator:
-    """The shifted-conjugation map x -> e†^alpha x e^alpha.
-
-    Not a similarity transformation in the strict sense: e^alpha annihilates
-    the bottom alpha states, so the map is a definition, not a conjugation by
-    an invertible operator.
-    """
-    e = _lower_shift(space, mode, alpha)
-    _require_same_space(space, x.space)
-    return e.adjoint() @ x @ e if alpha else x
+    lower: LinearOperator
+    raise_: LinearOperator
+    number: LinearOperator
 
 
 @dataclass(frozen=True)
@@ -101,18 +74,15 @@ def alpha_boson(space: FockSpace, mode: int, alpha: int) -> AlphaBoson:
     if alpha > space.cutoffs[k] - 2:
         raise ValueError(f"alpha {alpha} leaves no safe subspace below cutoff "
                          f"{space.cutoffs[k]} (need alpha <= cutoff - 2)")
-    lower = alpha_adjoint(space, mode, ladder(space, mode).lower, alpha)
-    raise_ = lower.adjoint()
-    triple = LadderTriple(lower=lower, raise_=raise_, number=raise_ @ lower)
-    return AlphaBoson(triple=triple)
+    family = _shifted_family(space, mode, 1.0, alpha)
+    return AlphaBoson(LadderTriple(family.lower, family.raise_, family.raise_ @ family.lower))
 
 
-def alpha_phase_pair(space: FockSpace, mode: int, alpha: int) -> PhasePair:
-    """The shift pair conjugated by e^alpha: a phase pair for the shifted vacuum.
+def alpha_phase_pair(space: FockSpace, mode: int, alpha: int) -> QBosonFamily:
+    """The phase pair for the shifted vacuum, e(alpha) = e†^alpha e e^alpha.
 
     lower maps |n> to |n-1> for n >= alpha + 1 and annihilates everything
     below; the commutation defect lower@raise_ - raise_@lower equals the
     projector onto |alpha> on the margin-1 safe subspace.
     """
-    lower = alpha_adjoint(space, mode, phase_pair(space, mode).lower, alpha)
-    return PhasePair(lower=lower, raise_=lower.adjoint())
+    return _shifted_family(space, mode, 0.0, alpha)

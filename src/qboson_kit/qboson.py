@@ -1,12 +1,14 @@
 """Deformed oscillator families and the averaging recipe that produces them.
 
-A deformed family is fixed by its magnitude sequence beta(n): the lowering
-operator maps |n> to sqrt(beta(n)) |n-1>, the raising operator is its
-adjoint, and beta solves the difference equation
+A deformed family is a fock.QBosonFamily, fixed by its magnitude sequence
+beta(n): the lowering operator maps |n> to sqrt(beta(n)) |n-1>, the raising
+operator is its adjoint, and beta solves the difference equation
 
     beta(0) = 0,    beta(n+1) = rhs(n) + q^2 beta(n),
 
-which realizes  B- B+ - q^2 B+ B-  =  rhs(N)  exactly below the cutoff.
+which realizes  B- B+ - q^2 B+ B-  =  rhs(N)  exactly below the cutoff.  Its
+ends are the boson (q^2 = 1) and the exponential phase pair (q^2 = 0);
+family_on_space solves it for 0 < q^2 < 1, so every family is B = e sqrt(beta(N)).
 The four standard right-hand sides are
 
     type I   : 1
@@ -38,14 +40,13 @@ from .densities import (
 from .fock import (
     FockSpace,
     LinearOperator,
+    QBosonFamily,
     expectation,
-    identity_operator,
     make_space,
-    operator_on_mode,
     ladder,
     relation_residual,
 )
-from .phase import alpha_phase_pair, phase_pair, theta_operator
+from .phase import alpha_phase_pair, theta_operator
 
 STANDARD_TYPES = ("I", "II", "III", "IV")
 
@@ -54,22 +55,6 @@ OVERFLOW_GUARD = 1e300
 
 class OverflowGuardError(ValueError):
     """A growing right-hand side would overflow at the requested cutoff."""
-
-
-@dataclass(frozen=True)
-class QBosonFamily:
-    """Deformed ladder pair with its magnitude sequence and the rhs(N) it solves."""
-
-    lower: LinearOperator
-    raise_: LinearOperator
-    number: LinearOperator
-    q_squared: float
-    rhs: LinearOperator
-    beta: np.ndarray
-
-    @property
-    def space(self) -> FockSpace:
-        return self.lower.space
 
 
 def family_on_space(space: FockSpace, mode: int, q_squared: float,
@@ -83,19 +68,14 @@ def family_on_space(space: FockSpace, mode: int, q_squared: float,
     if not 0.0 < q_squared < 1.0:
         raise ValueError(f"q_squared must lie in (0, 1), got {q_squared}")
     cutoff = space.cutoffs[space._check_mode(mode)]
-    values = [rhs(n) for n in range(cutoff + 1)]
+    values = np.array([rhs(n) for n in range(cutoff + 1)], dtype=float)
     beta = np.zeros(cutoff + 1)
     for n in range(cutoff):
         if values[n] < 0:
             raise ValueError(
                 f"rhs({n}) = {values[n]} is negative: magnitudes must stay nonnegative")
         beta[n + 1] = values[n] + q_squared * beta[n]
-    beta.flags.writeable = False
-    lower = operator_on_mode(space, mode, np.sqrt(beta), lower=1)
-    return QBosonFamily(lower=lower, raise_=lower.adjoint(),
-                        number=operator_on_mode(space, mode, np.arange(cutoff + 1)),
-                        q_squared=q_squared, rhs=operator_on_mode(space, mode, np.array(values)),
-                        beta=beta)
+    return QBosonFamily(space, mode, q_squared, beta, values)
 
 
 def standard_rhs(type_tag: str, q_squared: float) -> Callable[[int], float]:
@@ -219,16 +199,10 @@ def expectation_recipe(a_choice: str, d0_choice: str, q_squared: float,
         raise ValueError("alpha must be nonnegative")
     space = make_space(cutoffs)
 
-    if a_choice == "phase":
-        pair = phase_pair(space, 1)
-    elif a_choice == "boson":
-        pair = ladder(space, 1)
-    else:
-        pair = alpha_phase_pair(space, 1, alpha)
-    if d0_choice == "identity":
-        d0 = identity_operator(space)
-    else:
-        d0 = theta_operator(space, 1, alpha)
+    # A± is the boson or the (shifted-vacuum) phase pair; D0 = theta(N - alpha) is 1 at 0.
+    pair = ladder(space, 1) if a_choice == "boson" else alpha_phase_pair(
+        space, 1, alpha if a_choice == "alpha_phase" else 0)
+    d0 = theta_operator(space, 1, alpha if d0_choice == "theta" else 0)
 
     rho = thermal_density(space, 1, ThermalParams.from_q_squared(q_squared))
     if rho.tail_mass > RECIPE_TAIL_BUDGET:

@@ -141,6 +141,23 @@ def _info_check(name: str, relation: str, measured: float) -> Check:
                  residual=0.0, tolerance=None, tail_mass=0.0, passed=True)
 
 
+# The multimode and chevalley suites may hold this many complex entries at once
+# (720 MB); README's suite notes give the operator counts and their measurement.
+HELD_ENTRY_LIMIT = 45_000_000
+
+
+def _check_held_operators(suite: str, held: int, modes: int, cutoff: int) -> None:
+    """Refuse `held` operators of (cutoff + 1)^modes entries past HELD_ENTRY_LIMIT."""
+    entries = held
+    for _ in range(modes):
+        entries *= cutoff + 1
+        if entries > HELD_ENTRY_LIMIT:
+            raise ConfigError(
+                f"the {suite} suite holds {held} operators of (cutoff + 1)^modes entries "
+                f"at once, more than {HELD_ENTRY_LIMIT} in all: got --modes {modes} "
+                f"--cutoff {cutoff}")
+
+
 # -- individual suites ---------------------------------------------------------
 
 def cuntz_suite(cutoff: int, margin: int | str, norm: str, tolerance: float) -> list[Check]:
@@ -388,8 +405,8 @@ def alpha_suite(cutoff: int, alpha: tuple[int, ...], norm: str) -> list[Check]:
     checks = []
     for a in alpha:
         boson = alpha_boson(space, 1, a)
-        occupied = np.any([c != 0 for c in boson.triple.lower.diagonals.values()], axis=0)
-        zero_cols = space.dimension - int(np.count_nonzero(occupied))
+        # The number operator's diagonal is |column|^2 of lower: zero on the kernel.
+        zero_cols = int(np.count_nonzero(boson.triple.number.diagonal() == 0))
         checks.append(_value_check(
             f"alpha/kernel-dimension-{a}", "dim ker a(alpha) = alpha + 1",
             float(zero_cols), float(a + 1), 0.0))
@@ -420,6 +437,7 @@ def multimode_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> lis
         raise ConfigError(f"the multimode suite needs --modes >= 2, got {modes}")
     if cutoff < 2:
         raise ConfigError(f"the multimode suite needs --cutoff >= 2, got {cutoff}")
+    _check_held_operators("multimode", modes * modes + 5 * modes + 6, modes, cutoff)
     q = math.sqrt(q_squared)
     family = mm.covariant_bosons(modes, q, [cutoff] * modes)
     rmatrix = mm.su_r_matrix(modes, q)
@@ -498,6 +516,7 @@ def chevalley_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> lis
         raise ConfigError(f"the chevalley suite needs --modes >= 2, got {modes}")
     if cutoff < 3:
         raise ConfigError(f"the chevalley suite needs --cutoff >= 3, got {cutoff}")
+    _check_held_operators("chevalley", modes * modes + 2 * modes + 4, modes, cutoff)
     q = math.sqrt(q_squared)
     cutoffs = [cutoff] * modes
     # The Cartan-sector rows come from the symmetric variant; the unit-target

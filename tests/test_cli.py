@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qboson_kit import cli, ladder, make_space, su_r_matrix
+from qboson_kit import cli, ladder, make_space, su_r_matrix, suites
 from qboson_kit.dump import format_operator, format_rmatrix, parse_operator_dump
 from qboson_kit.qboson import precision_capped_cutoff
 from qboson_kit.suites import (
@@ -316,6 +316,18 @@ def test_dump_size_error_names_the_flag(args, message, capsys):
     (["--suite", "chevalley", "--modes", "1"], "the chevalley suite needs --modes >= 2, got 1"),
     (["--suite", "rmatrix", "--modes", "1"], "the rmatrix suite needs --modes >= 2, got 1"),
     (["--suite", "rmatrix", "--modes", "15"], "the rmatrix suite needs --modes <= 14, got 15"),
+    (["--suite", "multimode", "--modes", "9", "--cutoff", "4"],
+     "the multimode suite holds 132 operators of (cutoff + 1)^modes entries at once, more "
+     "than 45000000 in all: got --modes 9 --cutoff 4"),
+    (["--suite", "multimode", "--modes", "2", "--cutoff", "1500"],
+     "the multimode suite holds 20 operators of (cutoff + 1)^modes entries at once, more "
+     "than 45000000 in all: got --modes 2 --cutoff 1500"),
+    (["--suite", "multimode", "--modes", "1000000000", "--cutoff", "2"],
+     "the multimode suite holds 1000000005000000006 operators of (cutoff + 1)^modes entries "
+     "at once, more than 45000000 in all: got --modes 1000000000 --cutoff 2"),
+    (["--suite", "chevalley", "--modes", "9", "--cutoff", "4"],
+     "the chevalley suite holds 103 operators of (cutoff + 1)^modes entries at once, more "
+     "than 45000000 in all: got --modes 9 --cutoff 4"),
 ])
 def test_run_size_error_names_the_flag(args, message, capsys):
     assert cli.main(["run", *args]) == 2
@@ -332,6 +344,25 @@ def test_run_size_error_names_the_flag(args, message, capsys):
 def test_rmatrix_rank_error_under_one_gib(args, message):
     """Ranks whose dense R-matrix products would need 61 GiB (Yang-Baxter at 40) or
     121 GiB (R at 300) exit 2 with the flag named, also with 1 GiB of address space."""
+    assert_size_error_under_one_gib(args, message)
+
+
+@pytest.mark.parametrize("args,message", [
+    (["run", "--suite", "multimode", "--modes", "13", "--cutoff", "2"],
+     "the multimode suite holds 240 operators of (cutoff + 1)^modes entries at once, more "
+     "than 45000000 in all: got --modes 13 --cutoff 2"),
+    (["run", "--suite", "chevalley", "--modes", "11", "--cutoff", "3"],
+     "the chevalley suite holds 147 operators of (cutoff + 1)^modes entries at once, more "
+     "than 45000000 in all: got --modes 11 --cutoff 3"),
+])
+def test_held_operators_error_under_one_gib(args, message):
+    """Sizes whose operators would need about 6 GB (multimode N=13, cutoff 2) or
+    10 GB (chevalley N=11, cutoff 3) exit 2 with the flags named before anything is
+    built, also with 1 GiB of address space."""
+    assert_size_error_under_one_gib(args, message)
+
+
+def assert_size_error_under_one_gib(args, message):
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -340,6 +371,24 @@ def test_rmatrix_rank_error_under_one_gib(args, message):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("suite,modes,cutoff", [
+    ("multimode", 7, 4), ("multimode", 8, 4), ("multimode", 2, 1499), ("chevalley", 8, 4)])
+def test_held_operators_bound_admits_the_scale_points(suite, modes, cutoff, monkeypatch):
+    """These sizes pass the size checks and reach the builders (stopped there: multimode
+    N=8 at cutoff 4 alone takes 8 s and 0.67 GB)."""
+    class Admitted(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Admitted
+
+    monkeypatch.setattr(suites.mm, "covariant_bosons", stop)
+    monkeypatch.setattr(suites.mm, "chevalley_check", stop)
+    with pytest.raises(Admitted):
+        suites.SUITE_TABLE[suite].build(q_squared=0.5, modes=modes, cutoff=cutoff,
+                                        norm="spectral")
 
 
 def test_run_huge_tolerance_needs_no_precision_cap():

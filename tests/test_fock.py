@@ -48,7 +48,7 @@ def test_make_space_rejects_degenerate_input():
     with pytest.raises(ValueError):
         make_space([0, 3])
     with pytest.raises(DimensionLimitError):
-        make_space([99, 99, 99, 99], max_dimension=10 ** 6)
+        make_space([99, 99, 99, 99])
 
 
 @settings(max_examples=60, deadline=None)

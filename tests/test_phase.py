@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qboson_kit import (
     ThermalParams,
-    alpha_adjoint,
     alpha_boson,
     alpha_phase_pair,
     basis_state,
@@ -13,6 +14,7 @@ from qboson_kit import (
     ladder,
     make_space,
     number_state_projector,
+    operator_on_mode,
     phase_pair,
     relation_residual,
     sqrt_number_operator,
@@ -20,6 +22,20 @@ from qboson_kit import (
     thermal_density,
 )
 from qboson_kit.fock import machine_zero_bound
+from qboson_kit.qboson import defining_relation_residual
+
+
+def shift_power(space, mode, alpha):
+    """e^alpha as a product of phase_pair lowers (the identity at alpha = 0)."""
+    e = phase_pair(space, mode).lower
+    out = identity_operator(space)
+    for _ in range(alpha):
+        out = out @ e
+    return out
+
+
+def diagonal_bytes(op):
+    return tuple((d, c.tobytes()) for d, c in sorted(op.diagonals.items()))
 
 
 def test_shift_action():
@@ -97,7 +113,8 @@ def test_forward_adjoint_of_step_shifts_threshold_down():
     """The literal sandwich e+^a theta(N-a) e^a equals theta(N - 2a)."""
     space = make_space([12])
     for a in (1, 2):
-        out = alpha_adjoint(space, 1, theta_operator(space, 1, a), a)
+        e_a = shift_power(space, 1, a)
+        out = e_a.adjoint() @ theta_operator(space, 1, a) @ e_a
         expected = theta_operator(space, 1, 2 * a)
         assert (out.matrix != expected.matrix).nnz == 0
 
@@ -105,14 +122,16 @@ def test_forward_adjoint_of_step_shifts_threshold_down():
 def test_alpha_adjoint_zero_power_is_identity_map():
     space = make_space([5])
     x = ladder(space, 1).lower
-    assert alpha_adjoint(space, 1, x, 0) is x
+    e_0 = shift_power(space, 1, 0)
+    assert diagonal_bytes(e_0.adjoint() @ x @ e_0) == diagonal_bytes(x)
 
 
 def test_alpha_adjoint_of_shift():
     """e conjugated by two shift powers moves |n> to |n-1> only for n >= 3."""
     space = make_space([8])
     pair = phase_pair(space, 1)
-    out = alpha_adjoint(space, 1, pair.lower, 2)
+    e_2 = shift_power(space, 1, 2)
+    out = e_2.adjoint() @ pair.lower @ e_2
     for n in range(9):
         image = out.apply(basis_state(space, [n]))
         if n >= 3:
@@ -171,3 +190,34 @@ def test_alpha_phase_defect_is_projector():
         pair = alpha_phase_pair(space, 1, a)
         defect = pair.lower @ pair.raise_ - pair.raise_ @ pair.lower
         assert relation_residual(defect, number_state_projector(space, 1, a), margin=1) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=3))
+def test_ladder_constructors_match_independent_routes(cutoffs):
+    """Each ladder constructor stores the same diagonal bytes as a route built from
+    public operators: the boson from sqrt(n), the phase pair from unit amplitudes,
+    and the shifted-vacuum pairs as the conjugations e+^a a e^a and e+^a e e^a."""
+    space = make_space(cutoffs)
+    for mode, cutoff in enumerate(cutoffs, start=1):
+        n = np.arange(cutoff + 1, dtype=float)
+        a = operator_on_mode(space, mode, np.sqrt(n), lower=1)
+        boson = ladder(space, mode)
+        assert diagonal_bytes(boson.lower) == diagonal_bytes(a)
+        assert diagonal_bytes(boson.raise_) == diagonal_bytes(a.adjoint())
+        assert diagonal_bytes(boson.number) == diagonal_bytes(operator_on_mode(space, mode, n))
+
+        e = operator_on_mode(space, mode, np.ones(cutoff + 1), lower=1)
+        pair = phase_pair(space, mode)
+        assert diagonal_bytes(pair.lower) == diagonal_bytes(e)
+        assert diagonal_bytes(pair.raise_) == diagonal_bytes(e.adjoint())
+        if min(cutoffs) >= 2:
+            assert defining_relation_residual(pair) == 0.0
+
+        for alpha in range(cutoff + 1):
+            e_a = shift_power(space, mode, alpha)
+            if alpha <= cutoff - 2:
+                shifted = alpha_boson(space, mode, alpha).triple.lower
+                assert diagonal_bytes(shifted) == diagonal_bytes(e_a.adjoint() @ a @ e_a)
+            shifted = alpha_phase_pair(space, mode, alpha).lower
+            assert diagonal_bytes(shifted) == diagonal_bytes(e_a.adjoint() @ e @ e_a)
