@@ -3,7 +3,9 @@
 Covers general statistical mixtures, pure states, the geometric (thermal)
 distribution with its temperature-to-deformation map q^2 = exp(-e0 / kT),
 coherent states with Poisson number statistics, and the large-amplitude
-asymptotics of the shift-operator expectation.
+asymptotics of the shift-operator expectation.  Densities are built through
+fock's constructors and operator algebra, never from stored diagonals, and
+the Poisson sums are evaluated here in log space, without scipy.
 
 Truncated thermal states are renormalized to unit trace and carry the lost
 probability weight as `tail_mass`; numeric comparisons against the closed
@@ -22,9 +24,8 @@ from .fock import (
     FockSpace,
     LinearOperator,
     StateVector,
-    _shift,
-    _tidy,
     diagonal_operator,
+    outer_product,
 )
 from .phase import phase_pair
 
@@ -69,20 +70,16 @@ class DensityOperator:
     op: LinearOperator
     tail_mass: float
 
-    @property
-    def space(self) -> FockSpace:
-        return self.op.space
-
 
 def mixture_density(states: Sequence[StateVector], probs: Sequence[float]) -> DensityOperator:
     """Statistical mixture sum_R P_R |R><R|.
 
-    Each term fills only the diagonals its state's support reaches, so memory
-    is (number of distinct flat offsets between support states) x dim: one
-    diagonal for a number state, 2 cutoff + 1 for a coherent state of one
-    mode.  Probabilities must be nonnegative and sum to 1 within 1e-10; each
-    state must be normalized.  A single-state mixture is pure (and then
-    idempotent).
+    Each term is `fock.outer_product(R)` scaled by P_R, so it fills only the
+    diagonals its state's support reaches, and memory is (number of distinct
+    flat offsets between support states) x dim: one diagonal for a number
+    state, 2 cutoff + 1 for a coherent state of one mode.  Probabilities must
+    be nonnegative and sum to 1 within 1e-10; each state must be normalized.
+    A single-state mixture is pure (and then idempotent).
     """
     if len(states) == 0:
         raise ValueError("at least one state is required")
@@ -94,19 +91,15 @@ def mixture_density(states: Sequence[StateVector], probs: Sequence[float]) -> De
     if abs(p.sum() - 1.0) > 1e-10:
         raise ValueError(f"probabilities sum to {p.sum()}, expected 1")
     space = states[0].space
-    diagonals: dict[int, np.ndarray] = {}
-    for state, weight in zip(states, p):
+    for state in states:
         if state.space != space:
             raise ValueError("all states must live on the same space")
         if not state.normalized():
             raise ValueError(f"state with norm {state.norm()} is not normalized")
-        # |psi><psi| puts psi_i conj(psi_j) on diagonal j - i, which only the
-        # differences of the support reach.
-        psi = state.amplitudes
-        support = np.flatnonzero(psi)
-        for d in np.unique(support[None, :] - support[:, None]).tolist():
-            diagonals[d] = diagonals.get(d, 0.0) + weight * (_shift(psi, d) * psi.conjugate())
-    return DensityOperator(op=LinearOperator(space, _tidy(diagonals)), tail_mass=0.0)
+    # Starting from the zero operator adds every term to +0, which makes a lone -0 part +0.
+    rho = sum((outer_product(state) * weight for state, weight in zip(states, p)),
+              LinearOperator(space, {}))
+    return DensityOperator(op=rho, tail_mass=0.0)
 
 
 def pure_density(state: StateVector) -> DensityOperator:
@@ -172,52 +165,58 @@ def coherent_density(space: FockSpace, mode: int, z: complex,
                      intensity_limit: float | None = None) -> DensityOperator:
     """Projector density |z><z| for a truncated coherent state."""
     state = coherent_state(space, mode, z, intensity_limit)
-    d = pure_density(state)
-    # Poisson tail beyond the cutoff, lost before normalization.
-    cutoff = space.cutoffs[space._check_mode(mode)]
-    from scipy.special import pdtrc
+    # The Poisson tail beyond the cutoff, lost before normalization: summed
+    # directly when the mode lies below it, else one minus the head.
+    x, cutoff = abs(z) ** 2, space.cutoffs[space._check_mode(mode)]
+    if x == 0.0:
+        tail = 0.0
+    elif x < cutoff + 1:
+        tail = _poisson_series(x, cutoff + 1)
+    else:
+        tail = 1.0 - _poisson_series(x, 0, cutoff)
+    return DensityOperator(op=pure_density(state).op, tail_mass=tail)
 
-    tail = float(pdtrc(cutoff, abs(z) ** 2))
-    return DensityOperator(op=d.op, tail_mass=tail)
+
+def _poisson_series(x: float, first: int, last: float = math.inf,
+                    scale=lambda n: 1.0) -> float:
+    """sum over first <= n <= last of exp(-x) x^n / n! / scale(n), for x > 0.
+
+    Summed outward from the Poisson mode clamped to [first, last], whose term
+    is evaluated in log space so it stays in range for large x; each direction
+    stops when its terms fall to 1e-16 of the sum (or underflow to 0).
+    """
+    n0 = min(max(first, int(x)), last)
+    p0 = math.exp(-x + n0 * math.log(x) - math.lgamma(n0 + 1))
+    total = p0 / scale(n0)
+    p, n = p0, n0
+    while n < last:
+        n += 1
+        p *= x / n
+        term = p / scale(n)
+        total += term
+        if term <= 1e-16 * total:
+            break
+    p, n = p0, n0
+    while n > first:
+        p *= n / x
+        n -= 1
+        term = p / scale(n)
+        total += term
+        if term <= 1e-16 * total:
+            break
+    return total
 
 
 def shift_expectation_series(z: complex) -> complex:
     """<z| e |z> for the untruncated coherent state, by direct summation.
 
-    Equals z exp(-|z|^2) sum_n |z|^(2n) / sqrt(n! (n+1)!).  Terms are summed
-    outward from the Poisson mode so the evaluation stays in range for large
-    amplitudes; summation stops when terms fall below 1e-16 relative to the
-    running sum.
+    Equals z exp(-|z|^2) sum_n |z|^(2n) / sqrt(n! (n+1)!), the Poisson
+    weights divided by sqrt(n + 1).
     """
     x = abs(z) ** 2
     if x == 0.0:
         return 0.0
-    n0 = int(x)
-    # log of the Poisson weight exp(-x) x^n / n! at the mode
-    logp0 = -x + n0 * math.log(x) - math.lgamma(n0 + 1)
-    p0 = math.exp(logp0)
-    total = p0 / math.sqrt(n0 + 1.0)
-    # upward
-    p = p0
-    n = n0
-    while True:
-        n += 1
-        p *= x / n
-        term = p / math.sqrt(n + 1.0)
-        total += term
-        if term < 1e-16 * total:
-            break
-    # downward
-    p = p0
-    n = n0
-    while n > 0:
-        p *= n / x
-        n -= 1
-        term = p / math.sqrt(n + 1.0)
-        total += term
-        if term < 1e-16 * total:
-            break
-    return z * total
+    return z * _poisson_series(x, 0, scale=lambda n: math.sqrt(n + 1.0))
 
 
 @dataclass(frozen=True)

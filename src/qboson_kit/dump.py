@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import LinearOperator, _row_major
+from .fock import LinearOperator
 from .multimode import RMatrix
 
 
@@ -26,7 +26,7 @@ def format_operator(op: LinearOperator) -> str:
     space = op.space
     header = (f"dim {space.dimension} modes {space.mode_count} "
               f"cutoffs {','.join(str(c) for c in space.cutoffs)}")
-    return "\n".join([header] + _entry_lines(*_row_major(op))) + "\n"
+    return "\n".join([header] + _entry_lines(*op.entries())) + "\n"
 
 
 def format_rmatrix(rmatrix: RMatrix) -> str:

@@ -2,8 +2,10 @@
 
 Every mode carries an occupation cutoff; the basis is the set of multi-indices
 (n_1, ..., n_M) with 0 <= n_i <= cutoff_i, enumerated row-major with mode 1
-slowest.  Operators are immutable matrices stored as diagonals; a ladder on
-one mode is a QBosonFamily, the boson its member at q^2 = 1.  Algebraic
+slowest.  Operators are immutable matrices stored as diagonals; this module
+alone knows that format: the LinearOperator constructor makes every operator
+canonical, and `entries()` exports the row-major nonzero entries.  A ladder
+on one mode is a QBosonFamily, the boson its member at q^2 = 1.  Algebraic
 identities that hold in the untruncated algebra are checked on a "safe
 subspace" (states at least `margin` steps below every cutoff), where they
 hold to machine precision.
@@ -144,17 +146,6 @@ def _shift(x: np.ndarray, s: int) -> np.ndarray:
     return y
 
 
-def _tidy(diagonals: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """Store every zero entry as +0 and drop all-zero diagonals (the arrays are fresh)."""
-    kept = {}
-    for d, c in diagonals.items():
-        zero = c == 0
-        if np.count_nonzero(zero) < len(c):
-            np.putmask(c, zero, 0)
-            kept[d] = c
-    return kept
-
-
 @dataclass(frozen=True, eq=False)
 class LinearOperator:
     """Immutable complex matrix on a FockSpace, stored as its nonzero diagonals.
@@ -162,8 +153,10 @@ class LinearOperator:
     `diagonals` maps a flat offset d to a complex array c of length
     `dimension`, c[j] being the entry (j - d, j) and zero where that row is
     outside the matrix.  A single-mode operator is one diagonal, and a
-    product of diagonals d1 and d2 lands on d1 + d2.  Zero entries are +0,
-    all-zero diagonals are dropped, and the arrays are never written again.
+    product of diagonals d1 and d2 lands on d1 + d2.  The constructor takes
+    ownership of the arrays and makes the operator canonical: zero entries
+    are stored as +0, all-zero diagonals are dropped, and the arrays are
+    never written again.
     """
 
     space: FockSpace
@@ -171,17 +164,23 @@ class LinearOperator:
 
     def __post_init__(self):
         dim = self.space.dimension
+        kept = {}
         for d, c in self.diagonals.items():
             if not -dim < d < dim or getattr(c, "shape", None) != (dim,) or c.dtype != complex:
                 raise ValueError(f"diagonal {d}: expected a complex array of length {dim} "
                                  f"at an offset inside ({-dim}, {dim})")
+            zero = np.logical_not(c)  # c == 0, faster for complex arrays
+            if np.count_nonzero(zero) < dim:
+                np.putmask(c, zero, 0)
+                kept[d] = c
+        object.__setattr__(self, "diagonals", kept)
 
     @cached_property
     def matrix(self):
         """The operator as a scipy.sparse CSR matrix, built on first access."""
         import scipy.sparse as sp
 
-        rows, cols, values = _row_major(self)
+        rows, cols, values = self.entries()
         return sp.csr_matrix((values, (rows, cols)), shape=(self.space.dimension,) * 2)
 
     # -- algebra -----------------------------------------------------------
@@ -198,13 +197,13 @@ class LinearOperator:
                     lo, hi = max(d2, 0), dim + min(d2, 0)
                     c = out.setdefault(d1 + d2, np.zeros(dim, dtype=complex))
                     c[lo:hi] += self.diagonals[d1][lo - d2:hi - d2] * b[lo:hi]
-        return LinearOperator(self.space, {d: c for d, c in out.items() if c.any()})
+        return LinearOperator(self.space, out)
 
     def _merge(self, other: "LinearOperator", op) -> "LinearOperator":
         _require_same_space(self.space, other.space)
         a, b = self.diagonals, other.diagonals
-        return LinearOperator(self.space, _tidy({d: op(a.get(d, 0.0), b.get(d, 0.0))
-                                                 for d in a.keys() | b.keys()}))
+        return LinearOperator(self.space, {d: op(a.get(d, 0.0), b.get(d, 0.0))
+                                           for d in a.keys() | b.keys()})
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
         return self._merge(other, np.add)
@@ -213,8 +212,7 @@ class LinearOperator:
         return self._merge(other, np.subtract)
 
     def __mul__(self, scalar: complex) -> "LinearOperator":
-        return LinearOperator(self.space,
-                              _tidy({d: c * scalar for d, c in self.diagonals.items()}))
+        return LinearOperator(self.space, {d: c * scalar for d, c in self.diagonals.items()})
 
     __rmul__ = __mul__
 
@@ -223,8 +221,8 @@ class LinearOperator:
 
     def adjoint(self) -> "LinearOperator":
         # Entry (j - d, j) moves to (j, j - d): diagonal -d, column j - d.
-        return LinearOperator(self.space, _tidy({-d: _shift(np.conjugate(c), -d)
-                                                 for d, c in self.diagonals.items()}))
+        return LinearOperator(self.space, {-d: _shift(np.conjugate(c), -d)
+                                           for d, c in self.diagonals.items()})
 
     def apply(self, state: StateVector) -> StateVector:
         _require_same_space(self.space, state.space)
@@ -240,8 +238,12 @@ class LinearOperator:
     def trace(self) -> complex:
         return complex(self.diagonal().sum())
 
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and values of the nonzero entries, by row, then column."""
+        return _row_major(self.diagonals, self.space.dimension)
+
     def toarray(self) -> np.ndarray:
-        rows, cols, values = _row_major(self)
+        rows, cols, values = self.entries()
         dense = np.zeros((self.space.dimension,) * 2, dtype=complex)
         dense[rows, cols] = values
         return dense
@@ -259,7 +261,7 @@ class LinearOperator:
             raise ValueError(f"unknown norm kind {kind!r}")
         if kind == "spectral" and len(self.diagonals) <= 1:
             return max((float(np.abs(c).max()) for c in self.diagonals.values()), default=0.0)
-        rows, cols, values = _row_major(self)
+        rows, cols, values = self.entries()
         if kind == "frobenius":
             return float(np.sqrt(np.sum(np.abs(values) ** 2)))
         kept_rows, kept_cols = np.unique(rows), np.unique(cols)
@@ -274,13 +276,13 @@ class LinearOperator:
         return float(np.linalg.norm(block, 2))
 
 
-def _row_major(op: LinearOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and values of the nonzero entries, by row, then column."""
-    offsets = np.array(sorted(op.diagonals), dtype=np.int64)
+def _row_major(diagonals: dict[int, np.ndarray], dim: int):
+    """`LinearOperator.entries` of the matrix with these diagonals (zeros skipped)."""
+    offsets = np.array(sorted(diagonals), dtype=np.int64)
     # Row i of `grid` holds the entries (i, i + d) in ascending d.
-    grid = np.zeros((op.space.dimension, len(offsets)), dtype=complex)
+    grid = np.zeros((dim, len(offsets)), dtype=complex)
     for k, d in enumerate(offsets.tolist()):
-        grid[:, k] = _shift(op.diagonals[d], -d)
+        grid[:, k] = _shift(diagonals[d], -d)
     rows, k = np.divmod(np.flatnonzero(grid), max(len(offsets), 1))
     return rows, rows + offsets[k], grid[rows, k]
 
@@ -289,12 +291,19 @@ def identity_operator(space: FockSpace) -> LinearOperator:
     return LinearOperator(space, {0: np.ones(space.dimension, dtype=complex)})
 
 
+def outer_product(state: StateVector) -> LinearOperator:
+    """|psi><psi|, stored on the diagonals j - i that the support of psi reaches."""
+    psi, support = state.amplitudes, np.flatnonzero(state.amplitudes)
+    offsets = np.unique(support[None, :] - support[:, None]).tolist()
+    return LinearOperator(state.space, {d: _shift(psi, d) * psi.conjugate() for d in offsets})
+
+
 def diagonal_operator(space: FockSpace, values: np.ndarray) -> LinearOperator:
     """Diagonal operator from a length-`dimension` vector of eigenvalues."""
     vals = np.array(values, dtype=complex)
     if vals.shape != (space.dimension,):
         raise ValueError(f"diagonal has shape {vals.shape}, expected ({space.dimension},)")
-    return LinearOperator(space, _tidy({0: vals}))
+    return LinearOperator(space, {0: vals})
 
 
 def operator_on_mode(space: FockSpace, mode: int, values: np.ndarray,
@@ -316,7 +325,7 @@ def operator_on_mode(space: FockSpace, mode: int, values: np.ndarray,
         raise ValueError(f"lower {lower} outside [0, {cutoff}] for mode {mode}")
     offset = lower * int(np.prod(space.shape[k + 1:], dtype=np.int64))
     n = space.occupations[:, k]
-    return LinearOperator(space, _tidy({offset: np.where(n >= lower, vals[n], 0.0)}))
+    return LinearOperator(space, {offset: np.where(n >= lower, vals[n], 0.0)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,10 +402,11 @@ def expectation(rho, op: LinearOperator) -> complex:
     rho_op = getattr(rho, "op", rho)
     _require_same_space(rho_op.space, op.space)
     # Tr(AB) = sum_ij A_ij B_ji: diagonal d of A meets diagonal -d of B at
-    # b[j - d], and the nonzero products are summed in row-major order.
+    # b[j - d], and the nonzero products are summed in row-major order.  They
+    # are not made an operator: canonicalizing them would only cost time.
     products = {d: a * _shift(op.diagonals[-d], d)
                 for d, a in rho_op.diagonals.items() if -d in op.diagonals}
-    return complex(np.sum(_row_major(LinearOperator(op.space, products))[2]))
+    return complex(np.sum(_row_major(products, op.space.dimension)[2]))
 
 
 # -- residual measurement ---------------------------------------------------
@@ -420,7 +430,7 @@ def relation_residual(lhs: LinearOperator, rhs: LinearOperator, margin: int,
     a, b = lhs.diagonals, rhs.diagonals
     block = {d: np.where(keep & _shift(keep, d), a.get(d, 0.0) - b.get(d, 0.0), 0)
              for d in a.keys() | b.keys()}
-    return LinearOperator(space, _tidy(block)).norm(norm)
+    return LinearOperator(space, block).norm(norm)
 
 
 def machine_zero_bound(space: FockSpace) -> float:

@@ -119,26 +119,19 @@ class Check:
     passed: bool
 
 
-def _value_check(name: str, relation: str, measured: float, expected: float,
-                 tolerance: float, tail_mass: float = 0.0) -> Check:
-    residual = float(abs(measured - expected))
-    return Check(name=name, relation=relation, measured=float(measured),
-                 expected=float(expected), residual=residual,
-                 tolerance=float(tolerance), tail_mass=float(tail_mass),
-                 passed=bool(residual <= tolerance))
-
-
-def _residual_check(name: str, relation: str, residual: float, tolerance: float,
-                    tail_mass: float = 0.0) -> Check:
+def _check(name: str, relation: str, residual: float, tolerance: float | None,
+           measured: float | None = None, expected: float | None = None,
+           tail_mass: float = 0.0, strict: bool = False) -> Check:
+    """The one way to make a Check: it passes when residual <= tolerance
+    (< when `strict`), and always when the tolerance is None."""
     residual = float(residual)
-    return Check(name=name, relation=relation, measured=None, expected=None,
-                 residual=residual, tolerance=float(tolerance),
-                 tail_mass=float(tail_mass), passed=bool(residual <= tolerance))
-
-
-def _info_check(name: str, relation: str, measured: float) -> Check:
-    return Check(name=name, relation=relation, measured=float(measured), expected=None,
-                 residual=0.0, tolerance=None, tail_mass=0.0, passed=True)
+    tolerance = None if tolerance is None else float(tolerance)
+    passed = tolerance is None or (residual < tolerance if strict else residual <= tolerance)
+    return Check(name=name, relation=relation,
+                 measured=None if measured is None else float(measured),
+                 expected=None if expected is None else float(expected),
+                 residual=residual, tolerance=tolerance, tail_mass=float(tail_mass),
+                 passed=bool(passed))
 
 
 # The multimode and chevalley suites may hold this many complex entries at once
@@ -190,7 +183,7 @@ def cuntz_suite(cutoff: int, margin: int | str, norm: str, tolerance: float) -> 
         ("cuntz/shift-right-inverse", "e e+ = 1",
          pair.lower @ pair.raise_, one, m(2)),
     ]
-    return [_residual_check(name, relation, relation_residual(lhs, rhs, mg, norm=norm), tolerance)
+    return [_check(name, relation, relation_residual(lhs, rhs, mg, norm=norm), tolerance)
             for name, relation, lhs, rhs, mg in specs]
 
 
@@ -212,8 +205,9 @@ def thermal_suite(q_squared: float, cutoff: int, tolerance: float) -> list[Check
     q2 = q_squared
 
     def value(name: str, relation: str, op, analytic: float) -> Check:
-        return _value_check(f"thermal/{name}", relation, expectation(rho, op).real, analytic,
-                            analytic * max(tolerance, tail), tail)
+        measured = expectation(rho, op).real
+        return _check(f"thermal/{name}", relation, abs(measured - analytic),
+                      analytic * max(tolerance, tail), measured, analytic, tail)
 
     checks = [
         value("mean-occupation", "<a+ a> = q^2/(1-q^2)",
@@ -254,17 +248,17 @@ def coherent_suite(cutoff: int) -> list[Check]:
         label = _z_label(z)
         state = coherent_state(space, 1, z)
         shifted = triple.lower.apply(state).amplitudes - z * state.amplitudes
-        checks.append(_residual_check(
+        checks.append(_check(
             f"coherent/eigen-residual-z={label}", "a|z> = z|z>",
-            float(np.linalg.norm(shifted)), 1e-8))
+            np.linalg.norm(shifted), 1e-8))
         mean_n = state.inner(triple.number.apply(state)).real
-        checks.append(_value_check(
+        checks.append(_check(
             f"coherent/mean-number-z={label}", "<z|N|z> = |z|^2",
-            mean_n, abs(z) ** 2, 1e-8))
+            abs(mean_n - abs(z) ** 2), 1e-8, mean_n, abs(z) ** 2))
         probs = np.abs(state.amplitudes) ** 2
         dev = max(abs(probs[space.flat_index([n])] - poisson_probability(z, n))
                   for n in range(n_max + 1))
-        checks.append(_residual_check(
+        checks.append(_check(
             f"coherent/poisson-max-deviation-z={label}",
             "|<n|z>|^2 = exp(-|z|^2) |z|^(2n) / n!", dev, 1e-10))
     return checks
@@ -281,25 +275,21 @@ def asymptotics_suite(cutoff: int) -> list[Check]:
     for row in rows:
         label = _z_label(row.z)
         matrix_value = shift_expectation_matrix(space, 1, row.z)
-        checks.append(_residual_check(
+        checks.append(_check(
             f"asymptotics/series-vs-matrix-z={label}",
             "series and matrix evaluations of <z|e|z> agree",
             abs(row.exact - matrix_value), 1e-12))
         err_lead = abs(row.exact - row.leading)
-        checks.append(Check(
-            name=f"asymptotics/correction-beats-leading-z={label}",
-            relation="|exact - (z/|z|)(1 - 1/(8|z|^2))| < |exact - z/|z||",
-            measured=float(row.abs_error), expected=float(err_lead),
-            residual=float(row.abs_error), tolerance=float(err_lead),
-            tail_mass=0.0, passed=bool(row.abs_error < err_lead)))
+        checks.append(_check(
+            f"asymptotics/correction-beats-leading-z={label}",
+            "|exact - (z/|z|)(1 - 1/(8|z|^2))| < |exact - z/|z||",
+            row.abs_error, err_lead, row.abs_error, err_lead, strict=True))
         errors.append((abs(row.z), row.abs_error))
     errors.sort()
     for (z0, e0), (z1, e1) in zip(errors, errors[1:]):
-        checks.append(Check(
-            name=f"asymptotics/error-decreasing-|z|={z0:g}-to-{z1:g}",
-            relation="first-correction error decreases with |z|",
-            measured=float(e1), expected=float(e0), residual=float(e1),
-            tolerance=float(e0), tail_mass=0.0, passed=bool(e1 < e0)))
+        checks.append(_check(
+            f"asymptotics/error-decreasing-|z|={z0:g}-to-{z1:g}",
+            "first-correction error decreases with |z|", e1, e0, e1, e0, strict=True))
     return checks
 
 
@@ -317,13 +307,13 @@ def qboson_suite(q_squared: float, qtype: tuple[str, ...], cutoff: int,
     for t in qtype:
         eff = precision_capped_cutoff(q_squared, t, cutoff, tolerance)
         family = standard_qboson(t, q_squared, eff)
-        checks.append(_residual_check(
+        checks.append(_check(
             f"qboson/defining-relation-{t}",
             f"B- B+ - q^2 B+ B- = rhs_{t}(N) at cutoff {eff}",
             defining_relation_residual(family, margin=1, norm="spectral"), tolerance))
         closed = np.array([beta_closed_form(t, q_squared, n) for n in range(eff + 1)])
         dev = float(np.max(np.abs(family.beta - closed) / (1.0 + np.abs(closed))))
-        checks.append(_residual_check(
+        checks.append(_check(
             f"qboson/beta-closed-form-{t}",
             f"recursion magnitudes match the geometric closed form (cutoff {eff})",
             dev, 1e-12))
@@ -336,8 +326,8 @@ def recipe_suite(q_squared: float, cutoff: int, tolerance: float) -> list[Check]
     cutoffs = (cutoff, 8)
 
     def value(name: str, relation: str, measured: float, target: float, rel) -> Check:
-        return _value_check(f"recipe/{name}", relation, measured, target,
-                            abs(target) * max(tolerance, rel.tail_mass), rel.tail_mass)
+        return _check(f"recipe/{name}", relation, abs(measured - target),
+                      abs(target) * max(tolerance, rel.tail_mass), measured, target, rel.tail_mass)
 
     try:
         rel = expectation_recipe("phase", "identity", q2, cutoffs)
@@ -368,10 +358,10 @@ def recipe_suite(q_squared: float, cutoff: int, tolerance: float) -> list[Check]
         checks.append(value(f"step-gauge-alpha{a}-magnitude",
                             f"normalized rhs magnitude = (1-q^2) q^(2*{a})",
                             rel.normalized_rhs, (1.0 - q2) * q2 ** a, rel))
-        checks.append(_info_check(
+        checks.append(_check(
             f"recipe/step-gauge-alpha{a}-exponent-sign",
             "measured step-projector exponent sign (+1: rhs = (1-q^2) q^(+2 alpha))",
-            float(rel.rhs_exponent_sign)))
+            0.0, None, rel.rhs_exponent_sign))
 
     space = make_space(cutoffs)
     pair = phase_pair(space, 1)
@@ -379,7 +369,7 @@ def recipe_suite(q_squared: float, cutoff: int, tolerance: float) -> list[Check]
                              pair.raise_, identity_operator(space))
     dev = max(abs(pure.coeff_plus - 1.0), abs(pure.coeff_minus - 1.0),
               abs(pure.rhs - 1.0))
-    checks.append(_residual_check(
+    checks.append(_check(
         "recipe/algebraic-recovery",
         "pure-state averaging recovers undeformed coefficients (1, 1, 1)",
         dev, 1e-12))
@@ -387,10 +377,10 @@ def recipe_suite(q_squared: float, cutoff: int, tolerance: float) -> list[Check]
 
 
 def _closure_check(name: str, rel) -> Check:
-    return _residual_check(
+    return _check(
         name, "family rebuilt from the normalized relation satisfies it",
         defining_relation_residual(family_from_relation(rel, cutoff=20), margin=1),
-        max(1e-12, rel.tail_mass), rel.tail_mass)
+        max(1e-12, rel.tail_mass), tail_mass=rel.tail_mass)
 
 
 def alpha_suite(cutoff: int, alpha: tuple[int, ...], norm: str) -> list[Check]:
@@ -407,22 +397,22 @@ def alpha_suite(cutoff: int, alpha: tuple[int, ...], norm: str) -> list[Check]:
         boson = alpha_boson(space, 1, a)
         # The number operator's diagonal is |column|^2 of lower: zero on the kernel.
         zero_cols = int(np.count_nonzero(boson.triple.number.diagonal() == 0))
-        checks.append(_value_check(
+        checks.append(_check(
             f"alpha/kernel-dimension-{a}", "dim ker a(alpha) = alpha + 1",
-            float(zero_cols), float(a + 1), 0.0))
-        checks.append(_residual_check(
+            abs(zero_cols - (a + 1)), 0.0, zero_cols, a + 1))
+        checks.append(_check(
             f"alpha/commutator-step-{a}", "[a(alpha), a+(alpha)] = theta(N - alpha)",
             relation_residual(commutator(boson.triple.lower, boson.triple.raise_),
                               theta_operator(space, 1, a), margin=2, norm=norm),
             machine))
         diag = boson.triple.number.diagonal().real
         dev = max(abs(diag[space.flat_index([n + a])] - n) for n in range(cutoff - a + 1))
-        checks.append(_residual_check(
+        checks.append(_check(
             f"alpha/number-eigenvalues-{a}", "N(alpha) |n + alpha> = n |n + alpha>",
-            float(dev), machine))
+            dev, machine))
         pair = alpha_phase_pair(space, 1, a)
         defect = pair.lower @ pair.raise_ - pair.raise_ @ pair.lower
-        checks.append(_residual_check(
+        checks.append(_check(
             f"alpha/phase-defect-projector-{a}",
             "e(alpha) e+(alpha) - e+(alpha) e(alpha) = |alpha><alpha|",
             relation_residual(defect, number_state_projector(space, 1, a),
@@ -453,20 +443,20 @@ def multimode_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> lis
         "lower-raise": "B-i B+j = q B+j B-i (i != j)",
     }
     for key in sorted(groups):
-        checks.append(_residual_check(
+        checks.append(_check(
             f"multimode/N{modes}-{key}-max",
             relation_text.get(key, "R-matrix (RTT) form of the relations"), groups[key], 1e-12))
-    checks.append(_residual_check(
+    checks.append(_check(
         f"multimode/N{modes}-undressing",
         "inverse diagonal dressing recovers the independent pairs",
         mm.undressing_residual(family), 1e-13))
-    checks.append(_residual_check(
+    checks.append(_check(
         f"multimode/N{modes}-yang-baxter", "R12 R13 R23 = R23 R13 R12",
         mm.yang_baxter_residual(rmatrix), 1e-12))
-    checks.append(_info_check(
+    checks.append(_check(
         f"multimode/N{modes}-dressing-sign",
         "dressing exponent sign satisfying all relations",
-        float(family.dressing_exponent_sign)))
+        0.0, None, family.dressing_exponent_sign))
 
     q2 = q * q
     level_sets = [tuple()] + [tuple([1] * k) for k in range(1, modes)]
@@ -475,10 +465,10 @@ def multimode_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> lis
         dev = max(abs(res.coeff_plus - 1.0), abs(res.coeff_minus - q2),
                   abs(res.rhs - q2 ** sum(levels)))
         tolerance_row = max(1e-10, res.tail_mass)
-        checks.append(_residual_check(
+        checks.append(_check(
             f"multimode/N{modes}-recipe-row-{i}",
             "averaged coefficients reproduce (1, q^2, q^(2 sum levels))",
-            dev, tolerance_row, res.tail_mass))
+            dev, tolerance_row, tail_mass=res.tail_mass))
     return checks
 
 
@@ -500,11 +490,11 @@ def rmatrix_suite(q_squared: float, modes: tuple[int, ...]) -> list[Check]:
                     dev = max(dev, abs(rmatrix.entry(i, j, i, j) - 1.0))
                 if i < j:
                     dev = max(dev, abs(rmatrix.entry(i, j, j, i) - (q - 1.0 / q)))
-        checks.append(_residual_check(
+        checks.append(_check(
             f"rmatrix/entries-n{n}",
             "diagonal q, unit mixed diagonal, q - 1/q coupling below the diagonal",
             dev, 0.0))
-        checks.append(_residual_check(
+        checks.append(_check(
             f"rmatrix/yang-baxter-n{n}", "R12 R13 R23 = R23 R13 R12",
             mm.yang_baxter_residual(rmatrix), 1e-12))
     return checks
@@ -526,19 +516,18 @@ def chevalley_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> lis
     brackets = {("typeI_q2", base): residuals for base, residuals
                 in mm.ladder_bracket_residuals(unit, (q, q * q), norm).items()}
     brackets["typeII_symmetric", q] = report.ef_residuals
-    checks = [_residual_check(f"chevalley/N{modes}-{title}-max", relation,
-                              max(res.values()), 1e-12)
+    checks = [_check(f"chevalley/N{modes}-{title}-max", relation, max(res.values()), 1e-12)
               for title, relation, res in (
                   ("hh", "[H_i, H_j] = 0", report.hh_residuals),
                   ("cartan-e", "[H_i, E_j] = A_ij E_j", report.cartan_e_residuals),
                   ("cartan-f", "[H_i, F_j] = -A_ij F_j", report.cartan_f_residuals))]
     for (variant, base), residuals in brackets.items():
-        checks.append(_info_check(
+        checks.append(_check(
             f"chevalley/N{modes}-ef-bracket-{variant}-base={base:g}",
             "worst residual of [E_i, F_i] - [H_i] (reported per variant/base)",
-            max(residuals.values())))
+            0.0, None, max(residuals.values())))
     best = min(max(residuals.values()) for residuals in brackets.values())
-    checks.append(_residual_check(
+    checks.append(_check(
         f"chevalley/N{modes}-ef-bracket-best",
         "some (variant, base) realizes [E_i, F_i] = [H_i]",
         best, 1e-10))

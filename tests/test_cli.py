@@ -407,6 +407,22 @@ def test_import_needs_numpy_only():
     assert proc.stdout == "[]\n"
 
 
+def test_runtime_needs_no_scipy():
+    """Every CLI command and the coherent density run with scipy unimportable."""
+    probe = """
+import sys
+sys.modules["scipy"] = None
+from qboson_kit import cli, coherent_density, make_space
+assert cli.main(["run", "--suite", "all"]) == 0
+for op in cli.DUMP_FLAGS:
+    assert cli.main(["dump-operator", "--op", op]) == 0
+assert cli.main(["asymptotics", "--z", "4"]) == 0
+coherent_density(make_space([60]), 1, 2.0)
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 # Each file holds the output of `python -m qboson_kit dump-operator <args>`.  The
 # ops are those whose entries come from IEEE-exact arithmetic only (sqrt, +, *,
 # /), so the bytes do not depend on the platform's libm; types II and IV use pow

@@ -219,12 +219,15 @@ def test_coherent_density_expectation():
 
 
 @pytest.mark.parametrize("cutoff,z", [(10, 0.1), (10, 3.0j), (60, 4 * np.exp(1j)),
-                                      (100, 12.0), (600, -7.5), (25, 0.5 - 2j)])
+                                      (100, 12.0), (600, -7.5), (25, 0.5 - 2j),
+                                      (10, 100.0)])
 def test_coherent_tail_mass_is_the_poisson_survival_function(cutoff, z):
+    """The in-package tail sum against scipy's, to 1e-12 relative (0 exactly)."""
     from scipy.stats import poisson
 
     rho = coherent_density(make_space([cutoff]), 1, z, intensity_limit=math.inf)
-    assert rho.tail_mass == float(poisson.sf(cutoff, abs(z) ** 2))
+    assert rho.tail_mass == pytest.approx(float(poisson.sf(cutoff, abs(z) ** 2)),
+                                          rel=1e-12, abs=0.0)
 
 
 def test_thermal_product_density_with_pure_pin():

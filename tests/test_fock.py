@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from qboson_kit import (
     thermal_density,
     ThermalParams,
 )
+from qboson_kit import fock
 from qboson_kit.fock import machine_zero_bound
 
 
@@ -282,3 +285,11 @@ def test_number_state_projector():
     state = basis_state(space, [2])
     np.testing.assert_array_equal(p2.apply(state).amplitudes, state.amplitudes)
     assert p2.apply(basis_state(space, [1])).norm() == 0.0
+
+
+def test_only_fock_knows_the_diagonal_format():
+    """No other module reads the stored diagonals or names fock's private helpers."""
+    pattern = re.compile(r"\.diagonals\b|\b(_shift|_row_major|_tidy)\b")
+    for path in sorted(Path(fock.__file__).parent.glob("*.py")):
+        if path.name != "fock.py":
+            assert not pattern.search(path.read_text()), path.name

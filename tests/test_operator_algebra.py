@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qboson_kit import (
+    LinearOperator,
     StateVector,
     diagonal_operator,
     expectation,
@@ -134,3 +135,44 @@ def test_norms_and_residuals_match_dense_reference(data):
     assert_norms(relation_residual(x, y, margin, norm="spectral"),
                  relation_residual(x, y, margin, norm="frobenius"),
                  (xd - yd)[np.ix_(keep, keep)])
+
+
+signed_zero = st.sampled_from([0.0, -0.0])
+zero_entries = st.builds(complex, signed_zero, signed_zero)
+# Entries whose parts may be signed zeros: both zero, one zero, or neither.
+signed_entries = st.one_of(zero_entries,
+                           st.builds(complex, signed_zero, st.integers(-3, 3)),
+                           st.builds(complex, st.integers(-3, 3), signed_zero),
+                           gaussian)
+
+
+@st.composite
+def raw_operators(draw, space):
+    """An operator built from diagonals as a caller may hand them over, with its
+    dense matrix: -0 entries, lone zero parts and all-zero diagonals."""
+    dim = space.dimension
+    dense = np.zeros((dim, dim), dtype=complex)
+    diagonals = {}
+    for d in draw(st.lists(st.integers(1 - dim, dim - 1), max_size=4, unique=True)):
+        values = zero_entries if draw(st.booleans()) else signed_entries
+        c = np.array(draw(st.lists(values, min_size=dim, max_size=dim)), dtype=complex)
+        lo, hi = max(d, 0), dim + min(d, 0)
+        c[:lo] = c[hi:] = complex(-0.0, -0.0)
+        dense[np.arange(lo, hi) - d, np.arange(lo, hi)] = c[lo:hi]
+        diagonals[d] = c
+    return LinearOperator(space, diagonals), dense
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_constructor_and_algebra_keep_operators_canonical(data):
+    space = data.draw(spaces())
+    x, xd = data.draw(raw_operators(space))
+    y, yd = data.draw(raw_operators(space))
+    scalar = data.draw(signed_entries)
+    assert_matches(x, xd)
+    assert_matches(x @ y, xd @ yd)
+    assert_matches(x + y, xd + yd)
+    assert_matches(x - y, xd - yd)
+    assert_matches(scalar * x, scalar * xd)
+    assert_matches(x.adjoint(), xd.conj().T)
