@@ -72,6 +72,7 @@ from .qboson import (
     defining_relation_residual,
     expectation_recipe,
     family_from_relation,
+    recipe_relations,
     standard_qboson,
 )
 from .suites import SuiteConfig, SuiteReport, run_suite

@@ -138,8 +138,9 @@ def coherent_state(space: FockSpace, mode: int, z: complex,
     The default guard |z|^2 <= cutoff / 4 does not bound the lost Poisson
     tail by a fixed amount: at the guard's edge it is 1.1e-6 at cutoff 16
     and falls below 1e-8 only from cutoff 24 on.  Pass a larger
-    `intensity_limit` (or math.inf) to override.  Other modes are left in
-    the vacuum.
+    `intensity_limit` (or math.inf) to override; an intensity at which
+    z^n / sqrt(n!) or the norm of those amplitudes overflows below the
+    cutoff is refused all the same.  Other modes are left in the vacuum.
     """
     k = space._check_mode(mode)
     cutoff = space.cutoffs[k]
@@ -151,9 +152,14 @@ def coherent_state(space: FockSpace, mode: int, z: complex,
             f"for cutoff {cutoff}")
     amps = np.zeros(cutoff + 1, dtype=complex)
     amps[0] = 1.0
-    for n in range(cutoff):
-        amps[n + 1] = amps[n] * z / math.sqrt(n + 1)
-    amps /= np.linalg.norm(amps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(cutoff):
+            amps[n + 1] = amps[n] * z / math.sqrt(n + 1)
+        norm = np.linalg.norm(amps)
+    if not math.isfinite(norm):
+        raise TruncationAccuracyError(f"z^n / sqrt(n!) or its norm overflows at |z|^2 = "
+                                      f"{intensity:.4g} for cutoff {cutoff}")
+    amps /= norm
     full = np.zeros(space.dimension, dtype=complex)
     occ = space.occupations
     rest = np.all(np.delete(occ, k, axis=1) == 0, axis=1)

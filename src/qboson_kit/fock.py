@@ -278,6 +278,10 @@ class LinearOperator:
 
 def _row_major(diagonals: dict[int, np.ndarray], dim: int):
     """`LinearOperator.entries` of the matrix with these diagonals (zeros skipped)."""
+    if len(diagonals) == 1:  # one entry (j - d, j) per column: rows ascend with j
+        [(d, c)] = diagonals.items()
+        j = np.flatnonzero(c)
+        return j - d, j, c[j]
     offsets = np.array(sorted(diagonals), dtype=np.int64)
     # Row i of `grid` holds the entries (i, i + d) in ascending d.
     grid = np.zeros((dim, len(offsets)), dtype=complex)

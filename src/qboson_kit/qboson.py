@@ -167,58 +167,79 @@ class EffectiveRelation:
 
 def averaged_relation(rho: DensityOperator, a_minus: LinearOperator, a_plus: LinearOperator,
                       d0: LinearOperator) -> EffectiveRelation:
-    """Trace < A- A+ >, < A+ A- > and < D0 > against rho.
+    """Trace < A- A+ >, < A+ A- > and < D0 > against rho, each real to 1e-10.
 
-    Every recipe coefficient in the toolkit is measured here, as a genuine
-    matrix trace; each must be real to 1e-10.
+    Every recipe coefficient in the toolkit is such a genuine matrix trace.
     """
-    values = [expectation(rho, op) for op in (a_minus @ a_plus, a_plus @ a_minus, d0)]
+    ops = (a_minus @ a_plus, a_plus @ a_minus, d0)
+    return _real_relation([expectation(rho, op) for op in ops], rho.tail_mass)
+
+
+def _real_relation(values: list[complex], tail_mass: float) -> EffectiveRelation:
+    """The relation with coefficients < A- A+ >, < A+ A- >, < D0 >, each real to 1e-10."""
     if any(abs(value.imag) > 1e-10 for value in values):
         raise ValueError(f"expectations {values} are not all real")
-    return EffectiveRelation(*(float(value.real) for value in values), tail_mass=rho.tail_mass)
+    return EffectiveRelation(*(float(value.real) for value in values), tail_mass=tail_mass)
 
 
-def expectation_recipe(a_choice: str, d0_choice: str, q_squared: float,
-                       cutoffs: Sequence[int], alpha: int = 0) -> EffectiveRelation:
-    """Average the two-mode product relation over thermal x vacuum.
+def recipe_relations(q_squared: float, cutoffs: Sequence[int],
+                     requests: Sequence[tuple[str, str, int]]) -> list[EffectiveRelation]:
+    """Average the two-mode product relation of each (a_choice, d0_choice, alpha) request
+    over one thermal x vacuum state.
 
     a_choice picks A±: "phase" (shift pair), "boson" (ladder pair), or
     "alpha_phase" (shift pair conjugated by alpha shift powers).  d0_choice
     picks the right-hand operator: "identity" or "theta" (step projector at
     alpha on the averaged mode).  The average runs over a thermal state on
     mode 1 tensored with the vacuum of mode 2; its tail mass must stay
-    within RECIPE_TAIL_BUDGET.  Other densities go to averaged_relation.
+    within RECIPE_TAIL_BUDGET.  The requests share the space, the density,
+    each distinct A± pair and D0, and each distinct trace.  Other densities
+    go to averaged_relation.
     """
-    if a_choice not in A_CHOICES:
-        raise ValueError(f"a_choice must be one of {A_CHOICES}, got {a_choice!r}")
-    if d0_choice not in D0_CHOICES:
-        raise ValueError(f"d0_choice must be one of {D0_CHOICES}, got {d0_choice!r}")
+    for a_choice, d0_choice, alpha in requests:
+        if a_choice not in A_CHOICES:
+            raise ValueError(f"a_choice must be one of {A_CHOICES}, got {a_choice!r}")
+        if d0_choice not in D0_CHOICES:
+            raise ValueError(f"d0_choice must be one of {D0_CHOICES}, got {d0_choice!r}")
+        if alpha < 0:
+            raise ValueError("alpha must be nonnegative")
     if len(cutoffs) != 2:
         raise ValueError("the recipe runs on a two-mode space: pass two cutoffs")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
     space = make_space(cutoffs)
-
-    # A± is the boson or the (shifted-vacuum) phase pair; D0 = theta(N - alpha) is 1 at 0.
-    pair = ladder(space, 1) if a_choice == "boson" else alpha_phase_pair(
-        space, 1, alpha if a_choice == "alpha_phase" else 0)
-    d0 = theta_operator(space, 1, alpha if d0_choice == "theta" else 0)
-
     rho = thermal_density(space, 1, ThermalParams.from_q_squared(q_squared))
     if rho.tail_mass > RECIPE_TAIL_BUDGET:
         raise TruncationAccuracyError(
             f"tail mass {rho.tail_mass:.3g} exceeds budget {RECIPE_TAIL_BUDGET:.3g} at "
             f"cutoff {cutoffs[0]} of the averaged mode")
-    rel = averaged_relation(rho, pair.lower, pair.raise_, d0)
 
-    if d0_choice == "theta" and alpha > 0 and rel.coeff_plus > 0:
-        q2_eff = rel.q_squared_effective
-        measured = rel.normalized_rhs
-        plus_candidate = (1.0 - q2_eff) * q2_eff ** alpha
-        minus_candidate = (1.0 - q2_eff) * q2_eff ** (-alpha)
-        sign = 1 if abs(measured - plus_candidate) <= abs(measured - minus_candidate) else -1
-        rel = replace(rel, rhs_exponent_sign=sign)
-    return rel
+    # A± is the boson (shift None) or the phase pair with its vacuum `shift` steps up;
+    # D0 = theta(N - step) is 1 at step 0.
+    keys = [(None if a_choice == "boson" else alpha if a_choice == "alpha_phase" else 0,
+             alpha if d0_choice == "theta" else 0) for a_choice, d0_choice, alpha in requests]
+    pair_traces = {}
+    for shift in dict.fromkeys(shift for shift, _ in keys):
+        pair = ladder(space, 1) if shift is None else alpha_phase_pair(space, 1, shift)
+        pair_traces[shift] = [expectation(rho, pair.lower @ pair.raise_),
+                              expectation(rho, pair.raise_ @ pair.lower)]
+    step_traces = {step: expectation(rho, theta_operator(space, 1, step))
+                   for step in dict.fromkeys(step for _, step in keys)}
+
+    relations = []
+    for shift, step in keys:
+        rel = _real_relation([*pair_traces[shift], step_traces[step]], rho.tail_mass)
+        if step > 0 and rel.coeff_plus > 0:
+            q2_eff, measured = rel.q_squared_effective, rel.normalized_rhs
+            plus, minus = ((1.0 - q2_eff) * q2_eff ** exponent for exponent in (step, -step))
+            sign = 1 if abs(measured - plus) <= abs(measured - minus) else -1
+            rel = replace(rel, rhs_exponent_sign=sign)
+        relations.append(rel)
+    return relations
+
+
+def expectation_recipe(a_choice: str, d0_choice: str, q_squared: float,
+                       cutoffs: Sequence[int], alpha: int = 0) -> EffectiveRelation:
+    """recipe_relations for the one request (a_choice, d0_choice, alpha)."""
+    return recipe_relations(q_squared, cutoffs, [(a_choice, d0_choice, alpha)])[0]
 
 
 def family_from_relation(relation: EffectiveRelation, cutoff: int) -> QBosonFamily:

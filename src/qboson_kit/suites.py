@@ -54,9 +54,9 @@ from .qboson import (
     averaged_relation,
     beta_closed_form,
     defining_relation_residual,
-    expectation_recipe,
     family_from_relation,
     precision_capped_cutoff,
+    recipe_relations,
     standard_qboson,
 )
 
@@ -329,32 +329,32 @@ def recipe_suite(q_squared: float, cutoff: int, tolerance: float) -> list[Check]
         return _check(f"recipe/{name}", relation, abs(measured - target),
                       abs(target) * max(tolerance, rel.tail_mass), measured, target, rel.tail_mass)
 
+    # One thermal x vacuum average serves the shift, boson, shifted and step gauges.
+    requests = [("phase", "identity", 0), ("boson", "identity", 0),
+                *(("alpha_phase", "identity", a) for a in (0, 1, 2)),
+                *(("boson", "theta", a) for a in (1, 2))]
     try:
-        rel = expectation_recipe("phase", "identity", q2, cutoffs)
+        shift, boson, *shifted, step1, step2 = recipe_relations(q2, cutoffs, requests)
     except TruncationAccuracyError as exc:
         raise ConfigError(f"the recipe suite needs a larger --cutoff: {exc}") from exc
     checks = [
         value("shift-gauge-q2", "coeff ratio <e+ e>/<e e+> = q^2",
-              rel.q_squared_effective, q2, rel),
+              shift.q_squared_effective, q2, shift),
         value("shift-gauge-rhs", "normalized rhs = 1 (unit-target family)",
-              rel.normalized_rhs, 1.0, rel),
-        _closure_check("recipe/closure-shift-gauge", rel)]
-
-    rel = expectation_recipe("boson", "identity", q2, cutoffs)
-    checks += [
+              shift.normalized_rhs, 1.0, shift),
+        _closure_check("recipe/closure-shift-gauge", shift),
         value("boson-gauge-q2", "coeff ratio <a+ a>/<a a+> = q^2",
-              rel.q_squared_effective, q2, rel),
-        value("boson-gauge-rhs", "normalized rhs = 1 - q^2", rel.normalized_rhs, 1.0 - q2, rel),
-        _closure_check("recipe/closure-boson-gauge", rel)]
+              boson.q_squared_effective, q2, boson),
+        value("boson-gauge-rhs", "normalized rhs = 1 - q^2",
+              boson.normalized_rhs, 1.0 - q2, boson),
+        _closure_check("recipe/closure-boson-gauge", boson)]
 
-    for a in (0, 1, 2):
-        rel = expectation_recipe("alpha_phase", "identity", q2, cutoffs, alpha=a)
+    for a, rel in enumerate(shifted):
         checks.append(value(f"shifted-gauge-alpha{a}-rhs", f"normalized rhs = q^(-2*{a})",
                             rel.normalized_rhs, q2 ** (-a), rel))
-    checks.append(_closure_check("recipe/closure-shifted-gauge", rel))
+    checks.append(_closure_check("recipe/closure-shifted-gauge", shifted[-1]))
 
-    for a in (1, 2):
-        rel = expectation_recipe("boson", "theta", q2, cutoffs, alpha=a)
+    for a, rel in ((1, step1), (2, step2)):
         checks.append(value(f"step-gauge-alpha{a}-magnitude",
                             f"normalized rhs magnitude = (1-q^2) q^(2*{a})",
                             rel.normalized_rhs, (1.0 - q2) * q2 ** a, rel))
@@ -636,8 +636,15 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 # -- rendering -------------------------------------------------------------------
 
 def report_to_json(report: SuiteReport) -> str:
-    # The report and its checks are read through their attribute dicts, not copied.
-    return json.dumps(report, default=vars, indent=2, sort_keys=True) + "\n"
+    """The bytes of json.dumps(report, default=vars, indent=2, sort_keys=True) + "\n",
+    without running its pure-Python indenting encoder over the checks: each flat
+    check goes through the C encoder, whose item separator carries the indent."""
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+    checks = ["{\n      " + encoder.encode(vars(c))[1:-1] + "\n    }" for c in report.checks]
+    listed = "[\n    " + ",\n    ".join(checks) + "\n  ]" if checks else "[]"
+    rest = json.dumps({name: value for name, value in vars(report).items() if name != "checks"},
+                      indent=2, sort_keys=True)
+    return '{\n  "checks": ' + listed + "," + rest[1:] + "\n"  # "checks" sorts first
 
 
 def report_to_csv(report: SuiteReport) -> str:

@@ -328,6 +328,10 @@ def test_dump_size_error_names_the_flag(args, message, capsys):
     (["--suite", "chevalley", "--modes", "9", "--cutoff", "4"],
      "the chevalley suite holds 103 operators of (cutoff + 1)^modes entries at once, more "
      "than 45000000 in all: got --modes 9 --cutoff 4"),
+    # At cutoff 1 the shifted gauge's alpha 2 also exceeds the cutoff; the tail is named.
+    (["--suite", "recipe", "--cutoff", "1"],
+     "the recipe suite needs a larger --cutoff: tail mass 0.25 exceeds budget 1e-06 at "
+     "cutoff 1 of the averaged mode"),
 ])
 def test_run_size_error_names_the_flag(args, message, capsys):
     assert cli.main(["run", *args]) == 2

@@ -295,3 +295,14 @@ def test_asymptotics_csv_format():
 def test_large_amplitude_modulus_approaches_one():
     rows = phase_asymptotics([20.0], cutoff=1600)
     assert abs(rows[0].exact) == pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("z", [50.0, 30.0j])
+def test_coherent_state_refuses_overflowing_amplitudes(z):
+    """At |z| = 50, z^n / sqrt(n!) passes 1e308 near n = 2500; at |z| = 30 the
+    amplitudes stay finite but their squared norm does not.  Both are refused,
+    with no RuntimeWarning."""
+    intensity = f"{abs(z) ** 2:g}"
+    with pytest.raises(TruncationAccuracyError, match=rf"\|z\|\^2 = {intensity} for cutoff 5000"):
+        coherent_state(make_space([5000]), 1, z, intensity_limit=math.inf)

@@ -81,6 +81,10 @@ def assert_matches(op, dense):
         assert not c[:lo].any() and not c[hi:].any()
         zero = c == 0
         assert not np.signbit(c[zero].real).any() and not np.signbit(c[zero].imag).any()
+    rows, cols, values = op.entries()
+    expected_rows, expected_cols = np.nonzero(dense)  # row-major, like entries()
+    assert np.array_equal(rows, expected_rows) and np.array_equal(cols, expected_cols)
+    assert np.array_equal(values, dense[expected_rows, expected_cols])
     assert np.array_equal(op.toarray(), dense)
     assert np.array_equal(op.matrix.toarray(), dense)
 
@@ -119,6 +123,19 @@ def test_algebra_matches_dense_reference(data):
                                              max_size=space.dimension)), dtype=complex)
     assert np.array_equal(x.apply(StateVector(space, amplitudes)).amplitudes, xd @ amplitudes)
     assert x.trace() == np.trace(xd)
+    assert expectation(x, y) == np.trace(xd @ yd)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_single_diagonal_operators_match_dense_reference(data):
+    """A term, its adjoint or a product of two is one diagonal: entries() and the
+    traces against it take the one-offset path."""
+    space = data.draw(spaces())
+    x, xd = data.draw(terms(space))
+    y, yd = data.draw(terms(space))
+    assert len(x.diagonals) <= 1 and len(y.diagonals) <= 1
+    assert_matches(x, xd)
     assert expectation(x, y) == np.trace(xd @ yd)
 
 

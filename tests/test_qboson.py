@@ -18,6 +18,8 @@ from qboson_kit import (
     make_space,
     phase_pair,
     pure_density,
+    qboson,
+    recipe_relations,
     relation_residual,
     standard_qboson,
     theta_operator,
@@ -25,6 +27,7 @@ from qboson_kit import (
 )
 from qboson_kit.fock import machine_zero_bound
 from qboson_kit.qboson import family_on_space, precision_capped_cutoff, standard_rhs
+from qboson_kit.suites import SuiteConfig, run_suite
 
 
 def recursion_oracle(q_squared, rhs, cutoff):
@@ -195,6 +198,45 @@ def test_recipe_closure():
         assert relation_residual(lhs, rhs, margin=1) <= max(1e-12, rel.tail_mass)
 
 
+@pytest.mark.parametrize("q_squared", [0.3, 0.5])
+@pytest.mark.parametrize("cutoffs", [(80, 8), (120, 6)])
+def test_batched_recipe_equals_single_requests(q_squared, cutoffs):
+    """One shared average gives each request the relation its own call gives, bit for bit."""
+    requests = [(a_choice, d0_choice, alpha) for a_choice in ("phase", "boson", "alpha_phase")
+                for d0_choice in ("identity", "theta") for alpha in range(4)]
+    batched = recipe_relations(q_squared, cutoffs, requests)
+    assert len(batched) == len(requests)
+    for rel, (a_choice, d0_choice, alpha) in zip(batched, requests):
+        # repr tells -0.0 from 0.0 and covers rhs_exponent_sign.
+        single = expectation_recipe(a_choice, d0_choice, q_squared, cutoffs, alpha)
+        assert repr(rel) == repr(single)
+
+
+def test_recipe_suite_shares_one_average(monkeypatch):
+    """One recipe run builds one two-mode space and one thermal density, and takes
+    each of its 11 distinct traces against that density once: 4 A± pairs times
+    two products, plus D0 = theta(N - alpha) at alpha 0, 1, 2."""
+    spaces, densities, traces = [], [], []
+
+    def counting(name, calls):
+        original = getattr(qboson, name)
+
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append((args, result))
+            return result
+        monkeypatch.setattr(qboson, name, wrapper)
+
+    counting("make_space", spaces)
+    counting("thermal_density", densities)
+    counting("expectation", traces)
+    assert run_suite(SuiteConfig(suite="recipe")).overall_passed
+    assert [args[0] for args, _ in spaces if len(args[0]) == 2] == [(80, 8)]
+    assert len(densities) == 1
+    thermal = densities[0][1]
+    assert len([args for args, _ in traces if args[0] is thermal]) == 11
+
+
 def test_recipe_pure_state_recovers_undeformed_boson():
     space = make_space([40, 6])
     pair = phase_pair(space, 1)
@@ -218,6 +260,10 @@ def test_recipe_validation():
         expectation_recipe("spin", "identity", 0.5, (40, 6))
     with pytest.raises(ValueError):
         expectation_recipe("phase", "identity", 0.5, (40,))
+    with pytest.raises(ValueError, match="d0_choice"):
+        recipe_relations(0.5, (40, 6), [("phase", "identity", 0), ("boson", "step", 1)])
+    with pytest.raises(ValueError, match="nonnegative"):
+        recipe_relations(0.5, (40, 6), [("boson", "theta", -1)])
     from qboson_kit import TruncationAccuracyError
 
     with pytest.raises(TruncationAccuracyError):

@@ -1,11 +1,22 @@
 import dataclasses
+import json
+import math
 
 import numpy as np
 import pytest
 
 from qboson_kit import identity_operator, ladder, make_space, suites
 from qboson_kit.dump import format_operator
-from qboson_kit.suites import SUITE_FLAGS, SUITES, ConfigError, SuiteConfig, run_suite
+from qboson_kit.suites import (
+    SUITE_FLAGS,
+    SUITES,
+    Check,
+    ConfigError,
+    SuiteConfig,
+    SuiteReport,
+    report_to_json,
+    run_suite,
+)
 
 
 def test_every_suite_runs_green_with_defaults():
@@ -20,6 +31,7 @@ def test_every_suite_runs_green_with_defaults():
             default = flags.get(field)
             assert report.config[field] == default, (suite, field)
         assert report.config["q"] is None
+        assert report_to_json(report) == _indented_json(report), suite
 
 
 def test_unknown_suite_rejected():
@@ -78,18 +90,38 @@ def test_text_report_marks_failures():
 def test_recipe_magnitude_row_fails_on_flipped_step_exponent(monkeypatch):
     """The step-gauge magnitude is compared with (1-q^2) q^(+2 alpha), the
     convention theta_operator fixes, not with whichever sign the probe measured."""
-    recipe = suites.expectation_recipe
+    batched = suites.recipe_relations
 
-    def flipped(a_choice, d0_choice, q_squared, cutoffs, alpha=0):
-        rel = recipe(a_choice, d0_choice, q_squared, cutoffs, alpha)
-        if d0_choice != "theta":
-            return rel
-        q2 = rel.q_squared_effective
-        return dataclasses.replace(rel, rhs=rel.coeff_plus * (1.0 - q2) * q2 ** (-alpha),
-                                   rhs_exponent_sign=-1)
+    def flipped(q_squared, cutoffs, requests):
+        relations = batched(q_squared, cutoffs, requests)
+        for i, (rel, (_, d0_choice, alpha)) in enumerate(zip(relations, requests)):
+            if d0_choice == "theta":
+                q2 = rel.q_squared_effective
+                relations[i] = dataclasses.replace(
+                    rel, rhs=rel.coeff_plus * (1.0 - q2) * q2 ** (-alpha), rhs_exponent_sign=-1)
+        return relations
 
-    monkeypatch.setattr(suites, "expectation_recipe", flipped)
+    monkeypatch.setattr(suites, "recipe_relations", flipped)
     checks = {c.name: c for c in run_suite(SuiteConfig(suite="recipe")).checks}
     for a in (1, 2):
         assert not checks[f"recipe/step-gauge-alpha{a}-magnitude"].passed
         assert checks[f"recipe/step-gauge-alpha{a}-exponent-sign"].measured == -1.0
+
+
+def _indented_json(report):
+    """The reference encoding report_to_json must reproduce byte for byte."""
+    return json.dumps(report, default=vars, indent=2, sort_keys=True) + "\n"
+
+
+def test_report_json_matches_indented_json_dumps_on_edge_values():
+    config = {"suite": "x", "q": -0.0, "alpha": (1, 2), "margin": "auto", "out": None,
+              "tolerance": math.inf}
+    odd = Check(name='odd/"quoted" \\ name', relation="line one\nq² → ∞ \"é\"",
+                measured=math.nan, expected=-math.inf, residual=-0.0, tolerance=None,
+                tail_mass=math.inf, passed=False)
+    plain = Check(name="plain", relation="", measured=None, expected=None, residual=1e-300,
+                  tolerance=5e-11, tail_mass=0.0, passed=True)
+    for checks in ([odd, plain], [plain], []):
+        report = SuiteReport(suite="x", config=config, checks=checks,
+                             overall_passed=False, wall_time=math.nan)
+        assert report_to_json(report) == _indented_json(report)
