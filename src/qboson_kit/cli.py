@@ -86,11 +86,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
 
 
 def _cmd_run(args) -> int:

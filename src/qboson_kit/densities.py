@@ -150,20 +150,23 @@ def coherent_state(space: FockSpace, mode: int, z: complex,
         raise TruncationAccuracyError(
             f"|z|^2 = {intensity:.4g} exceeds the accuracy guard {limit:.4g} "
             f"for cutoff {cutoff}")
-    amps = np.zeros(cutoff + 1, dtype=complex)
-    amps[0] = 1.0
+    # The recurrence runs on numpy complex scalars, as it would on array elements.
+    amp, factor = np.complex128(1.0), np.complex128(z)
+    terms = [amp]
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(cutoff):
-            amps[n + 1] = amps[n] * z / math.sqrt(n + 1)
+        for n in range(1, cutoff + 1):
+            amp = amp * factor / math.sqrt(n)
+            terms.append(amp)
+        amps = np.array(terms)
         norm = np.linalg.norm(amps)
     if not math.isfinite(norm):
         raise TruncationAccuracyError(f"z^n / sqrt(n!) or its norm overflows at |z|^2 = "
                                       f"{intensity:.4g} for cutoff {cutoff}")
     amps /= norm
+    # With the other modes in the vacuum, occupation n of the mode sits at flat n * stride.
+    stride = math.prod(space.shape[k + 1:])
     full = np.zeros(space.dimension, dtype=complex)
-    occ = space.occupations
-    rest = np.all(np.delete(occ, k, axis=1) == 0, axis=1)
-    full[rest] = amps[occ[rest, k]]
+    full[:(cutoff + 1) * stride:stride] = amps
     return StateVector(space, full)
 
 

@@ -13,6 +13,7 @@ hold to machine precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -47,7 +48,7 @@ class FockSpace:
     def mode_count(self) -> int:
         return len(self.cutoffs)
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return tuple(c + 1 for c in self.cutoffs)
 
@@ -77,6 +78,17 @@ class FockSpace:
             masks[margin] = np.all(self.occupations <= np.array(self.cutoffs) - margin, axis=1)
             masks[margin].flags.writeable = False
         return masks[margin]
+
+    def _safe_pair_mask(self, margin: int, offset: int) -> np.ndarray:
+        """Read-only flags of the entries of diagonal `offset` whose row and column are
+        both safe at `margin`, built once per (margin, offset)."""
+        masks = self.__dict__.setdefault("_safe_pair_masks", {})
+        key = (margin, offset)
+        if key not in masks:
+            keep = self._safe_mask(margin)
+            masks[key] = keep & _shift(keep, offset)
+            masks[key].flags.writeable = False
+        return masks[key]
 
     def _check_mode(self, mode: int) -> int:
         """Validate a 1-based mode index and return it 0-based."""
@@ -134,7 +146,7 @@ def basis_state(space: FockSpace, occupations: Sequence[int]) -> StateVector:
 
 
 def _require_same_space(a: FockSpace, b: FockSpace) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise ValueError(f"operands live on different spaces: {a.cutoffs} vs {b.cutoffs}")
 
 
@@ -195,7 +207,9 @@ class LinearOperator:
             for d2, b in other.diagonals.items():
                 if -dim < d1 + d2 < dim:
                     lo, hi = max(d2, 0), dim + min(d2, 0)
-                    c = out.setdefault(d1 + d2, np.zeros(dim, dtype=complex))
+                    c = out.get(d1 + d2)
+                    if c is None:
+                        c = out[d1 + d2] = np.zeros(dim, dtype=complex)
                     c[lo:hi] += self.diagonals[d1][lo - d2:hi - d2] * b[lo:hi]
         return LinearOperator(self.space, out)
 
@@ -249,31 +263,36 @@ class LinearOperator:
         return dense
 
     def norm(self, kind: str = "spectral") -> float:
-        """Spectral (largest singular value) or Frobenius norm.
+        """Spectral (largest singular value) or Frobenius norm (see `_norm`)."""
+        return _norm(self.diagonals, self.space.dimension, kind)
 
-        A monomial matrix (at most one nonzero per row and per column, as a
-        single diagonal and every residual of a homogeneous relation is) has
-        its largest entry modulus as spectral norm, exactly.  Any other matrix
-        is compacted to its nonzero rows and columns and gets a dense SVD, or
-        ValueError past `_DENSE_NORM_LIMIT` rows or columns.
-        """
-        if kind not in ("spectral", "frobenius"):
-            raise ValueError(f"unknown norm kind {kind!r}")
-        if kind == "spectral" and len(self.diagonals) <= 1:
-            return max((float(np.abs(c).max()) for c in self.diagonals.values()), default=0.0)
-        rows, cols, values = self.entries()
-        if kind == "frobenius":
-            return float(np.sqrt(np.sum(np.abs(values) ** 2)))
-        kept_rows, kept_cols = np.unique(rows), np.unique(cols)
-        if len(kept_rows) == len(kept_cols) == len(values):
-            return float(np.abs(values).max(initial=0.0))
-        if max(len(kept_rows), len(kept_cols)) > _DENSE_NORM_LIMIT:
-            raise ValueError(
-                f"spectral norm of a non-monomial {len(kept_rows)}x{len(kept_cols)} matrix "
-                f"exceeds the dense limit {_DENSE_NORM_LIMIT}; use the frobenius norm")
-        block = np.zeros((len(kept_rows), len(kept_cols)), dtype=complex)
-        block[np.searchsorted(kept_rows, rows), np.searchsorted(kept_cols, cols)] = values
-        return float(np.linalg.norm(block, 2))
+
+def _norm(diagonals: dict[int, np.ndarray], dim: int, kind: str) -> float:
+    """Spectral or Frobenius norm of the matrix with these nonzero diagonals.
+
+    A monomial matrix (at most one nonzero per row and per column, as a
+    single diagonal and every residual of a homogeneous relation is) has
+    its largest entry modulus as spectral norm, exactly.  Any other matrix
+    is compacted to its nonzero rows and columns and gets a dense SVD, or
+    ValueError past `_DENSE_NORM_LIMIT` rows or columns.
+    """
+    if kind not in ("spectral", "frobenius"):
+        raise ValueError(f"unknown norm kind {kind!r}")
+    if kind == "spectral" and len(diagonals) <= 1:
+        return max((float(np.abs(c).max()) for c in diagonals.values()), default=0.0)
+    rows, cols, values = _row_major(diagonals, dim)
+    if kind == "frobenius":
+        return float(np.sqrt(np.sum(np.abs(values) ** 2)))
+    kept_rows, kept_cols = np.unique(rows), np.unique(cols)
+    if len(kept_rows) == len(kept_cols) == len(values):
+        return float(np.abs(values).max(initial=0.0))
+    if max(len(kept_rows), len(kept_cols)) > _DENSE_NORM_LIMIT:
+        raise ValueError(
+            f"spectral norm of a non-monomial {len(kept_rows)}x{len(kept_cols)} matrix "
+            f"exceeds the dense limit {_DENSE_NORM_LIMIT}; use the frobenius norm")
+    block = np.zeros((len(kept_rows), len(kept_cols)), dtype=complex)
+    block[np.searchsorted(kept_rows, rows), np.searchsorted(kept_cols, cols)] = values
+    return float(np.linalg.norm(block, 2))
 
 
 def _row_major(diagonals: dict[int, np.ndarray], dim: int):
@@ -327,9 +346,11 @@ def operator_on_mode(space: FockSpace, mode: int, values: np.ndarray,
         raise ValueError(f"values have shape {vals.shape}, expected ({cutoff + 1},)")
     if not 0 <= lower <= cutoff:
         raise ValueError(f"lower {lower} outside [0, {cutoff}] for mode {mode}")
-    offset = lower * int(np.prod(space.shape[k + 1:], dtype=np.int64))
-    n = space.occupations[:, k]
-    return LinearOperator(space, {offset: np.where(n >= lower, vals[n], 0.0)})
+    stride = math.prod(space.shape[k + 1:])
+    column = vals.copy()
+    column[:lower] = 0.0
+    diagonal = np.tile(np.repeat(column, stride), math.prod(space.shape[:k]))
+    return LinearOperator(space, {lower * stride: diagonal})
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,11 +451,13 @@ def relation_residual(lhs: LinearOperator, rhs: LinearOperator, margin: int,
         raise ValueError("margin must be nonnegative")
     if margin >= min(space.cutoffs):
         raise ValueError(f"margin {margin} >= smallest cutoff {min(space.cutoffs)}")
-    keep = space._safe_mask(margin)
     a, b = lhs.diagonals, rhs.diagonals
-    block = {d: np.where(keep & _shift(keep, d), a.get(d, 0.0) - b.get(d, 0.0), 0)
-             for d in a.keys() | b.keys()}
-    return LinearOperator(space, block).norm(norm)
+    block = {}
+    for d in a.keys() | b.keys():
+        c = np.where(space._safe_pair_mask(margin, d), a.get(d, 0.0) - b.get(d, 0.0), 0)
+        if c.any():
+            block[d] = c
+    return _norm(block, space.dimension, norm)
 
 
 def machine_zero_bound(space: FockSpace) -> float:

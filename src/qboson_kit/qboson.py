@@ -68,14 +68,14 @@ def family_on_space(space: FockSpace, mode: int, q_squared: float,
     if not 0.0 < q_squared < 1.0:
         raise ValueError(f"q_squared must lie in (0, 1), got {q_squared}")
     cutoff = space.cutoffs[space._check_mode(mode)]
-    values = np.array([rhs(n) for n in range(cutoff + 1)], dtype=float)
-    beta = np.zeros(cutoff + 1)
-    for n in range(cutoff):
-        if values[n] < 0:
+    values = [float(rhs(n)) for n in range(cutoff + 1)]
+    beta = [0.0]
+    for n, value in enumerate(values[:-1]):
+        if value < 0:
             raise ValueError(
-                f"rhs({n}) = {values[n]} is negative: magnitudes must stay nonnegative")
-        beta[n + 1] = values[n] + q_squared * beta[n]
-    return QBosonFamily(space, mode, q_squared, beta, values)
+                f"rhs({n}) = {value} is negative: magnitudes must stay nonnegative")
+        beta.append(value + q_squared * beta[n])
+    return QBosonFamily(space, mode, q_squared, np.array(beta), np.array(values))
 
 
 def standard_rhs(type_tag: str, q_squared: float) -> Callable[[int], float]:

@@ -91,12 +91,23 @@ class SuiteConfig:
         if self.q is not None:
             if not 0.0 < self.q < 1.0:
                 raise ConfigError(f"--q must lie in (0, 1), got {self.q}")
-            return self.q * self.q
-        if pair_given:
+            q_squared, given = self.q * self.q, f"--q {self.q}"
+        elif pair_given:
             if self.epsilon0 is None or self.kT is None:
                 raise ConfigError("--epsilon0 and --kT must be given together")
-            return ThermalParams.from_temperature(self.epsilon0, self.kT).q_squared
-        return SETTINGS["q_squared"]
+            if not (self.epsilon0 > 0 and self.kT > 0):
+                raise ConfigError(f"--epsilon0 and --kT must be positive, "
+                                  f"got {self.epsilon0} and {self.kT}")
+            # ThermalParams.from_temperature's map, taken here so a refusal names the flags.
+            q_squared = math.exp(-self.epsilon0 / self.kT)
+            given = f"--epsilon0 {self.epsilon0} --kT {self.kT}"
+        else:
+            return SETTINGS["q_squared"]
+        # A q^2 that underflows to 0 or rounds to 1 leaves the deformed families undefined.
+        if not 0.0 < q_squared < 1.0:
+            raise ConfigError(f"q^2 from {given} is {q_squared} in floating point, "
+                              f"outside (0, 1)")
+        return q_squared
 
 
 @dataclass
@@ -255,9 +266,8 @@ def coherent_suite(cutoff: int) -> list[Check]:
         checks.append(_check(
             f"coherent/mean-number-z={label}", "<z|N|z> = |z|^2",
             abs(mean_n - abs(z) ** 2), 1e-8, mean_n, abs(z) ** 2))
-        probs = np.abs(state.amplitudes) ** 2
-        dev = max(abs(probs[space.flat_index([n])] - poisson_probability(z, n))
-                  for n in range(n_max + 1))
+        probs = (np.abs(state.amplitudes) ** 2)[:n_max + 1].tolist()
+        dev = max(abs(p - poisson_probability(z, n)) for n, p in enumerate(probs))
         checks.append(_check(
             f"coherent/poisson-max-deviation-z={label}",
             "|<n|z>|^2 = exp(-|z|^2) |z|^(2n) / n!", dev, 1e-10))
@@ -405,8 +415,8 @@ def alpha_suite(cutoff: int, alpha: tuple[int, ...], norm: str) -> list[Check]:
             relation_residual(commutator(boson.triple.lower, boson.triple.raise_),
                               theta_operator(space, 1, a), margin=2, norm=norm),
             machine))
-        diag = boson.triple.number.diagonal().real
-        dev = max(abs(diag[space.flat_index([n + a])] - n) for n in range(cutoff - a + 1))
+        eigenvalues = boson.triple.number.diagonal().real[a:].tolist()
+        dev = max(abs(value - n) for n, value in enumerate(eigenvalues))
         checks.append(_check(
             f"alpha/number-eigenvalues-{a}", "N(alpha) |n + alpha> = n |n + alpha>",
             dev, machine))

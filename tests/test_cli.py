@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -332,6 +334,15 @@ def test_dump_size_error_names_the_flag(args, message, capsys):
     (["--suite", "recipe", "--cutoff", "1"],
      "the recipe suite needs a larger --cutoff: tail mass 0.25 exceeds budget 1e-06 at "
      "cutoff 1 of the averaged mode"),
+    # A q^2 that underflows to 0 or rounds to 1 is refused naming the flags given.
+    (["--suite", "thermal", "--q", "1e-170"],
+     "q^2 from --q 1e-170 is 0.0 in floating point, outside (0, 1)"),
+    (["--suite", "all", "--epsilon0", "1000", "--kT", "1"],
+     "q^2 from --epsilon0 1000.0 --kT 1.0 is 0.0 in floating point, outside (0, 1)"),
+    (["--suite", "qboson", "--epsilon0", "1e-20", "--kT", "1"],
+     "q^2 from --epsilon0 1e-20 --kT 1.0 is 1.0 in floating point, outside (0, 1)"),
+    (["--suite", "thermal", "--epsilon0", "nan", "--kT", "1"],
+     "--epsilon0 and --kT must be positive, got nan and 1.0"),
 ])
 def test_run_size_error_names_the_flag(args, message, capsys):
     assert cli.main(["run", *args]) == 2
@@ -507,6 +518,18 @@ def test_cli_asymptotics_out_file(tmp_path):
     proc = run_cli("asymptotics", "--z", "5", "--out", str(target))
     assert proc.returncode == 0
     assert target.read_text().startswith("z_re,")
+
+
+@pytest.mark.parametrize("command", [["run", "--suite", "cuntz"],
+                                     ["dump-operator", "--op", "a"],
+                                     ["asymptotics", "--z", "4"]])
+def test_unwritable_out_exits_two(command, tmp_path, capsys):
+    """A path that cannot be opened for writing exits 2 with the reason, not a traceback."""
+    for target, code in ((tmp_path / "missing" / "x.json", errno.ENOENT), (tmp_path, errno.EISDIR)):
+        assert cli.main([*command, "--out", str(target)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: cannot write --out {target}: {os.strerror(code)}\n"
 
 
 def test_cli_run_csv_format():

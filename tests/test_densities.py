@@ -250,6 +250,32 @@ def test_coherent_guard():
     coherent_state(space, 1, 3.0, intensity_limit=math.inf)  # override allowed
 
 
+def _coherent_amplitudes_elementwise(space, mode, z):
+    """The recurrence on array elements and the embedding by occupation lookup, as
+    coherent_state computed them before it ran on scalars: the reference for its bits."""
+    k, cutoff = mode - 1, space.cutoffs[mode - 1]
+    amps = np.zeros(cutoff + 1, dtype=complex)
+    amps[0] = 1.0
+    for n in range(cutoff):
+        amps[n + 1] = amps[n] * z / math.sqrt(n + 1)
+    amps /= np.linalg.norm(amps)
+    full = np.zeros(space.dimension, dtype=complex)
+    occ = space.occupations
+    rest = np.all(np.delete(occ, k, axis=1) == 0, axis=1)
+    full[rest] = amps[occ[rest, k]]
+    return full
+
+
+@pytest.mark.parametrize("z", [1, 2, 2j, -2.2, 3 + 4j, 0.7 - 1.3j, 12])
+@pytest.mark.parametrize("cutoffs,mode", [([16], 1), ([60], 1), ([600], 1), ([2000], 1),
+                                          ([40, 3], 1), ([2, 40], 2), ([2, 24, 3], 2)])
+def test_coherent_amplitudes_match_the_elementwise_recurrence_bit_for_bit(z, cutoffs, mode):
+    space = make_space(cutoffs)
+    got = coherent_state(space, mode, complex(z), intensity_limit=math.inf).amplitudes
+    want = _coherent_amplitudes_elementwise(space, mode, complex(z))
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 # -- shift-expectation asymptotics ---------------------------------------------
 
 def test_series_matches_matrix_expectation():

@@ -120,6 +120,24 @@ def test_operator_on_mode_matches_kron_reference(mode):
                                       _kron_reference(space.shape, mode, values, lower))
 
 
+def test_operator_on_mode_diagonal_matches_the_occupation_gather_bytes():
+    """The repeated and tiled value column stores the bytes that gathering the
+    values by each state's occupation stored before it."""
+    space = make_space([2, 3, 4])
+    for mode in (1, 2, 3):
+        k = mode - 1
+        cutoff = space.cutoffs[k]
+        values = np.array([complex(-0.0, 1.5 * n - 2.0) if n % 2 else complex(0.25 * n, -0.0)
+                           for n in range(cutoff + 1)])
+        for lower in range(cutoff + 1):
+            op = operator_on_mode(space, mode, values, lower=lower)
+            n = space.occupations[:, k]
+            offset = lower * int(np.prod(space.shape[k + 1:], dtype=np.int64))
+            reference = LinearOperator(space, {offset: np.where(n >= lower, values[n], 0.0)})
+            assert op.diagonals.keys() == reference.diagonals.keys() == {offset}
+            assert op.diagonals[offset].tobytes() == reference.diagonals[offset].tobytes()
+
+
 def test_operator_on_mode_validation():
     space = make_space([2, 3, 1])
     with pytest.raises(ValueError):

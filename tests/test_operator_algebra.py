@@ -180,6 +180,34 @@ def raw_operators(draw, space):
     return LinearOperator(space, diagonals), dense
 
 
+def _masked_block_norm(lhs, rhs, margin, kind):
+    """relation_residual as it was computed before it skipped the operator: the safe
+    block of lhs - rhs made a LinearOperator, and that operator's norm."""
+    space = lhs.space
+    keep = np.all(space.occupations <= np.array(space.cutoffs) - margin, axis=1)
+    a, b = lhs.diagonals, rhs.diagonals
+    block = {}
+    for d in a.keys() | b.keys():
+        lo, hi = max(d, 0), space.dimension + min(d, 0)
+        both = np.zeros(space.dimension, dtype=bool)  # row j - d and column j kept
+        both[lo:hi] = keep[lo:hi] & keep[lo - d:hi - d]
+        block[d] = np.where(both, a.get(d, 0.0) - b.get(d, 0.0), 0)
+    return LinearOperator(space, block).norm(kind)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_relation_residual_matches_the_masked_operator_norm_bit_for_bit(data):
+    space = data.draw(spaces())
+    x, _ = data.draw(raw_operators(space))
+    y, _ = data.draw(raw_operators(space))
+    for margin in range(min(space.cutoffs)):
+        for kind in ("spectral", "frobenius"):
+            got = relation_residual(x, y, margin, norm=kind)
+            want = _masked_block_norm(x, y, margin, kind)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_constructor_and_algebra_keep_operators_canonical(data):

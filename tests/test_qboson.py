@@ -107,6 +107,25 @@ def test_defining_relations_margin_one(tag, q2):
     assert list(family.beta) == oracle
 
 
+def _beta_on_arrays(q2, rhs, cutoff):
+    """The recursion on numpy array elements, as family_on_space ran it before it
+    moved to Python floats: the reference for its bits."""
+    values = np.array([rhs(n) for n in range(cutoff + 1)], dtype=float)
+    beta = np.zeros(cutoff + 1)
+    for n in range(cutoff):
+        beta[n + 1] = values[n] + q2 * beta[n]
+    return beta, values
+
+
+@pytest.mark.parametrize("tag", ["I", "II", "III", "IV"])
+@pytest.mark.parametrize("q2", [0.3, 0.5, 0.9])
+def test_beta_matches_the_array_recursion_bit_for_bit(tag, q2):
+    family = standard_qboson(tag, q2, 200)
+    beta, values = _beta_on_arrays(q2, standard_rhs(tag, q2), 200)
+    np.testing.assert_array_equal(family.beta.view(np.int64), beta.view(np.int64))
+    np.testing.assert_array_equal(family.rhs_values.view(np.int64), values.view(np.int64))
+
+
 def test_type_iv_relation_against_explicit_target():
     q2 = 0.5
     family = standard_qboson("IV", q2, 10)
