@@ -36,6 +36,7 @@ from .fock import (
     expectation,
     identity_operator,
     ladder,
+    linear_combination,
     make_space,
     number_state_projector,
     operator_on_mode,

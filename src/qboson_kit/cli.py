@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import fields
 
@@ -85,12 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None, mode: str = "w") -> None:
     if not out:
         sys.stdout.write(text)
         return
     try:
-        with open(out, "w") as fh:
+        with open(out, mode) as fh:
             fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
@@ -98,6 +99,11 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_run(args) -> int:
     config = SuiteConfig(**{f.name: getattr(args, f.name) for f in fields(SuiteConfig)})
+    if args.out:  # refuse an unwritable --out before the run, leaving an existing file as it is
+        existed = os.path.lexists(args.out)
+        _emit("", args.out, "a")
+        if not existed:
+            os.remove(args.out)
     report = run_suite(config)
     _emit(render_report(report, args.fmt), args.out)
     return 0 if report.overall_passed else 1

@@ -25,6 +25,7 @@ from .fock import (
     LinearOperator,
     StateVector,
     diagonal_operator,
+    linear_combination,
     outer_product,
 )
 from .phase import phase_pair
@@ -96,9 +97,7 @@ def mixture_density(states: Sequence[StateVector], probs: Sequence[float]) -> De
             raise ValueError("all states must live on the same space")
         if not state.normalized():
             raise ValueError(f"state with norm {state.norm()} is not normalized")
-    # Starting from the zero operator adds every term to +0, which makes a lone -0 part +0.
-    rho = sum((outer_product(state) * weight for state, weight in zip(states, p)),
-              LinearOperator(space, {}))
+    rho = linear_combination(space, [(w, outer_product(s)) for s, w in zip(states, p)])
     return DensityOperator(op=rho, tail_mass=0.0)
 
 
@@ -124,8 +123,7 @@ def thermal_density(space: FockSpace, mode: int, params: ThermalParams,
     tail = q2 ** (cutoff + 1)
     diag = ((1.0 - q2) * q2 ** np.arange(cutoff + 1) / (1.0 - tail))[occ[:, k]].astype(complex)
     for j, lvl in zip([j for j in range(space.mode_count) if j != k], levels):
-        if not 0 <= lvl <= space.cutoffs[j]:
-            raise ValueError(f"level {lvl} outside [0, {space.cutoffs[j]}] for mode {j + 1}")
+        space._check_mode(j + 1, "level", lvl)
         diag = diag * (occ[:, j] == lvl)
     return DensityOperator(op=diagonal_operator(space, diag), tail_mass=tail)
 

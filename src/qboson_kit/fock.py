@@ -3,12 +3,12 @@
 Every mode carries an occupation cutoff; the basis is the set of multi-indices
 (n_1, ..., n_M) with 0 <= n_i <= cutoff_i, enumerated row-major with mode 1
 slowest.  Operators are immutable matrices stored as diagonals; this module
-alone knows that format: the LinearOperator constructor makes every operator
-canonical, and `entries()` exports the row-major nonzero entries.  A ladder
-on one mode is a QBosonFamily, the boson its member at q^2 = 1.  Algebraic
-identities that hold in the untruncated algebra are checked on a "safe
-subspace" (states at least `margin` steps below every cutoff), where they
-hold to machine precision.
+alone knows that format: every operator is canonical (see LinearOperator),
+and `entries()` exports the row-major nonzero entries.  A ladder on one mode
+is a QBosonFamily, the boson its member at q^2 = 1.  Algebraic identities
+that hold in the untruncated algebra are checked on a "safe subspace" (states
+at least `margin` steps below every cutoff), where they hold to machine
+precision.
 """
 
 from __future__ import annotations
@@ -90,10 +90,14 @@ class FockSpace:
             masks[key].flags.writeable = False
         return masks[key]
 
-    def _check_mode(self, mode: int) -> int:
-        """Validate a 1-based mode index and return it 0-based."""
+    def _check_mode(self, mode: int, name: str = "", level: int = 0) -> int:
+        """Validate a 1-based mode index and the `name`d occupation `level` on that
+        mode; return the mode 0-based."""
         if not 1 <= mode <= self.mode_count:
             raise ValueError(f"mode {mode} outside 1..{self.mode_count}")
+        cutoff = self.cutoffs[mode - 1]
+        if not 0 <= level <= cutoff:
+            raise ValueError(f"{name} {level} outside [0, {cutoff}] for mode {mode}")
         return mode - 1
 
 
@@ -151,7 +155,9 @@ def _require_same_space(a: FockSpace, b: FockSpace) -> None:
 
 
 def _shift(x: np.ndarray, s: int) -> np.ndarray:
-    """y with y[j] = x[j - s], zero where j - s falls outside x."""
+    """y with y[j] = x[j - s], zero where j - s falls outside x; x itself when s = 0."""
+    if s == 0:
+        return x
     y = np.empty_like(x)
     lo, hi = max(s, 0), len(x) + min(s, 0)
     y[:lo], y[lo:hi], y[hi:] = 0, x[lo - s:hi - s], 0
@@ -168,7 +174,8 @@ class LinearOperator:
     product of diagonals d1 and d2 lands on d1 + d2.  The constructor takes
     ownership of the arrays and makes the operator canonical: zero entries
     are stored as +0, all-zero diagonals are dropped, and the arrays are
-    never written again.
+    never written again.  Products, operator_on_mode and linear_combination
+    build canonical arrays and skip that zero pass.
     """
 
     space: FockSpace
@@ -198,20 +205,7 @@ class LinearOperator:
     # -- algebra -----------------------------------------------------------
 
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
-        _require_same_space(self.space, other.space)
-        dim = self.space.dimension
-        out: dict[int, np.ndarray] = {}
-        # c[j] = a[j - d2] b[j], over the j where j - d2 is an index, lands on d1 + d2.
-        # Pairs that share an output diagonal add up from +0 in ascending d1.
-        for d1 in sorted(self.diagonals):
-            for d2, b in other.diagonals.items():
-                if -dim < d1 + d2 < dim:
-                    lo, hi = max(d2, 0), dim + min(d2, 0)
-                    c = out.get(d1 + d2)
-                    if c is None:
-                        c = out[d1 + d2] = np.zeros(dim, dtype=complex)
-                    c[lo:hi] += self.diagonals[d1][lo - d2:hi - d2] * b[lo:hi]
-        return LinearOperator(self.space, out)
+        return _canonical(self.space, _product_diagonals(self, other))
 
     def _merge(self, other: "LinearOperator", op) -> "LinearOperator":
         _require_same_space(self.space, other.space)
@@ -265,6 +259,32 @@ class LinearOperator:
     def norm(self, kind: str = "spectral") -> float:
         """Spectral (largest singular value) or Frobenius norm (see `_norm`)."""
         return _norm(self.diagonals, self.space.dimension, kind)
+
+
+def _canonical(space: FockSpace, diagonals: dict[int, np.ndarray]) -> LinearOperator:
+    """The operator with diagonals that hold no -0 part: drops all-zero ones, no zero pass."""
+    op = object.__new__(LinearOperator)
+    op.__dict__.update(space=space, diagonals={d: c for d, c in diagonals.items() if c.any()})
+    return op
+
+
+def _product_diagonals(x: LinearOperator, y: LinearOperator, wanted=None) -> dict[int, np.ndarray]:
+    """The diagonals of x @ y, or those whose offsets are in `wanted`.  c[j] = a[j - d2] b[j]
+    lands on d1 + d2; pairs that share it add up from +0 in ascending d1, so no part
+    is -0 (x + (-x) and +0 + (-0) are +0)."""
+    _require_same_space(x.space, y.space)
+    dim = x.space.dimension
+    out: dict[int, np.ndarray] = {}
+    for d1 in sorted(x.diagonals):
+        for d2, b in y.diagonals.items():
+            d = d1 + d2
+            if -dim < d < dim and (wanted is None or d in wanted):
+                lo, hi = max(d2, 0), dim + min(d2, 0)
+                c = out.get(d)
+                if c is None:
+                    c = out[d] = np.zeros(dim, dtype=complex)
+                c[lo:hi] += x.diagonals[d1][lo - d2:hi - d2] * b[lo:hi]
+    return out
 
 
 def _norm(diagonals: dict[int, np.ndarray], dim: int, kind: str) -> float:
@@ -339,18 +359,17 @@ def operator_on_mode(space: FockSpace, mode: int, values: np.ndarray,
     where n_k >= lower and 0 elsewhere (the bottom `lower` states of the mode
     are annihilated).
     """
-    k = space._check_mode(mode)
+    k = space._check_mode(mode, "lower", lower)
     cutoff = space.cutoffs[k]
     vals = np.asarray(values, dtype=complex)
     if vals.shape != (cutoff + 1,):
         raise ValueError(f"values have shape {vals.shape}, expected ({cutoff + 1},)")
-    if not 0 <= lower <= cutoff:
-        raise ValueError(f"lower {lower} outside [0, {cutoff}] for mode {mode}")
     stride = math.prod(space.shape[k + 1:])
     column = vals.copy()
     column[:lower] = 0.0
+    np.putmask(column, np.logical_not(column), 0)  # the zero pass, on cutoff + 1 entries
     diagonal = np.tile(np.repeat(column, stride), math.prod(space.shape[:k]))
-    return LinearOperator(space, {lower * stride: diagonal})
+    return _canonical(space, {lower * stride: diagonal})
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,9 +410,7 @@ class QBosonFamily:
 def _shifted_family(space: FockSpace, mode: int, q_squared: float, alpha: int) -> QBosonFamily:
     """The q^2 = 1 (beta(n) = max(n - alpha, 0)) or q^2 = 0 (beta = theta(n - alpha - 1))
     family with rhs theta(n - alpha): its vacuum sits alpha steps up."""
-    k = space._check_mode(mode)
-    if not 0 <= alpha <= space.cutoffs[k]:
-        raise ValueError(f"alpha {alpha} outside [0, {space.cutoffs[k]}] for mode {mode}")
+    k = space._check_mode(mode, "alpha", alpha)
     n = np.arange(space.shape[k], dtype=float)
     beta = np.maximum(n - alpha, 0.0) if q_squared == 1.0 else (n > alpha).astype(float)
     return QBosonFamily(space, mode, q_squared, beta, (n >= alpha).astype(float))
@@ -406,9 +423,7 @@ def ladder(space: FockSpace, mode: int) -> QBosonFamily:
 
 def number_state_projector(space: FockSpace, mode: int, n: int) -> LinearOperator:
     """Projector onto occupation n of the given mode (identity pattern elsewhere)."""
-    k = space._check_mode(mode)
-    if not 0 <= n <= space.cutoffs[k]:
-        raise ValueError(f"occupation {n} outside [0, {space.cutoffs[k]}]")
+    k = space._check_mode(mode, "occupation", n)
     return operator_on_mode(space, mode, np.arange(space.shape[k]) == n)
 
 
@@ -417,20 +432,37 @@ def commutator(x: LinearOperator, y: LinearOperator) -> LinearOperator:
     return x @ y - y @ x
 
 
-def expectation(rho, op: LinearOperator) -> complex:
-    """Tr(rho * op).
+def linear_combination(space: FockSpace, terms) -> LinearOperator:
+    """The sum of coeff * op over the (coeff, op) pairs in `terms`, built once.  The
+    scaled diagonals add up left to right from +0, so no part is -0, with the bits of
+    sum((coeff * op for coeff, op in terms), zero) and none of its partial sums."""
+    out: dict[int, np.ndarray] = {}
+    for coeff, op in terms:
+        _require_same_space(space, op.space)
+        for d, c in op.diagonals.items():
+            out[d] = np.add(out.get(d, 0.0), c * coeff)
+    return _canonical(space, out)
+
+
+def expectation(rho, op: LinearOperator, right: LinearOperator | None = None) -> complex:
+    """Tr(rho * op), or Tr(rho * op * right) with the same bits as Tr(rho * (op @ right)).
 
     `rho` may be a DensityOperator or a plain LinearOperator (anything with an
     `.op` attribute is unwrapped first).  For Hermitian `op` the imaginary
-    part of the result is at the 1e-12 round-off level.
+    part of the result is at the 1e-12 round-off level.  A two-factor trace
+    computes, as `@` would, only the diagonals of op @ right that meet rho's.
     """
     rho_op = getattr(rho, "op", rho)
     _require_same_space(rho_op.space, op.space)
+    ops = op.diagonals if right is None else _product_diagonals(
+        op, right, wanted={-d for d in rho_op.diagonals})
     # Tr(AB) = sum_ij A_ij B_ji: diagonal d of A meets diagonal -d of B at
     # b[j - d], and the nonzero products are summed in row-major order.  They
     # are not made an operator: canonicalizing them would only cost time.
-    products = {d: a * _shift(op.diagonals[-d], d)
-                for d, a in rho_op.diagonals.items() if -d in op.diagonals}
+    products = {d: a * _shift(ops[-d], d) for d, a in rho_op.diagonals.items() if -d in ops}
+    if len(products) == 1:  # a mask keeps the nonzero values in order, faster than indices
+        [c] = products.values()
+        return complex(np.sum(c[c.astype(bool)]))
     return complex(np.sum(_row_major(products, op.space.dimension)[2]))
 
 

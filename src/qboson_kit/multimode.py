@@ -32,6 +32,7 @@ from .fock import (
     QBosonFamily,
     diagonal_operator,
     identity_operator,
+    linear_combination,
     make_space,
     relation_residual,
 )
@@ -195,11 +196,10 @@ def pair_product_residuals(family: CovariantFamily, margin: int = 1,
     pair-product tables B-B-, B+B+ and B+B-; each B-_i B+_j is built where it is used.
     One table is alive at a time (about 60 MB at N = 7, cutoff 4).  Each RTT right
     side sums pair products over R's nonzero entries in row-major (k, l) order."""
-    q = family.q
-    nm = family.space.mode_count
+    q, space = family.q, family.space
+    nm = space.mode_count
     R = su_r_matrix(nm, q).entries.reshape((nm,) * 4)
-    eye = identity_operator(family.space)
-    zero = 0.0 * eye
+    eye = identity_operator(space)
     bm, bp = zip(*family.dressed)
     pairs = [(i, j) for i in range(nm) for j in range(nm)]
     residuals = {}
@@ -211,28 +211,27 @@ def pair_product_residuals(family: CovariantFamily, margin: int = 1,
     for i, j in pairs:
         if i < j:
             record(f"lower-lower i={i + 1} j={j + 1}", mm[i][j], q * mm[j][i])
-        record(f"rtt-lower i={i + 1} j={j + 1}", mm[i][j], sum(
-            (complex(R[i, j, k, l]) / q * mm[l][k] for k, l in zip(*np.nonzero(R[i, j]))), zero))
+        record(f"rtt-lower i={i + 1} j={j + 1}", mm[i][j], linear_combination(space, (
+            (complex(R[i, j, k, l]) / q, mm[l][k]) for k, l in zip(*np.nonzero(R[i, j])))))
     del mm
     pp = [[bp[k] @ bp[l] for l in range(nm)] for k in range(nm)]
     for i, j in pairs:
         if i < j:
             record(f"raise-raise i={i + 1} j={j + 1}", q * pp[i][j], pp[j][i])
-        record(f"rtt-raise i={i + 1} j={j + 1}", pp[i][j], sum(
-            (complex(R[l, k, i, j]) / q * pp[k][l] for k, l in zip(*np.nonzero(R[..., i, j].T))),
-            zero))
+        record(f"rtt-raise i={i + 1} j={j + 1}", pp[i][j], linear_combination(space, (
+            (complex(R[l, k, i, j]) / q, pp[k][l]) for k, l in zip(*np.nonzero(R[..., i, j].T)))))
     del pp
     pm = [[bp[k] @ bm[l] for l in range(nm)] for k in range(nm)]
     for i, j in pairs:
         mp = bm[i] @ bp[j]
         if i == j:
             record(f"diagonal i={i + 1}", mp - q * q * pm[i][i], _dressing_factor(
-                family.space, q, i + 1, 2 * family.dressing_exponent_sign))
+                space, q, i + 1, 2 * family.dressing_exponent_sign))
         else:
             record(f"lower-raise i={i + 1} j={j + 1}", mp, q * pm[j][i])
-        record(f"rtt-mixed i={i + 1} j={j + 1}", mp, sum(
-            (q * complex(R[k, i, j, l]) * pm[k][l] for k, l in zip(*np.nonzero(R[:, i, j]))),
-            eye if i == j else zero))
+        terms = [(q * complex(R[k, i, j, l]), pm[k][l]) for k, l in zip(*np.nonzero(R[:, i, j]))]
+        record(f"rtt-mixed i={i + 1} j={j + 1}", mp,
+               linear_combination(space, ([(1.0, eye)] if i == j else []) + terms))
     return residuals
 
 

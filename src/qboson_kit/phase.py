@@ -43,7 +43,8 @@ def theta_operator(space: FockSpace, mode: int, alpha: int) -> LinearOperator:
     fixed by requiring theta(N) to be the identity and the thermal
     expectation of theta(N - alpha) to be q^(2 alpha).
     """
-    return _shifted_family(space, mode, 0.0, alpha).rhs
+    k = space._check_mode(mode, "alpha", alpha)
+    return operator_on_mode(space, mode, np.arange(space.shape[k]) >= alpha)
 
 
 @dataclass(frozen=True)

@@ -171,8 +171,8 @@ def averaged_relation(rho: DensityOperator, a_minus: LinearOperator, a_plus: Lin
 
     Every recipe coefficient in the toolkit is such a genuine matrix trace.
     """
-    ops = (a_minus @ a_plus, a_plus @ a_minus, d0)
-    return _real_relation([expectation(rho, op) for op in ops], rho.tail_mass)
+    factors = ((a_minus, a_plus), (a_plus, a_minus), (d0,))
+    return _real_relation([expectation(rho, *ops) for ops in factors], rho.tail_mass)
 
 
 def _real_relation(values: list[complex], tail_mass: float) -> EffectiveRelation:
@@ -182,8 +182,12 @@ def _real_relation(values: list[complex], tail_mass: float) -> EffectiveRelation
     return EffectiveRelation(*(float(value.real) for value in values), tail_mass=tail_mass)
 
 
+class RecipeRelations(list):
+    """Relations in request order, with the run's `space` and A± `pairs` by vacuum shift."""
+
+
 def recipe_relations(q_squared: float, cutoffs: Sequence[int],
-                     requests: Sequence[tuple[str, str, int]]) -> list[EffectiveRelation]:
+                     requests: Sequence[tuple[str, str, int]]) -> RecipeRelations:
     """Average the two-mode product relation of each (a_choice, d0_choice, alpha) request
     over one thermal x vacuum state.
 
@@ -216,15 +220,15 @@ def recipe_relations(q_squared: float, cutoffs: Sequence[int],
     # D0 = theta(N - step) is 1 at step 0.
     keys = [(None if a_choice == "boson" else alpha if a_choice == "alpha_phase" else 0,
              alpha if d0_choice == "theta" else 0) for a_choice, d0_choice, alpha in requests]
-    pair_traces = {}
-    for shift in dict.fromkeys(shift for shift, _ in keys):
-        pair = ladder(space, 1) if shift is None else alpha_phase_pair(space, 1, shift)
-        pair_traces[shift] = [expectation(rho, pair.lower @ pair.raise_),
-                              expectation(rho, pair.raise_ @ pair.lower)]
+    pairs = {shift: ladder(space, 1) if shift is None else alpha_phase_pair(space, 1, shift)
+             for shift in dict.fromkeys(shift for shift, _ in keys)}
+    pair_traces = {shift: [expectation(rho, p.lower, p.raise_), expectation(rho, p.raise_, p.lower)]
+                   for shift, p in pairs.items()}
     step_traces = {step: expectation(rho, theta_operator(space, 1, step))
                    for step in dict.fromkeys(step for _, step in keys)}
 
-    relations = []
+    relations = RecipeRelations()
+    relations.space, relations.pairs = space, pairs
     for shift, step in keys:
         rel = _real_relation([*pair_traces[shift], step_traces[step]], rho.tail_mass)
         if step > 0 and rel.coeff_plus > 0:

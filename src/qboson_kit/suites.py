@@ -215,28 +215,28 @@ def thermal_suite(q_squared: float, cutoff: int, tolerance: float) -> list[Check
     pair = phase_pair(space, 1)
     q2 = q_squared
 
-    def value(name: str, relation: str, op, analytic: float) -> Check:
-        measured = expectation(rho, op).real
+    def value(name: str, relation: str, factors, analytic: float) -> Check:
+        measured = expectation(rho, *factors).real
         return _check(f"thermal/{name}", relation, abs(measured - analytic),
                       analytic * max(tolerance, tail), measured, analytic, tail)
 
     checks = [
         value("mean-occupation", "<a+ a> = q^2/(1-q^2)",
-              triple.raise_ @ triple.lower, q2 / (1 - q2)),
+              (triple.raise_, triple.lower), q2 / (1 - q2)),
         value("antinormal-occupation", "<a a+> = 1/(1-q^2)",
-              triple.lower @ triple.raise_, 1 / (1 - q2)),
+              (triple.lower, triple.raise_), 1 / (1 - q2)),
     ]
     lo_pow, hi_pow = pair.lower, pair.raise_
     for a in (1, 2, 3):
         checks.append(value(f"shift-ratio-normal-{a}", f"<e+^{a} e^{a}> = q^(2*{a})",
-                            hi_pow @ lo_pow, q2 ** a))
+                            (hi_pow, lo_pow), q2 ** a))
         checks.append(value(f"shift-ratio-antinormal-{a}", f"<e^{a} e+^{a}> = 1",
-                            lo_pow @ hi_pow, 1.0))
+                            (lo_pow, hi_pow), 1.0))
         lo_pow = lo_pow @ pair.lower
         hi_pow = hi_pow @ pair.raise_
     for a in (0, 1, 2, 3):
         checks.append(value(f"step-weight-{a}", f"<theta(N-{a})> = q^(2*{a})",
-                            theta_operator(space, 1, a), q2 ** a))
+                            (theta_operator(space, 1, a),), q2 ** a))
     return checks
 
 
@@ -344,7 +344,7 @@ def recipe_suite(q_squared: float, cutoff: int, tolerance: float) -> list[Check]
                 *(("alpha_phase", "identity", a) for a in (0, 1, 2)),
                 *(("boson", "theta", a) for a in (1, 2))]
     try:
-        shift, boson, *shifted, step1, step2 = recipe_relations(q2, cutoffs, requests)
+        shift, boson, *shifted, step1, step2 = relations = recipe_relations(q2, cutoffs, requests)
     except TruncationAccuracyError as exc:
         raise ConfigError(f"the recipe suite needs a larger --cutoff: {exc}") from exc
     checks = [
@@ -373,8 +373,7 @@ def recipe_suite(q_squared: float, cutoff: int, tolerance: float) -> list[Check]
             "measured step-projector exponent sign (+1: rhs = (1-q^2) q^(+2 alpha))",
             0.0, None, rel.rhs_exponent_sign))
 
-    space = make_space(cutoffs)
-    pair = phase_pair(space, 1)
+    space, pair = relations.space, relations.pairs[0]
     pure = averaged_relation(pure_density(basis_state(space, [1, 0])), pair.lower,
                              pair.raise_, identity_operator(space))
     dev = max(abs(pure.coeff_plus - 1.0), abs(pure.coeff_minus - 1.0),

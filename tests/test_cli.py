@@ -532,6 +532,29 @@ def test_unwritable_out_exits_two(command, tmp_path, capsys):
         assert out.err == f"error: cannot write --out {target}: {os.strerror(code)}\n"
 
 
+def test_unwritable_out_is_refused_before_the_run(tmp_path, monkeypatch, capsys):
+    def no_run(config):
+        raise AssertionError("run_suite called with an unwritable --out")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    target = tmp_path / "missing" / "x.json"
+    assert cli.main(["run", "--suite", "cuntz", "--out", str(target)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: cannot write --out {target}: {os.strerror(errno.ENOENT)}\n"
+
+
+def test_failed_run_leaves_out_as_it_was(tmp_path, capsys):
+    """A run that fails after the --out check neither truncates an existing file nor
+    leaves a new one behind."""
+    kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+    kept.write_text("earlier report\n")
+    for target in (kept, fresh):
+        assert cli.main(["run", "--suite", "cuntz", "--q", "0.5", "--out", str(target)]) == 2
+        assert capsys.readouterr().err == "error: --suite cuntz does not take --q\n"
+    assert kept.read_text() == "earlier report\n"
+    assert not fresh.exists()
+
+
 def test_cli_run_csv_format():
     proc = run_cli("run", "--suite", "rmatrix", "--modes", "2", "--format", "csv")
     assert proc.returncode == 0

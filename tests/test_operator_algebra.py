@@ -14,11 +14,17 @@ from hypothesis import strategies as st
 from qboson_kit import (
     LinearOperator,
     StateVector,
+    ThermalParams,
+    coherent_density,
     diagonal_operator,
     expectation,
+    ladder,
+    linear_combination,
     make_space,
     operator_on_mode,
+    phase_pair,
     relation_residual,
+    thermal_density,
 )
 
 gaussian = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
@@ -221,3 +227,97 @@ def test_constructor_and_algebra_keep_operators_canonical(data):
     assert_matches(x - y, xd - yd)
     assert_matches(scalar * x, scalar * xd)
     assert_matches(x.adjoint(), xd.conj().T)
+
+
+# -- kernels that skip the constructor's zero pass -----------------------------
+
+# 1/3 and 0.1 + 0.7j make sums order-sensitive; 1e-200 makes products underflow.
+scales = st.sampled_from([1.0, -1.0, 1 / 3, 0.1 + 0.7j, 1e-200])
+
+
+def _scaled_read_only(op, scale):
+    """op with every diagonal scaled, through the constructor, and its arrays made
+    read-only: a kernel that writes into an operand's array raises."""
+    scaled = LinearOperator(op.space, {d: c * scale for d, c in op.diagonals.items()})
+    for c in scaled.diagonals.values():
+        c.flags.writeable = False
+    return scaled
+
+
+def assert_same_bits(op, other):
+    assert sorted(op.diagonals) == sorted(other.diagonals)
+    for d, c in other.diagonals.items():
+        assert np.array_equal(op.diagonals[d].view(np.int64), c.view(np.int64))
+
+
+def assert_canonical(op):
+    """op's diagonals are bit for bit what the constructor makes of copies of them."""
+    assert_same_bits(op, LinearOperator(op.space, {d: c.copy() for d, c in op.diagonals.items()}))
+
+
+def bits(value: complex) -> bytes:
+    return np.complex128(value).tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_kernels_that_skip_the_zero_pass_emit_canonical_operators(data):
+    """Products, single-mode operators and linear combinations hold no -0 part and
+    no all-zero diagonal, with -0 inputs, cancelling pairs and underflowing products."""
+    space = data.draw(spaces())
+    scale = data.draw(scales)
+    x = _scaled_read_only(data.draw(raw_operators(space))[0], scale)
+    y = _scaled_read_only(data.draw(raw_operators(space))[0], scale)
+    assert_canonical(x @ y)
+    assert_canonical(x @ x.adjoint())
+    a, b = data.draw(signed_entries), data.draw(signed_entries)
+    pairs = [(a, x), (b, y), (-a, x)]  # the x parts cancel
+    combo = linear_combination(space, pairs)
+    assert_canonical(combo)
+    assert_same_bits(combo, sum((c * op for c, op in pairs), LinearOperator(space, {})))
+    mode = data.draw(st.integers(1, space.mode_count))
+    cutoff = space.cutoffs[mode - 1]
+    values = np.array(data.draw(st.lists(signed_entries, min_size=cutoff + 1,
+                                         max_size=cutoff + 1)), dtype=complex) * scale
+    assert_canonical(operator_on_mode(space, mode, values, data.draw(st.integers(0, cutoff))))
+
+
+def assert_trace_bits(rho, x, y):
+    """expectation(rho, x, y) gives Tr(rho (x @ y)) with its bits, and the one-factor
+    trace sums the nonzero products rho_ij op_ji in row-major order."""
+    product = x @ y
+    for c in product.diagonals.values():
+        c.flags.writeable = False
+    assert bits(expectation(rho, x, y)) == bits(expectation(rho, product))
+    for op in (x, product):
+        terms = getattr(rho, "op", rho).toarray() * op.toarray().T
+        assert bits(expectation(rho, op)) == bits(np.sum(terms[terms != 0]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_two_factor_expectation_is_the_trace_of_the_product_bit_for_bit(data):
+    space = data.draw(spaces())
+    rho, x, y = (_scaled_read_only(data.draw(raw_operators(space))[0], data.draw(scales))
+                 for _ in range(3))
+    assert_trace_bits(rho, x, y)
+
+
+def test_two_factor_expectation_on_densities_and_an_all_zero_product():
+    """A coherent density has many diagonals, a thermal one has zeros between its
+    weights; full x and y put many terms on each product diagonal, and tiny x tiny
+    underflows to no diagonal at all."""
+    space = make_space([12, 2])
+    dim = space.dimension
+    full = {d: 1.0 / (np.arange(dim) + abs(d) + 1.5) + 0j for d in range(1 - dim, dim)}
+    full = LinearOperator(space, {d: c * (np.arange(dim) >= d) * (np.arange(dim) < dim + d)
+                                  for d, c in full.items()})
+    boson, pair = ladder(space, 1), phase_pair(space, 1)
+    tiny = operator_on_mode(space, 1, np.full(13, 1e-200), lower=1)
+    assert (tiny @ tiny.adjoint()).diagonals == {}
+    for rho in (coherent_density(space, 1, 0.8 + 0.3j),
+                thermal_density(space, 1, ThermalParams.from_q_squared(0.7))):
+        for x, y in ((boson.lower, boson.raise_), (pair.raise_, boson.lower),
+                     (full, full.adjoint()), (tiny, tiny.adjoint())):
+            assert_trace_bits(rho, x, y)
+        assert bits(expectation(rho, tiny, tiny.adjoint())) == bits(0j)

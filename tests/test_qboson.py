@@ -256,6 +256,23 @@ def test_recipe_suite_shares_one_average(monkeypatch):
     assert len([args for args, _ in traces if args[0] is thermal]) == 11
 
 
+def test_recipe_recovery_row_averages_on_the_run_space(monkeypatch):
+    """recipe/algebraic-recovery takes the run's space and its shift-0 phase pair:
+    the suite builds no second two-mode space and no second pair."""
+    from qboson_kit import suites
+
+    built = []
+    monkeypatch.setattr(suites, "make_space", lambda *args: built.append(args))
+    monkeypatch.setattr(suites, "phase_pair", lambda *args: built.append(args))
+    relations = recipe_relations(0.5, (40, 6), [("phase", "identity", 0)])
+    assert relations.space.cutoffs == (40, 6)
+    assert relations.pairs[0].q_squared == 0.0 and relations.pairs[0].rhs_values.all()
+    checks = {c.name: c for c in run_suite(SuiteConfig(suite="recipe")).checks}
+    assert built == []
+    assert checks["recipe/algebraic-recovery"].residual == 0.0
+    assert checks["recipe/algebraic-recovery"].passed
+
+
 def test_recipe_pure_state_recovers_undeformed_boson():
     space = make_space([40, 6])
     pair = phase_pair(space, 1)
