@@ -87,9 +87,9 @@ def mixture_density(states: Sequence[StateVector], probs: Sequence[float]) -> De
     if len(states) != len(probs):
         raise ValueError(f"{len(states)} states but {len(probs)} probabilities")
     p = np.asarray(probs, dtype=float)
-    if np.any(p < 0):
+    if not np.all(p >= 0):  # also refuses nan
         raise ValueError("probabilities must be nonnegative")
-    if abs(p.sum() - 1.0) > 1e-10:
+    if not abs(p.sum() - 1.0) <= 1e-10:
         raise ValueError(f"probabilities sum to {p.sum()}, expected 1")
     space = states[0].space
     for state in states:

@@ -72,21 +72,23 @@ class FockSpace:
         return int(np.ravel_multi_index(tuple(multi), self.shape))
 
     def _safe_mask(self, margin: int) -> np.ndarray:
-        """Read-only flags of the states with n_i <= cutoff_i - margin, built once per margin."""
+        """Read-only flags of the states with n_i <= cutoff_i - margin (a box), built once."""
         masks = self.__dict__.setdefault("_safe_masks", {})
         if margin not in masks:
-            masks[margin] = np.all(self.occupations <= np.array(self.cutoffs) - margin, axis=1)
+            box = np.zeros(self.shape, dtype=bool)
+            box[tuple(slice(c + 1 - margin) for c in self.cutoffs)] = True
+            masks[margin] = box.reshape(-1)
             masks[margin].flags.writeable = False
         return masks[margin]
 
-    def _safe_pair_mask(self, margin: int, offset: int) -> np.ndarray:
-        """Read-only flags of the entries of diagonal `offset` whose row and column are
-        both safe at `margin`, built once per (margin, offset)."""
-        masks = self.__dict__.setdefault("_safe_pair_masks", {})
+    def _unsafe_pair_mask(self, margin: int, offset: int) -> np.ndarray:
+        """Read-only flags of the entries of diagonal `offset` whose row or column is
+        not safe at `margin` (or outside the matrix), built once per (margin, offset)."""
+        masks = self.__dict__.setdefault("_unsafe_pair_masks", {})
         key = (margin, offset)
         if key not in masks:
             keep = self._safe_mask(margin)
-            masks[key] = keep & _shift(keep, offset)
+            masks[key] = ~(keep & _shift(keep, offset))
             masks[key].flags.writeable = False
         return masks[key]
 
@@ -171,11 +173,13 @@ class LinearOperator:
     `diagonals` maps a flat offset d to a complex array c of length
     `dimension`, c[j] being the entry (j - d, j) and zero where that row is
     outside the matrix.  A single-mode operator is one diagonal, and a
-    product of diagonals d1 and d2 lands on d1 + d2.  The constructor takes
-    ownership of the arrays and makes the operator canonical: zero entries
-    are stored as +0, all-zero diagonals are dropped, and the arrays are
-    never written again.  Products, operator_on_mode and linear_combination
-    build canonical arrays and skip that zero pass.
+    product of diagonals d1 and d2 lands on d1 + d2.  The constructor checks
+    each offset, length and dtype, takes ownership of the arrays and makes
+    the operator canonical (`_zero_pass`): zero entries are stored as +0,
+    all-zero diagonals are dropped, and the arrays are never written again.
+    Sums, differences, scalar multiples, negation and the adjoint compute
+    fresh arrays and run only the zero pass; products, operator_on_mode and
+    linear_combination build canonical arrays and skip it too.
     """
 
     space: FockSpace
@@ -183,16 +187,11 @@ class LinearOperator:
 
     def __post_init__(self):
         dim = self.space.dimension
-        kept = {}
         for d, c in self.diagonals.items():
             if not -dim < d < dim or getattr(c, "shape", None) != (dim,) or c.dtype != complex:
                 raise ValueError(f"diagonal {d}: expected a complex array of length {dim} "
                                  f"at an offset inside ({-dim}, {dim})")
-            zero = np.logical_not(c)  # c == 0, faster for complex arrays
-            if np.count_nonzero(zero) < dim:
-                np.putmask(c, zero, 0)
-                kept[d] = c
-        object.__setattr__(self, "diagonals", kept)
+        object.__setattr__(self, "diagonals", _zero_pass(self.diagonals, dim))
 
     @cached_property
     def matrix(self):
@@ -210,8 +209,8 @@ class LinearOperator:
     def _merge(self, other: "LinearOperator", op) -> "LinearOperator":
         _require_same_space(self.space, other.space)
         a, b = self.diagonals, other.diagonals
-        return LinearOperator(self.space, {d: op(a.get(d, 0.0), b.get(d, 0.0))
-                                           for d in a.keys() | b.keys()})
+        return _derived(self.space, {d: op(a.get(d, 0.0), b.get(d, 0.0))
+                                     for d in a.keys() | b.keys()})
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
         return self._merge(other, np.add)
@@ -220,7 +219,7 @@ class LinearOperator:
         return self._merge(other, np.subtract)
 
     def __mul__(self, scalar: complex) -> "LinearOperator":
-        return LinearOperator(self.space, {d: c * scalar for d, c in self.diagonals.items()})
+        return _derived(self.space, {d: c * scalar for d, c in self.diagonals.items()})
 
     __rmul__ = __mul__
 
@@ -228,9 +227,12 @@ class LinearOperator:
         return self * (-1.0)
 
     def adjoint(self) -> "LinearOperator":
-        # Entry (j - d, j) moves to (j, j - d): diagonal -d, column j - d.
-        return LinearOperator(self.space, {-d: _shift(np.conjugate(c), -d)
-                                           for d, c in self.diagonals.items()})
+        # Entry (j - d, j) moves to (j, j - d): diagonal -d, out[j] = conj(c[j + d]).
+        dim, out = self.space.dimension, {}
+        for d, c in self.diagonals.items():
+            out[-d] = np.zeros(dim, dtype=complex)
+            np.conjugate(c[max(d, 0):dim + min(d, 0)], out=out[-d][max(-d, 0):dim + min(-d, 0)])
+        return _derived(self.space, out)
 
     def apply(self, state: StateVector) -> StateVector:
         _require_same_space(self.space, state.space)
@@ -261,11 +263,34 @@ class LinearOperator:
         return _norm(self.diagonals, self.space.dimension, kind)
 
 
+def _zero_pass(diagonals: dict[int, np.ndarray], dim: int) -> dict[int, np.ndarray]:
+    """The constructor's canonical form, in place: zero entries become +0 and all-zero
+    diagonals are dropped."""
+    kept = {}
+    for d, c in diagonals.items():
+        zero = np.logical_not(c)  # c == 0, faster for complex arrays
+        if np.count_nonzero(zero) < dim:
+            np.putmask(c, zero, 0)
+            kept[d] = c
+    return kept
+
+
+def _operator(space: FockSpace, diagonals: dict[int, np.ndarray]) -> LinearOperator:
+    """The operator with these canonical diagonals, without the validating constructor."""
+    op = object.__new__(LinearOperator)
+    op.__dict__.update(space=space, diagonals=diagonals)
+    return op
+
+
+def _derived(space: FockSpace, diagonals: dict[int, np.ndarray]) -> LinearOperator:
+    """An operator computed from checked ones: fresh arrays of the right length and
+    dtype, so only the zero pass runs."""
+    return _operator(space, _zero_pass(diagonals, space.dimension))
+
+
 def _canonical(space: FockSpace, diagonals: dict[int, np.ndarray]) -> LinearOperator:
     """The operator with diagonals that hold no -0 part: drops all-zero ones, no zero pass."""
-    op = object.__new__(LinearOperator)
-    op.__dict__.update(space=space, diagonals={d: c for d, c in diagonals.items() if c.any()})
-    return op
+    return _operator(space, {d: c for d, c in diagonals.items() if c.any()})
 
 
 def _product_diagonals(x: LinearOperator, y: LinearOperator, wanted=None) -> dict[int, np.ndarray]:
@@ -299,7 +324,9 @@ def _norm(diagonals: dict[int, np.ndarray], dim: int, kind: str) -> float:
     if kind not in ("spectral", "frobenius"):
         raise ValueError(f"unknown norm kind {kind!r}")
     if kind == "spectral" and len(diagonals) <= 1:
-        return max((float(np.abs(c).max()) for c in diagonals.values()), default=0.0)
+        for c in diagonals.values():
+            return float(np.abs(c).max())
+        return 0.0
     rows, cols, values = _row_major(diagonals, dim)
     if kind == "frobenius":
         return float(np.sqrt(np.sum(np.abs(values) ** 2)))
@@ -364,12 +391,13 @@ def operator_on_mode(space: FockSpace, mode: int, values: np.ndarray,
     vals = np.asarray(values, dtype=complex)
     if vals.shape != (cutoff + 1,):
         raise ValueError(f"values have shape {vals.shape}, expected ({cutoff + 1},)")
-    stride = math.prod(space.shape[k + 1:])
+    stride, outer = math.prod(space.shape[k + 1:]), math.prod(space.shape[:k])
     column = vals.copy()
     column[:lower] = 0.0
-    np.putmask(column, np.logical_not(column), 0)  # the zero pass, on cutoff + 1 entries
-    diagonal = np.tile(np.repeat(column, stride), math.prod(space.shape[:k]))
-    return _canonical(space, {lower * stride: diagonal})
+    if not _zero_pass({0: column}, cutoff + 1):  # on cutoff + 1 entries, before tiling
+        return _operator(space, {})
+    diagonal = column if stride == 1 else np.repeat(column, stride)
+    return _operator(space, {lower * stride: diagonal if outer == 1 else np.tile(diagonal, outer)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -473,9 +501,10 @@ def relation_residual(lhs: LinearOperator, rhs: LinearOperator, margin: int,
     """Norm of the safe block of lhs - rhs.
 
     The safe block keeps the rows and columns of the states with
-    n_i <= cutoff_i - margin for every mode: each diagonal is masked to the
-    entries whose row and column are both kept, which is P (lhs - rhs) P for
-    the projector P onto those states.
+    n_i <= cutoff_i - margin for every mode: each diagonal of the difference
+    has its entries outside the block set to +0, which is P (lhs - rhs) P for
+    the projector P onto those states.  Its largest entry modulus drops an
+    all-zero diagonal and is the spectral norm of a one-diagonal block.
     """
     _require_same_space(lhs.space, rhs.space)
     space = lhs.space
@@ -484,11 +513,15 @@ def relation_residual(lhs: LinearOperator, rhs: LinearOperator, margin: int,
     if margin >= min(space.cutoffs):
         raise ValueError(f"margin {margin} >= smallest cutoff {min(space.cutoffs)}")
     a, b = lhs.diagonals, rhs.diagonals
-    block = {}
+    block, peak = {}, 0.0
     for d in a.keys() | b.keys():
-        c = np.where(space._safe_pair_mask(margin, d), a.get(d, 0.0) - b.get(d, 0.0), 0)
-        if c.any():
-            block[d] = c
+        c = np.subtract(a.get(d, 0.0), b.get(d, 0.0))
+        np.putmask(c, space._unsafe_pair_mask(margin, d), 0)  # also zeroes inf/nan outside
+        top = np.abs(c).max()  # 0 exactly for an all-zero diagonal, nan if c holds one
+        if top != 0:
+            block[d], peak = c, top
+    if norm == "spectral" and len(block) <= 1:  # a monomial block: its peak, as in _norm
+        return float(peak)
     return _norm(block, space.dimension, norm)
 
 

@@ -71,7 +71,7 @@ def family_on_space(space: FockSpace, mode: int, q_squared: float,
     values = [float(rhs(n)) for n in range(cutoff + 1)]
     beta = [0.0]
     for n, value in enumerate(values[:-1]):
-        if value < 0:
+        if not value >= 0:  # also refuses nan
             raise ValueError(
                 f"rhs({n}) = {value} is negative: magnitudes must stay nonnegative")
         beta.append(value + q_squared * beta[n])

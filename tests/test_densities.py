@@ -58,6 +58,14 @@ def test_mixture_probability_validation():
         mixture_density(states, [-0.5, 1.5])
 
 
+def test_mixture_rejects_a_nan_probability():
+    """nan fails every comparison, so a guard written as p < 0 lets it through."""
+    space = make_space([3])
+    states = [basis_state(space, [0]), basis_state(space, [1])]
+    with pytest.raises(ValueError, match="nonnegative"):
+        mixture_density(states, [0.5, float("nan")])
+
+
 def test_mixture_rejects_unnormalized_state():
     space = make_space([3])
     bad = basis_state(space, [1])

@@ -186,11 +186,16 @@ def raw_operators(draw, space):
     return LinearOperator(space, diagonals), dense
 
 
+def _safe_states(space, margin):
+    """The states with n_i <= cutoff_i - margin, from the occupation table."""
+    return np.all(space.occupations <= np.array(space.cutoffs) - margin, axis=1)
+
+
 def _masked_block_norm(lhs, rhs, margin, kind):
     """relation_residual as it was computed before it skipped the operator: the safe
     block of lhs - rhs made a LinearOperator, and that operator's norm."""
     space = lhs.space
-    keep = np.all(space.occupations <= np.array(space.cutoffs) - margin, axis=1)
+    keep = _safe_states(space, margin)
     a, b = lhs.diagonals, rhs.diagonals
     block = {}
     for d in a.keys() | b.keys():
@@ -201,16 +206,43 @@ def _masked_block_norm(lhs, rhs, margin, kind):
     return LinearOperator(space, block).norm(kind)
 
 
+nonfinite = st.sampled_from([np.inf, -np.inf, np.nan, complex(np.inf, np.nan),
+                             complex(0.0, -np.inf)])
+
+
+def _poisoned(op, margin, value):
+    """op with `value` written into every entry of its diagonals and of the main
+    diagonal whose row or column is outside the safe block at `margin`."""
+    space, dim = op.space, op.space.dimension
+    keep = _safe_states(space, margin)
+    diagonals = {d: c.copy() for d, c in op.diagonals.items()}
+    diagonals.setdefault(0, np.zeros(dim, dtype=complex))
+    for d, c in diagonals.items():
+        j = np.arange(max(d, 0), dim + min(d, 0))
+        c[j[~(keep[j] & keep[j - d])]] = value
+    return LinearOperator(space, diagonals)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_relation_residual_matches_the_masked_operator_norm_bit_for_bit(data):
+    """Also with inf and nan outside the safe block, which the residual never sees;
+    and the safe states, set as a box, are those of the occupation table."""
     space = data.draw(spaces())
     x, _ = data.draw(raw_operators(space))
     y, _ = data.draw(raw_operators(space))
+    bad_x, bad_y = data.draw(nonfinite), data.draw(nonfinite)
     for margin in range(min(space.cutoffs)):
+        assert np.array_equal(space._safe_mask(margin), _safe_states(space, margin))
+        lhs, rhs = _poisoned(x, margin, bad_x), _poisoned(y, margin, bad_y)
         for kind in ("spectral", "frobenius"):
             got = relation_residual(x, y, margin, norm=kind)
             want = _masked_block_norm(x, y, margin, kind)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            with np.errstate(invalid="ignore"):  # inf - inf outside the block
+                got = relation_residual(lhs, rhs, margin, norm=kind)
+                want = _masked_block_norm(lhs, rhs, margin, kind)
+            assert np.isfinite(got)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
@@ -259,17 +291,36 @@ def bits(value: complex) -> bytes:
     return np.complex128(value).tobytes()
 
 
+def _shifted(x, s):
+    """y[j] = x[j - s], zero where j - s falls outside x."""
+    y = np.zeros_like(x)
+    y[max(s, 0):len(x) + min(s, 0)] = x[max(-s, 0):len(x) + min(-s, 0)]
+    return y
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_kernels_that_skip_the_zero_pass_emit_canonical_operators(data):
     """Products, single-mode operators and linear combinations hold no -0 part and
-    no all-zero diagonal, with -0 inputs, cancelling pairs and underflowing products."""
+    no all-zero diagonal, with -0 inputs, cancelling pairs and underflowing products.
+    Sums, differences, scalar multiples, negation and the adjoint skip the
+    constructor's checks and give its bits on the arrays they computed before."""
     space = data.draw(spaces())
     scale = data.draw(scales)
     x = _scaled_read_only(data.draw(raw_operators(space))[0], scale)
     y = _scaled_read_only(data.draw(raw_operators(space))[0], scale)
     assert_canonical(x @ y)
     assert_canonical(x @ x.adjoint())
+    a_d = x.diagonals
+    for got, op, b_d in ((x + y, np.add, y.diagonals), (x - y, np.subtract, y.diagonals),
+                         (x - x, np.subtract, a_d)):
+        assert_same_bits(got, LinearOperator(space, {d: op(a_d.get(d, 0.0), b_d.get(d, 0.0))
+                                                     for d in a_d.keys() | b_d.keys()}))
+    scalar = data.draw(st.one_of(signed_entries, scales))  # 1e-200 x 1e-200 underflows
+    assert_same_bits(scalar * x, LinearOperator(space, {d: c * scalar for d, c in a_d.items()}))
+    assert_same_bits(-x, LinearOperator(space, {d: c * -1.0 for d, c in a_d.items()}))
+    assert_same_bits(x.adjoint(), LinearOperator(
+        space, {-d: _shifted(np.conjugate(c), -d) for d, c in a_d.items()}))
     a, b = data.draw(signed_entries), data.draw(signed_entries)
     pairs = [(a, x), (b, y), (-a, x)]  # the x parts cancel
     combo = linear_combination(space, pairs)

@@ -56,6 +56,11 @@ def test_solver_rejects_negative_rhs():
         family_on_space(make_space([4]), 1, 0.5, lambda n: -1.0)
 
 
+def test_solver_rejects_a_nan_rhs():
+    with pytest.raises(ValueError, match=r"rhs\(0\) = nan is negative"):
+        family_on_space(make_space([4]), 1, 0.5, lambda n: float("nan"))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=0.05, max_value=0.95),
        st.integers(min_value=2, max_value=20))
