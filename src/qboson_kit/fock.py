@@ -72,7 +72,8 @@ class FockSpace:
         return int(np.ravel_multi_index(tuple(multi), self.shape))
 
     def _safe_mask(self, margin: int) -> np.ndarray:
-        """Read-only flags of the states with n_i <= cutoff_i - margin (a box), built once."""
+        """Read-only flags of the states with n_i <= cutoff_i - margin, built once per
+        margin by setting that box of a `shape` boolean array."""
         masks = self.__dict__.setdefault("_safe_masks", {})
         if margin not in masks:
             box = np.zeros(self.shape, dtype=bool)
