@@ -40,7 +40,8 @@ class ThermalParams:
     """Geometric-distribution parameter q_squared in (0, 1).
 
     At a physical temperature q_squared = exp(-epsilon0 / kT), epsilon0 being
-    the quantal energy and kT the temperature in the same units.
+    the quantal energy and kT the temperature in the same units; the CLI takes
+    that map in `SuiteConfig.resolved_q_squared`.
     """
 
     q_squared: float
@@ -48,12 +49,6 @@ class ThermalParams:
     def __post_init__(self):
         if not 0.0 < self.q_squared < 1.0:
             raise ValueError(f"q_squared must lie in (0, 1), got {self.q_squared}")
-
-    @classmethod
-    def from_temperature(cls, epsilon0: float, kT: float) -> "ThermalParams":
-        if epsilon0 <= 0 or kT <= 0:
-            raise ValueError("epsilon0 and kT must be positive")
-        return cls(q_squared=math.exp(-epsilon0 / kT))
 
     @classmethod
     def from_q_squared(cls, q_squared: float) -> "ThermalParams":

@@ -3,17 +3,18 @@
 Every mode carries an occupation cutoff; the basis is the set of multi-indices
 (n_1, ..., n_M) with 0 <= n_i <= cutoff_i, enumerated row-major with mode 1
 slowest.  Operators are immutable matrices stored as diagonals; this module
-alone knows that format: every operator is canonical (see LinearOperator),
-and `entries()` exports the row-major nonzero entries.  A ladder on one mode
-is a QBosonFamily, the boson its member at q^2 = 1.  Algebraic identities
-that hold in the untruncated algebra are checked on a "safe subspace" (states
-at least `margin` steps below every cutoff), where they hold to machine
-precision.
+alone knows that format: no operator holds an all-zero diagonal (see
+LinearOperator), and `entries()` exports the row-major nonzero entries.  A
+ladder on one mode is a QBosonFamily, the boson its member at q^2 = 1.
+Algebraic identities that hold in the untruncated algebra are checked on a
+"safe subspace" (states at least `margin` steps below every cutoff), where
+they hold to machine precision.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -174,17 +175,18 @@ class LinearOperator:
     `diagonals` maps a flat offset d to a complex array c of length
     `dimension`, c[j] being the entry (j - d, j) and zero where that row is
     outside the matrix.  A single-mode operator is one diagonal, and a
-    product of diagonals d1 and d2 lands on d1 + d2.  The constructor checks
-    each offset, length and dtype, takes ownership of the arrays and makes
-    the operator canonical (`_zero_pass`): zero entries are stored as +0,
-    all-zero diagonals are dropped, and the arrays are never written again.
-    Sums, differences, scalar multiples, negation and the adjoint compute
-    fresh arrays and run only the zero pass; products, operator_on_mode and
-    linear_combination build canonical arrays and skip it too.
+    product of diagonals d1 and d2 lands on d1 + d2.  No operator holds an
+    all-zero diagonal; the sign of a stored zero is free, and no read depends
+    on it.  The constructor checks each offset, length and dtype and drops
+    the all-zero diagonals (`_nonzero`); the kernels compute fresh arrays,
+    drop theirs the same way and skip the checks.  No operator writes to its
+    arrays or to those it is given.
     """
 
     space: FockSpace
     diagonals: dict[int, np.ndarray]
+
+    __array_ufunc__ = None  # ndarray * op refuses too, rather than mapping op over the array
 
     def __post_init__(self):
         dim = self.space.dimension
@@ -192,7 +194,7 @@ class LinearOperator:
             if not -dim < d < dim or getattr(c, "shape", None) != (dim,) or c.dtype != complex:
                 raise ValueError(f"diagonal {d}: expected a complex array of length {dim} "
                                  f"at an offset inside ({-dim}, {dim})")
-        object.__setattr__(self, "diagonals", _zero_pass(self.diagonals, dim))
+        object.__setattr__(self, "diagonals", _nonzero(self.diagonals))
 
     @cached_property
     def matrix(self):
@@ -205,13 +207,16 @@ class LinearOperator:
     # -- algebra -----------------------------------------------------------
 
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
-        return _canonical(self.space, _product_diagonals(self, other))
+        return _operator(self.space, _nonzero(_product_diagonals(self, other)))
 
     def _merge(self, other: "LinearOperator", op) -> "LinearOperator":
+        if not isinstance(other, LinearOperator):
+            return NotImplemented
         _require_same_space(self.space, other.space)
         a, b = self.diagonals, other.diagonals
-        return _derived(self.space, {d: op(a.get(d, 0.0), b.get(d, 0.0))
-                                     for d in a.keys() | b.keys()})
+        # From +0, as `@` adds up: a stored zero's sign never reaches an entry's zero part.
+        return _operator(self.space, _nonzero({d: op(0.0 + a.get(d, 0.0), b.get(d, 0.0))
+                                               for d in a.keys() | b.keys()}))
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
         return self._merge(other, np.add)
@@ -220,7 +225,10 @@ class LinearOperator:
         return self._merge(other, np.subtract)
 
     def __mul__(self, scalar: complex) -> "LinearOperator":
-        return _derived(self.space, {d: c * scalar for d, c in self.diagonals.items()})
+        if not isinstance(scalar, numbers.Number):
+            return NotImplemented
+        scalar = complex(scalar)  # a Fraction would make an object array
+        return _operator(self.space, _nonzero({d: c * scalar for d, c in self.diagonals.items()}))
 
     __rmul__ = __mul__
 
@@ -233,7 +241,7 @@ class LinearOperator:
         for d, c in self.diagonals.items():
             out[-d] = np.zeros(dim, dtype=complex)
             np.conjugate(c[max(d, 0):dim + min(d, 0)], out=out[-d][max(-d, 0):dim + min(-d, 0)])
-        return _derived(self.space, out)
+        return _operator(self.space, _nonzero(out))
 
     def apply(self, state: StateVector) -> StateVector:
         _require_same_space(self.space, state.space)
@@ -264,40 +272,22 @@ class LinearOperator:
         return _norm(self.diagonals, self.space.dimension, kind)
 
 
-def _zero_pass(diagonals: dict[int, np.ndarray], dim: int) -> dict[int, np.ndarray]:
-    """The constructor's canonical form, in place: zero entries become +0 and all-zero
-    diagonals are dropped."""
-    kept = {}
-    for d, c in diagonals.items():
-        zero = np.logical_not(c)  # c == 0, faster for complex arrays
-        if np.count_nonzero(zero) < dim:
-            np.putmask(c, zero, 0)
-            kept[d] = c
-    return kept
+def _nonzero(diagonals: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """The diagonals that hold a nonzero entry.  `c.any()` is the test: count_nonzero
+    is faster below about a thousand entries but 3-4x slower on large diagonals."""
+    return {d: c for d, c in diagonals.items() if c.any()}
 
 
 def _operator(space: FockSpace, diagonals: dict[int, np.ndarray]) -> LinearOperator:
-    """The operator with these canonical diagonals, without the validating constructor."""
+    """The operator with these nonzero diagonals, without the validating constructor."""
     op = object.__new__(LinearOperator)
     op.__dict__.update(space=space, diagonals=diagonals)
     return op
 
 
-def _derived(space: FockSpace, diagonals: dict[int, np.ndarray]) -> LinearOperator:
-    """An operator computed from checked ones: fresh arrays of the right length and
-    dtype, so only the zero pass runs."""
-    return _operator(space, _zero_pass(diagonals, space.dimension))
-
-
-def _canonical(space: FockSpace, diagonals: dict[int, np.ndarray]) -> LinearOperator:
-    """The operator with diagonals that hold no -0 part: drops all-zero ones, no zero pass."""
-    return _operator(space, {d: c for d, c in diagonals.items() if c.any()})
-
-
 def _product_diagonals(x: LinearOperator, y: LinearOperator, wanted=None) -> dict[int, np.ndarray]:
     """The diagonals of x @ y, or those whose offsets are in `wanted`.  c[j] = a[j - d2] b[j]
-    lands on d1 + d2; pairs that share it add up from +0 in ascending d1, so no part
-    is -0 (x + (-x) and +0 + (-0) are +0)."""
+    lands on d1 + d2; pairs that share it add up from +0 in ascending d1."""
     _require_same_space(x.space, y.space)
     dim = x.space.dimension
     out: dict[int, np.ndarray] = {}
@@ -339,7 +329,8 @@ def _norm(diagonals: dict[int, np.ndarray], dim: int, kind: str) -> float:
             f"spectral norm of a non-monomial {len(kept_rows)}x{len(kept_cols)} matrix "
             f"exceeds the dense limit {_DENSE_NORM_LIMIT}; use the frobenius norm")
     block = np.zeros((len(kept_rows), len(kept_cols)), dtype=complex)
-    block[np.searchsorted(kept_rows, rows), np.searchsorted(kept_cols, cols)] = values
+    # Added to +0: the SVD, unlike every other read, sees the sign of a zero part.
+    block[np.searchsorted(kept_rows, rows), np.searchsorted(kept_cols, cols)] += values
     return float(np.linalg.norm(block, 2))
 
 
@@ -395,7 +386,7 @@ def operator_on_mode(space: FockSpace, mode: int, values: np.ndarray,
     stride, outer = math.prod(space.shape[k + 1:]), math.prod(space.shape[:k])
     column = vals.copy()
     column[:lower] = 0.0
-    if not _zero_pass({0: column}, cutoff + 1):  # on cutoff + 1 entries, before tiling
+    if not column.any():  # on cutoff + 1 entries, before tiling
         return _operator(space, {})
     diagonal = column if stride == 1 else np.repeat(column, stride)
     return _operator(space, {lower * stride: diagonal if outer == 1 else np.tile(diagonal, outer)})
@@ -463,14 +454,14 @@ def commutator(x: LinearOperator, y: LinearOperator) -> LinearOperator:
 
 def linear_combination(space: FockSpace, terms) -> LinearOperator:
     """The sum of coeff * op over the (coeff, op) pairs in `terms`, built once.  The
-    scaled diagonals add up left to right from +0, so no part is -0, with the bits of
+    scaled diagonals add up left to right from +0, with the bits of
     sum((coeff * op for coeff, op in terms), zero) and none of its partial sums."""
     out: dict[int, np.ndarray] = {}
     for coeff, op in terms:
         _require_same_space(space, op.space)
         for d, c in op.diagonals.items():
             out[d] = np.add(out.get(d, 0.0), c * coeff)
-    return _canonical(space, out)
+    return _operator(space, _nonzero(out))
 
 
 def expectation(rho, op: LinearOperator, right: LinearOperator | None = None) -> complex:
@@ -487,7 +478,7 @@ def expectation(rho, op: LinearOperator, right: LinearOperator | None = None) ->
         op, right, wanted={-d for d in rho_op.diagonals})
     # Tr(AB) = sum_ij A_ij B_ji: diagonal d of A meets diagonal -d of B at
     # b[j - d], and the nonzero products are summed in row-major order.  They
-    # are not made an operator: canonicalizing them would only cost time.
+    # are not made an operator, which would only cost time.
     products = {d: a * _shift(ops[-d], d) for d, a in rho_op.diagonals.items() if -d in ops}
     if len(products) == 1:  # a mask keeps the nonzero values in order, faster than indices
         [c] = products.values()

@@ -98,7 +98,7 @@ class SuiteConfig:
             if not (self.epsilon0 > 0 and self.kT > 0):
                 raise ConfigError(f"--epsilon0 and --kT must be positive, "
                                   f"got {self.epsilon0} and {self.kT}")
-            # ThermalParams.from_temperature's map, taken here so a refusal names the flags.
+            # The map q^2 = exp(-epsilon0 / kT), taken here so a refusal names the flags.
             q_squared = math.exp(-self.epsilon0 / self.kT)
             given = f"--epsilon0 {self.epsilon0} --kT {self.kT}"
         else:

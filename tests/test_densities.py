@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qboson_kit import (
     StateVector,
+    SuiteConfig,
     ThermalParams,
     TruncationAccuracyError,
     asymptotics_csv,
@@ -142,16 +143,18 @@ def test_mixture_trace_one_property(raw):
 
 # -- thermal ------------------------------------------------------------------
 
+def _q_squared_at(epsilon0, kT):
+    return SuiteConfig(suite="thermal", epsilon0=epsilon0, kT=kT).resolved_q_squared()
+
+
 def test_thermal_params_consistency():
-    p = ThermalParams.from_temperature(1.0, 1.4426950408889634)
-    assert p.q_squared == pytest.approx(0.5, abs=1e-12)
+    assert _q_squared_at(1.0, 1.4426950408889634) == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(ValueError):
         ThermalParams.from_q_squared(1.5)
 
 
 def test_temperature_map_monotonic():
-    qs = [ThermalParams.from_temperature(1.0, kt).q_squared
-          for kt in (0.5, 1.0, 2.0, 5.0)]
+    qs = [_q_squared_at(1.0, kt) for kt in (0.5, 1.0, 2.0, 5.0)]
     assert all(a < b for a, b in zip(qs, qs[1:]))
 
 

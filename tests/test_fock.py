@@ -307,7 +307,8 @@ def test_number_state_projector():
 
 def test_only_fock_knows_the_diagonal_format():
     """No other module reads the stored diagonals or names fock's private helpers."""
-    pattern = re.compile(r"\.diagonals\b|\b(_shift|_row_major|_tidy)\b")
+    pattern = re.compile(
+        r"\.diagonals\b|\b(_shift|_row_major|_nonzero|_operator|_product_diagonals|_norm)\b")
     for path in sorted(Path(fock.__file__).parent.glob("*.py")):
         if path.name != "fock.py":
             assert not pattern.search(path.read_text()), path.name

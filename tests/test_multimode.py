@@ -151,8 +151,8 @@ def test_undressing_recovers_hatted():
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.707, 0.95])
 def test_mode_one_is_undressed_already(n, q):
     """Mode 1's dressing factor is q^0: its dressed pair equals its hatted pair by
-    value (the adjoint's -0 imaginary parts become +0), so undressing_residual
-    starts at mode 2."""
+    value (stored zeros may differ in sign), so undressing_residual starts at
+    mode 2."""
     fam = covariant_bosons(n, q, [5] * n)
     hat = fam.hatted[0]
     inv = _dressing_factor(fam.space, q, 1, -fam.dressing_exponent_sign)

@@ -6,6 +6,8 @@ norms of non-monomial blocks (an SVD) and Frobenius norms (a square root)
 are compared approximately.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from qboson_kit import (
     relation_residual,
     thermal_density,
 )
+from qboson_kit.dump import format_operator
 
 gaussian = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
 
@@ -85,8 +88,6 @@ def assert_matches(op, dense):
         assert c.shape == (dim,) and c.any()
         lo, hi = max(d, 0), dim + min(d, 0)
         assert not c[:lo].any() and not c[hi:].any()
-        zero = c == 0
-        assert not np.signbit(c[zero].real).any() and not np.signbit(c[zero].imag).any()
     rows, cols, values = op.entries()
     expected_rows, expected_cols = np.nonzero(dense)  # row-major, like entries()
     assert np.array_equal(rows, expected_rows) and np.array_equal(cols, expected_cols)
@@ -170,9 +171,9 @@ signed_entries = st.one_of(zero_entries,
 
 
 @st.composite
-def raw_operators(draw, space):
-    """An operator built from diagonals as a caller may hand them over, with its
-    dense matrix: -0 entries, lone zero parts and all-zero diagonals."""
+def raw_diagonals(draw, space):
+    """Diagonals as a caller may hand them over, with their dense matrix: -0 entries,
+    lone zero parts and all-zero diagonals."""
     dim = space.dimension
     dense = np.zeros((dim, dim), dtype=complex)
     diagonals = {}
@@ -183,6 +184,13 @@ def raw_operators(draw, space):
         c[:lo] = c[hi:] = complex(-0.0, -0.0)
         dense[np.arange(lo, hi) - d, np.arange(lo, hi)] = c[lo:hi]
         diagonals[d] = c
+    return diagonals, dense
+
+
+@st.composite
+def raw_operators(draw, space):
+    """An operator built from raw_diagonals, with its dense matrix."""
+    diagonals, dense = draw(raw_diagonals(space))
     return LinearOperator(space, diagonals), dense
 
 
@@ -261,7 +269,7 @@ def test_constructor_and_algebra_keep_operators_canonical(data):
     assert_matches(x.adjoint(), xd.conj().T)
 
 
-# -- kernels that skip the constructor's zero pass -----------------------------
+# -- kernels that skip the constructor's checks ---------------------------------
 
 # 1/3 and 0.1 + 0.7j make sums order-sensitive; 1e-200 makes products underflow.
 scales = st.sampled_from([1.0, -1.0, 1 / 3, 0.1 + 0.7j, 1e-200])
@@ -283,8 +291,9 @@ def assert_same_bits(op, other):
 
 
 def assert_canonical(op):
-    """op's diagonals are bit for bit what the constructor makes of copies of them."""
-    assert_same_bits(op, LinearOperator(op.space, {d: c.copy() for d, c in op.diagonals.items()}))
+    """op's diagonals are complex arrays of length `dimension`, none of them all zero."""
+    for c in op.diagonals.values():
+        assert c.dtype == complex and c.shape == (op.space.dimension,) and c.any()
 
 
 def bits(value: complex) -> bytes:
@@ -300,11 +309,11 @@ def _shifted(x, s):
 
 @settings(max_examples=120, deadline=None)
 @given(st.data())
-def test_kernels_that_skip_the_zero_pass_emit_canonical_operators(data):
-    """Products, single-mode operators and linear combinations hold no -0 part and
-    no all-zero diagonal, with -0 inputs, cancelling pairs and underflowing products.
-    Sums, differences, scalar multiples, negation and the adjoint skip the
-    constructor's checks and give its bits on the arrays they computed before."""
+def test_kernels_drop_all_zero_diagonals_with_the_constructors_bits(data):
+    """Products, single-mode operators and linear combinations hold no all-zero
+    diagonal, with -0 inputs, cancelling pairs and underflowing products.  Sums,
+    differences, scalar multiples, negation and the adjoint skip the constructor's
+    checks and give its bits on the arrays they computed before."""
     space = data.draw(spaces())
     scale = data.draw(scales)
     x = _scaled_read_only(data.draw(raw_operators(space))[0], scale)
@@ -314,8 +323,8 @@ def test_kernels_that_skip_the_zero_pass_emit_canonical_operators(data):
     a_d = x.diagonals
     for got, op, b_d in ((x + y, np.add, y.diagonals), (x - y, np.subtract, y.diagonals),
                          (x - x, np.subtract, a_d)):
-        assert_same_bits(got, LinearOperator(space, {d: op(a_d.get(d, 0.0), b_d.get(d, 0.0))
-                                                     for d in a_d.keys() | b_d.keys()}))
+        assert_same_bits(got, LinearOperator(space, {
+            d: op(0.0 + a_d.get(d, 0.0), b_d.get(d, 0.0)) for d in a_d.keys() | b_d.keys()}))
     scalar = data.draw(st.one_of(signed_entries, scales))  # 1e-200 x 1e-200 underflows
     assert_same_bits(scalar * x, LinearOperator(space, {d: c * scalar for d, c in a_d.items()}))
     assert_same_bits(-x, LinearOperator(space, {d: c * -1.0 for d, c in a_d.items()}))
@@ -331,6 +340,108 @@ def test_kernels_that_skip_the_zero_pass_emit_canonical_operators(data):
     values = np.array(data.draw(st.lists(signed_entries, min_size=cutoff + 1,
                                          max_size=cutoff + 1)), dtype=complex) * scale
     assert_canonical(operator_on_mode(space, mode, values, data.draw(st.integers(0, cutoff))))
+
+
+def _zero_signs_flipped(op):
+    """op, through the constructor, with the sign of both parts of every zero entry
+    flipped: -0 becomes +0 and +0 becomes -0."""
+    return LinearOperator(op.space, {d: np.where(c == 0, -c, c) for d, c in op.diagonals.items()})
+
+
+def _public_reads(x, y, rho, scalar, amplitudes):
+    """The bytes of every public read of x, alone, with y and under rho."""
+    space = x.space
+    reads = [*x.entries(), x.toarray(), x.diagonal(), x.trace(), x.norm("spectral"),
+             x.norm("frobenius"), x.apply(StateVector(space, amplitudes)).amplitudes,
+             expectation(rho, x), expectation(rho, x, y), format_operator(x).encode()]
+    for margin in range(min(space.cutoffs)):
+        reads += [relation_residual(x, y, margin, norm=kind) for kind in ("spectral", "frobenius")]
+    for derived in (x @ y, x + y, x - y, scalar * x, -x, x.adjoint(),
+                    linear_combination(space, [(scalar, x), (1.0, y)])):
+        reads += derived.entries()
+    return [r if isinstance(r, bytes) else np.asarray(r).tobytes() for r in reads]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_public_reads_ignore_the_sign_of_stored_zeros(data):
+    """The sign of a stored zero is free: flipping it leaves every read bit for bit."""
+    space = data.draw(spaces())
+    x, y, rho = (_scaled_read_only(data.draw(raw_operators(space))[0], data.draw(scales))
+                 for _ in range(3))
+    scalar = data.draw(st.one_of(signed_entries, scales))
+    amplitudes = np.array(data.draw(st.lists(signed_entries, min_size=space.dimension,
+                                             max_size=space.dimension)), dtype=complex)
+    flipped = [_zero_signs_flipped(op) for op in (x, y, rho)]
+    assert _public_reads(*flipped, scalar, amplitudes) == _public_reads(x, y, rho, scalar,
+                                                                         amplitudes)
+
+
+def test_sums_and_dense_residuals_ignore_the_sign_of_stored_zeros():
+    """A stored zero of x meets a zero part of y's entry in x - y and x + y, and the SVD
+    of a non-monomial residual block sees the signs of zero parts: both add up from +0."""
+    n = complex(-0.0, -0.0)
+    x = LinearOperator(make_space([1]), {0: np.array([n, 1])})
+    f = _zero_signs_flipped(x)
+    for y0 in (complex(0.0, 1.0), complex(-0.0, 1.0)):
+        y = LinearOperator(x.space, {0: np.array([y0, 1])})
+        for got, want in ((x + y, f + y), (x - y, f - y), (y + x, y + f), (y - x, y - f)):
+            assert [r.tobytes() for r in got.entries()] == [r.tobytes() for r in want.entries()]
+    space = make_space([2, 2])
+    x = LinearOperator(space, {0: np.array([0, 0, 1, 1, 0, 1, 1, 1, n]),
+                               -4: np.array([n, n, 1, n, n, n, 0, 0, n]),
+                               -2: np.array([1, n, n, n, n, 1, n, 0, n])})
+    y = LinearOperator(space, {
+        0: np.array([1 + 1j, 0 - 2j, -2 + 2j, -1 + 2j, -2, 1, 0, -1, 1 - 1j]),
+        -4: np.array([1 - 2j, 0, -1, 2, -1, 0, 0, 0, 0], dtype=complex),
+        -2: np.array([-2, 2, -1, 2, 0 - 1j, 2 + 2j, 0, 0, 0])})
+    got = relation_residual(x, y, 0)
+    assert bits(relation_residual(_zero_signs_flipped(x), y, 0)) == bits(got)
+    assert got == pytest.approx(np.linalg.norm(x.toarray() - y.toarray(), 2), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_constructor_and_kernels_accept_read_only_input_and_leave_it_unchanged(data):
+    """Input arrays, read-only or not, keep their bytes, -0 entries included."""
+    space = data.draw(spaces())
+    given_diagonals = [data.draw(raw_diagonals(space))[0] for _ in range(3)]
+    mode = data.draw(st.integers(1, space.mode_count))
+    cutoff = space.cutoffs[mode - 1]
+    vectors = [np.array(data.draw(st.lists(signed_entries, min_size=n, max_size=n)),
+                        dtype=complex) for n in (cutoff + 1, space.dimension, space.dimension)]
+    arrays = [c for diagonals in given_diagonals for c in diagonals.values()] + vectors
+    for c in arrays:
+        c.flags.writeable = data.draw(st.booleans())
+    before = [c.tobytes() for c in arrays]
+    x, y, rho = (LinearOperator(space, diagonals) for diagonals in given_diagonals)
+    values, eigenvalues, amplitudes = vectors
+    scalar = data.draw(signed_entries)
+    operator_on_mode(space, mode, values, data.draw(st.integers(0, cutoff)))
+    diagonal_operator(space, eigenvalues)
+    _public_reads(x, y, rho, scalar, amplitudes)
+    assert [c.tobytes() for c in arrays] == before
+
+
+def test_algebra_refuses_non_scalars_and_non_operators():
+    """`*` takes numbers only, as complex, and `+`/`-` operators only: anything else is a
+    TypeError."""
+    space = make_space([3, 2])
+    a = ladder(space, 1).lower
+    for bad in (a, np.arange(space.dimension), np.array(2.0), "2", None):
+        with pytest.raises(TypeError):
+            a * bad
+        with pytest.raises(TypeError):
+            bad * a
+    for bad in (1, 0.0, 1j, np.zeros(space.dimension), a.toarray(), None):
+        for result in (lambda: a + bad, lambda: bad + a, lambda: a - bad, lambda: bad - a):
+            with pytest.raises(TypeError):
+                result()
+    for scalar in (2, 2.5, 1 - 2j, np.float64(2.5), np.complex128(1 - 2j), np.int64(2),
+                   Fraction(1, 3)):
+        want = {d: c * complex(scalar) for d, c in a.diagonals.items()}
+        for got in (a * scalar, scalar * a):
+            assert_same_bits(got, LinearOperator(space, want))
 
 
 def assert_trace_bits(rho, x, y):
