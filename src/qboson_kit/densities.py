@@ -107,20 +107,20 @@ def thermal_density(space: FockSpace, mode: int, params: ThermalParams,
 
     The diagonal weight on occupation n is (1 - q^2) q^(2n) / (1 - tail) with
     tail = q^(2 (cutoff+1)) recorded as tail_mass.  On a multimode space the
-    remaining modes are pinned to the pure occupations in `other_levels`
+    remaining modes are pinned to the occupation numbers in `other_levels`
     (vacuum by default), so the result is a thermal x pure product state.
     """
     k = space._check_mode(mode)
     levels = [0] * (space.mode_count - 1) if other_levels is None else list(other_levels)
     if len(levels) != space.mode_count - 1:
         raise ValueError(f"expected {space.mode_count - 1} other-mode levels, got {len(levels)}")
-    q2, cutoff, occ = params.q_squared, space.cutoffs[k], space.occupations
+    q2, cutoff, grid = params.q_squared, space.cutoffs[k], space.grid
     tail = q2 ** (cutoff + 1)
-    diag = ((1.0 - q2) * q2 ** np.arange(cutoff + 1) / (1.0 - tail))[occ[:, k]].astype(complex)
+    diag = ((1.0 - q2) * q2 ** np.arange(cutoff + 1) / (1.0 - tail))[grid[k]].astype(complex)
     for j, lvl in zip([j for j in range(space.mode_count) if j != k], levels):
         space._check_mode(j + 1, "level", lvl)
-        diag = diag * (occ[:, j] == lvl)
-    return DensityOperator(op=diagonal_operator(space, diag), tail_mass=tail)
+        diag = diag * (grid[j] == lvl)
+    return DensityOperator(op=diagonal_operator(space, space.flat(diag)), tail_mass=tail)
 
 
 def coherent_state(space: FockSpace, mode: int, z: complex,
@@ -156,11 +156,9 @@ def coherent_state(space: FockSpace, mode: int, z: complex,
         raise TruncationAccuracyError(f"z^n / sqrt(n!) or its norm overflows at |z|^2 = "
                                       f"{intensity:.4g} for cutoff {cutoff}")
     amps /= norm
-    # With the other modes in the vacuum, occupation n of the mode sits at flat n * stride.
-    stride = math.prod(space.shape[k + 1:])
-    full = np.zeros(space.dimension, dtype=complex)
-    full[:(cutoff + 1) * stride:stride] = amps
-    return StateVector(space, full)
+    full = np.zeros(space.shape, dtype=complex)  # the other modes in the vacuum
+    full[tuple(slice(None) if j == k else 0 for j in range(space.mode_count))] = amps
+    return StateVector(space, space.flat(full))
 
 
 def coherent_density(space: FockSpace, mode: int, z: complex,

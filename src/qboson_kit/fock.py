@@ -3,12 +3,12 @@
 Every mode carries an occupation cutoff; the basis is the set of multi-indices
 (n_1, ..., n_M) with 0 <= n_i <= cutoff_i, enumerated row-major with mode 1
 slowest.  Operators are immutable matrices stored as diagonals; this module
-alone knows that format: no operator holds an all-zero diagonal (see
-LinearOperator), and `entries()` exports the row-major nonzero entries.  A
-ladder on one mode is a QBosonFamily, the boson its member at q^2 = 1.
-Algebraic identities that hold in the untruncated algebra are checked on a
-"safe subspace" (states at least `margin` steps below every cutoff), where
-they hold to machine precision.
+alone knows that order (`FockSpace.flat`) and that format: no operator holds
+an all-zero diagonal (see LinearOperator), and `entries()` exports the
+row-major nonzero entries.  A ladder on one mode is a QBosonFamily, the
+boson its member at q^2 = 1.  Algebraic identities that hold in the
+untruncated algebra are checked on a "safe subspace" (states at least
+`margin` steps below every cutoff), where they hold to machine precision.
 """
 
 from __future__ import annotations
@@ -58,11 +58,18 @@ class FockSpace:
         return int(np.prod(self.shape))
 
     @cached_property
-    def occupations(self) -> np.ndarray:
-        """(dimension, mode_count) int array: row k holds the multi-index of flat k."""
-        occ = np.array(np.unravel_index(np.arange(self.dimension), self.shape)).T
-        occ.flags.writeable = False
-        return occ
+    def grid(self) -> tuple[np.ndarray, ...]:
+        """Read-only per-mode occupations: n_(k+1) along axis k, size 1 on the others."""
+        axes = np.indices(self.shape, sparse=True)
+        for n in axes:
+            n.flags.writeable = False
+        return axes
+
+    def flat(self, values) -> np.ndarray:
+        """`values`, broadcast to `shape`, as a fresh array listed in basis order."""
+        out = np.empty(self.shape, dtype=np.result_type(values))
+        out[...] = values
+        return out.reshape(-1)
 
     def flat_index(self, multi: Sequence[int]) -> int:
         if len(multi) != self.mode_count:
@@ -79,7 +86,7 @@ class FockSpace:
         if margin not in masks:
             box = np.zeros(self.shape, dtype=bool)
             box[tuple(slice(c + 1 - margin) for c in self.cutoffs)] = True
-            masks[margin] = box.reshape(-1)
+            masks[margin] = self.flat(box)
             masks[margin].flags.writeable = False
         return masks[margin]
 
@@ -177,9 +184,10 @@ class LinearOperator:
     outside the matrix.  A single-mode operator is one diagonal, and a
     product of diagonals d1 and d2 lands on d1 + d2.  No operator holds an
     all-zero diagonal; the sign of a stored zero is free, and no read depends
-    on it.  The constructor checks each offset, length and dtype and drops
-    the all-zero diagonals (`_nonzero`); the kernels compute fresh arrays,
-    drop theirs the same way and skip the checks.  No operator writes to its
+    on it.  The constructor checks each offset, length and dtype, refuses a
+    nonzero entry whose row is outside the matrix and drops the all-zero
+    diagonals (`_nonzero`); the kernels compute fresh arrays that are zero
+    there, drop theirs the same way and skip the checks.  No operator writes to its
     arrays or to those it is given.
     """
 
@@ -194,6 +202,9 @@ class LinearOperator:
             if not -dim < d < dim or getattr(c, "shape", None) != (dim,) or c.dtype != complex:
                 raise ValueError(f"diagonal {d}: expected a complex array of length {dim} "
                                  f"at an offset inside ({-dim}, {dim})")
+            if (c[:d] if d > 0 else c[dim + d:]).any():
+                raise ValueError(f"diagonal {d}: nonzero entry at a column whose row "
+                                 f"j - {d} falls outside the matrix")
         object.__setattr__(self, "diagonals", _nonzero(self.diagonals))
 
     @cached_property

@@ -71,9 +71,8 @@ class CovariantFamily:
 
 def _dressing_factor(space: FockSpace, q: float, i: int, power: int) -> LinearOperator:
     """Diagonal factor q^(power * sum_{k<i} N_k) (1-based mode i)."""
-    expo = space.occupations[:, : i - 1].sum(axis=1)
-    vals = q ** (power * expo.astype(float))
-    return diagonal_operator(space, vals.astype(complex))
+    expo = sum(space.grid[: i - 1], np.zeros((), dtype=int))  # varies along axes 1..i-1
+    return diagonal_operator(space, space.flat(q ** (power * expo.astype(float))))
 
 
 def covariant_bosons(n_modes: int, q: float, cutoffs: Sequence[int]) -> CovariantFamily:
@@ -333,7 +332,7 @@ def covariant_recipe_check(q_squared: float, b_levels: Sequence[int]) -> Effecti
     """Average the step-projector relation that generates one covariant row.
 
     Mode 1 carries the thermal average at cutoff 60; the remaining modes are
-    pinned to the pure occupations in `b_levels`, and the right-hand operator
+    pinned to the occupation numbers in `b_levels`, and the right-hand operator
     is the step projector theta(N_1 - sum_k N_bk).  The expected normalized
     coefficients are (1, q^2, q^(2 sum levels)).
     """
@@ -342,6 +341,5 @@ def covariant_recipe_check(q_squared: float, b_levels: Sequence[int]) -> Effecti
     rho = thermal_density(space, 1, ThermalParams.from_q_squared(q_squared),
                           other_levels=levels)
     pair = phase_pair(space, 1)
-    occ = space.occupations
-    d0 = diagonal_operator(space, (occ[:, 0] >= occ[:, 1:].sum(axis=1)).astype(complex))
+    d0 = diagonal_operator(space, space.flat(space.grid[0] >= sum(space.grid[1:])))
     return averaged_relation(rho, pair.lower, pair.raise_, d0)

@@ -472,6 +472,7 @@ GOLDEN_REPORTS = {
     "checks-all": ["--suite", "all"],
     "checks-recipe-cutoff400": ["--suite", "recipe", "--cutoff", "400"],
     "checks-multimode-modes4-cutoff6": ["--suite", "multimode", "--modes", "4", "--cutoff", "6"],
+    "checks-multimode-modes6-cutoff4": ["--suite", "multimode", "--modes", "6", "--cutoff", "4"],
 }
 
 

@@ -193,6 +193,20 @@ def test_thermal_on_two_mode_space_pins_other_mode():
         thermal_density(space, 1, ThermalParams.from_q_squared(0.5), other_levels=[4])
 
 
+@pytest.mark.parametrize("cutoffs,mode,levels", [([30], 1, []), ([30, 3], 1, [2]),
+                                                  ([2, 12, 3], 2, [1, 0]), ([3, 2, 8], 3, [0, 2])])
+def test_thermal_weights_match_the_occupation_table_gather_bit_for_bit(cutoffs, mode, levels):
+    space = make_space(cutoffs)
+    q2, k = 0.3, mode - 1
+    occ = np.indices(space.shape).reshape(space.mode_count, -1).T
+    weights = (1.0 - q2) * q2 ** np.arange(cutoffs[k] + 1) / (1.0 - q2 ** (cutoffs[k] + 1))
+    reference = weights[occ[:, k]].astype(complex)
+    for j, lvl in zip([j for j in range(space.mode_count) if j != k], levels):
+        reference = reference * (occ[:, j] == lvl)
+    rho = thermal_density(space, mode, ThermalParams.from_q_squared(q2), other_levels=levels)
+    assert rho.op.diagonal().tobytes() == reference.tobytes()
+
+
 # -- coherent -----------------------------------------------------------------
 
 def test_coherent_zero_is_vacuum():
@@ -271,7 +285,7 @@ def _coherent_amplitudes_elementwise(space, mode, z):
         amps[n + 1] = amps[n] * z / math.sqrt(n + 1)
     amps /= np.linalg.norm(amps)
     full = np.zeros(space.dimension, dtype=complex)
-    occ = space.occupations
+    occ = np.indices(space.shape).reshape(space.mode_count, -1).T
     rest = np.all(np.delete(occ, k, axis=1) == 0, axis=1)
     full[rest] = amps[occ[rest, k]]
     return full

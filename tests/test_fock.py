@@ -27,6 +27,12 @@ from qboson_kit import fock
 from qboson_kit.fock import machine_zero_bound
 
 
+def occupation_table(space):
+    """(dimension, mode_count) occupations of the basis states, listed row-major with
+    mode 1 slowest by numpy's own multi-index order, independent of FockSpace."""
+    return np.indices(space.shape).reshape(space.mode_count, -1).T
+
+
 def from_dense(space, m):
     """The operator with the entries of a dense matrix, one diagonal per offset."""
     rows, cols = np.nonzero(m)
@@ -61,7 +67,7 @@ def test_basis_round_trip(cutoffs, seed_flat):
     """flat -> multi -> flat is the identity for every basis index."""
     space = make_space(cutoffs)
     flat = seed_flat % space.dimension
-    multi = tuple(space.occupations[flat].tolist())
+    multi = tuple(occupation_table(space)[flat].tolist())
     assert space.flat_index(multi) == flat
     assert all(0 <= n <= c for n, c in zip(multi, space.cutoffs))
 
@@ -69,8 +75,39 @@ def test_basis_round_trip(cutoffs, seed_flat):
 def test_basis_order_mode_one_slowest():
     space = make_space([2, 1])
     # row-major with mode 1 slowest: (0,0),(0,1),(1,0),(1,1),(2,0),(2,1)
-    assert [tuple(row) for row in space.occupations.tolist()] == [
-        (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+    listed = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+    assert [tuple(row) for row in occupation_table(space).tolist()] == listed
+    assert list(zip(*(space.flat(n).tolist() for n in space.grid))) == listed
+    assert [space.flat_index(multi) for multi in listed] == list(range(6))
+
+
+@pytest.mark.parametrize("cutoffs", [[1], [4], [2, 1], [1, 3, 2], [3, 1, 2, 1]])
+def test_grid_and_flat_match_the_occupation_table(cutoffs):
+    space = make_space(cutoffs)
+    table = occupation_table(space)
+    assert len(space.grid) == space.mode_count
+    for k, n in enumerate(space.grid):
+        assert n.shape == tuple(s if j == k else 1 for j, s in enumerate(space.shape))
+        assert not n.flags.writeable
+        with pytest.raises(ValueError):
+            n[...] = 0
+        assert space.flat(n).tolist() == table[:, k].tolist()
+    weights = 0.5 ** np.arange(space.shape[0], dtype=float)
+    expression = weights[space.grid[0]] * (sum(space.grid[1:]) == 0)
+    reference = weights[table[:, 0]] * (table[:, 1:].sum(axis=1) == 0)
+    assert space.flat(expression).tobytes() == reference.tobytes()
+
+
+def test_flat_broadcasts_a_scalar_into_a_fresh_array():
+    space = make_space([2, 3])
+    ones = space.flat(1.5)
+    assert ones.shape == (space.dimension,) and ones.dtype == float
+    assert ones.tolist() == [1.5] * space.dimension
+    assert space.flat(True).dtype == bool and space.flat(2j).dtype == complex
+    values = np.arange(space.dimension).reshape(space.shape)
+    out = space.flat(values)
+    out[0] = -1
+    assert values[0, 0] == 0  # a copy, not a view
 
 
 def test_lower_action_on_number_states():
@@ -131,7 +168,7 @@ def test_operator_on_mode_diagonal_matches_the_occupation_gather_bytes():
                            for n in range(cutoff + 1)])
         for lower in range(cutoff + 1):
             op = operator_on_mode(space, mode, values, lower=lower)
-            n = space.occupations[:, k]
+            n = occupation_table(space)[:, k]
             offset = lower * int(np.prod(space.shape[k + 1:], dtype=np.int64))
             reference = LinearOperator(space, {offset: np.where(n >= lower, values[n], 0.0)})
             assert op.diagonals.keys() == reference.diagonals.keys() == {offset}
@@ -226,7 +263,7 @@ def test_relation_residual_margin_validation():
 def test_relation_residual_masks_top_states():
     space = make_space([3, 3])
     zero = diagonal_operator(space, np.zeros(space.dimension))
-    for flat, occ in enumerate(space.occupations):
+    for flat, occ in enumerate(occupation_table(space)):
         vals = np.zeros(space.dimension, dtype=complex)
         vals[flat] = 2.0 + flat
         diff = diagonal_operator(space, vals)
@@ -305,6 +342,19 @@ def test_number_state_projector():
     assert p2.apply(basis_state(space, [1])).norm() == 0.0
 
 
+def test_constructor_refuses_entries_whose_row_is_outside_the_matrix():
+    """c[j] is the entry (j - d, j): c[:d] for d > 0 and c[dim + d:] for d < 0 have no
+    row and must be zero, or toarray() would write them through a negative index."""
+    space = make_space([2])
+    with pytest.raises(ValueError, match="diagonal 1: nonzero entry"):
+        LinearOperator(space, {1: np.ones(3, dtype=complex)})
+    with pytest.raises(ValueError, match="diagonal -2: nonzero entry"):
+        LinearOperator(space, {-2: np.array([1, 0, 1j])})
+    op = LinearOperator(space, {1: np.array([-0.0, 1, 2], dtype=complex),
+                                -2: np.array([3, 0, 0], dtype=complex)})
+    assert op.toarray().tolist() == [[0, 1, 0], [0, 0, 2], [3, 0, 0]]
+
+
 def test_only_fock_knows_the_diagonal_format():
     """No other module reads the stored diagonals or names fock's private helpers."""
     pattern = re.compile(
@@ -312,3 +362,14 @@ def test_only_fock_knows_the_diagonal_format():
     for path in sorted(Path(fock.__file__).parent.glob("*.py")):
         if path.name != "fock.py":
             assert not pattern.search(path.read_text()), path.name
+
+
+def test_only_fock_knows_the_basis_order():
+    """No other module flattens or strides the basis; they use `grid` and `flat`.  The
+    R-matrix's `reshape((n,) * k)` calls are on its own tensor indices."""
+    pattern = re.compile(r"\b(occupations|unravel_index|ravel_multi_index|stride)\b"
+                         r"|reshape\(-1\)")
+    for path in sorted(Path(fock.__file__).parent.glob("*.py")):
+        if path.name != "fock.py":
+            assert not pattern.search(path.read_text()), path.name
+    assert not hasattr(make_space([2, 2]), "occupations")

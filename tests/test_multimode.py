@@ -106,7 +106,7 @@ def test_covariant_diagonal_relations():
 def test_covariant_negative_dressing_sign_breaks_relations(n, worst):
     """Dressing with q^(-sum_{k<i} N_k) fails the relations the +1 sign meets."""
     fam = covariant_bosons(n, 0.5, [6] * n)
-    occ = fam.space.occupations
+    occ = np.indices(fam.space.shape).reshape(fam.space.mode_count, -1).T
     dressed = []
     for i, hat in enumerate(fam.hatted, start=1):
         factor = diagonal_operator(fam.space, 0.5 ** -occ[:, : i - 1].sum(axis=1).astype(float))
@@ -145,6 +145,20 @@ def test_covariant_dressed_adjoint_pairs():
 def test_undressing_recovers_hatted():
     fam = covariant_bosons(3, 0.8, [5, 5, 5])
     assert undressing_residual(fam) < 1e-13
+
+
+@pytest.mark.parametrize("cutoffs", [[4, 4], [6, 5, 4], [4, 3, 5, 4], [4] * 6])
+def test_dressing_factor_matches_the_occupation_table_bit_for_bit(cutoffs):
+    """The factor is raised on the grid of the modes it depends on; the powers it
+    lists are those of the (dimension, modes) occupation table it used to gather."""
+    space = make_space(cutoffs)
+    occ = np.indices(space.shape).reshape(space.mode_count, -1).T
+    for q in (0.3, 0.5, 0.707, 0.95):
+        for power in (1, -1, 2, -2):
+            for i in range(1, space.mode_count + 1):
+                reference = q ** (power * occ[:, : i - 1].sum(axis=1).astype(float))
+                got = _dressing_factor(space, q, i, power).diagonal()
+                assert got.tobytes() == reference.astype(complex).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

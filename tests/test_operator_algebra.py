@@ -154,8 +154,8 @@ def test_norms_and_residuals_match_dense_reference(data):
     y, yd = data.draw(operators(space))
     assert_norms(x.norm("spectral"), x.norm("frobenius"), xd)
     margin = data.draw(st.integers(0, min(space.cutoffs) - 1))
-    keep = np.flatnonzero(np.all(space.occupations <= np.array(space.cutoffs) - margin,
-                                 axis=1))
+    occ = np.indices(space.shape).reshape(space.mode_count, -1).T
+    keep = np.flatnonzero(np.all(occ <= np.array(space.cutoffs) - margin, axis=1))
     assert_norms(relation_residual(x, y, margin, norm="spectral"),
                  relation_residual(x, y, margin, norm="frobenius"),
                  (xd - yd)[np.ix_(keep, keep)])
@@ -194,9 +194,38 @@ def raw_operators(draw, space):
     return LinearOperator(space, diagonals), dense
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_constructor_refuses_rowless_entries_and_toarray_follows_the_documented_rule(data):
+    """Diagonals with arbitrary padding: the constructor refuses a nonzero entry whose
+    row j - d is outside the matrix, and otherwise toarray() puts c[j] at (j - d, j)."""
+    space = data.draw(spaces())
+    dim = space.dimension
+    diagonals = {}
+    for d in data.draw(st.lists(st.integers(1 - dim, dim - 1), max_size=4, unique=True)):
+        c = np.array(data.draw(st.lists(signed_entries, min_size=dim, max_size=dim)),
+                     dtype=complex)
+        if data.draw(st.booleans()):  # a valid diagonal, as raw_diagonals draws them
+            c[:max(d, 0)] = c[dim + min(d, 0):] = 0.0
+        diagonals[d] = c
+    rowless = any(c[j] != 0 for d, c in diagonals.items() for j in range(dim)
+                  if not 0 <= j - d < dim)
+    if rowless:
+        with pytest.raises(ValueError, match="falls outside the matrix"):
+            LinearOperator(space, diagonals)
+        return
+    dense = np.zeros((dim, dim), dtype=complex)
+    for d, c in diagonals.items():
+        for j in range(dim):
+            if 0 <= j - d < dim:
+                dense[j - d, j] = c[j]
+    assert np.array_equal(LinearOperator(space, diagonals).toarray(), dense)
+
+
 def _safe_states(space, margin):
     """The states with n_i <= cutoff_i - margin, from the occupation table."""
-    return np.all(space.occupations <= np.array(space.cutoffs) - margin, axis=1)
+    occ = np.indices(space.shape).reshape(space.mode_count, -1).T
+    return np.all(occ <= np.array(space.cutoffs) - margin, axis=1)
 
 
 def _masked_block_norm(lhs, rhs, margin, kind):

@@ -138,7 +138,7 @@ def test_type_iv_relation_against_explicit_target():
     lhs = family.lower @ family.raise_ - q2 * (family.raise_ @ family.lower)
     from qboson_kit import diagonal_operator
 
-    occ = space.occupations[:, 0]
+    occ = np.indices(space.shape).reshape(space.mode_count, -1).T[:, 0]
     target = diagonal_operator(space, ((1 - q2) * (1 / q2) ** occ).astype(complex))
     assert relation_residual(lhs, target, margin=1) < 1e-12
 
