@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -28,6 +29,20 @@ DEFAULT_DIMENSION_LIMIT = 10_000_000
 # relations are monomial and never reach it; a larger non-monomial matrix is
 # refused rather than densified.
 _DENSE_NORM_LIMIT = 512
+
+_RUN_VALUES: ContextVar[dict | None] = ContextVar("qboson_kit_run_values", default=None)
+
+
+def _run_once(fn, *args):
+    """fn(*args), once per (fn, args) in a suite run, whose values `_RUN_VALUES` holds
+    (None outside one), and on every call outside a run.  Only immutable values go
+    through it: spaces, floats and frozen relations."""
+    values = _RUN_VALUES.get()
+    if values is None:
+        return fn(*args)
+    if (key := (fn, *args)) not in values:
+        values[key] = fn(*args)
+    return values[key]
 
 
 class DimensionLimitError(ValueError):
@@ -113,7 +128,7 @@ class FockSpace:
 
 
 def make_space(cutoffs: Sequence[int]) -> FockSpace:
-    """Create a truncated Fock space with the given per-mode cutoffs."""
+    """The truncated Fock space with these per-mode cutoffs, one per cutoff tuple in a run."""
     if len(cutoffs) == 0:
         raise ValueError("at least one mode is required")
     cut = tuple(int(c) for c in cutoffs)
@@ -125,7 +140,7 @@ def make_space(cutoffs: Sequence[int]) -> FockSpace:
         if dim > DEFAULT_DIMENSION_LIMIT:
             raise DimensionLimitError(
                 f"dimension {dim}+ exceeds limit {DEFAULT_DIMENSION_LIMIT} for cutoffs {cut}")
-    return FockSpace(cut)
+    return _run_once(FockSpace, cut)
 
 
 @dataclass(frozen=True, eq=False)

@@ -165,12 +165,12 @@ def yang_baxter_residual(rmatrix: RMatrix) -> float:
     n = rmatrix.n
     if n > dense_rank_limit(6):
         raise ValueError(f"the Yang-Baxter products need n <= {dense_rank_limit(6)}, got {n}")
-    R = rmatrix.entries
-    eye = np.eye(n)
-    r12 = np.kron(R, eye)
-    r23 = np.kron(eye, R)
+    R, eye, m = rmatrix.entries, np.eye(n), n ** 3
+    # R12 = R x 1 and R23 = 1 x R, each one broadcast product with np.kron's entries.
+    r12 = (R[:, None, :, None] * eye[None, :, None, :]).reshape(m, m)
+    r23 = (eye[:, None, :, None] * R[None, :, None, :]).reshape(m, m)
     # R13 is R12 with tensor legs 2 and 3 swapped on both sides.
-    r13 = r12.reshape((n,) * 6).transpose(0, 2, 1, 3, 5, 4).reshape(n ** 3, n ** 3)
+    r13 = r12.reshape((n,) * 6).transpose(0, 2, 1, 3, 5, 4).reshape(m, m)
     diff = r12 @ r13 @ r23 - r23 @ r13 @ r12
     return float(np.linalg.norm(diff, 2))
 

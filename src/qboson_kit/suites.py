@@ -32,6 +32,8 @@ from .densities import (
     thermal_density,
 )
 from .fock import (
+    _RUN_VALUES,
+    _run_once,
     basis_state,
     commutator,
     expectation,
@@ -439,7 +441,6 @@ def multimode_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> lis
     _check_held_operators("multimode", modes * modes + 5 * modes + 6, modes, cutoff)
     q = math.sqrt(q_squared)
     family = mm.covariant_bosons(modes, q, [cutoff] * modes)
-    rmatrix = mm.su_r_matrix(modes, q)
     checks = []
     groups: dict[str, float] = {}
     for name, residual in mm.pair_product_residuals(family, margin=1, norm=norm).items():
@@ -461,7 +462,7 @@ def multimode_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> lis
         mm.undressing_residual(family), 1e-13))
     checks.append(_check(
         f"multimode/N{modes}-yang-baxter", "R12 R13 R23 = R23 R13 R12",
-        mm.yang_baxter_residual(rmatrix), 1e-12))
+        _run_once(_yang_baxter, modes, q), 1e-12))
     checks.append(_check(
         f"multimode/N{modes}-dressing-sign",
         "dressing exponent sign satisfying all relations",
@@ -470,7 +471,7 @@ def multimode_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> lis
     q2 = q * q
     level_sets = [tuple()] + [tuple([1] * k) for k in range(1, modes)]
     for i, levels in enumerate(level_sets, start=1):
-        res = mm.covariant_recipe_check(q2, levels)
+        res = _run_once(mm.covariant_recipe_check, q2, levels)
         dev = max(abs(res.coeff_plus - 1.0), abs(res.coeff_minus - q2),
                   abs(res.rhs - q2 ** sum(levels)))
         tolerance_row = max(1e-10, res.tail_mass)
@@ -505,8 +506,12 @@ def rmatrix_suite(q_squared: float, modes: tuple[int, ...]) -> list[Check]:
             dev, 0.0))
         checks.append(_check(
             f"rmatrix/yang-baxter-n{n}", "R12 R13 R23 = R23 R13 R12",
-            mm.yang_baxter_residual(rmatrix), 1e-12))
+            _run_once(_yang_baxter, n, q), 1e-12))
     return checks
+
+
+def _yang_baxter(n: int, q: float) -> float:
+    return mm.yang_baxter_residual(mm.su_r_matrix(n, q))
 
 
 def chevalley_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> list[Check]:
@@ -629,9 +634,13 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     resolved = _resolve(config)
     start = time.perf_counter()
     checks = []
-    for name, fixed in ALL_ROWS if config.suite == "all" else ((config.suite, {}),):
-        checks += SUITE_TABLE[name].build(**{flag: fixed.get(flag, resolved.get(flag, default))
-                                             for flag, default in SUITE_FLAGS[name].items()})
+    run_values = _RUN_VALUES.set({})  # what the rows share; nothing outlives the run
+    try:
+        for name, fixed in ALL_ROWS if config.suite == "all" else ((config.suite, {}),):
+            checks += SUITE_TABLE[name].build(**{flag: fixed.get(flag, resolved.get(flag, default))
+                                                 for flag, default in SUITE_FLAGS[name].items()})
+    finally:
+        _RUN_VALUES.reset(run_values)
     checks.sort(key=lambda c: c.name)
     elapsed = time.perf_counter() - start
     # The deformation source is echoed as given (q, or epsilon0 and kT).
@@ -646,11 +655,12 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 
 def report_to_json(report: SuiteReport) -> str:
     """The bytes of json.dumps(report, default=vars, indent=2, sort_keys=True) + "\n",
-    without running its pure-Python indenting encoder over the checks: each flat
-    check goes through the C encoder, whose item separator carries the indent."""
+    without its pure-Python indenting encoder: one C-encoder call indents each field, and
+    each raw "},\n      {" between checks (no string holds a raw newline) indents theirs."""
     encoder = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
-    checks = ["{\n      " + encoder.encode(vars(c))[1:-1] + "\n    }" for c in report.checks]
-    listed = "[\n    " + ",\n    ".join(checks) + "\n  ]" if checks else "[]"
+    flat = encoder.encode([vars(c) for c in report.checks])[2:-2]  # without "[{" and "}]"
+    listed = ("[\n    {\n      " + flat.replace("},\n      {", "\n    },\n    {\n      ")
+              + "\n    }\n  ]") if report.checks else "[]"
     rest = json.dumps({name: value for name, value in vars(report).items() if name != "checks"},
                       indent=2, sort_keys=True)
     return '{\n  "checks": ' + listed + "," + rest[1:] + "\n"  # "checks" sorts first

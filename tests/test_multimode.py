@@ -215,6 +215,19 @@ def test_yang_baxter_identity():
             assert yang_baxter_residual(su_r_matrix(n, q)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("q", [0.3, math.sqrt(0.5), 0.9, 1.0])
+def test_yang_baxter_residual_matches_the_kron_products_bit_for_bit(n, q):
+    """R12 = R x 1 and R23 = 1 x R are built by broadcasting, with np.kron's bits."""
+    R = su_r_matrix(n, q).entries
+    eye = np.eye(n)
+    r12, r23 = np.kron(R, eye), np.kron(eye, R)
+    r13 = r12.reshape((n,) * 6).transpose(0, 2, 1, 3, 5, 4).reshape(n ** 3, n ** 3)
+    reference = np.float64(np.linalg.norm(r12 @ r13 @ r23 - r23 @ r13 @ r12, 2))
+    measured = np.float64(yang_baxter_residual(su_r_matrix(n, q)))
+    assert measured.view(np.int64) == reference.view(np.int64)
+
+
 def test_rtt_forms():
     for n in (2, 3):
         fam = covariant_bosons(n, 0.8, [5] * n)

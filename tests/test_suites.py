@@ -1,17 +1,22 @@
 import dataclasses
 import json
 import math
+import sys
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from qboson_kit import identity_operator, ladder, make_space, suites
+from qboson_kit import fock, identity_operator, ladder, make_space, suites
+from qboson_kit import multimode as mm
 from qboson_kit.dump import format_operator
 from qboson_kit.suites import (
     SUITE_FLAGS,
     SUITES,
     Check,
     ConfigError,
+    Suite,
     SuiteConfig,
     SuiteReport,
     report_to_json,
@@ -121,7 +126,135 @@ def test_report_json_matches_indented_json_dumps_on_edge_values():
                 tail_mass=math.inf, passed=False)
     plain = Check(name="plain", relation="", measured=None, expected=None, residual=1e-300,
                   tolerance=5e-11, tail_mass=0.0, passed=True)
-    for checks in ([odd, plain], [plain], []):
+    # The separator between two encoded checks, inside a string, where it is escaped.
+    seam = Check(name="seam", relation='},\n      {', measured=1.0, expected=None,
+                 residual=0.0, tolerance=0.0, tail_mass=0.0, passed=True)
+    for checks in ([odd, plain], [plain], [], [seam], [plain, seam, odd]):
         report = SuiteReport(suite="x", config=config, checks=checks,
                              overall_passed=False, wall_time=math.nan)
         assert report_to_json(report) == _indented_json(report)
+
+
+# -- one run's shared values ---------------------------------------------------
+
+def _probe_suite(monkeypatch, probe):
+    """Make `--suite cuntz` run `probe()` alone, inside run_suite's scope."""
+    def build(**_):
+        probe()
+        return []
+    monkeypatch.setitem(suites.SUITE_TABLE, "cuntz", Suite(build, {"cutoff": 32}))
+
+
+def test_a_run_shares_one_space_per_cutoff_tuple(monkeypatch):
+    spaces, in_thread = [], []
+
+    def probe():
+        spaces.extend([make_space([3, 2]), make_space((3, 2)), make_space([3, 4])])
+        # Another thread, started inside the run, is outside it.
+        thread = threading.Thread(target=lambda: in_thread.append(fock._RUN_VALUES.get()))
+        thread.start()
+        thread.join(timeout=10)
+
+    _probe_suite(monkeypatch, probe)
+    run_suite(SuiteConfig(suite="cuntz"))
+    assert in_thread == [None]
+    same, again, other = spaces[:3]
+    assert same is again and other is not same
+    run_suite(SuiteConfig(suite="cuntz"))
+    assert spaces[3] is spaces[4] and spaces[3] is not same  # the next run builds its own
+    assert make_space([3, 2]) is not make_space([3, 2])  # outside a run nothing is shared
+    assert fock._RUN_VALUES.get() is None
+
+
+def test_the_run_scope_closes_when_a_suite_raises(monkeypatch):
+    inside = []
+    init = fock.FockSpace.__init__
+
+    def recording(self, cutoffs):
+        inside.append(fock._RUN_VALUES.get() is not None)
+        init(self, cutoffs)
+
+    monkeypatch.setattr(fock.FockSpace, "__init__", recording)
+    with pytest.raises(ConfigError, match="larger --cutoff"):
+        run_suite(SuiteConfig(suite="recipe", cutoff=1))
+    assert inside and all(inside)  # the error came from inside the run
+    assert fock._RUN_VALUES.get() is None
+    assert make_space([1, 8]) is not make_space([1, 8])
+
+
+def test_a_run_shares_only_immutable_values(monkeypatch):
+    from qboson_kit.qboson import EffectiveRelation
+
+    seen = []
+    check = suites._check
+
+    def recording(*args, **kwargs):
+        seen.append(fock._RUN_VALUES.get())
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "_check", recording)
+    run_suite(SuiteConfig(suite="all"))
+    values = seen[-1]
+    assert all(v is values for v in seen)
+    kinds = Counter(type(v).__name__ for v in values.values())
+    assert kinds == {"FockSpace": 12, "float": 2, "EffectiveRelation": 3}
+    assert all(isinstance(v, (fock.FockSpace, float, EffectiveRelation))
+               for v in values.values())
+
+
+def test_one_all_run_builds_each_shared_value_once(monkeypatch):
+    counts = Counter()
+    init = fock.FockSpace.__init__
+
+    def counting_init(self, cutoffs):
+        counts["FockSpace"] += 1
+        init(self, cutoffs)
+
+    monkeypatch.setattr(fock.FockSpace, "__init__", counting_init)
+    for name in ("yang_baxter_residual", "covariant_recipe_check"):
+        def counting(*args, _fn=getattr(mm, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(mm, name, counting)
+    run_suite(SuiteConfig(suite="all"))
+    assert counts == {"FockSpace": 12, "yang_baxter_residual": 2, "covariant_recipe_check": 3}
+    counts.clear()
+    run_suite(SuiteConfig(suite="recipe", cutoff=400))
+    assert counts == {"FockSpace": 2}
+
+
+def test_threads_running_suites_at_once_match_their_sequential_runs():
+    configs = [SuiteConfig(suite="all"), SuiteConfig(suite="recipe"),
+               SuiteConfig(suite="multimode", modes=2, cutoff=6),
+               SuiteConfig(suite="rmatrix"), SuiteConfig(suite="multimode"),
+               SuiteConfig(suite="cuntz", cutoff=16)]
+
+    def rendered(config):
+        return report_to_json(dataclasses.replace(run_suite(config), wall_time=0.0))
+
+    expected = [rendered(config) for config in configs]
+    results, errors = {}, []
+
+    def worker(t):
+        try:
+            for k in range(len(configs)):  # each thread starts at its own suite
+                i = (t + k) % len(configs)
+                results[t, i] = rendered(configs[i])
+        except BaseException as exc:  # reported below, from the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the runs
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(results) == 4 * len(configs)
+    for (t, i), text in results.items():
+        assert text == expected[i], (t, configs[i].suite)
