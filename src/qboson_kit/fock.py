@@ -36,7 +36,7 @@ _RUN_VALUES: ContextVar[dict | None] = ContextVar("qboson_kit_run_values", defau
 def _run_once(fn, *args):
     """fn(*args), once per (fn, args) in a suite run, whose values `_RUN_VALUES` holds
     (None outside one), and on every call outside a run.  Only immutable values go
-    through it: spaces, floats and frozen relations."""
+    through it: spaces, floats, frozen relations and R-matrices."""
     values = _RUN_VALUES.get()
     if values is None:
         return fn(*args)
@@ -240,7 +240,7 @@ class LinearOperator:
             return NotImplemented
         _require_same_space(self.space, other.space)
         a, b = self.diagonals, other.diagonals
-        # From +0, as `@` adds up: a stored zero's sign never reaches an entry's zero part.
+        # From +0: a stored zero's sign never reaches an entry's zero part.
         return _operator(self.space, _nonzero({d: op(0.0 + a.get(d, 0.0), b.get(d, 0.0))
                                                for d in a.keys() | b.keys()}))
 
@@ -267,7 +267,8 @@ class LinearOperator:
         for d, c in self.diagonals.items():
             out[-d] = np.zeros(dim, dtype=complex)
             np.conjugate(c[max(d, 0):dim + min(d, 0)], out=out[-d][max(-d, 0):dim + min(-d, 0)])
-        return _operator(self.space, _nonzero(out))
+        # No `_nonzero` pass: c is nonzero only inside the slice conjugated, so out[-d] is too.
+        return _operator(self.space, out)
 
     def apply(self, state: StateVector) -> StateVector:
         _require_same_space(self.space, state.space)
@@ -299,9 +300,10 @@ class LinearOperator:
 
 
 def _nonzero(diagonals: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """The diagonals that hold a nonzero entry.  `c.any()` is the test: count_nonzero
-    is faster below about a thousand entries but 3-4x slower on large diagonals."""
-    return {d: c for d, c in diagonals.items() if c.any()}
+    """The diagonals that hold a nonzero entry, by `np.logical_or.reduce`: `c.any()`'s loop
+    without its Python wrapper.  count_nonzero is faster below ~1000 entries, 3-4x slower on
+    large diagonals."""
+    return {d: c for d, c in diagonals.items() if np.logical_or.reduce(c)}
 
 
 def _operator(space: FockSpace, diagonals: dict[int, np.ndarray]) -> LinearOperator:
@@ -313,19 +315,28 @@ def _operator(space: FockSpace, diagonals: dict[int, np.ndarray]) -> LinearOpera
 
 def _product_diagonals(x: LinearOperator, y: LinearOperator, wanted=None) -> dict[int, np.ndarray]:
     """The diagonals of x @ y, or those whose offsets are in `wanted`.  c[j] = a[j - d2] b[j]
-    lands on d1 + d2; pairs that share it add up from +0 in ascending d1."""
+    lands on d1 + d2.  The first pair on an offset is written into zeros; a second one adds
+    +0 to it first, so pairs that share an offset add up from +0 in ascending d1 and a
+    stored zero's sign never reaches an entry's zero part."""
     _require_same_space(x.space, y.space)
     dim = x.space.dimension
     out: dict[int, np.ndarray] = {}
+    lone = set()  # offsets that one pair has reached so far
     for d1 in sorted(x.diagonals):
         for d2, b in y.diagonals.items():
             d = d1 + d2
             if -dim < d < dim and (wanted is None or d in wanted):
                 lo, hi = max(d2, 0), dim + min(d2, 0)
-                c = out.get(d)
+                a, c = x.diagonals[d1][lo - d2:hi - d2], out.get(d)
                 if c is None:
-                    c = out[d] = np.zeros(dim, dtype=complex)
-                c[lo:hi] += x.diagonals[d1][lo - d2:hi - d2] * b[lo:hi]
+                    out[d] = np.zeros(dim, dtype=complex)
+                    np.multiply(a, b[lo:hi], out=out[d][lo:hi])
+                    lone.add(d)
+                    continue
+                if d in lone:
+                    lone.remove(d)
+                    c += 0.0
+                c[lo:hi] += a * b[lo:hi]
     return out
 
 
@@ -406,13 +417,12 @@ def operator_on_mode(space: FockSpace, mode: int, values: np.ndarray,
     """
     k = space._check_mode(mode, "lower", lower)
     cutoff = space.cutoffs[k]
-    vals = np.asarray(values, dtype=complex)
-    if vals.shape != (cutoff + 1,):
-        raise ValueError(f"values have shape {vals.shape}, expected ({cutoff + 1},)")
+    column = np.array(values, dtype=complex)
+    if column.shape != (cutoff + 1,):
+        raise ValueError(f"values have shape {column.shape}, expected ({cutoff + 1},)")
     stride, outer = math.prod(space.shape[k + 1:]), math.prod(space.shape[:k])
-    column = vals.copy()
     column[:lower] = 0.0
-    if not column.any():  # on cutoff + 1 entries, before tiling
+    if not np.logical_or.reduce(column):  # on cutoff + 1 entries, before tiling
         return _operator(space, {})
     diagonal = column if stride == 1 else np.repeat(column, stride)
     return _operator(space, {lower * stride: diagonal if outer == 1 else np.tile(diagonal, outer)})
@@ -508,8 +518,8 @@ def expectation(rho, op: LinearOperator, right: LinearOperator | None = None) ->
     products = {d: a * _shift(ops[-d], d) for d, a in rho_op.diagonals.items() if -d in ops}
     if len(products) == 1:  # a mask keeps the nonzero values in order, faster than indices
         [c] = products.values()
-        return complex(np.sum(c[c.astype(bool)]))
-    return complex(np.sum(_row_major(products, op.space.dimension)[2]))
+        return complex(np.add.reduce(c[c.astype(bool)]))
+    return complex(np.add.reduce(_row_major(products, op.space.dimension)[2]))
 
 
 # -- residual measurement ---------------------------------------------------
@@ -535,7 +545,7 @@ def relation_residual(lhs: LinearOperator, rhs: LinearOperator, margin: int,
     for d in a.keys() | b.keys():
         c = np.subtract(a.get(d, 0.0), b.get(d, 0.0))
         np.putmask(c, space._unsafe_pair_mask(margin, d), 0)  # also zeroes inf/nan outside
-        top = np.abs(c).max()  # 0 exactly for an all-zero diagonal, nan if c holds one
+        top = np.maximum.reduce(np.abs(c))  # 0 for an all-zero diagonal, nan if c holds one
         if top != 0:
             block[d], peak = c, top
     if norm == "spectral" and len(block) <= 1:  # a monomial block: its peak, as in _norm

@@ -30,6 +30,7 @@ from .fock import (
     FockSpace,
     LinearOperator,
     QBosonFamily,
+    _run_once,
     diagonal_operator,
     identity_operator,
     linear_combination,
@@ -197,7 +198,7 @@ def pair_product_residuals(family: CovariantFamily, margin: int = 1,
     side sums pair products over R's nonzero entries in row-major (k, l) order."""
     q, space = family.q, family.space
     nm = space.mode_count
-    R = su_r_matrix(nm, q).entries.reshape((nm,) * 4)
+    R = _run_once(su_r_matrix, nm, q).entries.reshape((nm,) * 4)
     eye = identity_operator(space)
     bm, bp = zip(*family.dressed)
     pairs = [(i, j) for i in range(nm) for j in range(nm)]

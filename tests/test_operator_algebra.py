@@ -171,26 +171,29 @@ signed_entries = st.one_of(zero_entries,
 
 
 @st.composite
-def raw_diagonals(draw, space):
+def raw_diagonals(draw, space, nonzero=0):
     """Diagonals as a caller may hand them over, with their dense matrix: -0 entries,
-    lone zero parts and all-zero diagonals."""
+    lone zero parts and all-zero diagonals; at least `nonzero` of them hold a nonzero."""
     dim = space.dimension
     dense = np.zeros((dim, dim), dtype=complex)
     diagonals = {}
-    for d in draw(st.lists(st.integers(1 - dim, dim - 1), max_size=4, unique=True)):
-        values = zero_entries if draw(st.booleans()) else signed_entries
+    offsets = st.lists(st.integers(1 - dim, dim - 1), min_size=nonzero, max_size=4, unique=True)
+    for k, d in enumerate(draw(offsets)):
+        values = zero_entries if k >= nonzero and draw(st.booleans()) else signed_entries
         c = np.array(draw(st.lists(values, min_size=dim, max_size=dim)), dtype=complex)
         lo, hi = max(d, 0), dim + min(d, 0)
         c[:lo] = c[hi:] = complex(-0.0, -0.0)
+        if k < nonzero and not c.any():
+            c[draw(st.integers(lo, hi - 1))] = draw(gaussian.filter(bool))
         dense[np.arange(lo, hi) - d, np.arange(lo, hi)] = c[lo:hi]
         diagonals[d] = c
     return diagonals, dense
 
 
 @st.composite
-def raw_operators(draw, space):
+def raw_operators(draw, space, nonzero=0):
     """An operator built from raw_diagonals, with its dense matrix."""
-    diagonals, dense = draw(raw_diagonals(space))
+    diagonals, dense = draw(raw_diagonals(space, nonzero))
     return LinearOperator(space, diagonals), dense
 
 
@@ -371,6 +374,38 @@ def test_kernels_drop_all_zero_diagonals_with_the_constructors_bits(data):
     assert_canonical(operator_on_mode(space, mode, values, data.draw(st.integers(0, cutoff))))
 
 
+def _pairwise_product(x, y):
+    """The diagonals of x @ y: an offset that one pair of diagonals reaches holds their
+    product, and pairs that share an offset add up from zeros in ascending d1."""
+    dim = x.space.dimension
+    pairs = {}
+    for d1 in sorted(x.diagonals):
+        for d2, b in y.diagonals.items():
+            if -dim < d1 + d2 < dim:
+                pairs.setdefault(d1 + d2, []).append((x.diagonals[d1], d2, b))
+    out = {}
+    for d, terms in pairs.items():
+        c = out[d] = np.zeros(dim, dtype=complex)
+        for a, d2, b in terms:
+            j = np.arange(max(d2, 0), dim + min(d2, 0))
+            c[j] = a[j - d2] * b[j] if len(terms) == 1 else c[j] + a[j - d2] * b[j]
+    return LinearOperator(x.space, out)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_products_add_the_pairs_on_each_offset_in_ascending_d1(data):
+    """Inexact entries make the order of each sum show in the bits, and -0 parts its
+    start from zeros.  x @ x and x @ x^+ have offsets that two pairs share."""
+    space = data.draw(spaces())
+    x, y = (_scaled_read_only(data.draw(raw_operators(space, nonzero=2))[0],
+                              data.draw(st.sampled_from([1 / 3, 0.1 + 0.7j, 1e-200])))
+            for _ in range(2))
+    for a, b in ((x, y), (x, x), (x, x.adjoint())):
+        got, want = (a @ b).entries(), _pairwise_product(a, b).entries()
+        assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
+
+
 def _zero_signs_flipped(op):
     """op, through the constructor, with the sign of both parts of every zero entry
     flipped: -0 becomes +0 and +0 becomes -0."""
@@ -427,6 +462,17 @@ def test_sums_and_dense_residuals_ignore_the_sign_of_stored_zeros():
     got = relation_residual(x, y, 0)
     assert bits(relation_residual(_zero_signs_flipped(x), y, 0)) == bits(got)
     assert got == pytest.approx(np.linalg.norm(x.toarray() - y.toarray(), 2), rel=1e-12)
+
+
+def test_products_ignore_the_sign_of_stored_zeros():
+    """On offset 1 of x @ y, x's stored zero times 1 and a product with a -0 real part
+    meet in entry 1: pairs that share an offset add up from +0."""
+    x = LinearOperator(make_space([3]), {0: np.array([complex(-0.0, 0.0), 1, 1, 1]),
+                                         1: np.array([0, complex(-0.0, 1.0), 1, 1])})
+    y = LinearOperator(x.space, {0: np.ones(4, dtype=complex),
+                                 1: np.array([0, 1, 1, 1], dtype=complex)})
+    flipped = _zero_signs_flipped(x) @ y
+    assert [r.tobytes() for r in (x @ y).entries()] == [r.tobytes() for r in flipped.entries()]
 
 
 @settings(max_examples=60, deadline=None)

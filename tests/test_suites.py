@@ -196,7 +196,7 @@ def test_a_run_shares_only_immutable_values(monkeypatch):
     values = seen[-1]
     assert all(v is values for v in seen)
     kinds = Counter(type(v) for v in values.values())
-    assert kinds == {fock.FockSpace: 12, float: 2, EffectiveRelation: 3}
+    assert kinds == {fock.FockSpace: 12, float: 2, EffectiveRelation: 3, mm.RMatrix: 2}
 
 
 def test_one_all_run_builds_each_shared_value_once(monkeypatch):
@@ -208,13 +208,17 @@ def test_one_all_run_builds_each_shared_value_once(monkeypatch):
         init(self, cutoffs)
 
     monkeypatch.setattr(fock.FockSpace, "__init__", counting_init)
-    for name in ("yang_baxter_residual", "covariant_recipe_check"):
+    for name in ("su_r_matrix", "yang_baxter_residual", "covariant_recipe_check"):
         def counting(*args, _fn=getattr(mm, name), _name=name):
             counts[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(mm, name, counting)
     run_suite(SuiteConfig(suite="all"))
-    assert counts == {"FockSpace": 12, "yang_baxter_residual": 2, "covariant_recipe_check": 3}
+    assert counts == {"FockSpace": 12, "su_r_matrix": 2, "yang_baxter_residual": 2,
+                      "covariant_recipe_check": 3}
+    counts.clear()
+    run_suite(SuiteConfig(suite="rmatrix"))  # ranks 2 and 3: the entry rows share R
+    assert counts == {"su_r_matrix": 2, "yang_baxter_residual": 2}
     counts.clear()
     run_suite(SuiteConfig(suite="recipe", cutoff=400))
     assert counts == {"FockSpace": 2}
