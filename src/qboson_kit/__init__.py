@@ -12,7 +12,6 @@ truncation-safe subspace.
 from .densities import (
     AsymptoticsRow,
     DensityOperator,
-    ThermalParams,
     TruncationAccuracyError,
     asymptotics_csv,
     coherent_density,
@@ -58,7 +57,6 @@ from .multimode import (
     yang_baxter_residual,
 )
 from .phase import (
-    AlphaBoson,
     alpha_boson,
     alpha_phase_pair,
     phase_pair,
@@ -71,7 +69,6 @@ from .qboson import (
     averaged_relation,
     beta_closed_form,
     defining_relation_residual,
-    expectation_recipe,
     family_from_relation,
     recipe_relations,
     standard_qboson,

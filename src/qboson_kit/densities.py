@@ -36,26 +36,6 @@ class TruncationAccuracyError(ValueError):
 
 
 @dataclass(frozen=True)
-class ThermalParams:
-    """Geometric-distribution parameter q_squared in (0, 1).
-
-    At a physical temperature q_squared = exp(-epsilon0 / kT), epsilon0 being
-    the quantal energy and kT the temperature in the same units; the CLI takes
-    that map in `SuiteConfig.resolved_q_squared`.
-    """
-
-    q_squared: float
-
-    def __post_init__(self):
-        if not 0.0 < self.q_squared < 1.0:
-            raise ValueError(f"q_squared must lie in (0, 1), got {self.q_squared}")
-
-    @classmethod
-    def from_q_squared(cls, q_squared: float) -> "ThermalParams":
-        return cls(q_squared=q_squared)
-
-
-@dataclass(frozen=True)
 class DensityOperator:
     """Positive semidefinite unit-trace operator plus truncation metadata.
 
@@ -90,7 +70,7 @@ def mixture_density(states: Sequence[StateVector], probs: Sequence[float]) -> De
     for state in states:
         if state.space != space:
             raise ValueError("all states must live on the same space")
-        if not state.normalized():
+        if not abs(state.norm() - 1.0) <= 1e-12:
             raise ValueError(f"state with norm {state.norm()} is not normalized")
     rho = linear_combination(space, [(w, outer_product(s)) for s, w in zip(states, p)])
     return DensityOperator(op=rho, tail_mass=0.0)
@@ -101,20 +81,26 @@ def pure_density(state: StateVector) -> DensityOperator:
     return mixture_density([state], [1.0])
 
 
-def thermal_density(space: FockSpace, mode: int, params: ThermalParams,
+def thermal_density(space: FockSpace, mode: int, q_squared: float,
                     other_levels: Sequence[int] | None = None) -> DensityOperator:
     """Geometric (Planck) distribution on one mode, renormalized after truncation.
 
-    The diagonal weight on occupation n is (1 - q^2) q^(2n) / (1 - tail) with
-    tail = q^(2 (cutoff+1)) recorded as tail_mass.  On a multimode space the
-    remaining modes are pinned to the occupation numbers in `other_levels`
-    (vacuum by default), so the result is a thermal x pure product state.
+    q_squared must lie in (0, 1); at a physical temperature it is
+    exp(-epsilon0 / kT), epsilon0 being the quantal energy and kT the
+    temperature in the same units, a map the CLI takes in
+    `SuiteConfig.resolved_q_squared`.  The diagonal weight on occupation n is
+    (1 - q^2) q^(2n) / (1 - tail) with tail = q^(2 (cutoff+1)) recorded as
+    tail_mass.  On a multimode space the remaining modes are pinned to the
+    occupation numbers in `other_levels` (vacuum by default), so the result
+    is a thermal x pure product state.
     """
+    if not 0.0 < q_squared < 1.0:
+        raise ValueError(f"q_squared must lie in (0, 1), got {q_squared}")
     k = space._check_mode(mode)
     levels = [0] * (space.mode_count - 1) if other_levels is None else list(other_levels)
     if len(levels) != space.mode_count - 1:
         raise ValueError(f"expected {space.mode_count - 1} other-mode levels, got {len(levels)}")
-    q2, cutoff, grid = params.q_squared, space.cutoffs[k], space.grid
+    q2, cutoff, grid = q_squared, space.cutoffs[k], space.grid
     tail = q2 ** (cutoff + 1)
     diag = ((1.0 - q2) * q2 ** np.arange(cutoff + 1) / (1.0 - tail))[grid[k]].astype(complex)
     for j, lvl in zip([j for j in range(space.mode_count) if j != k], levels):

@@ -160,9 +160,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> bool:
-        return abs(self.norm() - 1.0) <= 1e-12
-
     def inner(self, other: "StateVector") -> complex:
         _require_same_space(self.space, other.space)
         return complex(np.vdot(self.amplitudes, other.amplitudes))

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .densities import ThermalParams, thermal_density
+from .densities import thermal_density
 from .fock import (
     DEFAULT_DIMENSION_LIMIT,
     FockSpace,
@@ -339,8 +339,7 @@ def covariant_recipe_check(q_squared: float, b_levels: Sequence[int]) -> Effecti
     """
     levels = [int(v) for v in b_levels]
     space = make_space([60] + [max(lvl, 1) for lvl in levels])
-    rho = thermal_density(space, 1, ThermalParams.from_q_squared(q_squared),
-                          other_levels=levels)
+    rho = thermal_density(space, 1, q_squared, other_levels=levels)
     pair = phase_pair(space, 1)
     d0 = diagonal_operator(space, space.flat(space.grid[0] >= sum(space.grid[1:])))
     return averaged_relation(rho, pair.lower, pair.raise_, d0)

@@ -12,8 +12,6 @@ member, an identity the tests check bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fock import (
@@ -47,36 +45,19 @@ def theta_operator(space: FockSpace, mode: int, alpha: int) -> LinearOperator:
     return operator_on_mode(space, mode, np.arange(space.shape[k]) >= alpha)
 
 
-@dataclass(frozen=True)
-class LadderTriple:
-    """Annihilation, creation, and number operator of one mode."""
-
-    lower: LinearOperator
-    raise_: LinearOperator
-    number: LinearOperator
-
-
-@dataclass(frozen=True)
-class AlphaBoson:
-    """Boson-like triple with vacuum shifted up by `alpha` number states."""
-
-    triple: LadderTriple
-
-
-def alpha_boson(space: FockSpace, mode: int, alpha: int) -> AlphaBoson:
+def alpha_boson(space: FockSpace, mode: int, alpha: int) -> QBosonFamily:
     """The shifted-vacuum boson a(alpha) = e†^alpha a e^alpha.
 
     Its lowering operator maps |n> to sqrt(n - alpha) |n-1> for n > alpha and
     annihilates the bottom alpha + 1 states; the commutator of the pair equals
-    theta(N - alpha) on the margin-2 safe subspace, and the number operator
-    raise_ @ lower has eigenvalue n on |n + alpha>.
+    theta(N - alpha) on the margin-2 safe subspace, and raise_ @ lower (not
+    the family's occupation operator `number`) has eigenvalue n on |n + alpha>.
     """
     k = space._check_mode(mode)
     if alpha > space.cutoffs[k] - 2:
         raise ValueError(f"alpha {alpha} leaves no safe subspace below cutoff "
                          f"{space.cutoffs[k]} (need alpha <= cutoff - 2)")
-    family = _shifted_family(space, mode, 1.0, alpha)
-    return AlphaBoson(LadderTriple(family.lower, family.raise_, family.raise_ @ family.lower))
+    return _shifted_family(space, mode, 1.0, alpha)
 
 
 def alpha_phase_pair(space: FockSpace, mode: int, alpha: int) -> QBosonFamily:

@@ -33,7 +33,6 @@ import numpy as np
 
 from .densities import (
     DensityOperator,
-    ThermalParams,
     TruncationAccuracyError,
     thermal_density,
 )
@@ -210,7 +209,7 @@ def recipe_relations(q_squared: float, cutoffs: Sequence[int],
     if len(cutoffs) != 2:
         raise ValueError("the recipe runs on a two-mode space: pass two cutoffs")
     space = make_space(cutoffs)
-    rho = thermal_density(space, 1, ThermalParams.from_q_squared(q_squared))
+    rho = thermal_density(space, 1, q_squared)
     if rho.tail_mass > RECIPE_TAIL_BUDGET:
         raise TruncationAccuracyError(
             f"tail mass {rho.tail_mass:.3g} exceeds budget {RECIPE_TAIL_BUDGET:.3g} at "
@@ -238,12 +237,6 @@ def recipe_relations(q_squared: float, cutoffs: Sequence[int],
             rel = replace(rel, rhs_exponent_sign=sign)
         relations.append(rel)
     return relations
-
-
-def expectation_recipe(a_choice: str, d0_choice: str, q_squared: float,
-                       cutoffs: Sequence[int], alpha: int = 0) -> EffectiveRelation:
-    """recipe_relations for the one request (a_choice, d0_choice, alpha)."""
-    return recipe_relations(q_squared, cutoffs, [(a_choice, d0_choice, alpha)])[0]
 
 
 def family_from_relation(relation: EffectiveRelation, cutoff: int) -> QBosonFamily:

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import multimode as mm
 from .densities import (
-    ThermalParams,
     TruncationAccuracyError,
     coherent_state,
     phase_asymptotics,
@@ -211,7 +210,7 @@ def thermal_suite(q_squared: float, cutoff: int, tolerance: float) -> list[Check
     if cutoff < 3:
         raise ConfigError(f"the thermal suite needs --cutoff >= 3, got {cutoff}")
     space = make_space([cutoff])
-    rho = thermal_density(space, 1, ThermalParams.from_q_squared(q_squared))
+    rho = thermal_density(space, 1, q_squared)
     tail = rho.tail_mass
     triple = ladder(space, 1)
     pair = phase_pair(space, 1)
@@ -406,17 +405,18 @@ def alpha_suite(cutoff: int, alpha: tuple[int, ...], norm: str) -> list[Check]:
     checks = []
     for a in alpha:
         boson = alpha_boson(space, 1, a)
-        # The number operator's diagonal is |column|^2 of lower: zero on the kernel.
-        zero_cols = int(np.count_nonzero(boson.triple.number.diagonal() == 0))
+        # N(alpha) = a+(alpha) a(alpha) has diagonal |column|^2 of lower: zero on the kernel.
+        number = boson.raise_ @ boson.lower
+        zero_cols = int(np.count_nonzero(number.diagonal() == 0))
         checks.append(_check(
             f"alpha/kernel-dimension-{a}", "dim ker a(alpha) = alpha + 1",
             abs(zero_cols - (a + 1)), 0.0, zero_cols, a + 1))
         checks.append(_check(
             f"alpha/commutator-step-{a}", "[a(alpha), a+(alpha)] = theta(N - alpha)",
-            relation_residual(commutator(boson.triple.lower, boson.triple.raise_),
+            relation_residual(commutator(boson.lower, boson.raise_),
                               theta_operator(space, 1, a), margin=2, norm=norm),
             machine))
-        eigenvalues = boson.triple.number.diagonal().real[a:].tolist()
+        eigenvalues = number.diagonal().real[a:].tolist()
         dev = max(abs(value - n) for n, value in enumerate(eigenvalues))
         checks.append(_check(
             f"alpha/number-eigenvalues-{a}", "N(alpha) |n + alpha> = n |n + alpha>",

@@ -33,7 +33,7 @@ def report(criterion: int, label: str, ok: bool, detail: str = "") -> None:
 def _thermal_rows(q2: float, cutoff: int):
     """(name, measured, expected) for every closed-form observable."""
     space = qk.make_space([cutoff])
-    rho = qk.thermal_density(space, 1, qk.ThermalParams.from_q_squared(q2))
+    rho = qk.thermal_density(space, 1, q2)
     t = qk.ladder(space, 1)
     pair = qk.phase_pair(space, 1)
     rows = [
@@ -188,23 +188,23 @@ def test_criterion_6_recipe_reproduction():
     def tol(analytic: float, tail: float) -> float:
         return abs(analytic) * max(1e-10, tail)
 
-    rel = qk.expectation_recipe("phase", "identity", q2, cutoffs)
+    rel = qk.recipe_relations(q2, cutoffs, [("phase", "identity", 0)])[0]
     assert abs(rel.q_squared_effective - q2) <= tol(q2, rel.tail_mass)
     assert abs(rel.normalized_rhs - 1.0) <= tol(1.0, rel.tail_mass)
 
-    rel = qk.expectation_recipe("boson", "identity", q2, cutoffs)
+    rel = qk.recipe_relations(q2, cutoffs, [("boson", "identity", 0)])[0]
     assert abs(rel.q_squared_effective - q2) <= tol(q2, rel.tail_mass)
     assert abs(rel.normalized_rhs - (1 - q2)) <= tol(1 - q2, rel.tail_mass)
 
     for a in (0, 1, 2):
-        rel = qk.expectation_recipe("alpha_phase", "identity", q2, cutoffs, alpha=a)
+        rel = qk.recipe_relations(q2, cutoffs, [("alpha_phase", "identity", a)])[0]
         target = q2 ** (-a)
         assert abs(rel.q_squared_effective - q2) <= tol(q2, rel.tail_mass)
         assert abs(rel.normalized_rhs - target) <= tol(target, rel.tail_mass), a
 
     signs = []
     for a in (1, 2):
-        rel = qk.expectation_recipe("boson", "theta", q2, cutoffs, alpha=a)
+        rel = qk.recipe_relations(q2, cutoffs, [("boson", "theta", a)])[0]
         assert rel.rhs_exponent_sign is not None
         signs.append(rel.rhs_exponent_sign)
         magnitude = (1 - q2) * q2 ** a
@@ -221,14 +221,14 @@ def test_criterion_7_alpha_boson():
     bound = machine_zero_bound(space)
     for a in (1, 2, 3):
         boson = qk.alpha_boson(space, 1, a)
-        low = boson.triple.lower.matrix.tocsc(copy=True)
+        low = boson.lower.matrix.tocsc(copy=True)
         low.eliminate_zeros()
         assert int(np.sum(np.diff(low.indptr) == 0)) == a + 1
         res = qk.relation_residual(
-            qk.commutator(boson.triple.lower, boson.triple.raise_),
+            qk.commutator(boson.lower, boson.raise_),
             qk.theta_operator(space, 1, a), margin=2)
         assert res <= bound, (a, res)
-        diag = boson.triple.number.matrix.diagonal().real
+        diag = (boson.raise_ @ boson.lower).matrix.diagonal().real
         for n in range(cutoff - a + 1):
             assert abs(diag[space.flat_index([n + a])] - n) <= bound, (a, n)
     report(7, "shifted-vacuum boson", True,

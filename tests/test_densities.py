@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from qboson_kit import (
     StateVector,
     SuiteConfig,
-    ThermalParams,
     TruncationAccuracyError,
     asymptotics_csv,
     basis_state,
@@ -149,8 +148,8 @@ def _q_squared_at(epsilon0, kT):
 
 def test_thermal_params_consistency():
     assert _q_squared_at(1.0, 1.4426950408889634) == pytest.approx(0.5, abs=1e-12)
-    with pytest.raises(ValueError):
-        ThermalParams.from_q_squared(1.5)
+    with pytest.raises(ValueError, match=r"q_squared must lie in \(0, 1\), got 1.5"):
+        thermal_density(make_space([4]), 1, 1.5)
 
 
 def test_temperature_map_monotonic():
@@ -160,7 +159,7 @@ def test_temperature_map_monotonic():
 
 def test_thermal_closed_forms_q_half():
     space = make_space([80])
-    rho = thermal_density(space, 1, ThermalParams.from_q_squared(0.5))
+    rho = thermal_density(space, 1, 0.5)
     t = ladder(space, 1)
     assert expectation(rho, t.raise_ @ t.lower).real == pytest.approx(1.0, abs=1e-10)
     assert expectation(rho, t.lower @ t.raise_).real == pytest.approx(2.0, abs=1e-10)
@@ -171,26 +170,26 @@ def test_thermal_closed_forms_q_half():
 
 def test_thermal_tail_mass_recorded():
     space = make_space([10])
-    rho = thermal_density(space, 1, ThermalParams.from_q_squared(0.5))
+    rho = thermal_density(space, 1, 0.5)
     assert rho.tail_mass == pytest.approx(0.5 ** 11, rel=1e-12)
     assert abs(rho.op.trace() - 1.0) < 1e-12
 
 
 def test_thermal_rejects_bad_q():
-    with pytest.raises(ValueError):
-        ThermalParams.from_q_squared(0.0)
+    with pytest.raises(ValueError, match=r"q_squared must lie in \(0, 1\), got 0.0"):
+        thermal_density(make_space([4]), 1, 0.0)
 
 
 def test_thermal_on_two_mode_space_pins_other_mode():
     space = make_space([30, 3])
-    rho = thermal_density(space, 1, ThermalParams.from_q_squared(0.5), other_levels=[2])
+    rho = thermal_density(space, 1, 0.5, other_levels=[2])
     # expectation of the mode-2 occupation projector at level 2 is 1
     from qboson_kit import number_state_projector
 
     assert expectation(rho, number_state_projector(space, 2, 2)).real == pytest.approx(1.0)
     assert expectation(rho, number_state_projector(space, 2, 0)).real == pytest.approx(0.0)
     with pytest.raises(ValueError, match=r"level 4 outside \[0, 3\] for mode 2"):
-        thermal_density(space, 1, ThermalParams.from_q_squared(0.5), other_levels=[4])
+        thermal_density(space, 1, 0.5, other_levels=[4])
 
 
 @pytest.mark.parametrize("cutoffs,mode,levels", [([30], 1, []), ([30, 3], 1, [2]),
@@ -203,7 +202,7 @@ def test_thermal_weights_match_the_occupation_table_gather_bit_for_bit(cutoffs, 
     reference = weights[occ[:, k]].astype(complex)
     for j, lvl in zip([j for j in range(space.mode_count) if j != k], levels):
         reference = reference * (occ[:, j] == lvl)
-    rho = thermal_density(space, mode, ThermalParams.from_q_squared(q2), other_levels=levels)
+    rho = thermal_density(space, mode, q2, other_levels=levels)
     assert rho.op.diagonal().tobytes() == reference.tobytes()
 
 
@@ -257,8 +256,7 @@ def test_coherent_tail_mass_is_the_poisson_survival_function(cutoff, z):
 
 def test_thermal_product_density_with_pure_pin():
     space = make_space([40, 4])
-    p = ThermalParams.from_q_squared(0.5)
-    rho = thermal_density(space, 1, p, other_levels=[2])
+    rho = thermal_density(space, 1, 0.5, other_levels=[2])
     from qboson_kit import number_state_projector
 
     assert expectation(rho, number_state_projector(space, 2, 2)).real == pytest.approx(1.0)

@@ -21,7 +21,6 @@ from qboson_kit import (
     operator_on_mode,
     relation_residual,
     thermal_density,
-    ThermalParams,
 )
 from qboson_kit import fock
 from qboson_kit.fock import machine_zero_bound
@@ -222,14 +221,14 @@ def test_adjoint_involution_exact(cutoff):
 
 def test_expectation_identity_is_unit_trace():
     space = make_space([40])
-    rho = thermal_density(space, 1, ThermalParams.from_q_squared(0.5))
+    rho = thermal_density(space, 1, 0.5)
     val = expectation(rho, identity_operator(space))
     assert abs(val - 1.0) < 1e-12
 
 
 def test_expectation_trace_linearity():
     space = make_space([20])
-    rho = thermal_density(space, 1, ThermalParams.from_q_squared(0.4))
+    rho = thermal_density(space, 1, 0.4)
     t = ladder(space, 1)
     x = t.raise_ @ t.lower
     y = t.lower @ t.raise_
@@ -239,7 +238,7 @@ def test_expectation_trace_linearity():
 
 
 def test_expectation_space_mismatch():
-    rho = thermal_density(make_space([5]), 1, ThermalParams.from_q_squared(0.5))
+    rho = thermal_density(make_space([5]), 1, 0.5)
     other = identity_operator(make_space([6]))
     with pytest.raises(ValueError):
         expectation(rho, other)

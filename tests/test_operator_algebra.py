@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from qboson_kit import (
     LinearOperator,
     StateVector,
-    ThermalParams,
     coherent_density,
     diagonal_operator,
     expectation,
@@ -553,7 +552,7 @@ def test_two_factor_expectation_on_densities_and_an_all_zero_product():
     tiny = operator_on_mode(space, 1, np.full(13, 1e-200), lower=1)
     assert (tiny @ tiny.adjoint()).diagonals == {}
     for rho in (coherent_density(space, 1, 0.8 + 0.3j),
-                thermal_density(space, 1, ThermalParams.from_q_squared(0.7))):
+                thermal_density(space, 1, 0.7)):
         for x, y in ((boson.lower, boson.raise_), (pair.raise_, boson.lower),
                      (full, full.adjoint()), (tiny, tiny.adjoint())):
             assert_trace_bits(rho, x, y)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qboson_kit import (
-    ThermalParams,
     alpha_boson,
     alpha_phase_pair,
     basis_state,
@@ -96,7 +95,7 @@ def test_theta_convention():
 
 def test_theta_thermal_expectation():
     space = make_space([80])
-    rho = thermal_density(space, 1, ThermalParams.from_q_squared(0.5))
+    rho = thermal_density(space, 1, 0.5)
     val = expectation(rho, theta_operator(space, 1, 3)).real
     assert val == pytest.approx(0.125, abs=1e-12)
 
@@ -145,19 +144,19 @@ def test_alpha_boson_lower_amplitudes():
     """a(2)|5> = sqrt(3) |4>, from composing the shift powers with the boson."""
     space = make_space([12])
     boson = alpha_boson(space, 1, 2)
-    out = boson.triple.lower.apply(basis_state(space, [5]))
+    out = boson.lower.apply(basis_state(space, [5]))
     np.testing.assert_allclose(out.amplitudes,
                                np.sqrt(3) * basis_state(space, [4]).amplitudes,
                                rtol=0, atol=1e-15)
     for n in range(3):
-        assert boson.triple.lower.apply(basis_state(space, [n])).norm() == 0.0
+        assert boson.lower.apply(basis_state(space, [n])).norm() == 0.0
 
 
 def test_alpha_boson_kernel_dimension():
     space = make_space([12])
     for a in (1, 2, 3):
         boson = alpha_boson(space, 1, a)
-        m = boson.triple.lower.matrix.tocsc(copy=True)
+        m = boson.lower.matrix.tocsc(copy=True)
         m.eliminate_zeros()
         assert int(np.sum(np.diff(m.indptr) == 0)) == a + 1
 
@@ -165,7 +164,7 @@ def test_alpha_boson_kernel_dimension():
 def test_alpha_boson_commutator_is_step():
     space = make_space([16])
     boson = alpha_boson(space, 1, 2)
-    assert relation_residual(commutator(boson.triple.lower, boson.triple.raise_),
+    assert relation_residual(commutator(boson.lower, boson.raise_),
                              theta_operator(space, 1, 2), margin=2) <= machine_zero_bound(space)
 
 
@@ -173,7 +172,7 @@ def test_alpha_boson_number_states():
     """The number operator counts steps above the shifted vacuum."""
     space = make_space([16])
     boson = alpha_boson(space, 1, 3)
-    diag = boson.triple.number.matrix.diagonal().real
+    diag = (boson.raise_ @ boson.lower).matrix.diagonal().real
     for n in range(14):
         assert diag[space.flat_index([n + 3])] == pytest.approx(n, abs=1e-13)
 
@@ -217,7 +216,7 @@ def test_ladder_constructors_match_independent_routes(cutoffs):
         for alpha in range(cutoff + 1):
             e_a = shift_power(space, mode, alpha)
             if alpha <= cutoff - 2:
-                shifted = alpha_boson(space, mode, alpha).triple.lower
+                shifted = alpha_boson(space, mode, alpha).lower
                 assert diagonal_bytes(shifted) == diagonal_bytes(e_a.adjoint() @ a @ e_a)
             shifted = alpha_phase_pair(space, mode, alpha).lower
             assert diagonal_bytes(shifted) == diagonal_bytes(e_a.adjoint() @ e @ e_a)

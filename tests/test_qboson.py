@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 
 from qboson_kit import (
     OverflowGuardError,
-    ThermalParams,
     averaged_relation,
     basis_state,
     beta_closed_form,
     commutator,
     defining_relation_residual,
-    expectation_recipe,
     family_from_relation,
     identity_operator,
     ladder,
@@ -174,7 +172,7 @@ def test_q_to_one_limit_recovers_boson():
 # -- averaging recipe -------------------------------------------------------------
 
 def test_recipe_shift_gauge_type_i():
-    rel = expectation_recipe("phase", "identity", 0.5, (80, 8))
+    rel = recipe_relations(0.5, (80, 8), [("phase", "identity", 0)])[0]
     assert rel.coeff_plus == pytest.approx(1.0, abs=1e-12)
     assert rel.coeff_minus == pytest.approx(0.5, abs=1e-12)
     assert rel.rhs == pytest.approx(1.0, abs=1e-12)
@@ -182,21 +180,21 @@ def test_recipe_shift_gauge_type_i():
 
 
 def test_recipe_boson_gauge_type_iii():
-    rel = expectation_recipe("boson", "identity", 0.5, (80, 8))
+    rel = recipe_relations(0.5, (80, 8), [("boson", "identity", 0)])[0]
     assert rel.coeff_plus == pytest.approx(2.0, abs=1e-9)
     assert rel.coeff_minus == pytest.approx(1.0, abs=1e-9)
     assert rel.normalized_rhs == pytest.approx(0.5, abs=1e-9)
 
 
 def test_recipe_shifted_gauge_type_ii():
-    rel = expectation_recipe("alpha_phase", "identity", 0.5, (80, 8), alpha=2)
+    rel = recipe_relations(0.5, (80, 8), [("alpha_phase", "identity", 2)])[0]
     assert rel.coeff_plus == pytest.approx(0.25, abs=1e-12)
     assert rel.coeff_minus == pytest.approx(0.125, abs=1e-12)
     assert rel.normalized_rhs == pytest.approx(4.0, abs=1e-10)
 
 
 def test_recipe_step_gauge_reports_positive_exponent():
-    rel = expectation_recipe("boson", "theta", 0.5, (80, 8), alpha=1)
+    rel = recipe_relations(0.5, (80, 8), [("boson", "theta", 1)])[0]
     assert rel.rhs_exponent_sign == 1
     assert rel.normalized_rhs == pytest.approx((1 - 0.5) * 0.5, abs=1e-9)
 
@@ -205,7 +203,7 @@ def test_recipe_coefficient_ordering():
     """Thermal averaging gives coeff_plus > coeff_minus > 0."""
     for a_choice in ("phase", "boson"):
         for q2 in (0.25, 0.5, 0.8):
-            rel = expectation_recipe(a_choice, "identity", q2, (120, 6))
+            rel = recipe_relations(q2, (120, 6), [(a_choice, "identity", 0)])[0]
             assert rel.coeff_plus > rel.coeff_minus > 0
 
 
@@ -214,7 +212,7 @@ def test_recipe_closure():
                                        ("boson", "identity", 0),
                                        ("alpha_phase", "identity", 2),
                                        ("boson", "theta", 1)):
-        rel = expectation_recipe(a_choice, d0_choice, 0.5, (80, 8), alpha=alpha)
+        rel = recipe_relations(0.5, (80, 8), [(a_choice, d0_choice, alpha)])[0]
         family = family_from_relation(rel, cutoff=16)
         lhs = family.lower @ family.raise_ \
             - family.q_squared * (family.raise_ @ family.lower)
@@ -232,7 +230,7 @@ def test_batched_recipe_equals_single_requests(q_squared, cutoffs):
     assert len(batched) == len(requests)
     for rel, (a_choice, d0_choice, alpha) in zip(batched, requests):
         # repr tells -0.0 from 0.0 and covers rhs_exponent_sign.
-        single = expectation_recipe(a_choice, d0_choice, q_squared, cutoffs, alpha)
+        single = recipe_relations(q_squared, cutoffs, [(a_choice, d0_choice, alpha)])[0]
         assert repr(rel) == repr(single)
 
 
@@ -298,9 +296,9 @@ def test_averaged_relation_rejects_complex_expectation():
 
 def test_recipe_validation():
     with pytest.raises(ValueError):
-        expectation_recipe("spin", "identity", 0.5, (40, 6))
+        recipe_relations(0.5, (40, 6), [("spin", "identity", 0)])
     with pytest.raises(ValueError):
-        expectation_recipe("phase", "identity", 0.5, (40,))
+        recipe_relations(0.5, (40,), [("phase", "identity", 0)])
     with pytest.raises(ValueError, match="d0_choice"):
         recipe_relations(0.5, (40, 6), [("phase", "identity", 0), ("boson", "step", 1)])
     with pytest.raises(ValueError, match="nonnegative"):
@@ -308,7 +306,7 @@ def test_recipe_validation():
     from qboson_kit import TruncationAccuracyError
 
     with pytest.raises(TruncationAccuracyError):
-        expectation_recipe("phase", "identity", 0.97, (10, 4))  # heavy tail
+        recipe_relations(0.97, (10, 4), [("phase", "identity", 0)])  # heavy tail
 
 
 def test_recipe_b_mode_level_does_not_affect_scalar_coefficients():
@@ -317,8 +315,7 @@ def test_recipe_b_mode_level_does_not_affect_scalar_coefficients():
     step = theta_operator(space, 1, 2)
 
     def average(b_level):
-        rho = thermal_density(space, 1, ThermalParams.from_q_squared(0.5),
-                              other_levels=[b_level])
+        rho = thermal_density(space, 1, 0.5, other_levels=[b_level])
         return averaged_relation(rho, boson.lower, boson.raise_, step)
 
     r0, r3 = average(0), average(3)

@@ -224,6 +224,25 @@ def test_one_all_run_builds_each_shared_value_once(monkeypatch):
     assert counts == {"FockSpace": 2}
 
 
+def test_spectral_report_rows_never_reach_the_general_norm(monkeypatch):
+    """Every spectral residual of these runs is monomial and is taken by
+    relation_residual's peak, so fock._norm (its monomial and dense-SVD branches)
+    serves only library callers; the Frobenius run shows the wrap does see calls."""
+    kinds = []
+    norm = fock._norm
+
+    def counting(diagonals, dim, kind):
+        kinds.append(kind)
+        return norm(diagonals, dim, kind)
+
+    monkeypatch.setattr(fock, "_norm", counting)
+    run_suite(SuiteConfig(suite="all"))
+    run_suite(SuiteConfig(suite="multimode", modes=4, cutoff=6))
+    assert kinds == []
+    run_suite(SuiteConfig(suite="all", norm="frobenius", margin=2))
+    assert kinds and set(kinds) == {"frobenius"}
+
+
 def test_threads_running_suites_at_once_match_their_sequential_runs():
     configs = [SuiteConfig(suite="all"), SuiteConfig(suite="recipe"),
                SuiteConfig(suite="multimode", modes=2, cutoff=6),
