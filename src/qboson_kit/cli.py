@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import fields
 
@@ -83,6 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="complex amplitude, e.g. 4, 2j, 1+2j (repeatable)")
     asym.add_argument("--cutoff", type=int, default=600)
     asym.add_argument("--out")
+    # "--z -2j" is a value, as argparse reads it from Python 3.13 on; before, only "-4" was.
+    asym._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

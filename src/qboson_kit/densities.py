@@ -120,6 +120,12 @@ def coherent_state(space: FockSpace, mode: int, z: complex,
     `intensity_limit` (or math.inf) to override; an intensity at which
     z^n / sqrt(n!) or the norm of those amplitudes overflows below the
     cutoff is refused all the same.  Other modes are left in the vacuum.
+
+    A real z > 0 takes one float accumulate over [1, z, 1/sqrt(1), z,
+    1/sqrt(2), ...], with the bits of the recurrence amp * z / sqrt(n) on
+    numpy complex scalars: they divide by a real through its reciprocal, and
+    every imaginary part stays +0.  Any other z (complex, negative or a
+    signed zero) keeps that loop, whose zero signs the accumulate would miss.
     """
     k = space._check_mode(mode)
     cutoff = space.cutoffs[k]
@@ -129,14 +135,18 @@ def coherent_state(space: FockSpace, mode: int, z: complex,
         raise TruncationAccuracyError(
             f"|z|^2 = {intensity:.4g} exceeds the accuracy guard {limit:.4g} "
             f"for cutoff {cutoff}")
-    # The recurrence runs on numpy complex scalars, as it would on array elements.
-    amp, factor = np.complex128(1.0), np.complex128(z)
-    terms = [amp]
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, cutoff + 1):
-            amp = amp * factor / math.sqrt(n)
-            terms.append(amp)
-        amps = np.array(terms)
+        if z.imag == 0 and z.real > 0:  # (amp * z) * (1 / sqrt(n)), imaginary parts +0
+            steps = np.full(2 * cutoff + 1, z.real, dtype=float)
+            steps[0], steps[2::2] = 1.0, 1.0 / np.sqrt(np.arange(1, cutoff + 1))
+            amps = np.multiply.accumulate(steps)[::2].astype(complex)
+        else:  # the recurrence on numpy complex scalars, as it would run on array elements
+            amp, factor = np.complex128(1.0), np.complex128(z)
+            terms = [amp]
+            for n in range(1, cutoff + 1):
+                amp = amp * factor / math.sqrt(n)
+                terms.append(amp)
+            amps = np.array(terms)
         norm = np.linalg.norm(amps)
     if not math.isfinite(norm):
         raise TruncationAccuracyError(f"z^n / sqrt(n!) or its norm overflows at |z|^2 = "

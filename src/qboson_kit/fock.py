@@ -105,17 +105,6 @@ class FockSpace:
             masks[margin].flags.writeable = False
         return masks[margin]
 
-    def _unsafe_pair_mask(self, margin: int, offset: int) -> np.ndarray:
-        """Read-only flags of the entries of diagonal `offset` whose row or column is
-        not safe at `margin` (or outside the matrix), built once per (margin, offset)."""
-        masks = self.__dict__.setdefault("_unsafe_pair_masks", {})
-        key = (margin, offset)
-        if key not in masks:
-            keep = self._safe_mask(margin)
-            masks[key] = ~(keep & _shift(keep, offset))
-            masks[key].flags.writeable = False
-        return masks[key]
-
     def _check_mode(self, mode: int, name: str = "", level: int = 0) -> int:
         """Validate a 1-based mode index and the `name`d occupation `level` on that
         mode; return the mode 0-based."""
@@ -417,12 +406,12 @@ def operator_on_mode(space: FockSpace, mode: int, values: np.ndarray,
     column = np.array(values, dtype=complex)
     if column.shape != (cutoff + 1,):
         raise ValueError(f"values have shape {column.shape}, expected ({cutoff + 1},)")
-    stride, outer = math.prod(space.shape[k + 1:]), math.prod(space.shape[:k])
     column[:lower] = 0.0
-    if not np.logical_or.reduce(column):  # on cutoff + 1 entries, before tiling
+    if not np.logical_or.reduce(column):  # on cutoff + 1 entries, before the broadcast
         return _operator(space, {})
-    diagonal = column if stride == 1 else np.repeat(column, stride)
-    return _operator(space, {lower * stride: diagonal if outer == 1 else np.tile(diagonal, outer)})
+    if space.mode_count > 1:  # one broadcast copy, along axis k of `shape`
+        column = space.flat(column.reshape((-1,) + (1,) * (space.mode_count - 1 - k)))
+    return _operator(space, {lower * math.prod(space.shape[k + 1:]): column})
 
 
 @dataclass(frozen=True, eq=False)
@@ -527,8 +516,9 @@ def relation_residual(lhs: LinearOperator, rhs: LinearOperator, margin: int,
 
     The safe block keeps the rows and columns of the states with
     n_i <= cutoff_i - margin for every mode: each diagonal of the difference
-    has its entries outside the block set to +0, which is P (lhs - rhs) P for
-    the projector P onto those states.  Its largest entry modulus drops an
+    has its entries in an unsafe column, then in an unsafe row, set to +0 by
+    the per-margin state mask, which is P (lhs - rhs) P for the projector P
+    onto those states.  Its largest entry modulus drops an
     all-zero diagonal and is the spectral norm of a one-diagonal block.
     """
     _require_same_space(lhs.space, rhs.space)
@@ -538,10 +528,15 @@ def relation_residual(lhs: LinearOperator, rhs: LinearOperator, margin: int,
     if margin >= min(space.cutoffs):
         raise ValueError(f"margin {margin} >= smallest cutoff {min(space.cutoffs)}")
     a, b = lhs.diagonals, rhs.diagonals
+    dim, unsafe = space.dimension, ~space._safe_mask(margin)
     block, peak = {}, 0.0
     for d in a.keys() | b.keys():
         c = np.subtract(a.get(d, 0.0), b.get(d, 0.0))
-        np.putmask(c, space._unsafe_pair_mask(margin, d), 0)  # also zeroes inf/nan outside
+        # A row j - d outside the matrix is zero already; inf/nan outside the block go too.
+        np.putmask(c, unsafe, 0)
+        if d != 0:
+            lo, hi = max(d, 0), dim + min(d, 0)
+            np.putmask(c[lo:hi], unsafe[lo - d:hi - d], 0)
         top = np.maximum.reduce(np.abs(c))  # 0 for an all-zero diagonal, nan if c holds one
         if top != 0:
             block[d], peak = c, top

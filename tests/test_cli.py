@@ -514,6 +514,16 @@ def test_asymptotics_overflowing_z_exits_two(z, capsys):
     assert out.err == f"error: --z needs abs(z) <= 1e150, got {z}\n"
 
 
+@pytest.mark.parametrize("z", [["-2j"], ["-1+2j"], ["-4"], ["4", "-.5+3j"]])
+def test_asymptotics_takes_a_negative_z_after_a_space(z, capsys):
+    """`--z -2j` gives the CSV bytes of `--z=-2j`: a value, not an unknown option."""
+    assert cli.main(["asymptotics", *[a for v in z for a in ("--z", v)], "--cutoff", "64"]) == 0
+    spaced = capsys.readouterr().out
+    assert cli.main(["asymptotics", *[f"--z={v}" for v in z], "--cutoff", "64"]) == 0
+    assert capsys.readouterr().out.encode() == spaced.encode()
+    assert spaced.count("\n") == len(z) + 1
+
+
 def test_cli_asymptotics_out_file(tmp_path):
     target = tmp_path / "rows.csv"
     proc = run_cli("asymptotics", "--z", "5", "--out", str(target))

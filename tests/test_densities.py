@@ -289,7 +289,8 @@ def _coherent_amplitudes_elementwise(space, mode, z):
     return full
 
 
-@pytest.mark.parametrize("z", [1, 2, 2j, -2.2, 3 + 4j, 0.7 - 1.3j, 12])
+@pytest.mark.parametrize("z", [1, 2, 2j, -2.2, 3 + 4j, 0.7 - 1.3j, 12,
+                               complex(-0.0, -0.0), complex(4, -0.0), 5e-324, 1e-3, -4.0])
 @pytest.mark.parametrize("cutoffs,mode", [([16], 1), ([60], 1), ([600], 1), ([2000], 1),
                                           ([40, 3], 1), ([2, 40], 2), ([2, 24, 3], 2)])
 def test_coherent_amplitudes_match_the_elementwise_recurrence_bit_for_bit(z, cutoffs, mode):
