@@ -42,18 +42,18 @@ from .fock import (
     relation_residual,
 )
 from .multimode import (
-    ChevalleyReport,
     CovariantFamily,
     RMatrix,
     cartan_matrix,
     chevalley_check,
     covariant_bosons,
+    covariant_check,
     covariant_recipe_check,
-    covariant_relation_residuals,
     independent_qbosons,
-    rtt_residuals,
+    pair_product_residuals,
     su_r_matrix,
     undressing_residual,
+    worst_by_relation,
     yang_baxter_residual,
 )
 from .phase import (

@@ -36,7 +36,7 @@ _RUN_VALUES: ContextVar[dict | None] = ContextVar("qboson_kit_run_values", defau
 def _run_once(fn, *args):
     """fn(*args), once per (fn, args) in a suite run, whose values `_RUN_VALUES` holds
     (None outside one), and on every call outside a run.  Only immutable values go
-    through it: spaces, floats, frozen relations and R-matrices."""
+    through it: spaces, floats, tuples, frozen relations, families and R-matrices."""
     values = _RUN_VALUES.get()
     if values is None:
         return fn(*args)

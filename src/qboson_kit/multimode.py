@@ -19,8 +19,9 @@ matrix products.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -97,18 +98,6 @@ def covariant_bosons(n_modes: int, q: float, cutoffs: Sequence[int]) -> Covarian
                            dressed=tuple(dressed), dressing_exponent_sign=1)
 
 
-def covariant_relation_residuals(family: CovariantFamily, margin: int = 1,
-                                 norm: str = "spectral") -> dict[str, float]:
-    """Residuals of the diagonal and q-commuting cross relations, by relation name.
-
-    The raise-raise relation is checked in its adjoint-consistent orientation
-    B+_i B+_j = q B+_j B+_i for i > j (equivalently q^(-1) for i < j), which
-    is the orientation the RTT form reproduces.
-    """
-    return {name: r for name, r in pair_product_residuals(family, margin, norm).items()
-            if not name.startswith("rtt-")}
-
-
 def undressing_residual(family: CovariantFamily) -> float:
     """Worst margin-0 residual of inverse dressing, from mode 2 (mode 1's factor is q^0)."""
     worst = 0.0
@@ -176,63 +165,123 @@ def yang_baxter_residual(rmatrix: RMatrix) -> float:
     return float(np.linalg.norm(diff, 2))
 
 
-def rtt_residuals(family: CovariantFamily, margin: int = 1,
-                  norm: str = "spectral") -> dict[str, float]:
-    """Residuals of the three R-matrix forms of the covariant relations, by name.
+# -- the row table -------------------------------------------------------------
 
-        B-_i B-_j = (1/q) R_{ij,kl} B-_l B-_k
-        B+_i B+_j = (1/q) R_{lk,ij} B+_k B+_l
-        B-_i B+_j = delta_ij + q R_{ki,jl} B+_k B-_l
+class Row(NamedTuple):
+    """A relation of a table: its 0-based modes (Chevalley: generators, g acting on modes
+    g and g + 1), other arguments and the modes it touches, its support."""
 
-    with R = su_r_matrix(N, q) for the family's N modes and q.
-    """
-    return {name: r for name, r in pair_product_residuals(family, margin, norm).items()
-            if name.startswith("rtt-")}
+    name: str
+    kind: str
+    indices: tuple[int, ...]
+    support: tuple[int, ...]
+    args: tuple = ()
+
+
+@functools.lru_cache(maxsize=32)
+def covariant_rows(n: int) -> tuple[Row, ...]:
+    """The covariant relations and their RTT forms, B-B-, B+B+ then B-B+, each by (i, j)
+    row-major.  Modes i and j's row touches modes 1..max(i, j, 2): dressings reach below."""
+    rows = []
+    for table, i, j in ((t, i, j) for t in ("lower", "raise", "mixed")
+                        for i in range(n) for j in range(n)):
+        plain = (("diagonal" if i == j else "lower-raise") if table == "mixed"
+                 else f"{table}-{table}" if i < j else None)
+        for kind in filter(None, (plain, f"rtt-{table}")):
+            name = f"{kind} i={i + 1}" + ("" if kind == "diagonal" else f" j={j + 1}")
+            rows.append(Row(name, kind, (i, j), tuple(range(max(i, j, 1) + 1))))
+    return tuple(rows)
+
+
+def _covariant_relations(family: CovariantFamily):
+    """(kind, i, j) -> (the pair products a covariant row reads, as operand pairs, and its
+    (lhs, rhs) from them).  RTT right sides sum over R's nonzero entries, row-major."""
+    q, space, sign = family.q, family.space, family.dressing_exponent_sign
+    (bm, bp), eye = zip(*family.dressed), identity_operator(space)
+    R = _run_once(su_r_matrix, n := space.mode_count, q).entries.reshape((n,) * 4)
+    plain = {"lower-lower": (bm, bm), "lower-raise": (bm, bp), "raise-raise": (bp, bp)}
+
+    def relation(kind, i, j):
+        if kind == "diagonal":
+            return [(bm[i], bp[i]), (bp[i], bm[i])], lambda mp, pm: (
+                mp - q * q * pm, _dressing_factor(space, q, i + 1, 2 * sign))
+        if kind in plain:
+            x, y = plain[kind]
+            return [(x[i], y[j]), (y[j], x[i])], (
+                (lambda a, b: (q * a, b)) if kind == "raise-raise" else (lambda a, b: (a, q * b)))
+        if kind == "rtt-lower":
+            lhs, terms = (bm[i], bm[j]), [(complex(R[i, j, k, l]) / q, (bm[l], bm[k]))
+                                          for k, l in zip(*np.nonzero(R[i, j]))]
+        elif kind == "rtt-raise":
+            lhs, terms = (bp[i], bp[j]), [(complex(R[l, k, i, j]) / q, (bp[k], bp[l]))
+                                          for k, l in zip(*np.nonzero(R[..., i, j].T))]
+        else:
+            lhs, terms = (bm[i], bp[j]), [(q * complex(R[k, i, j, l]), (bp[k], bm[l]))
+                                          for k, l in zip(*np.nonzero(R[:, i, j]))]
+        head = [(1.0, eye)] if kind == "rtt-mixed" and i == j else []
+        return [lhs] + [pair for _, pair in terms], lambda x, *ops: (x, linear_combination(
+            space, head + [(c, op) for (c, _), op in zip(terms, ops)]))
+    return relation
+
+
+def _residuals(ops, patterns, margin: int, norm: str) -> tuple[float, ...]:
+    """Each (kind, indices, args) pattern's residual on `ops`, a CovariantFamily or
+    _chevalley_generators' triples.  A pair product is built when a pattern first reads
+    it and dropped after the last does: no more than one table of them is alive."""
+    relation = (_covariant_relations if isinstance(ops, CovariantFamily)
+                else _chevalley_relations)(ops)
+    plans = [relation(kind, *indices, *args) for kind, indices, args in patterns]
+    last = {pair: n for n, (pairs, _) in enumerate(plans) for pair in pairs}
+    held, out = {}, []
+    for n, (pairs, build) in enumerate(plans):
+        for x, y in pairs:
+            held[x, y] = held.get((x, y)) or x @ y
+        out.append(relation_residual(*build(*map(held.get, pairs)), margin, norm=norm))
+        held = {pair: p for pair, p in held.items() if last[pair] > n}
+    return tuple(out)
+
+
+def _walk(n_modes: int, rows, build, q: float, cutoffs: Sequence[int], extra: tuple,
+          margin: int, norm: str) -> dict[str, float]:
+    """Each row's residual, by name, on the operators build(m, q, cutoffs, *extra).  A
+    spectral row runs relabelled onto its support's space, once per run, with the same
+    bits: its entries repeat along the modes it leaves alone, the safe block is a box and
+    a monomial block's norm is its largest modulus.  Frobenius norms run on all modes."""
+    if n_modes < 2 or len(cutoffs := tuple(int(c) for c in cutoffs)) != n_modes:
+        raise ValueError(f"expected two or more modes, a cutoff each: got {n_modes}, {cutoffs}")
+    groups: dict[tuple[int, ...], list[Row]] = {}
+    for row in rows:
+        groups.setdefault(row.support if norm == "spectral" else tuple(range(len(cutoffs))),
+                          []).append(row)
+    out = {}
+    for support, group in groups.items():
+        cut = tuple(cutoffs[k] for k in support)
+        patterns = tuple((r.kind, tuple(map(support.index, r.indices)), r.args) for r in group)
+        out.update(zip([r.name for r in group], _run_once(
+            _residuals, _run_once(build, len(cut), q, cut, *extra), patterns, margin, norm)))
+    return out
 
 
 def pair_product_residuals(family: CovariantFamily, margin: int = 1,
                            norm: str = "spectral") -> dict[str, float]:
-    """The covariant relations and their RTT forms, by name, in one walk over the
-    pair-product tables B-B-, B+B+ and B+B-; each B-_i B+_j is built where it is used.
-    One table is alive at a time (about 60 MB at N = 7, cutoff 4).  Each RTT right
-    side sums pair products over R's nonzero entries in row-major (k, l) order."""
-    q, space = family.q, family.space
-    nm = space.mode_count
-    R = _run_once(su_r_matrix, nm, q).entries.reshape((nm,) * 4)
-    eye = identity_operator(space)
-    bm, bp = zip(*family.dressed)
-    pairs = [(i, j) for i in range(nm) for j in range(nm)]
-    residuals = {}
+    """The covariant_rows' residuals, by name, on `family`'s own operators and space."""
+    rows = covariant_rows(family.space.mode_count)
+    return dict(zip([r.name for r in rows], _residuals(
+        family, [(r.kind, r.indices, r.args) for r in rows], margin, norm)))
 
-    def record(name, lhs, rhs):
-        residuals[name] = relation_residual(lhs, rhs, margin, norm=norm)
 
-    mm = [[bm[k] @ bm[l] for l in range(nm)] for k in range(nm)]
-    for i, j in pairs:
-        if i < j:
-            record(f"lower-lower i={i + 1} j={j + 1}", mm[i][j], q * mm[j][i])
-        record(f"rtt-lower i={i + 1} j={j + 1}", mm[i][j], linear_combination(space, (
-            (complex(R[i, j, k, l]) / q, mm[l][k]) for k, l in zip(*np.nonzero(R[i, j])))))
-    del mm
-    pp = [[bp[k] @ bp[l] for l in range(nm)] for k in range(nm)]
-    for i, j in pairs:
-        if i < j:
-            record(f"raise-raise i={i + 1} j={j + 1}", q * pp[i][j], pp[j][i])
-        record(f"rtt-raise i={i + 1} j={j + 1}", pp[i][j], linear_combination(space, (
-            (complex(R[l, k, i, j]) / q, pp[k][l]) for k, l in zip(*np.nonzero(R[..., i, j].T)))))
-    del pp
-    pm = [[bp[k] @ bm[l] for l in range(nm)] for k in range(nm)]
-    for i, j in pairs:
-        mp = bm[i] @ bp[j]
-        if i == j:
-            record(f"diagonal i={i + 1}", mp - q * q * pm[i][i], _dressing_factor(
-                space, q, i + 1, 2 * family.dressing_exponent_sign))
-        else:
-            record(f"lower-raise i={i + 1} j={j + 1}", mp, q * pm[j][i])
-        terms = [(q * complex(R[k, i, j, l]), pm[k][l]) for k, l in zip(*np.nonzero(R[:, i, j]))]
-        record(f"rtt-mixed i={i + 1} j={j + 1}", mp,
-               linear_combination(space, ([(1.0, eye)] if i == j else []) + terms))
-    return residuals
+def covariant_check(n_modes: int, q: float, cutoffs: Sequence[int], margin: int = 1,
+                    norm: str = "spectral") -> dict[str, float]:
+    """pair_product_residuals of covariant_bosons(n_modes, q, cutoffs), by _walk."""
+    return _walk(n_modes, covariant_rows(n_modes), covariant_bosons, q, cutoffs, (), margin, norm)
+
+
+def worst_by_relation(residuals: dict[str, float]) -> dict[str, float]:
+    """The largest of `residuals` per relation, the part of each name before " i="."""
+    worst: dict[str, float] = {}
+    for name, residual in residuals.items():
+        worst[key] = max(worst.get(key := name.split(" i=")[0], 0.0), residual)
+    return worst
 
 
 # -- Chevalley basis ----------------------------------------------------------
@@ -241,22 +290,6 @@ def cartan_matrix(n: int) -> np.ndarray:
     """The su(N) Cartan matrix A_ij = 2 d_ij - d_{i,j+1} - d_{i,j-1}."""
     m = n - 1
     return 2 * np.eye(m, dtype=int) - np.eye(m, k=1, dtype=int) - np.eye(m, k=-1, dtype=int)
-
-
-@dataclass(frozen=True)
-class ChevalleyReport:
-    """Residuals of the Chevalley-basis relations for one boson variant.
-
-    cartan_e_residuals[(i, j)] is the residual of [H_i, E_j] - A_ij E_j;
-    cartan_f_residuals likewise with [H_i, F_j] + A_ij F_j; hh_residuals of
-    [H_i, H_j]; ef_residuals[i] of [E_i, F_i] - [H_i] with the bracket
-    [x] = (b^x - b^-x)/(b - 1/b) evaluated at the configured base b.
-    """
-
-    hh_residuals: dict[tuple[int, int], float]
-    cartan_e_residuals: dict[tuple[int, int], float]
-    cartan_f_residuals: dict[tuple[int, int], float]
-    ef_residuals: dict[int, float]
 
 
 def _variant_families(variant: str, q: float, space: FockSpace) -> list[QBosonFamily]:
@@ -269,62 +302,57 @@ def _variant_families(variant: str, q: float, space: FockSpace) -> list[QBosonFa
             for i in range(1, space.mode_count + 1)]
 
 
-def chevalley_generators(n_modes: int, q: float, cutoffs: Sequence[int], boson_variant: str
-                         ) -> list[tuple[LinearOperator, LinearOperator, LinearOperator]]:
+def _chevalley_generators(n_modes: int, q: float, cutoffs: tuple[int, ...], boson_variant: str):
     """(H_i, E_i, F_i) for i < N: H_i = N_i - N_{i+1}, E_i = B+_i B-_{i+1}, F_i = B+_{i+1} B-_i."""
-    if n_modes < 2:
-        raise ValueError("the Chevalley basis needs at least two modes")
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must lie in (0, 1), got {q}")
-    if len(cutoffs) != n_modes:
-        raise ValueError(f"expected {n_modes} cutoffs, got {len(cutoffs)}")
     fams = _variant_families(boson_variant, q, make_space(cutoffs))
-    return [(fams[i].number - fams[i + 1].number, fams[i].raise_ @ fams[i + 1].lower,
-             fams[i + 1].raise_ @ fams[i].lower) for i in range(n_modes - 1)]
+    return tuple((fams[i].number - fams[i + 1].number, fams[i].raise_ @ fams[i + 1].lower,
+                  fams[i + 1].raise_ @ fams[i].lower) for i in range(n_modes - 1))
 
 
-def ladder_bracket_residuals(generators, bases: Sequence[float],
-                             norm: str = "spectral") -> dict[float, dict[int, float]]:
-    """Residual of [E_i, F_i] - [H_i] (margin 2) by bracket base b, then by i, where
-    [x] = (b^x - b^-x)/(b - 1/b); each commutator is taken once for all the bases."""
-    residuals = {base: {} for base in bases}
-    for i, (h, e, f) in enumerate(generators, start=1):
-        ef = e @ f - f @ e
-        hv = h.diagonal().real
-        for base in bases:
-            bracket = diagonal_operator(h.space, (base ** hv - base ** -hv) / (base - 1 / base))
-            residuals[base][i] = relation_residual(ef, bracket, 2, norm=norm)
-    return residuals
+@functools.lru_cache(maxsize=32)
+def chevalley_rows(n: int, bases: tuple[float, ...], cartan: bool = True) -> tuple[Row, ...]:
+    """[H_i, H_j] = 0, [H_i, E_j] = A_ij E_j and [H_i, F_j] = -A_ij F_j (if `cartan`),
+    then [E_i, F_i] = [H_i] at each base.  A row touches its generators' modes."""
+    gens = range(n - 1)
+    rows = [Row(f"{kind} i={i + 1} j={j + 1}", kind, (i, j), tuple(sorted({i, i + 1, j, j + 1})))
+            for i in gens for j in gens for kind in ("hh", "cartan-e", "cartan-f") if cartan]
+    return tuple(rows) + tuple(Row(f"ef-bracket base={b!r} i={i + 1}", "ef-bracket", (i,),
+                                   (i, i + 1), (b,)) for i in gens for b in bases)
 
 
-def chevalley_check(n_modes: int, q: float, cutoffs: Sequence[int],
-                    boson_variant: str, bracket_base: float | None = None,
-                    norm: str = "spectral") -> ChevalleyReport:
-    """Build H_i, E_i, F_i from per-mode families and measure the algebra.
+def _chevalley_relations(generators):
+    """As _covariant_relations, for the Chevalley rows on these (H_i, E_i, F_i); j is
+    the base b of an ef-bracket row, [x] = (b^x - b^-x)/(b - 1/b)."""
+    cartan = cartan_matrix(len(generators) + 1)
 
-    The Cartan-sector relations hold for any number-conserving bilinear; the
-    [E_i, F_i] = [H_i] relation is exact for the symmetric variant at the
-    default bracket base b = q and is reported (not asserted) otherwise.
-    Residuals are taken on the margin-2 safe subspace.
-    """
-    base = q if bracket_base is None else bracket_base
-    if base <= 0.0 or base == 1.0:
-        raise ValueError(f"bracket base must be positive and != 1, got {base}")
-    generators = chevalley_generators(n_modes, q, cutoffs, boson_variant)
-    a = cartan_matrix(n_modes)
-    margin = 2
-    hh, ce, cf = {}, {}, {}
-    hh_products = [[h_i @ h_j for h_j, _, _ in generators] for h_i, _, _ in generators]
-    for i, (h_i, _, _) in enumerate(generators):
-        for j, (_, e_j, f_j) in enumerate(generators):
-            hh[(i + 1, j + 1)] = relation_residual(
-                hh_products[i][j], hh_products[j][i], margin, norm=norm)
-            ce[(i + 1, j + 1)] = relation_residual(
-                h_i @ e_j - e_j @ h_i, float(a[i, j]) * e_j, margin, norm=norm)
-            cf[(i + 1, j + 1)] = relation_residual(
-                h_i @ f_j - f_j @ h_i, (-float(a[i, j])) * f_j, margin, norm=norm)
-    return ChevalleyReport(hh_residuals=hh, cartan_e_residuals=ce, cartan_f_residuals=cf,
-                           ef_residuals=ladder_bracket_residuals(generators, [base], norm)[base])
+    def relation(kind, i, j):
+        h, e, f = generators[i]
+        if kind == "ef-bracket":
+            def bracket(ef, fe):
+                hv = h.diagonal().real
+                return ef - fe, diagonal_operator(h.space, (j ** hv - j ** -hv) / (j - 1 / j))
+            return [(e, f), (f, e)], bracket
+        h_j, e_j, f_j = generators[j]
+        if kind == "hh":
+            return [(h, h_j), (h_j, h)], lambda x, y: (x, y)
+        a = float(cartan[i, j])
+        if kind == "cartan-e":
+            return [(h, e_j), (e_j, h)], lambda x, y: (x - y, a * e_j)
+        return [(h, f_j), (f_j, h)], lambda x, y: (x - y, (-a) * f_j)
+    return relation
+
+
+def chevalley_check(n_modes: int, q: float, cutoffs: Sequence[int], boson_variant: str,
+                    bases: Sequence[float] | None = None, norm: str = "spectral",
+                    cartan: bool = True) -> dict[str, float]:
+    """One boson variant's chevalley_rows at the bracket `bases` (default q), on the
+    margin-2 safe subspace, by _walk.  [E_i, F_i] = [H_i] holds for the symmetric
+    variant at base q and is reported (not asserted) otherwise."""
+    bases = (q,) if bases is None else tuple(bases)
+    if not 0.0 < q < 1.0 or any(base <= 0.0 or base == 1.0 for base in bases):
+        raise ValueError(f"expected q in (0, 1) and bracket bases > 0 but != 1, got {q}, {bases}")
+    return _walk(n_modes, chevalley_rows(n_modes, bases, cartan), _chevalley_generators, q,
+                 cutoffs, (boson_variant,), 2, norm)
 
 
 # -- multimode averaging consistency ------------------------------------------

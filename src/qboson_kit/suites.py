@@ -15,7 +15,7 @@ import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -439,23 +439,18 @@ def multimode_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> lis
     if cutoff < 2:
         raise ConfigError(f"the multimode suite needs --cutoff >= 2, got {cutoff}")
     _check_held_operators("multimode", modes * modes + 5 * modes + 6, modes, cutoff)
-    q = math.sqrt(q_squared)
-    family = mm.covariant_bosons(modes, q, [cutoff] * modes)
-    checks = []
-    groups: dict[str, float] = {}
-    for name, residual in mm.pair_product_residuals(family, margin=1, norm=norm).items():
-        key = name.split(" ")[0]
-        groups[key] = max(groups.get(key, 0.0), residual)
+    q, cutoffs = math.sqrt(q_squared), (cutoff,) * modes
+    groups = mm.worst_by_relation(mm.covariant_check(modes, q, cutoffs, margin=1, norm=norm))
+    family = _run_once(mm.covariant_bosons, modes, q, cutoffs)
     relation_text = {
         "diagonal": "B-i B+i - q^2 B+i B-i = q^(2 sum_(k<i) Nk)",
         "lower-lower": "B-i B-j = q B-j B-i (i < j)",
         "raise-raise": "q B+i B+j = B+j B+i (i < j)",
         "lower-raise": "B-i B+j = q B+j B-i (i != j)",
     }
-    for key in sorted(groups):
-        checks.append(_check(
-            f"multimode/N{modes}-{key}-max",
-            relation_text.get(key, "R-matrix (RTT) form of the relations"), groups[key], 1e-12))
+    checks = [_check(f"multimode/N{modes}-{key}-max",
+                     relation_text.get(key, "R-matrix (RTT) form of the relations"),
+                     groups[key], 1e-12) for key in sorted(groups)]
     checks.append(_check(
         f"multimode/N{modes}-undressing",
         "inverse diagonal dressing recovers the independent pairs",
@@ -521,26 +516,23 @@ def chevalley_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> lis
     if cutoff < 3:
         raise ConfigError(f"the chevalley suite needs --cutoff >= 3, got {cutoff}")
     _check_held_operators("chevalley", modes * modes + 2 * modes + 4, modes, cutoff)
-    q = math.sqrt(q_squared)
-    cutoffs = [cutoff] * modes
-    # The Cartan-sector rows come from the symmetric variant; the unit-target
-    # variant is built once and measured at both bracket bases.
-    report = mm.chevalley_check(modes, q, cutoffs, "typeII_symmetric", norm=norm)
-    unit = mm.chevalley_generators(modes, q, cutoffs, "typeI_q2")
-    brackets = {("typeI_q2", base): residuals for base, residuals
-                in mm.ladder_bracket_residuals(unit, (q, q * q), norm).items()}
-    brackets["typeII_symmetric", q] = report.ef_residuals
-    checks = [_check(f"chevalley/N{modes}-{title}-max", relation, max(res.values()), 1e-12)
-              for title, relation, res in (
-                  ("hh", "[H_i, H_j] = 0", report.hh_residuals),
-                  ("cartan-e", "[H_i, E_j] = A_ij E_j", report.cartan_e_residuals),
-                  ("cartan-f", "[H_i, F_j] = -A_ij F_j", report.cartan_f_residuals))]
-    for (variant, base), residuals in brackets.items():
+    q, cutoffs = math.sqrt(q_squared), (cutoff,) * modes
+    # The symmetric variant gives the Cartan-sector rows; the unit-target one two brackets.
+    sym = mm.worst_by_relation(mm.chevalley_check(modes, q, cutoffs, "typeII_symmetric", norm=norm))
+    unit = mm.worst_by_relation(mm.chevalley_check(modes, q, cutoffs, "typeI_q2", (q, q * q), norm,
+                                                   cartan=False))
+    brackets = {("typeI_q2", base): unit[f"ef-bracket base={base!r}"] for base in (q, q * q)}
+    brackets["typeII_symmetric", q] = sym[f"ef-bracket base={q!r}"]
+    checks = [_check(f"chevalley/N{modes}-{title}-max", relation, sym[title], 1e-12)
+              for title, relation in (("hh", "[H_i, H_j] = 0"),
+                                      ("cartan-e", "[H_i, E_j] = A_ij E_j"),
+                                      ("cartan-f", "[H_i, F_j] = -A_ij F_j"))]
+    for (variant, base), worst in brackets.items():
         checks.append(_check(
             f"chevalley/N{modes}-ef-bracket-{variant}-base={base:g}",
             "worst residual of [E_i, F_i] - [H_i] (reported per variant/base)",
-            0.0, None, max(residuals.values())))
-    best = min(max(residuals.values()) for residuals in brackets.values())
+            0.0, None, worst))
+    best = min(brackets.values())
     checks.append(_check(
         f"chevalley/N{modes}-ef-bracket-best",
         "some (variant, base) realizes [E_i, F_i] = [H_i]",
@@ -644,7 +636,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     checks.sort(key=lambda c: c.name)
     elapsed = time.perf_counter() - start
     # The deformation source is echoed as given (q, or epsilon0 and kT).
-    config_echo = asdict(config) | {flag: value for flag, value in resolved.items()
+    config_echo = vars(config) | {flag: value for flag, value in resolved.items()
                                     if flag != "q_squared"}
     return SuiteReport(suite=config.suite, config=config_echo, checks=checks,
                        overall_passed=all(c.passed for c in checks),

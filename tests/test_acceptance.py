@@ -246,8 +246,9 @@ def test_criterion_8_multimode_covariance():
         for q in (0.5, 0.8):
             family = qk.covariant_bosons(n, q, [10] * n)
             assert family.dressing_exponent_sign == 1
-            rel = max(qk.covariant_relation_residuals(family, margin=1).values())
-            rtt = max(qk.rtt_residuals(family, margin=1).values())
+            worst = qk.worst_by_relation(qk.pair_product_residuals(family, margin=1))
+            rel = max(r for name, r in worst.items() if not name.startswith("rtt-"))
+            rtt = max(r for name, r in worst.items() if name.startswith("rtt-"))
             ybe = qk.yang_baxter_residual(qk.su_r_matrix(n, q))
             assert rel <= 1e-12, (n, q, rel)
             assert rtt < 1e-12, (n, q, rtt)
@@ -270,11 +271,11 @@ def test_criterion_9_chevalley_report():
         reported = {}
         for variant, base in (("typeI_q2", 0.5), ("typeI_q2", 0.25),
                               ("typeII_symmetric", 0.5)):
-            rep = qk.chevalley_check(n, 0.5, [6] * n, variant, bracket_base=base)
-            assert max(rep.hh_residuals.values()) == 0.0
-            assert max(rep.cartan_e_residuals.values()) <= 1e-12
-            assert max(rep.cartan_f_residuals.values()) <= 1e-12
-            reported[(variant, base)] = max(rep.ef_residuals.values())
+            rep = qk.worst_by_relation(qk.chevalley_check(n, 0.5, [6] * n, variant, [base]))
+            assert rep["hh"] == 0.0
+            assert rep["cartan-e"] <= 1e-12
+            assert rep["cartan-f"] <= 1e-12
+            reported[(variant, base)] = rep[f"ef-bracket base={base!r}"]
         best = min(reported.values())
         best_overall = min(best_overall, best)
         assert best < 1e-10, reported

@@ -392,14 +392,14 @@ def assert_size_error_under_one_gib(args, message):
     ("multimode", 7, 4), ("multimode", 8, 4), ("multimode", 2, 1499), ("chevalley", 8, 4)])
 def test_held_operators_bound_admits_the_scale_points(suite, modes, cutoff, monkeypatch):
     """These sizes pass the size checks and reach the builders (stopped there: multimode
-    N=8 at cutoff 4 alone takes 8 s and 0.67 GB)."""
+    N=8 at cutoff 4 alone takes about 2 s and 0.38 GB)."""
     class Admitted(Exception):
         pass
 
     def stop(*args, **kwargs):
         raise Admitted
 
-    monkeypatch.setattr(suites.mm, "covariant_bosons", stop)
+    monkeypatch.setattr(suites.mm, "covariant_check", stop)
     monkeypatch.setattr(suites.mm, "chevalley_check", stop)
     with pytest.raises(Admitted):
         suites.SUITE_TABLE[suite].build(q_squared=0.5, modes=modes, cutoff=cutoff,

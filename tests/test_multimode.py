@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import tracemalloc
@@ -12,20 +13,23 @@ from qboson_kit import (
     chevalley_check,
     commutator,
     covariant_bosons,
+    covariant_check,
     covariant_recipe_check,
-    covariant_relation_residuals,
     defining_relation_residual,
     diagonal_operator,
     identity_operator,
     independent_qbosons,
+    pair_product_residuals,
     relation_residual,
-    rtt_residuals,
     su_r_matrix,
     undressing_residual,
+    worst_by_relation,
     yang_baxter_residual,
 )
+from qboson_kit import fock
 from qboson_kit.fock import LinearOperator, make_space
-from qboson_kit.multimode import _dressing_factor, _variant_families, pair_product_residuals
+from qboson_kit.multimode import (_chevalley_generators, _dressing_factor, _residuals,
+                                  _variant_families, chevalley_rows)
 from qboson_kit.qboson import (beta_closed_form, family_on_space, precision_capped_cutoff,
                                standard_rhs)
 from qboson_kit.suites import chevalley_suite, multimode_suite
@@ -89,6 +93,11 @@ def test_independent_argument_validation():
 
 # -- covariant family -------------------------------------------------------------
 
+def _covariant(residuals, rtt=False):
+    """The covariant relations of a table walk's residuals, or with `rtt` their RTT forms."""
+    return {name: r for name, r in residuals.items() if name.startswith("rtt-") == rtt}
+
+
 def test_covariant_diagonal_relations():
     fam = covariant_bosons(2, 0.5, [6, 6])
     q2 = 0.25
@@ -97,7 +106,7 @@ def test_covariant_diagonal_relations():
     # first mode: empty dressing sum, plain unit target
     assert relation_residual(bm1 @ bp1 - q2 * (bp1 @ bm1), one,
                              margin=1) < 1e-13
-    residuals = covariant_relation_residuals(fam, margin=1)
+    residuals = _covariant(pair_product_residuals(fam, margin=1))
     assert all(r < 1e-12 for r in residuals.values())
     assert fam.dressing_exponent_sign == 1
 
@@ -112,8 +121,8 @@ def test_covariant_negative_dressing_sign_breaks_relations(n, worst):
         factor = diagonal_operator(fam.space, 0.5 ** -occ[:, : i - 1].sum(axis=1).astype(float))
         dressed.append((factor @ hat.lower, factor @ hat.raise_))
     flipped = dataclasses.replace(fam, dressed=tuple(dressed), dressing_exponent_sign=-1)
-    assert max(covariant_relation_residuals(fam).values()) < 1e-15
-    assert max(covariant_relation_residuals(flipped).values()) == pytest.approx(worst)
+    assert max(_covariant(pair_product_residuals(fam)).values()) < 1e-15
+    assert max(_covariant(pair_product_residuals(flipped)).values()) == pytest.approx(worst)
 
 
 def test_covariant_lower_lower_q_commutation():
@@ -231,30 +240,43 @@ def test_yang_baxter_residual_matches_the_kron_products_bit_for_bit(n, q):
 def test_rtt_forms():
     for n in (2, 3):
         fam = covariant_bosons(n, 0.8, [5] * n)
-        residuals = rtt_residuals(fam, margin=1)
+        residuals = _covariant(pair_product_residuals(fam, margin=1), rtt=True)
         assert len(residuals) == 3 * n * n
         assert max(residuals.values()) < 1e-12
 
 
 def test_rtt_residuals_hold_one_product_table_at_a_time():
     """Holding all four tables of N^2 pair products at once peaks near 38 MB here.
-    The pass that measures the covariant relations with the RTT forms, and each
-    selection from it, holds one table at a time too."""
+    The walk over the covariant rows with their RTT forms drops each product after
+    its last reader, on the family's full space and on the rows' own modes alike."""
     fam = covariant_bosons(6, 0.8, [4] * 6)
-    for measure in (rtt_residuals, pair_product_residuals, covariant_relation_residuals):
+    for measure in (lambda: pair_product_residuals(fam), lambda: covariant_check(6, 0.8, [4] * 6)):
         tracemalloc.start()
         try:
-            measure(fam)
+            measure()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 20e6, measure.__name__
+        assert peak < 20e6
+
+
+@contextlib.contextmanager
+def _one_run():
+    """The run scope `run_suite` opens around its suites."""
+    values = fock._RUN_VALUES.set({})
+    try:
+        yield
+    finally:
+        fock._RUN_VALUES.reset(values)
 
 
 def test_multimode_and_chevalley_suites_compute_each_product_once(monkeypatch):
-    """The covariant and RTT relations share one pass over the N^2 pair products of
-    each kind, and each Chevalley variant is built once for all its brackets.  A
-    product is keyed by its operands' diagonal bytes."""
+    """The covariant and RTT relations share one pass over the pair products of each
+    kind, and each Chevalley variant is built once for all its brackets.  A product is
+    keyed by its operands' diagonal bytes.  In a run, the suites take each spectral row
+    on the modes it touches once: multimode N=3 builds the family on modes 1 and 2 and
+    its rows there too (52 products against 46 on the full space alone), and after
+    N=2 it reuses them (54 products for both sizes, against 68)."""
     fam = covariant_bosons(3, math.sqrt(0.5), [6] * 3)
     pairs = []
     matmul = LinearOperator.__matmul__
@@ -270,13 +292,59 @@ def test_multimode_and_chevalley_suites_compute_each_product_once(monkeypatch):
     pair_product_residuals(fam)
     assert len(pairs) == len(set(pairs)) == 4 * 3 * 3
     pairs.clear()
-    multimode_suite(0.5, modes=3, cutoff=6, norm="spectral")
+    with _one_run():
+        multimode_suite(0.5, modes=3, cutoff=6, norm="spectral")
     assert len(pairs) == len(set(pairs))
     assert len(pairs) <= 52
     pairs.clear()
-    chevalley_suite(0.5, modes=3, cutoff=6, norm="spectral")
+    with _one_run():
+        chevalley_suite(0.5, modes=3, cutoff=6, norm="spectral")
     assert len(pairs) == len(set(pairs))
-    assert len(pairs) <= 40
+    assert len(pairs) <= 27
+    for norm, products in (("spectral", 54 + 27), ("frobenius", 68 + 49)):
+        pairs.clear()
+        with _one_run():  # as `--suite all` runs them
+            for suite in (multimode_suite, chevalley_suite):
+                for modes in (2, 3):
+                    suite(0.5, modes=modes, cutoff=6, norm=norm)
+        assert len(pairs) == len(set(pairs)) == products, norm
+
+
+# -- the row table on the modes each row touches ---------------------------------------
+# The sizes CI runs: `--suite all` (multimode and chevalley N=2 and 3 at cutoff 6), the
+# multimode goldens and console steps (N=4 cutoff 6, 6/4, 7/4) and chevalley 8/4.
+
+def _hex(residuals):
+    return {name: r.hex() for name, r in residuals.items()}
+
+
+@pytest.mark.parametrize("n,cutoff", [(2, 6), (3, 6), (4, 6), (6, 4), (7, 4)])
+def test_covariant_rows_on_their_modes_match_the_full_space_bit_for_bit(n, cutoff):
+    """covariant_check runs each spectral row on modes 1..max(i, j) and each Frobenius
+    row on all modes; every row keeps the bits of pair_product_residuals on the full
+    space."""
+    q = math.sqrt(0.5)
+    family = covariant_bosons(n, q, [cutoff] * n)
+    for norm in ("spectral", "frobenius"):
+        assert _hex(covariant_check(n, q, [cutoff] * n, norm=norm)) == _hex(
+            pair_product_residuals(family, norm=norm)), norm
+
+
+@pytest.mark.parametrize("n,cutoff", [(2, 6), (3, 6), (5, 4), (8, 4)])
+def test_chevalley_rows_on_their_modes_match_the_full_space_bit_for_bit(n, cutoff):
+    """chevalley_check runs each spectral row on its generators' two to four modes,
+    relabelled (from N=4 on some are not adjacent), and keeps the bits of the same rows
+    on the full space; the rows the suite runs at 8/4, every row below."""
+    q, cutoffs = math.sqrt(0.5), (cutoff,) * n
+    for variant, bases, cartan in (("typeII_symmetric", (q,), True), ("typeI_q2", (q, q * q), False)):
+        if n < 8:
+            bases, cartan = (q, q * q), True
+        rows = chevalley_rows(n, bases, cartan)
+        generators = _chevalley_generators(n, q, cutoffs, variant)
+        for norm in ("spectral", "frobenius"):
+            full = _residuals(generators, [(r.kind, r.indices, r.args) for r in rows], 2, norm)
+            assert _hex(chevalley_check(n, q, cutoffs, variant, bases, norm, cartan)) == _hex(
+                dict(zip([r.name for r in rows], full))), (variant, norm)
 
 
 # -- Chevalley basis ----------------------------------------------------------------
@@ -287,15 +355,15 @@ def test_cartan_matrix_shape():
 
 def test_chevalley_structural_relations():
     for variant in ("typeI_q2", "typeII_symmetric"):
-        report = chevalley_check(3, 0.7, [6, 6, 6], variant)
-        assert max(report.hh_residuals.values()) == 0.0
-        assert max(report.cartan_e_residuals.values()) < 1e-12
-        assert max(report.cartan_f_residuals.values()) < 1e-12
+        report = worst_by_relation(chevalley_check(3, 0.7, [6, 6, 6], variant))
+        assert report["hh"] == 0.0
+        assert report["cartan-e"] < 1e-12
+        assert report["cartan-f"] < 1e-12
 
 
 def test_chevalley_symmetric_variant_closes_ladder_bracket():
-    report = chevalley_check(2, 0.7, [6, 6], "typeII_symmetric")
-    assert max(report.ef_residuals.values()) < 1e-10
+    report = worst_by_relation(chevalley_check(2, 0.7, [6, 6], "typeII_symmetric"))
+    assert report["ef-bracket base=0.7"] < 1e-10
 
 
 def test_chevalley_unit_target_variant_carries_number_prefactor():
@@ -304,7 +372,7 @@ def test_chevalley_unit_target_variant_carries_number_prefactor():
     large and the prefactor-corrected one vanishes."""
     q = 0.7
     report = chevalley_check(2, q, [6, 6], "typeI_q2")
-    assert min(report.ef_residuals.values()) > 1e-3
+    assert min(r for name, r in report.items() if name.startswith("ef-bracket")) > 1e-3
 
     beta = [beta_closed_form("I", q * q, n) for n in range(8)]
     bracket = lambda h: (q ** h - q ** (-h)) / (q - 1.0 / q)
@@ -326,7 +394,7 @@ def test_chevalley_validation():
     with pytest.raises(ValueError):
         chevalley_check(2, 0.5, [4, 4], "typeVII")
     with pytest.raises(ValueError):
-        chevalley_check(2, 0.5, [4, 4], "typeI_q2", bracket_base=1.0)
+        chevalley_check(2, 0.5, [4, 4], "typeI_q2", bases=[1.0])
 
 
 # -- averaging consistency ------------------------------------------------------------

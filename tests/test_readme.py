@@ -16,7 +16,7 @@ def test_library_sketch_runs():
     assert block is not None, "no python block under '## Library sketch'"
     namespace = {}
     exec(compile(block.group(1), "README.md:Library sketch", "exec"), namespace)
-    assert max(namespace["qk"].rtt_residuals(namespace["fam"]).values()) < 1e-12
+    assert namespace["rtt"] < 1e-12
 
 
 def _cell(flag, default):

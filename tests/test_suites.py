@@ -196,7 +196,13 @@ def test_a_run_shares_only_immutable_values(monkeypatch):
     values = seen[-1]
     assert all(v is values for v in seen)
     kinds = Counter(type(v) for v in values.values())
-    assert kinds == {fock.FockSpace: 12, float: 2, EffectiveRelation: 3, mm.RMatrix: 2}
+    assert kinds == {fock.FockSpace: 12, float: 2, EffectiveRelation: 3, mm.RMatrix: 2,
+                     mm.CovariantFamily: 2, tuple: 8}
+    # The tuples: the residuals of 5 groups of table rows (multimode on modes 1..2 and
+    # 1..3; chevalley on 2 and 3 modes, and the unit variant's brackets on 2) and the
+    # (H, E, F) triples of 3 generator sets.
+    tuples = Counter(type(v[0]) for v in values.values() if type(v) is tuple)
+    assert tuples == {float: 5, tuple: 3}
 
 
 def test_one_all_run_builds_each_shared_value_once(monkeypatch):
