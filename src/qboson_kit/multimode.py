@@ -178,7 +178,6 @@ class Row(NamedTuple):
     args: tuple = ()
 
 
-@functools.lru_cache(maxsize=32)
 def covariant_rows(n: int) -> tuple[Row, ...]:
     """The covariant relations and their RTT forms, B-B-, B+B+ then B-B+, each by (i, j)
     row-major.  Modes i and j's row touches modes 1..max(i, j, 2): dressings reach below."""
@@ -206,9 +205,8 @@ def _covariant_relations(family: CovariantFamily):
             return [(bm[i], bp[i]), (bp[i], bm[i])], lambda mp, pm: (
                 mp - q * q * pm, _dressing_factor(space, q, i + 1, 2 * sign))
         if kind in plain:
-            x, y = plain[kind]
-            return [(x[i], y[j]), (y[j], x[i])], (
-                (lambda a, b: (q * a, b)) if kind == "raise-raise" else (lambda a, b: (a, q * b)))
+            (x, y), scaled = plain[kind], kind == "raise-raise"
+            return [(x[i], y[j]), (y[j], x[i])], lambda a, b: (q * a, b) if scaled else (a, q * b)
         if kind == "rtt-lower":
             lhs, terms = (bm[i], bm[j]), [(complex(R[i, j, k, l]) / q, (bm[l], bm[k]))
                                           for k, l in zip(*np.nonzero(R[i, j]))]
@@ -225,12 +223,10 @@ def _covariant_relations(family: CovariantFamily):
 
 
 def _residuals(ops, patterns, margin: int, norm: str) -> tuple[float, ...]:
-    """Each (kind, indices, args) pattern's residual on `ops`, a CovariantFamily or
-    _chevalley_generators' triples.  A pair product is built when a pattern first reads
-    it and dropped after the last does: no more than one table of them is alive."""
-    relation = (_covariant_relations if isinstance(ops, CovariantFamily)
-                else _chevalley_relations)(ops)
-    plans = [relation(kind, *indices, *args) for kind, indices, args in patterns]
+    """Each (kind, indices, args) pattern's residual on `ops` (a CovariantFamily or generator
+    triples).  A pair product lives from its first reader to its last: one table at most."""
+    plan = (_covariant_relations if isinstance(ops, CovariantFamily) else _chevalley_relations)(ops)
+    plans = [plan(kind, *indices, *args) for kind, indices, args in patterns]
     last = {pair: n for n, (pairs, _) in enumerate(plans) for pair in pairs}
     held, out = {}, []
     for n, (pairs, build) in enumerate(plans):
@@ -241,46 +237,51 @@ def _residuals(ops, patterns, margin: int, norm: str) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _walk(n_modes: int, rows, build, q: float, cutoffs: Sequence[int], extra: tuple,
-          margin: int, norm: str) -> dict[str, float]:
-    """Each row's residual, by name, on the operators build(m, q, cutoffs, *extra).  A
-    spectral row runs relabelled onto its support's space, once per run, with the same
-    bits: its entries repeat along the modes it leaves alone, the safe block is a box and
-    a monomial block's norm is its largest modulus.  Frobenius norms run on all modes."""
-    if n_modes < 2 or len(cutoffs := tuple(int(c) for c in cutoffs)) != n_modes:
-        raise ValueError(f"expected two or more modes, a cutoff each: got {n_modes}, {cutoffs}")
+@functools.lru_cache(maxsize=32)
+def _layout(table, args: tuple, spectral: bool) -> tuple:
+    """(support, names, patterns) per group of table(*args)'s rows run on one space.  A
+    spectral row runs on its support, indices relabelled, with the same bits: its entries
+    repeat along the modes it leaves alone, the safe block is a box and a monomial block's
+    norm is its largest modulus.  Any other norm runs on all args[0] modes."""
     groups: dict[tuple[int, ...], list[Row]] = {}
-    for row in rows:
-        groups.setdefault(row.support if norm == "spectral" else tuple(range(len(cutoffs))),
-                          []).append(row)
+    for row in table(*args):
+        groups.setdefault(row.support if spectral else tuple(range(args[0])), []).append(row)
+    return tuple((s, tuple(r.name for r in rows),
+                  tuple((r.kind, tuple(map(s.index, r.indices)), r.args) for r in rows))
+                 for s, rows in groups.items())
+
+
+def _walk(table, args: tuple, build, q: float, cutoffs: Sequence[int], extra: tuple,
+          margin: int, norm: str) -> dict[str, float]:
+    """Each row's residual, by name, on the operators build(m, q, cutoffs, *extra) of the
+    m modes of its _layout group, each group once per run."""
+    if (n := args[0]) < 2 or len(cutoffs := tuple(int(c) for c in cutoffs)) != n:
+        raise ValueError(f"expected two or more modes, a cutoff each: got {n}, {cutoffs}")
     out = {}
-    for support, group in groups.items():
-        cut = tuple(cutoffs[k] for k in support)
-        patterns = tuple((r.kind, tuple(map(support.index, r.indices)), r.args) for r in group)
-        out.update(zip([r.name for r in group], _run_once(
-            _residuals, _run_once(build, len(cut), q, cut, *extra), patterns, margin, norm)))
+    for support, names, patterns in _layout(table, args, norm == "spectral"):
+        ops = _run_once(build, len(support), q, tuple(cutoffs[k] for k in support), *extra)
+        out.update(zip(names, _run_once(_residuals, ops, patterns, margin, norm)))
     return out
 
 
 def pair_product_residuals(family: CovariantFamily, margin: int = 1,
                            norm: str = "spectral") -> dict[str, float]:
     """The covariant_rows' residuals, by name, on `family`'s own operators and space."""
-    rows = covariant_rows(family.space.mode_count)
-    return dict(zip([r.name for r in rows], _residuals(
-        family, [(r.kind, r.indices, r.args) for r in rows], margin, norm)))
+    [(_, names, patterns)] = _layout(covariant_rows, (family.space.mode_count,), False)
+    return dict(zip(names, _residuals(family, patterns, margin, norm)))
 
 
 def covariant_check(n_modes: int, q: float, cutoffs: Sequence[int], margin: int = 1,
                     norm: str = "spectral") -> dict[str, float]:
     """pair_product_residuals of covariant_bosons(n_modes, q, cutoffs), by _walk."""
-    return _walk(n_modes, covariant_rows(n_modes), covariant_bosons, q, cutoffs, (), margin, norm)
+    return _walk(covariant_rows, (n_modes,), covariant_bosons, q, cutoffs, (), margin, norm)
 
 
 def worst_by_relation(residuals: dict[str, float]) -> dict[str, float]:
     """The largest of `residuals` per relation, the part of each name before " i="."""
     worst: dict[str, float] = {}
     for name, residual in residuals.items():
-        worst[key] = max(worst.get(key := name.split(" i=")[0], 0.0), residual)
+        worst[key] = max(worst.get(key := name.partition(" i=")[0], 0.0), residual)
     return worst
 
 
@@ -309,7 +310,6 @@ def _chevalley_generators(n_modes: int, q: float, cutoffs: tuple[int, ...], boso
                   fams[i + 1].raise_ @ fams[i].lower) for i in range(n_modes - 1))
 
 
-@functools.lru_cache(maxsize=32)
 def chevalley_rows(n: int, bases: tuple[float, ...], cartan: bool = True) -> tuple[Row, ...]:
     """[H_i, H_j] = 0, [H_i, E_j] = A_ij E_j and [H_i, F_j] = -A_ij F_j (if `cartan`),
     then [E_i, F_i] = [H_i] at each base.  A row touches its generators' modes."""
@@ -351,8 +351,8 @@ def chevalley_check(n_modes: int, q: float, cutoffs: Sequence[int], boson_varian
     bases = (q,) if bases is None else tuple(bases)
     if not 0.0 < q < 1.0 or any(base <= 0.0 or base == 1.0 for base in bases):
         raise ValueError(f"expected q in (0, 1) and bracket bases > 0 but != 1, got {q}, {bases}")
-    return _walk(n_modes, chevalley_rows(n_modes, bases, cartan), _chevalley_generators, q,
-                 cutoffs, (boson_variant,), 2, norm)
+    return _walk(chevalley_rows, (n_modes, bases, cartan), _chevalley_generators, q, cutoffs,
+                 (boson_variant,), 2, norm)
 
 
 # -- multimode averaging consistency ------------------------------------------
