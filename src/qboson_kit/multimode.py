@@ -240,9 +240,9 @@ def _residuals(ops, patterns, margin: int, norm: str) -> tuple[float, ...]:
 @functools.lru_cache(maxsize=32)
 def _layout(table, args: tuple, spectral: bool) -> tuple:
     """(support, names, patterns) per group of table(*args)'s rows run on one space.  A
-    spectral row runs on its support, indices relabelled, with the same bits: its entries
-    repeat along the modes it leaves alone, the safe block is a box and a monomial block's
-    norm is its largest modulus.  Any other norm runs on all args[0] modes."""
+    spectral row runs on its support, indices relabelled: its entries repeat along the modes
+    it leaves alone, the safe block is a box and a monomial block's norm (every suite row's)
+    is its largest modulus, so the bits hold.  Any other norm runs on all args[0] modes."""
     groups: dict[tuple[int, ...], list[Row]] = {}
     for row in table(*args):
         groups.setdefault(row.support if spectral else tuple(range(args[0])), []).append(row)
