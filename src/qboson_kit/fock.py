@@ -545,6 +545,64 @@ def relation_residual(lhs: LinearOperator, rhs: LinearOperator, margin: int,
     return _norm(block, space.dimension, norm)
 
 
+def _product(x, y, dim: int) -> np.ndarray:
+    """The diagonal of x @ y for one-diagonal x = (d1, a) and y = (d2, b), as `@` forms it:
+    c[j] = a[j - d2] b[j] where row j - d2 is inside the matrix, 0 elsewhere."""
+    (_, a), (d2, b), c = x, y, np.zeros(dim)
+    lo, hi = max(d2, 0), dim + min(d2, 0)
+    np.multiply(a[lo - d2:hi - d2], b[lo:hi], out=c[lo:hi])
+    return c
+
+
+# Entries of a chunk's side sums, two of `dimension` per table row: 512 KB, which a core's
+# cache holds.  Every `--suite all` group is one chunk; from dimension 16,385 on, one row.
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _row_residuals(space: FockSpace, operators, plan, coefs, margin: int,
+                   norm: str) -> tuple[float, ...]:
+    """The residual of each row of a table given as data (multimode._plan), in chunks of
+    rows under _CHUNK_ENTRIES.  Its values are the `operators` (each real and one-diagonal,
+    or a real main diagonal given as an array) and pair products of them, each formed in
+    the first chunk that reads it and dropped after its last.  Side u of row u // 2 adds
+    coefs[c] * value over its terms left to right, so a row whose terms lie on one diagonal
+    keeps the bits of that operator expression, up to the sign of zero entries, which no
+    read sees.  Rows are masked and normed as relation_residual masks and norms them."""
+    diagonals = [{0: op} if isinstance(op, np.ndarray) else op.diagonals for op in operators]
+    if any(len(ds) != 1 for ds in diagonals):
+        raise ValueError("a row table reads one-diagonal operators")
+    operands = [(d, c.real) for ds in diagonals for d, c in ds.items()]
+    dim, safe, rows = space.dimension, space._safe_mask(margin), len(plan)
+    offsets = np.append([d for d, _ in operands], 0)[plan.pairs].sum(axis=1)  # -1: none
+    row_off, held = offsets[plan.slots[0][1][0::2]], [None] * len(plan.pairs)
+    per = max(1, _CHUNK_ENTRIES // (2 * dim))
+    first, edges = plan.first // per, np.append(np.arange(0, rows, per), rows)
+    mask = np.concatenate((np.zeros(dim), safe, np.zeros(dim)))
+    shifted = np.ndarray((2 * dim + 1, dim), float, mask, 0, mask.strides * 2)  # safe[j - d]
+    bounds = [np.searchsorted(units, 2 * edges).tolist() for units, _, _ in plan.slots]
+    new, out = np.searchsorted(first, np.arange(len(edges))).tolist(), np.empty(rows)
+    for c, (r0, r1) in enumerate(zip(edges.tolist(), edges[1:].tolist())):
+        for v in np.flatnonzero(plan.last // per == c - 1).tolist():
+            held[v] = None
+        for v, (x, y) in enumerate(plan.pairs[new[c]:new[c + 1]].tolist(), start=new[c]):
+            held[v] = operands[x][1] if y < 0 else _product(operands[x], operands[y], dim)
+        for t, ((units, vals, cs), bound) in enumerate(zip(plan.slots, bounds)):
+            a, b = bound[c:c + 2]  # each side adds its terms slot by slot; slot 0 holds all
+            term = np.array([held[v] for v in vals[a:b].tolist()]).reshape(b - a, dim)
+            term *= coefs[cs[a:b], None]
+            if t:
+                sums[units[a:b] - 2 * r0] += term
+            else:
+                sums = term
+        diff = sums[0::2] - sums[1::2]
+        keep = shifted[dim - row_off[r0:r1]] * safe  # state j and row j - d both safe
+        out[r0:r1] = np.maximum.reduce(np.abs(diff) * keep, axis=1)  # the monomial norm
+        if norm != "spectral" or np.isnan(out[r0:r1]).any():  # nan: an inf or nan outside
+            np.copyto(diff, 0, where=keep == 0)
+            out[r0:r1] = [_norm({d: x}, dim, norm) for d, x in zip(row_off[r0:r1].tolist(), diff)]
+    return tuple(out.tolist())
+
+
 def machine_zero_bound(space: FockSpace) -> float:
     """Round-off allowance for identities that are exact up to float dust."""
     eps = float(np.finfo(float).eps)

@@ -20,6 +20,7 @@ matrix products.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -31,10 +32,9 @@ from .fock import (
     FockSpace,
     LinearOperator,
     QBosonFamily,
+    _row_residuals,
     _run_once,
     diagonal_operator,
-    identity_operator,
-    linear_combination,
     make_space,
     relation_residual,
 )
@@ -71,10 +71,14 @@ class CovariantFamily:
     dressing_exponent_sign: int
 
 
-def _dressing_factor(space: FockSpace, q: float, i: int, power: int) -> LinearOperator:
-    """Diagonal factor q^(power * sum_{k<i} N_k) (1-based mode i)."""
+def _dressing(space: FockSpace, q: float, i: int, power: int) -> np.ndarray:
+    """The diagonal of q^(power * sum_{k<i} N_k) (1-based mode i)."""
     expo = sum(space.grid[: i - 1], np.zeros((), dtype=int))  # varies along axes 1..i-1
-    return diagonal_operator(space, space.flat(q ** (power * expo.astype(float))))
+    return space.flat(q ** (power * expo.astype(float)))
+
+
+def _dressing_factor(space: FockSpace, q: float, i: int, power: int) -> LinearOperator:
+    return diagonal_operator(space, _dressing(space, q, i, power))
 
 
 def covariant_bosons(n_modes: int, q: float, cutoffs: Sequence[int]) -> CovariantFamily:
@@ -91,9 +95,9 @@ def covariant_bosons(n_modes: int, q: float, cutoffs: Sequence[int]) -> Covarian
     hatted = independent_qbosons([q * q] * n_modes, cutoffs)
     space = hatted[0].space
     dressed = []
-    for i, fam in enumerate(hatted, start=1):
-        factor = _dressing_factor(space, q, i, 1)
-        dressed.append((factor @ fam.lower, factor @ fam.raise_))
+    for i, fam in enumerate(hatted, start=1):  # lower/raise_ not cached on the records
+        factor, lower = _dressing_factor(space, q, i, 1), QBosonFamily.lower.func(fam)
+        dressed.append((factor @ lower, factor @ lower.adjoint()))
     return CovariantFamily(q=q, space=space, hatted=tuple(hatted),
                            dressed=tuple(dressed), dressing_exponent_sign=1)
 
@@ -103,7 +107,8 @@ def undressing_residual(family: CovariantFamily) -> float:
     worst = 0.0
     for i, fam in enumerate(family.hatted[1:], start=2):
         inv = _dressing_factor(family.space, family.q, i, -family.dressing_exponent_sign)
-        for dressed_op, hatted_op in zip(family.dressed[i - 1], (fam.lower, fam.raise_)):
+        lower = QBosonFamily.lower.func(fam)  # as covariant_bosons, not cached on `fam`
+        for dressed_op, hatted_op in zip(family.dressed[i - 1], (lower, lower.adjoint())):
             worst = max(worst, relation_residual(inv @ dressed_op, hatted_op, 0))
     return worst
 
@@ -192,62 +197,97 @@ def covariant_rows(n: int) -> tuple[Row, ...]:
     return tuple(rows)
 
 
-def _covariant_relations(family: CovariantFamily):
-    """(kind, i, j) -> (the pair products a covariant row reads, as operand pairs, and its
-    (lhs, rhs) from them).  RTT right sides sum over R's nonzero entries, row-major."""
-    q, space, sign = family.q, family.space, family.dressing_exponent_sign
-    (bm, bp), eye = zip(*family.dressed), identity_operator(space)
-    R = _run_once(su_r_matrix, n := space.mode_count, q).entries.reshape((n,) * 4)
-    plain = {"lower-lower": (bm, bm), "lower-raise": (bm, bp), "raise-raise": (bp, bp)}
+def _covariant_relations(n: int):
+    """(kind, i, j) -> a covariant row on n modes as lhs and rhs lists of (coefficient,
+    operand) terms.  An operand is one operator or a pair (x, y) of them: (i, 0) = B-_i,
+    (i, 1) = B+_i and ("dressing", i), the diagonal row's rhs (the identity at i = 0).
+    Coefficient c is _residuals' coefs[c]: 1, -1, q, -q^2, then R.flat / q and q R.flat.
+    RTT right sides sum over R's nonzero entries, row-major."""
+    flat, r = np.arange(n ** 4).reshape((n,) * 4) + 4, n ** 4
+    nonzero = su_r_matrix(n, 0.5).entries.reshape((n,) * 4) != 0  # as for any q in (0, 1)
+    plain = {"lower-lower": (0, 0), "lower-raise": (0, 1), "raise-raise": (1, 1)}
 
     def relation(kind, i, j):
         if kind == "diagonal":
-            return [(bm[i], bp[i]), (bp[i], bm[i])], lambda mp, pm: (
-                mp - q * q * pm, _dressing_factor(space, q, i + 1, 2 * sign))
+            return [(0, ((i, 0), (i, 1))), (3, ((i, 1), (i, 0)))], [(0, ("dressing", i))]
         if kind in plain:
-            (x, y), scaled = plain[kind], kind == "raise-raise"
-            return [(x[i], y[j]), (y[j], x[i])], lambda a, b: (q * a, b) if scaled else (a, q * b)
+            (x, y), (a, b) = plain[kind], (2, 0) if kind == "raise-raise" else (0, 2)
+            return [(a, ((i, x), (j, y)))], [(b, ((j, y), (i, x)))]
         if kind == "rtt-lower":
-            lhs, terms = (bm[i], bm[j]), [(complex(R[i, j, k, l]) / q, (bm[l], bm[k]))
-                                          for k, l in zip(*np.nonzero(R[i, j]))]
-        elif kind == "rtt-raise":
-            lhs, terms = (bp[i], bp[j]), [(complex(R[l, k, i, j]) / q, (bp[k], bp[l]))
-                                          for k, l in zip(*np.nonzero(R[..., i, j].T))]
-        else:
-            lhs, terms = (bm[i], bp[j]), [(q * complex(R[k, i, j, l]), (bp[k], bm[l]))
-                                          for k, l in zip(*np.nonzero(R[:, i, j]))]
-        head = [(1.0, eye)] if kind == "rtt-mixed" and i == j else []
-        return [lhs] + [pair for _, pair in terms], lambda x, *ops: (x, linear_combination(
-            space, head + [(c, op) for (c, _), op in zip(terms, ops)]))
+            return [(0, ((i, 0), (j, 0)))], [(flat[i, j, k, l], ((l, 0), (k, 0)))
+                                             for k, l in zip(*np.nonzero(nonzero[i, j]))]
+        if kind == "rtt-raise":
+            return [(0, ((i, 1), (j, 1)))], [(flat[l, k, i, j], ((k, 1), (l, 1)))
+                                             for k, l in zip(*np.nonzero(nonzero[..., i, j].T))]
+        return [(0, ((i, 0), (j, 1)))], [(0, ("dressing", 0))] * (i == j) + [
+            (r + flat[k, i, j, l], ((k, 1), (l, 0))) for k, l in zip(*np.nonzero(nonzero[:, i, j]))]
     return relation
 
 
-def _residuals(ops, patterns, margin: int, norm: str) -> tuple[float, ...]:
-    """Each (kind, indices, args) pattern's residual on `ops` (a CovariantFamily or generator
-    triples).  A pair product lives from its first reader to its last: one table at most."""
-    plan = (_covariant_relations if isinstance(ops, CovariantFamily) else _chevalley_relations)(ops)
-    plans = [plan(kind, *indices, *args) for kind, indices, args in patterns]
-    last = {pair: n for n, (pairs, _) in enumerate(plans) for pair in pairs}
-    held, out = {}, []
-    for n, (pairs, build) in enumerate(plans):
-        for x, y in pairs:
-            held[x, y] = held.get((x, y)) or x @ y
-        out.append(relation_residual(*build(*map(held.get, pairs)), margin, norm=norm))
-        held = {pair: p for pair, p in held.items() if last[pair] > n}
-    return tuple(out)
+def _residuals(ops, plan: "_Plan", margin: int, norm: str) -> tuple[float, ...]:
+    """Each row of `plan` on `ops` by fock._row_residuals: on a CovariantFamily, (i, k) is
+    its dressed[i][k], on Chevalley generators the k-th of (H_i, E_i, F_i)."""
+    if isinstance(ops, CovariantFamily):
+        q, space, table = ops.q, ops.space, ops.dressed
+        R = _run_once(su_r_matrix, space.mode_count, q).entries.real.ravel()
+        coefs = np.concatenate(([1.0, -1.0, q, -(q * q)], R / q, q * R))
+    else:
+        table, space, coefs = ops, ops[0][0].space, np.array([1.0, -1.0, 2.0, -2.0, 0.0])
+
+    def operator(label):
+        if label[0] == "[H]":
+            hv, b = table[label[1]][0].diagonal().real, label[2]
+            return (b ** hv - b ** -hv) / (b - 1 / b)
+        if label[0] == "dressing":
+            return _dressing(space, q, label[1] + 1, 2 * ops.dressing_exponent_sign)
+        return table[label[0]][label[1]]
+    return _row_residuals(space, list(map(operator, plan.labels)), plan, coefs, margin, norm)
+
+
+class _Plan(tuple):
+    """A _layout group's row patterns, its equality and hash, with the rows as data."""
+
+
+def _plan(relation, patterns: tuple) -> _Plan:
+    """`labels` lists the operands the rows read.  A value, pair product of two labels or
+    one label, is pairs[v] (label indices, -1 for none), in the order rows first read them;
+    first[v] and last[v] are that row and the last reading it.  Side 2r is row r's lhs,
+    2r + 1 its rhs; slots[t] lists the sides with a t-th term, its value and coefficient."""
+    labels, values, sides, first, last = {}, {}, [], {}, {}
+    for row, (kind, indices, args) in enumerate(patterns):
+        for terms in relation(kind, *indices, *args):
+            sides.append([])
+            for coef, operand in terms:
+                factors = operand if isinstance(operand[0], tuple) else (operand,)
+                key = tuple(labels.setdefault(label, len(labels)) for label in factors)
+                first.setdefault(v := values.setdefault(key, len(values)), row)
+                last[v] = row
+                sides[-1].append((v, coef))
+    arrays = [np.array([key + (-1,) * (2 - len(key)) for key in values]),
+              np.array(list(first.values())), np.array(list(last.values())),
+              *(np.array(column) for t in range(max(map(len, sides))) for column in zip(
+                  *[(u, *side[t]) for u, side in enumerate(sides) if len(side) > t]))]
+    for a in arrays:
+        a.flags.writeable = False
+    plan = _Plan(patterns)
+    plan.__dict__.update(labels=tuple(labels), pairs=arrays[0], first=arrays[1],
+                         last=arrays[2], slots=tuple(zip(*[iter(arrays[3:])] * 3)))
+    return plan
 
 
 @functools.lru_cache(maxsize=32)
 def _layout(table, args: tuple, spectral: bool) -> tuple:
-    """(support, names, patterns) per group of table(*args)'s rows run on one space.  A
+    """(support, names, plan) per group of table(*args)'s rows run on one space.  A
     spectral row runs on its support, indices relabelled: its entries repeat along the modes
     it leaves alone, the safe block is a box and a monomial block's norm (every suite row's)
-    is its largest modulus, so the bits hold.  Any other norm runs on all args[0] modes."""
+    is its largest modulus, so the bits hold.  Any other norm runs on all args[0] modes.
+    A plan holds structure only: no value computed from q, a cutoff or an entry."""
+    relations = _covariant_relations if table is covariant_rows else _chevalley_relations
     groups: dict[tuple[int, ...], list[Row]] = {}
     for row in table(*args):
         groups.setdefault(row.support if spectral else tuple(range(args[0])), []).append(row)
-    return tuple((s, tuple(r.name for r in rows),
-                  tuple((r.kind, tuple(map(s.index, r.indices)), r.args) for r in rows))
+    return tuple((s, tuple(r.name for r in rows), _plan(relations(len(s)), tuple(
+        (r.kind, tuple(map(s.index, r.indices)), r.args) for r in rows)))
                  for s, rows in groups.items())
 
 
@@ -258,17 +298,21 @@ def _walk(table, args: tuple, build, q: float, cutoffs: Sequence[int], extra: tu
     if (n := args[0]) < 2 or len(cutoffs := tuple(int(c) for c in cutoffs)) != n:
         raise ValueError(f"expected two or more modes, a cutoff each: got {n}, {cutoffs}")
     out = {}
-    for support, names, patterns in _layout(table, args, norm == "spectral"):
+    for support, names, plan in _layout(table, args, norm == "spectral"):
         ops = _run_once(build, len(support), q, tuple(cutoffs[k] for k in support), *extra)
-        out.update(zip(names, _run_once(_residuals, ops, patterns, margin, norm)))
+        out.update(zip(names, _run_once(_residuals, ops, plan, margin, norm)))
     return out
 
 
 def pair_product_residuals(family: CovariantFamily, margin: int = 1,
                            norm: str = "spectral") -> dict[str, float]:
     """The covariant_rows' residuals, by name, on `family`'s own operators and space."""
-    [(_, names, patterns)] = _layout(covariant_rows, (family.space.mode_count,), False)
-    return dict(zip(names, _residuals(family, patterns, margin, norm)))
+    for pair in family.dressed:  # real, on one diagonal d and -d: a row's terms share one
+        (r, c, x), (s, t, y) = (op.entries() for op in pair)
+        if len({*(c - r), *(s - t)}) != 1 or x.imag.any() or y.imag.any():
+            raise ValueError("each dressed pair must be real, on one diagonal d and -d")
+    [(_, names, plan)] = _layout(covariant_rows, (family.space.mode_count,), False)
+    return dict(zip(names, _residuals(family, plan, margin, norm)))
 
 
 def covariant_check(n_modes: int, q: float, cutoffs: Sequence[int], margin: int = 1,
@@ -320,25 +364,19 @@ def chevalley_rows(n: int, bases: tuple[float, ...], cartan: bool = True) -> tup
                                    (i, i + 1), (b,)) for i in gens for b in bases)
 
 
-def _chevalley_relations(generators):
-    """As _covariant_relations, for the Chevalley rows on these (H_i, E_i, F_i); j is
-    the base b of an ef-bracket row, [x] = (b^x - b^-x)/(b - 1/b)."""
-    cartan = cartan_matrix(len(generators) + 1)
+def _chevalley_relations(n: int):
+    """As _covariant_relations, for the Chevalley rows on n modes: (i, 0), (i, 1) and
+    (i, 2) are H_i, E_i and F_i and ("[H]", i, b) is [H_i] at base b, the j of an
+    ef-bracket row, [x] = (b^x - b^-x)/(b - 1/b); coefficient c is 1, -1 or +-A_ij."""
+    cartan = cartan_matrix(n).tolist()
 
     def relation(kind, i, j):
-        h, e, f = generators[i]
         if kind == "ef-bracket":
-            def bracket(ef, fe):
-                hv = h.diagonal().real
-                return ef - fe, diagonal_operator(h.space, (j ** hv - j ** -hv) / (j - 1 / j))
-            return [(e, f), (f, e)], bracket
-        h_j, e_j, f_j = generators[j]
+            return [(0, ((i, 1), (i, 2))), (1, ((i, 2), (i, 1)))], [(0, ("[H]", i, j))]
         if kind == "hh":
-            return [(h, h_j), (h_j, h)], lambda x, y: (x, y)
-        a = float(cartan[i, j])
-        if kind == "cartan-e":
-            return [(h, e_j), (e_j, h)], lambda x, y: (x - y, a * e_j)
-        return [(h, f_j), (f_j, h)], lambda x, y: (x - y, (-a) * f_j)
+            return [(0, ((i, 0), (j, 0)))], [(0, ((j, 0), (i, 0)))]
+        x, a = ((j, 1), cartan[i][j]) if kind == "cartan-e" else ((j, 2), -cartan[i][j])
+        return [(0, ((i, 0), x)), (1, (x, (i, 0)))], [([1, -1, 2, -2, 0].index(a), x)]
     return relation
 
 
@@ -349,8 +387,9 @@ def chevalley_check(n_modes: int, q: float, cutoffs: Sequence[int], boson_varian
     margin-2 safe subspace, by _walk.  [E_i, F_i] = [H_i] holds for the symmetric
     variant at base q and is reported (not asserted) otherwise."""
     bases = (q,) if bases is None else tuple(bases)
-    if not 0.0 < q < 1.0 or any(base <= 0.0 or base == 1.0 for base in bases):
-        raise ValueError(f"expected q in (0, 1) and bracket bases > 0 but != 1, got {q}, {bases}")
+    if not 0.0 < q < 1.0 or not all(0.0 < base < math.inf and base != 1.0 for base in bases):
+        raise ValueError(f"expected q in (0, 1) and finite bracket bases > 0 but != 1, got {q}, "
+                         f"{bases}")
     return _walk(chevalley_rows, (n_modes, bases, cartan), _chevalley_generators, q, cutoffs,
                  (boson_variant,), 2, norm)
 

@@ -19,6 +19,7 @@ from qboson_kit import (
     diagonal_operator,
     identity_operator,
     independent_qbosons,
+    linear_combination,
     pair_product_residuals,
     relation_residual,
     su_r_matrix,
@@ -26,10 +27,10 @@ from qboson_kit import (
     worst_by_relation,
     yang_baxter_residual,
 )
-from qboson_kit import fock
+from qboson_kit import fock, multimode
 from qboson_kit.fock import LinearOperator, make_space
-from qboson_kit.multimode import (_chevalley_generators, _dressing_factor, _residuals,
-                                  _variant_families, chevalley_rows)
+from qboson_kit.multimode import (_chevalley_generators, _dressing_factor, _layout,
+                                  _variant_families, chevalley_rows, covariant_rows)
 from qboson_kit.qboson import (beta_closed_form, family_on_space, precision_capped_cutoff,
                                standard_rhs)
 from qboson_kit.suites import chevalley_suite, multimode_suite
@@ -123,6 +124,8 @@ def test_covariant_negative_dressing_sign_breaks_relations(n, worst):
     flipped = dataclasses.replace(fam, dressed=tuple(dressed), dressing_exponent_sign=-1)
     assert max(_covariant(pair_product_residuals(fam)).values()) < 1e-15
     assert max(_covariant(pair_product_residuals(flipped)).values()) == pytest.approx(worst)
+    for norm in ("spectral", "frobenius"):  # the evaluator keeps the per-row route's bits
+        assert _hex(pair_product_residuals(flipped, norm=norm)) == _hex(_reference(flipped, norm))
 
 
 def test_covariant_lower_lower_q_commutation():
@@ -272,14 +275,15 @@ def _one_run():
 
 def test_multimode_and_chevalley_suites_compute_each_product_once(monkeypatch):
     """The covariant and RTT relations share one pass over the pair products of each
-    kind, and each Chevalley variant is built once for all its brackets.  A product is
-    keyed by its operands' diagonal bytes.  In a run, the suites take each spectral row
-    on the modes it touches once: multimode N=3 builds the family on modes 1 and 2 and
-    its rows there too (52 products against 46 on the full space alone), and after
-    N=2 it reuses them (54 products for both sizes, against 68)."""
+    kind, and each Chevalley variant is built once for all its brackets.  A product, by
+    `@` or at the row evaluator's one product site, is keyed by its operands' diagonal
+    bytes.  In a run, the suites take each spectral row on the modes it touches once:
+    multimode N=3 builds the family on modes 1 and 2 and its rows there too (52 products
+    against 46 on the full space alone), and after N=2 it reuses them (54 products for
+    both sizes, against 68)."""
     fam = covariant_bosons(3, math.sqrt(0.5), [6] * 3)
     pairs = []
-    matmul = LinearOperator.__matmul__
+    matmul, product = LinearOperator.__matmul__, fock._product
 
     def key(op):
         return tuple((d, c.tobytes()) for d, c in sorted(op.diagonals.items()))
@@ -288,7 +292,12 @@ def test_multimode_and_chevalley_suites_compute_each_product_once(monkeypatch):
         pairs.append((key(a), key(b)))
         return matmul(a, b)
 
+    def recording_product(x, y, dim):
+        pairs.append((((x[0], x[1].tobytes()),), ((y[0], y[1].tobytes()),)))
+        return product(x, y, dim)
+
     monkeypatch.setattr(LinearOperator, "__matmul__", recording)
+    monkeypatch.setattr(fock, "_product", recording_product)
     pair_product_residuals(fam)
     assert len(pairs) == len(set(pairs)) == 4 * 3 * 3
     pairs.clear()
@@ -310,41 +319,138 @@ def test_multimode_and_chevalley_suites_compute_each_product_once(monkeypatch):
         assert len(pairs) == len(set(pairs)) == products, norm
 
 
-# -- the row table on the modes each row touches ---------------------------------------
-# The sizes CI runs: `--suite all` (multimode and chevalley N=2 and 3 at cutoff 6), the
+# -- the row table against the per-row route it replaced -------------------------------
+# The evaluator computes each _layout group's rows in stacked passes.  The reference below
+# is the per-row route it replaced, kept verbatim: each row's lhs and rhs built by `@`,
+# scalar multiples and linear_combination, then relation_residual, each pair product held
+# from its first reader to its last.  Every row is compared by float.hex, both norms, at
+# the sizes CI runs: `--suite all` (multimode and chevalley N=2 and 3 at cutoff 6), the
 # multimode goldens and console steps (N=4 cutoff 6, 6/4, 7/4) and chevalley 8/4.
+
+def _reference_covariant(family):
+    q, space, sign = family.q, family.space, family.dressing_exponent_sign
+    (bm, bp), eye = zip(*family.dressed), identity_operator(space)
+    R = su_r_matrix(n := space.mode_count, q).entries.reshape((n,) * 4)
+    plain = {"lower-lower": (bm, bm), "lower-raise": (bm, bp), "raise-raise": (bp, bp)}
+
+    def relation(kind, i, j):
+        if kind == "diagonal":
+            return [(bm[i], bp[i]), (bp[i], bm[i])], lambda mp, pm: (
+                mp - q * q * pm, _dressing_factor(space, q, i + 1, 2 * sign))
+        if kind in plain:
+            (x, y), scaled = plain[kind], kind == "raise-raise"
+            return [(x[i], y[j]), (y[j], x[i])], lambda a, b: (q * a, b) if scaled else (a, q * b)
+        if kind == "rtt-lower":
+            lhs, terms = (bm[i], bm[j]), [(complex(R[i, j, k, l]) / q, (bm[l], bm[k]))
+                                          for k, l in zip(*np.nonzero(R[i, j]))]
+        elif kind == "rtt-raise":
+            lhs, terms = (bp[i], bp[j]), [(complex(R[l, k, i, j]) / q, (bp[k], bp[l]))
+                                          for k, l in zip(*np.nonzero(R[..., i, j].T))]
+        else:
+            lhs, terms = (bm[i], bp[j]), [(q * complex(R[k, i, j, l]), (bp[k], bm[l]))
+                                          for k, l in zip(*np.nonzero(R[:, i, j]))]
+        head = [(1.0, eye)] if kind == "rtt-mixed" and i == j else []
+        return [lhs] + [pair for _, pair in terms], lambda x, *ops: (x, linear_combination(
+            space, head + [(c, op) for (c, _), op in zip(terms, ops)]))
+    return relation
+
+
+def _reference_chevalley(generators):
+    cartan = cartan_matrix(len(generators) + 1)
+
+    def relation(kind, i, j):
+        h, e, f = generators[i]
+        if kind == "ef-bracket":
+            def bracket(ef, fe):
+                hv = h.diagonal().real
+                return ef - fe, diagonal_operator(h.space, (j ** hv - j ** -hv) / (j - 1 / j))
+            return [(e, f), (f, e)], bracket
+        h_j, e_j, f_j = generators[j]
+        if kind == "hh":
+            return [(h, h_j), (h_j, h)], lambda x, y: (x, y)
+        a = float(cartan[i, j])
+        if kind == "cartan-e":
+            return [(h, e_j), (e_j, h)], lambda x, y: (x - y, a * e_j)
+        return [(h, f_j), (f_j, h)], lambda x, y: (x - y, (-a) * f_j)
+    return relation
+
+
+def _reference_residuals(ops, rows, margin, norm):
+    """Each row's residual, by name, on `ops` (a covariant family or generator triples)."""
+    plan = (_reference_covariant if isinstance(ops, multimode.CovariantFamily)
+            else _reference_chevalley)(ops)
+    plans = [plan(row.kind, *row.indices, *row.args) for row in rows]
+    last = {pair: n for n, (pairs, _) in enumerate(plans) for pair in pairs}
+    held, out = {}, {}
+    for n, ((pairs, build), row) in enumerate(zip(plans, rows)):
+        for x, y in pairs:
+            held[x, y] = held.get((x, y)) or x @ y
+        out[row.name] = relation_residual(*build(*map(held.get, pairs)), margin, norm=norm)
+        held = {pair: p for pair, p in held.items() if last[pair] > n}
+    return out
+
+
+def _reference(family, norm):
+    return _reference_residuals(family, covariant_rows(family.space.mode_count), 1, norm)
+
 
 def _hex(residuals):
     return {name: r.hex() for name, r in residuals.items()}
 
 
 @pytest.mark.parametrize("n,cutoff", [(2, 6), (3, 6), (4, 6), (6, 4), (7, 4)])
-def test_covariant_rows_on_their_modes_match_the_full_space_bit_for_bit(n, cutoff):
-    """covariant_check runs each spectral row on modes 1..max(i, j) and each Frobenius
-    row on all modes; every row keeps the bits of pair_product_residuals on the full
-    space."""
+def test_covariant_rows_keep_the_per_row_route_bit_for_bit(n, cutoff):
+    """covariant_check (each spectral row on modes 1..max(i, j), each Frobenius row on all
+    modes) and pair_product_residuals (the family's full space) keep every row's bits."""
     q = math.sqrt(0.5)
     family = covariant_bosons(n, q, [cutoff] * n)
     for norm in ("spectral", "frobenius"):
-        assert _hex(covariant_check(n, q, [cutoff] * n, norm=norm)) == _hex(
-            pair_product_residuals(family, norm=norm)), norm
+        reference = _hex(_reference(family, norm))
+        assert _hex(covariant_check(n, q, [cutoff] * n, norm=norm)) == reference, norm
+        assert _hex(pair_product_residuals(family, norm=norm)) == reference, norm
 
 
 @pytest.mark.parametrize("n,cutoff", [(2, 6), (3, 6), (5, 4), (8, 4)])
-def test_chevalley_rows_on_their_modes_match_the_full_space_bit_for_bit(n, cutoff):
+def test_chevalley_rows_keep_the_per_row_route_bit_for_bit(n, cutoff):
     """chevalley_check runs each spectral row on its generators' two to four modes,
-    relabelled (from N=4 on some are not adjacent), and keeps the bits of the same rows
-    on the full space; the rows the suite runs at 8/4, every row below."""
+    relabelled (from N=4 on some are not adjacent), and each Frobenius row on all modes;
+    every row keeps the bits of the per-row route on the full space: the rows the suite
+    runs at 8/4, every row below."""
     q, cutoffs = math.sqrt(0.5), (cutoff,) * n
     for variant, bases, cartan in (("typeII_symmetric", (q,), True), ("typeI_q2", (q, q * q), False)):
         if n < 8:
             bases, cartan = (q, q * q), True
-        rows = chevalley_rows(n, bases, cartan)
         generators = _chevalley_generators(n, q, cutoffs, variant)
         for norm in ("spectral", "frobenius"):
-            full = _residuals(generators, [(r.kind, r.indices, r.args) for r in rows], 2, norm)
+            reference = _reference_residuals(generators, chevalley_rows(n, bases, cartan), 2, norm)
             assert _hex(chevalley_check(n, q, cutoffs, variant, bases, norm, cartan)) == _hex(
-                dict(zip([r.name for r in rows], full))), (variant, norm)
+                reference), (variant, norm)
+
+
+def test_inf_outside_the_safe_block_is_masked_as_the_per_row_route_masks_it():
+    """An inf in the top (unsafe) states of a dressed operator reaches the rows' unsafe
+    entries only; both routes set those to 0 before the norm."""
+    family = covariant_bosons(2, 0.5, [4, 4])
+    lower, raise_ = family.dressed[1]
+    [(d, c)] = lower.diagonals.items()
+    top = make_space([4, 4]).flat(np.indices((5, 5))[1] == 4)
+    lower = LinearOperator(family.space, {d: np.where(top, np.inf, c)})
+    infinite = dataclasses.replace(family, dressed=(family.dressed[0], (lower, raise_)))
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf there, in both routes
+        for norm in ("spectral", "frobenius"):
+            assert _hex(pair_product_residuals(infinite, norm=norm)) == _hex(
+                _reference(infinite, norm))
+
+
+def test_layout_caches_structure_only_and_read_only():
+    """_layout's plans hold index arrays, none writable, and no value of q, a cutoff or an
+    operator: two runs at different q and cutoffs read the same plans."""
+    for table, args in ((covariant_rows, (4,)), (chevalley_rows, (4, (0.5, 0.25), True))):
+        for spectral in (True, False):
+            for _, names, plan in _layout(table, args, spectral):
+                arrays = [plan.pairs, plan.first, plan.last, *(a for slot in plan.slots for a in slot)]
+                assert len(plan) == len(names) and all(a.dtype.kind == "i" for a in arrays)
+                assert not any(a.flags.writeable for a in arrays)
 
 
 # -- Chevalley basis ----------------------------------------------------------------
@@ -395,6 +501,9 @@ def test_chevalley_validation():
         chevalley_check(2, 0.5, [4, 4], "typeVII")
     with pytest.raises(ValueError):
         chevalley_check(2, 0.5, [4, 4], "typeI_q2", bases=[1.0])
+    for base in (1.0, 0.0, -2.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite bracket bases > 0 but != 1"):
+            chevalley_check(2, 0.7, [4, 4], "typeII_symmetric", bases=[base])
 
 
 # -- averaging consistency ------------------------------------------------------------
