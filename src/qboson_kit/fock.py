@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -94,16 +94,22 @@ class FockSpace:
                 raise ValueError(f"occupation {n} outside [0, {c}]")
         return int(np.ravel_multi_index(tuple(multi), self.shape))
 
-    def _safe_mask(self, margin: int) -> np.ndarray:
-        """Read-only flags of the states with n_i <= cutoff_i - margin, built once per
-        margin by setting that box of a `shape` boolean array."""
-        masks = self.__dict__.setdefault("_safe_masks", {})
-        if margin not in masks:
-            box = np.zeros(self.shape, dtype=bool)
-            box[tuple(slice(c + 1 - margin) for c in self.cutoffs)] = True
-            masks[margin] = self.flat(box)
-            masks[margin].flags.writeable = False
-        return masks[margin]
+    def _unsafe_window(self, margin: int) -> np.ndarray:
+        """Read-only flags, built once per valid margin, of the entries outside the safe
+        block (the states with n_i <= cutoff_i - margin): row dim - d flags the j whose row
+        j - d is unsafe or outside the matrix, so row dim - d | row dim flags diagonal d's."""
+        windows = self.__dict__.setdefault("_unsafe_windows", {})
+        if margin not in windows:
+            if margin < 0:
+                raise ValueError("margin must be nonnegative")
+            if margin >= min(self.cutoffs):
+                raise ValueError(f"margin {margin} >= smallest cutoff {min(self.cutoffs)}")
+            dim, pad = self.dimension, np.ones(3 * self.dimension, dtype=bool)
+            box = tuple(slice(c + 1 - margin) for c in self.cutoffs)
+            pad[dim:2 * dim].reshape(self.shape)[box] = False  # the states, in `flat` order
+            windows[margin] = np.ndarray((2 * dim + 1, dim), bool, pad, 0, pad.strides * 2)
+            windows[margin].flags.writeable = False
+        return windows[margin]
 
     def _check_mode(self, mode: int, name: str = "", level: int = 0) -> int:
         """Validate a 1-based mode index and the `name`d occupation `level` on that
@@ -516,27 +522,18 @@ def relation_residual(lhs: LinearOperator, rhs: LinearOperator, margin: int,
 
     The safe block keeps the rows and columns of the states with
     n_i <= cutoff_i - margin for every mode: each diagonal of the difference
-    has its entries in an unsafe column, then in an unsafe row, set to +0 by
-    the per-margin state mask, which is P (lhs - rhs) P for the projector P
-    onto those states.  Its largest entry modulus drops an
-    all-zero diagonal and is the spectral norm of a one-diagonal block.
+    has its entries in an unsafe column or row set to +0 by the per-margin
+    window, which is P (lhs - rhs) P for the projector P onto those states.
+    Its largest entry modulus drops an all-zero diagonal and is the spectral
+    norm of a one-diagonal block.
     """
     _require_same_space(lhs.space, rhs.space)
-    space = lhs.space
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
-    if margin >= min(space.cutoffs):
-        raise ValueError(f"margin {margin} >= smallest cutoff {min(space.cutoffs)}")
-    a, b = lhs.diagonals, rhs.diagonals
-    dim, unsafe = space.dimension, ~space._safe_mask(margin)
+    space, a, b = lhs.space, lhs.diagonals, rhs.diagonals
+    dim, unsafe = space.dimension, space._unsafe_window(margin)
     block, peak = {}, 0.0
     for d in a.keys() | b.keys():
         c = np.subtract(a.get(d, 0.0), b.get(d, 0.0))
-        # A row j - d outside the matrix is zero already; inf/nan outside the block go too.
-        np.putmask(c, unsafe, 0)
-        if d != 0:
-            lo, hi = max(d, 0), dim + min(d, 0)
-            np.putmask(c[lo:hi], unsafe[lo - d:hi - d], 0)
+        np.putmask(c, unsafe[dim - d] | unsafe[dim], 0)  # inf/nan outside the block go too
         top = np.maximum.reduce(np.abs(c))  # 0 for an all-zero diagonal, nan if c holds one
         if top != 0:
             block[d], peak = c, top
@@ -546,39 +543,80 @@ def relation_residual(lhs: LinearOperator, rhs: LinearOperator, margin: int,
 
 
 def _product(x, y, dim: int) -> np.ndarray:
-    """The diagonal of x @ y for one-diagonal x = (d1, a) and y = (d2, b), as `@` forms it:
-    c[j] = a[j - d2] b[j] where row j - d2 is inside the matrix, 0 elsewhere."""
+    """The diagonal of x @ y for real one-diagonal x = (d1, a) and y = (d2, b), as
+    _product_diagonals forms it: c[j] = a[j - d2] b[j] where row j - d2 is inside the
+    matrix, 0 elsewhere.  It is the row evaluator's one product site."""
     (_, a), (d2, b), c = x, y, np.zeros(dim)
     lo, hi = max(d2, 0), dim + min(d2, 0)
     np.multiply(a[lo - d2:hi - d2], b[lo:hi], out=c[lo:hi])
     return c
 
 
-# Entries of a chunk's side sums, two of `dimension` per table row: 512 KB, which a core's
-# cache holds.  Every `--suite all` group is one chunk; from dimension 16,385 on, one row.
+@dataclass(frozen=True)
+class _RowPlan:
+    """A row table as data (_row_plan).  It equals and hashes as its patterns: with the
+    modes of the operators it is run on, which a run's key holds too, they fix the rest."""
+
+    patterns: tuple
+    labels: tuple = field(compare=False)
+    pairs: np.ndarray = field(compare=False)
+    first: np.ndarray = field(compare=False)
+    last: np.ndarray = field(compare=False)
+    slots: tuple = field(compare=False)
+
+
+def _row_plan(relation, patterns: tuple) -> _RowPlan:
+    """The rows relation(kind, *indices, *args) of the patterns as read-only index arrays,
+    structure only.  A row is an lhs and an rhs list of (coefficient index, operand) terms;
+    an operand is a label or a pair of labels, read as their product.  `labels` lists them
+    as first read.  Value v, one label or a product, is pairs[v] (label indices, -1 for
+    none), read first by row first[v] and last by row last[v].  Side 2r is row r's lhs,
+    2r + 1 its rhs; slots[t] lists the sides with a t-th term, its value and coefficient."""
+    labels, values, sides, first, last = {}, {}, [], {}, {}
+    for row, (kind, indices, args) in enumerate(patterns):
+        for terms in relation(kind, *indices, *args):
+            sides.append([])
+            for coef, operand in terms:
+                factors = operand if isinstance(operand[0], tuple) else (operand,)
+                key = tuple(labels.setdefault(label, len(labels)) for label in factors)
+                first.setdefault(v := values.setdefault(key, len(values)), row)
+                last[v] = row
+                sides[-1].append((v, coef))
+    arrays = [np.array([key + (-1,) * (2 - len(key)) for key in values]),
+              np.array(list(first.values())), np.array(list(last.values())),
+              *(np.array(column) for t in range(max(map(len, sides))) for column in zip(
+                  *[(u, *side[t]) for u, side in enumerate(sides) if len(side) > t]))]
+    for a in arrays:
+        a.flags.writeable = False
+    return _RowPlan(patterns, tuple(labels), arrays[0], arrays[1], arrays[2],
+                    tuple(zip(*[iter(arrays[3:])] * 3)))
+
+
+# Entries of a chunk's side sums, two of `dimension` per row.  Any value from 28,812 (the
+# largest `--suite all` group, 42 rows at dimension 343, in one chunk) to 156,249 (one row
+# per chunk from multimode 7/4, dimension 78,125, on: the memory bound) does the same work
+# on every size that CI and the benchmark run; only chunks against none was measured.
 _CHUNK_ENTRIES = 1 << 16
 
 
-def _row_residuals(space: FockSpace, operators, plan, coefs, margin: int,
+def _row_residuals(space: FockSpace, operators, plan: _RowPlan, coefs, margin: int,
                    norm: str) -> tuple[float, ...]:
-    """The residual of each row of a table given as data (multimode._plan), in chunks of
-    rows under _CHUNK_ENTRIES.  Its values are the `operators` (each real and one-diagonal,
-    or a real main diagonal given as an array) and pair products of them, each formed in
-    the first chunk that reads it and dropped after its last.  Side u of row u // 2 adds
-    coefs[c] * value over its terms left to right, so a row whose terms lie on one diagonal
-    keeps the bits of that operator expression, up to the sign of zero entries, which no
-    read sees.  Rows are masked and normed as relation_residual masks and norms them."""
+    """The residual of each row of `plan` on the `operators` its labels name (each real and
+    one-diagonal, or a real main diagonal given as an array) and the coefficients coefs.
+    Rows go in chunks under _CHUNK_ENTRIES; a pair product is formed in the first chunk
+    that reads it and dropped after its last.  A side adds its scaled terms left to right,
+    so a row whose terms lie on one diagonal keeps the bits of that operator expression,
+    up to the sign of zero entries, which no read sees.  Rows are masked and normed as
+    relation_residual masks and norms them."""
     diagonals = [{0: op} if isinstance(op, np.ndarray) else op.diagonals for op in operators]
     if any(len(ds) != 1 for ds in diagonals):
         raise ValueError("a row table reads one-diagonal operators")
     operands = [(d, c.real) for ds in diagonals for d, c in ds.items()]
-    dim, safe, rows = space.dimension, space._safe_mask(margin), len(plan)
+    dim, rows, unsafe = space.dimension, len(plan.patterns), space._unsafe_window(margin)
     offsets = np.append([d for d, _ in operands], 0)[plan.pairs].sum(axis=1)  # -1: none
     row_off, held = offsets[plan.slots[0][1][0::2]], [None] * len(plan.pairs)
     per = max(1, _CHUNK_ENTRIES // (2 * dim))
     first, edges = plan.first // per, np.append(np.arange(0, rows, per), rows)
-    mask = np.concatenate((np.zeros(dim), safe, np.zeros(dim)))
-    shifted = np.ndarray((2 * dim + 1, dim), float, mask, 0, mask.strides * 2)  # safe[j - d]
     bounds = [np.searchsorted(units, 2 * edges).tolist() for units, _, _ in plan.slots]
     new, out = np.searchsorted(first, np.arange(len(edges))).tolist(), np.empty(rows)
     for c, (r0, r1) in enumerate(zip(edges.tolist(), edges[1:].tolist())):
@@ -595,11 +633,9 @@ def _row_residuals(space: FockSpace, operators, plan, coefs, margin: int,
             else:
                 sums = term
         diff = sums[0::2] - sums[1::2]
-        keep = shifted[dim - row_off[r0:r1]] * safe  # state j and row j - d both safe
-        out[r0:r1] = np.maximum.reduce(np.abs(diff) * keep, axis=1)  # the monomial norm
-        if norm != "spectral" or np.isnan(out[r0:r1]).any():  # nan: an inf or nan outside
-            np.copyto(diff, 0, where=keep == 0)
-            out[r0:r1] = [_norm({d: x}, dim, norm) for d, x in zip(row_off[r0:r1].tolist(), diff)]
+        np.putmask(diff, unsafe[dim - row_off[r0:r1]] | unsafe[dim], 0)
+        out[r0:r1] = np.maximum.reduce(np.abs(diff), axis=1) if norm == "spectral" else [
+            _norm({d: x}, dim, norm) for d, x in zip(row_off[r0:r1].tolist(), diff)]
     return tuple(out.tolist())
 
 

@@ -32,6 +32,7 @@ from .fock import (
     FockSpace,
     LinearOperator,
     QBosonFamily,
+    _row_plan,
     _row_residuals,
     _run_once,
     diagonal_operator,
@@ -224,9 +225,10 @@ def _covariant_relations(n: int):
     return relation
 
 
-def _residuals(ops, plan: "_Plan", margin: int, norm: str) -> tuple[float, ...]:
-    """Each row of `plan` on `ops` by fock._row_residuals: on a CovariantFamily, (i, k) is
-    its dressed[i][k], on Chevalley generators the k-th of (H_i, E_i, F_i)."""
+def _residuals(ops, plan, margin: int, norm: str) -> tuple[float, ...]:
+    """Each row of `plan` (fock._row_plan) on `ops` by fock._row_residuals: on a
+    CovariantFamily, label (i, k) is its dressed[i][k], on Chevalley generators the k-th
+    of (H_i, E_i, F_i)."""
     if isinstance(ops, CovariantFamily):
         q, space, table = ops.q, ops.space, ops.dressed
         R = _run_once(su_r_matrix, space.mode_count, q).entries.real.ravel()
@@ -244,37 +246,6 @@ def _residuals(ops, plan: "_Plan", margin: int, norm: str) -> tuple[float, ...]:
     return _row_residuals(space, list(map(operator, plan.labels)), plan, coefs, margin, norm)
 
 
-class _Plan(tuple):
-    """A _layout group's row patterns, its equality and hash, with the rows as data."""
-
-
-def _plan(relation, patterns: tuple) -> _Plan:
-    """`labels` lists the operands the rows read.  A value, pair product of two labels or
-    one label, is pairs[v] (label indices, -1 for none), in the order rows first read them;
-    first[v] and last[v] are that row and the last reading it.  Side 2r is row r's lhs,
-    2r + 1 its rhs; slots[t] lists the sides with a t-th term, its value and coefficient."""
-    labels, values, sides, first, last = {}, {}, [], {}, {}
-    for row, (kind, indices, args) in enumerate(patterns):
-        for terms in relation(kind, *indices, *args):
-            sides.append([])
-            for coef, operand in terms:
-                factors = operand if isinstance(operand[0], tuple) else (operand,)
-                key = tuple(labels.setdefault(label, len(labels)) for label in factors)
-                first.setdefault(v := values.setdefault(key, len(values)), row)
-                last[v] = row
-                sides[-1].append((v, coef))
-    arrays = [np.array([key + (-1,) * (2 - len(key)) for key in values]),
-              np.array(list(first.values())), np.array(list(last.values())),
-              *(np.array(column) for t in range(max(map(len, sides))) for column in zip(
-                  *[(u, *side[t]) for u, side in enumerate(sides) if len(side) > t]))]
-    for a in arrays:
-        a.flags.writeable = False
-    plan = _Plan(patterns)
-    plan.__dict__.update(labels=tuple(labels), pairs=arrays[0], first=arrays[1],
-                         last=arrays[2], slots=tuple(zip(*[iter(arrays[3:])] * 3)))
-    return plan
-
-
 @functools.lru_cache(maxsize=32)
 def _layout(table, args: tuple, spectral: bool) -> tuple:
     """(support, names, plan) per group of table(*args)'s rows run on one space.  A
@@ -286,7 +257,7 @@ def _layout(table, args: tuple, spectral: bool) -> tuple:
     groups: dict[tuple[int, ...], list[Row]] = {}
     for row in table(*args):
         groups.setdefault(row.support if spectral else tuple(range(args[0])), []).append(row)
-    return tuple((s, tuple(r.name for r in rows), _plan(relations(len(s)), tuple(
+    return tuple((s, tuple(r.name for r in rows), _row_plan(relations(len(s)), tuple(
         (r.kind, tuple(map(s.index, r.indices)), r.args) for r in rows)))
                  for s, rows in groups.items())
 

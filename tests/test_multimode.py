@@ -194,6 +194,17 @@ def test_covariant_validation():
         covariant_bosons(1, 0.5, [4])
     with pytest.raises(ValueError):
         covariant_bosons(2, 1.2, [4, 4])
+    family = covariant_bosons(2, 0.7, [3, 3])
+    for margin, message in ((-1, "must be nonnegative"), (3, "margin 3 >= smallest cutoff 3")):
+        for norm in ("spectral", "frobenius"):
+            with pytest.raises(ValueError, match=message):
+                covariant_check(2, 0.7, [3, 3], margin, norm)
+            with pytest.raises(ValueError, match=message):
+                pair_product_residuals(family, margin, norm)
+    first, (lower, raise_) = family.dressed
+    for second in ((1j * lower, raise_), (lower + raise_, raise_)):
+        with pytest.raises(ValueError, match="real, on one diagonal"):
+            pair_product_residuals(dataclasses.replace(family, dressed=(first, second)))
 
 
 # -- R-matrix ----------------------------------------------------------------------
@@ -448,8 +459,8 @@ def test_layout_caches_structure_only_and_read_only():
     for table, args in ((covariant_rows, (4,)), (chevalley_rows, (4, (0.5, 0.25), True))):
         for spectral in (True, False):
             for _, names, plan in _layout(table, args, spectral):
-                arrays = [plan.pairs, plan.first, plan.last, *(a for slot in plan.slots for a in slot)]
-                assert len(plan) == len(names) and all(a.dtype.kind == "i" for a in arrays)
+                arrays = [plan.pairs, plan.first, plan.last, *sum(plan.slots, ())]
+                assert len(plan.patterns) == len(names) and all(a.dtype.kind == "i" for a in arrays)
                 assert not any(a.flags.writeable for a in arrays)
 
 
@@ -501,6 +512,9 @@ def test_chevalley_validation():
         chevalley_check(2, 0.5, [4, 4], "typeVII")
     with pytest.raises(ValueError):
         chevalley_check(2, 0.5, [4, 4], "typeI_q2", bases=[1.0])
+    for norm in ("spectral", "frobenius"):  # the fixed margin 2 needs cutoffs of 3 and up
+        with pytest.raises(ValueError, match="margin 2 >= smallest cutoff 2"):
+            chevalley_check(2, 0.5, [2, 2], "typeII_symmetric", norm=norm)
     for base in (1.0, 0.0, -2.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite bracket bases > 0 but != 1"):
             chevalley_check(2, 0.7, [4, 4], "typeII_symmetric", bases=[base])

@@ -272,7 +272,8 @@ def test_relation_residual_matches_the_masked_operator_norm_bit_for_bit(data):
     y, _ = data.draw(raw_operators(space))
     bad_x, bad_y = data.draw(nonfinite), data.draw(nonfinite)
     for margin in range(min(space.cutoffs)):
-        assert np.array_equal(space._safe_mask(margin), _safe_states(space, margin))
+        assert np.array_equal(~space._unsafe_window(margin)[space.dimension],
+                              _safe_states(space, margin))
         lhs, rhs = _poisoned(x, margin, bad_x), _poisoned(y, margin, bad_y)
         for kind in ("spectral", "frobenius"):
             got = relation_residual(x, y, margin, norm=kind)
