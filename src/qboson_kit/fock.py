@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 import numbers
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -552,17 +552,22 @@ def _product(x, y, dim: int) -> np.ndarray:
     return c
 
 
-@dataclass(frozen=True)
-class _RowPlan:
+class _RowPlan(NamedTuple):
     """A row table as data (_row_plan).  It equals and hashes as its patterns: with the
     modes of the operators it is run on, which a run's key holds too, they fix the rest."""
 
     patterns: tuple
-    labels: tuple = field(compare=False)
-    pairs: np.ndarray = field(compare=False)
-    first: np.ndarray = field(compare=False)
-    last: np.ndarray = field(compare=False)
-    slots: tuple = field(compare=False)
+    labels: tuple
+    pairs: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    slots: tuple
+
+    def __eq__(self, other):
+        return isinstance(other, _RowPlan) and self.patterns == other.patterns
+
+    def __hash__(self):
+        return hash(self.patterns)
 
 
 def _row_plan(relation, patterns: tuple) -> _RowPlan:

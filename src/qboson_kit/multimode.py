@@ -252,7 +252,7 @@ def _layout(table, args: tuple, spectral: bool) -> tuple:
     spectral row runs on its support, indices relabelled: its entries repeat along the modes
     it leaves alone, the safe block is a box and a monomial block's norm (every suite row's)
     is its largest modulus, so the bits hold.  Any other norm runs on all args[0] modes.
-    A plan holds structure only: no value computed from q, a cutoff or an entry."""
+    A plan (fock._row_plan) holds structure only: no value of q, a cutoff or an entry."""
     relations = _covariant_relations if table is covariant_rows else _chevalley_relations
     groups: dict[tuple[int, ...], list[Row]] = {}
     for row in table(*args):
