@@ -275,8 +275,8 @@ def shift_expectation_matrix(space: FockSpace, mode: int, z: complex) -> complex
 
 
 def poisson_probability(z: complex, n: int) -> float:
-    """exp(-|z|^2) |z|^(2n) / n!, evaluated in log space."""
+    """exp(-|z|^2) |z|^(2n) / n!: the one term of `_poisson_series` from n to n."""
     x = abs(z) ** 2
     if x == 0.0:
         return 1.0 if n == 0 else 0.0
-    return math.exp(-x + n * math.log(x) - math.lgamma(n + 1))
+    return _poisson_series(x, n, n)

@@ -305,30 +305,29 @@ def _operator(space: FockSpace, diagonals: dict[int, np.ndarray]) -> LinearOpera
     return op
 
 
+def _product(x, y, dim: int) -> np.ndarray:
+    """The diagonal of x @ y for one-diagonal x = (d1, a) and y = (d2, b), in b's dtype:
+    c[j] = a[j - d2] b[j] where row j - d2 is inside the matrix, 0 elsewhere.  It is the
+    one product site, of `@`, the two-factor traces and the row evaluator."""
+    (_, a), (d2, b) = x, y
+    lo, hi, c = max(d2, 0), dim + min(d2, 0), np.zeros(dim, b.dtype)
+    np.multiply(a[lo - d2:hi - d2], b[lo:hi], out=c[lo:hi])
+    return c
+
+
 def _product_diagonals(x: LinearOperator, y: LinearOperator, wanted=None) -> dict[int, np.ndarray]:
-    """The diagonals of x @ y, or those whose offsets are in `wanted`.  c[j] = a[j - d2] b[j]
-    lands on d1 + d2.  The first pair on an offset is written into zeros; a second one adds
-    +0 to it first, so pairs that share an offset add up from +0 in ascending d1 and a
-    stored zero's sign never reaches an entry's zero part."""
+    """The diagonals of x @ y, or those whose offsets are in `wanted`: each pair's `_product`
+    lands on d1 + d2.  An offset that one pair reaches holds its product; pairs that share an
+    offset add up from +0 in ascending d1, with the bits of sum(products, 0.0), so a stored
+    zero's sign never reaches an entry's zero part (0.0 + c is c once c holds no -0)."""
     _require_same_space(x.space, y.space)
-    dim = x.space.dimension
-    out: dict[int, np.ndarray] = {}
-    lone = set()  # offsets that one pair has reached so far
+    dim, out = x.space.dimension, {}
     for d1 in sorted(x.diagonals):
         for d2, b in y.diagonals.items():
             d = d1 + d2
             if -dim < d < dim and (wanted is None or d in wanted):
-                lo, hi = max(d2, 0), dim + min(d2, 0)
-                a, c = x.diagonals[d1][lo - d2:hi - d2], out.get(d)
-                if c is None:
-                    out[d] = np.zeros(dim, dtype=complex)
-                    np.multiply(a, b[lo:hi], out=out[d][lo:hi])
-                    lone.add(d)
-                    continue
-                if d in lone:
-                    lone.remove(d)
-                    c += 0.0
-                c[lo:hi] += a * b[lo:hi]
+                p = _product((d1, x.diagonals[d1]), (d2, b), dim)
+                out[d] = p if (c := out.get(d)) is None else 0.0 + c + p
     return out
 
 
@@ -345,7 +344,7 @@ def _norm(diagonals: dict[int, np.ndarray], dim: int, kind: str) -> float:
         raise ValueError(f"unknown norm kind {kind!r}")
     if kind == "spectral" and len(diagonals) <= 1:
         for c in diagonals.values():
-            return float(np.abs(c).max())
+            return float(np.maximum.reduce(np.abs(c)))
         return 0.0
     rows, cols, values = _row_major(diagonals, dim)
     if kind == "frobenius":
@@ -524,32 +523,14 @@ def relation_residual(lhs: LinearOperator, rhs: LinearOperator, margin: int,
     n_i <= cutoff_i - margin for every mode: each diagonal of the difference
     has its entries in an unsafe column or row set to +0 by the per-margin
     window, which is P (lhs - rhs) P for the projector P onto those states.
-    Its largest entry modulus drops an all-zero diagonal and is the spectral
-    norm of a one-diagonal block.
     """
     _require_same_space(lhs.space, rhs.space)
-    space, a, b = lhs.space, lhs.diagonals, rhs.diagonals
-    dim, unsafe = space.dimension, space._unsafe_window(margin)
-    block, peak = {}, 0.0
+    a, b, dim = lhs.diagonals, rhs.diagonals, lhs.space.dimension
+    block, unsafe = {}, lhs.space._unsafe_window(margin)
     for d in a.keys() | b.keys():
-        c = np.subtract(a.get(d, 0.0), b.get(d, 0.0))
+        block[d] = c = np.subtract(a.get(d, 0.0), b.get(d, 0.0))
         np.putmask(c, unsafe[dim - d] | unsafe[dim], 0)  # inf/nan outside the block go too
-        top = np.maximum.reduce(np.abs(c))  # 0 for an all-zero diagonal, nan if c holds one
-        if top != 0:
-            block[d], peak = c, top
-    if norm == "spectral" and len(block) <= 1:  # a monomial block: its peak, as in _norm
-        return float(peak)
-    return _norm(block, space.dimension, norm)
-
-
-def _product(x, y, dim: int) -> np.ndarray:
-    """The diagonal of x @ y for real one-diagonal x = (d1, a) and y = (d2, b), as
-    _product_diagonals forms it: c[j] = a[j - d2] b[j] where row j - d2 is inside the
-    matrix, 0 elsewhere.  It is the row evaluator's one product site."""
-    (_, a), (d2, b), c = x, y, np.zeros(dim)
-    lo, hi = max(d2, 0), dim + min(d2, 0)
-    np.multiply(a[lo - d2:hi - d2], b[lo:hi], out=c[lo:hi])
-    return c
+    return _norm(_nonzero(block), dim, norm)
 
 
 class _RowPlan(NamedTuple):

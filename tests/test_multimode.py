@@ -207,6 +207,26 @@ def test_covariant_validation():
             pair_product_residuals(dataclasses.replace(family, dressed=(first, second)))
 
 
+def test_every_residual_refuses_an_unknown_norm_kind():
+    """fock._norm is every residual's one kind check: relation_residual's, on a block that
+    is all zero too, and the row evaluator's under covariant_check."""
+    lower, raise_ = covariant_bosons(2, 0.7, [3, 3]).dressed[0]
+    for lhs, rhs in ((lower, lower), (lower, raise_)):
+        with pytest.raises(ValueError, match="unknown norm kind 'trace'"):
+            relation_residual(lhs, rhs, 1, norm="trace")
+    with pytest.raises(ValueError, match="unknown norm kind 'trace'"):
+        covariant_check(2, 0.7, [3, 3], norm="trace")
+
+
+def test_row_table_refuses_an_operand_of_two_diagonals():
+    family = covariant_bosons(2, 0.7, [3, 3])
+    lower, raise_ = family.dressed[0]
+    [(_, _, plan)] = _layout(covariant_rows, (2,), False)
+    operands = [lower + raise_] * len(plan.labels)
+    with pytest.raises(ValueError, match="a row table reads one-diagonal operators"):
+        fock._row_residuals(family.space, operands, plan, np.ones(4), 1, "spectral")
+
+
 # -- R-matrix ----------------------------------------------------------------------
 
 def test_r_matrix_entries_n2():
@@ -287,28 +307,30 @@ def _one_run():
 def test_multimode_and_chevalley_suites_compute_each_product_once(monkeypatch):
     """The covariant and RTT relations share one pass over the pair products of each
     kind, and each Chevalley variant is built once for all its brackets.  A product, by
-    `@` or at the row evaluator's one product site, is keyed by its operands' diagonal
-    bytes.  In a run, the suites take each spectral row on the modes it touches once:
+    `@` or the row evaluator, is formed at fock's one product site and keyed by its
+    operands' diagonal bytes; the two-factor traces of `expectation` (`wanted` given) are
+    not counted.  In a run, the suites take each spectral row on the modes it touches once:
     multimode N=3 builds the family on modes 1 and 2 and its rows there too (52 products
     against 46 on the full space alone), and after N=2 it reuses them (54 products for
     both sizes, against 68)."""
     fam = covariant_bosons(3, math.sqrt(0.5), [6] * 3)
-    pairs = []
-    matmul, product = LinearOperator.__matmul__, fock._product
+    pairs, tracing = [], [False]  # tracing[0]: a two-factor trace forms its diagonals
+    product, product_diagonals = fock._product, fock._product_diagonals
 
-    def key(op):
-        return tuple((d, c.tobytes()) for d, c in sorted(op.diagonals.items()))
-
-    def recording(a, b):
-        pairs.append((key(a), key(b)))
-        return matmul(a, b)
-
-    def recording_product(x, y, dim):
-        pairs.append((((x[0], x[1].tobytes()),), ((y[0], y[1].tobytes()),)))
+    def recording(x, y, dim):
+        if not tracing[0]:
+            pairs.append(((x[0], x[1].tobytes()), (y[0], y[1].tobytes())))
         return product(x, y, dim)
 
-    monkeypatch.setattr(LinearOperator, "__matmul__", recording)
-    monkeypatch.setattr(fock, "_product", recording_product)
+    def traced(x, y, wanted=None):
+        tracing[0] = wanted is not None
+        try:
+            return product_diagonals(x, y, wanted)
+        finally:
+            tracing[0] = False
+
+    monkeypatch.setattr(fock, "_product", recording)
+    monkeypatch.setattr(fock, "_product_diagonals", traced)
     pair_product_residuals(fam)
     assert len(pairs) == len(set(pairs)) == 4 * 3 * 3
     pairs.clear()
