@@ -167,22 +167,23 @@ def coherent_density(space: FockSpace, mode: int, z: complex,
     if x == 0.0:
         tail = 0.0
     elif x < cutoff + 1:
-        tail = _poisson_series(x, cutoff + 1)
+        tail = _poisson_series(z, cutoff + 1)
     else:
-        tail = 1.0 - _poisson_series(x, 0, cutoff)
+        tail = 1.0 - _poisson_series(z, 0, cutoff)
     return DensityOperator(op=pure_density(state).op, tail_mass=tail)
 
 
-def _poisson_series(x: float, first: int, last: float = math.inf,
+def _poisson_series(z: complex, first: int, last: float = math.inf,
                     scale=lambda n: 1.0) -> float:
-    """sum over first <= n <= last of exp(-x) x^n / n! / scale(n), for x > 0.
+    """sum over first <= n <= last of poisson_probability(z, n) / scale(n), for |z|^2 > 0.
 
     Summed outward from the Poisson mode clamped to [first, last], whose term
-    is evaluated in log space so it stays in range for large x; each direction
+    is evaluated in log space so it stays in range for large |z|; each direction
     stops when its terms fall to 1e-16 of the sum (or underflow to 0).
     """
+    x = abs(z) ** 2
     n0 = min(max(first, int(x)), last)
-    p0 = math.exp(-x + n0 * math.log(x) - math.lgamma(n0 + 1))
+    p0 = poisson_probability(z, n0)
     total = p0 / scale(n0)
     p, n = p0, n0
     while n < last:
@@ -212,7 +213,7 @@ def shift_expectation_series(z: complex) -> complex:
     x = abs(z) ** 2
     if x == 0.0:
         return 0.0
-    return z * _poisson_series(x, 0, scale=lambda n: math.sqrt(n + 1.0))
+    return z * _poisson_series(z, 0, scale=lambda n: math.sqrt(n + 1.0))
 
 
 @dataclass(frozen=True)
@@ -275,8 +276,8 @@ def shift_expectation_matrix(space: FockSpace, mode: int, z: complex) -> complex
 
 
 def poisson_probability(z: complex, n: int) -> float:
-    """exp(-|z|^2) |z|^(2n) / n!: the one term of `_poisson_series` from n to n."""
+    """exp(-|z|^2) |z|^(2n) / n!, evaluated in log space."""
     x = abs(z) ** 2
     if x == 0.0:
         return 1.0 if n == 0 else 0.0
-    return _poisson_series(x, n, n)
+    return math.exp(-x + n * math.log(x) - math.lgamma(n + 1))

@@ -332,7 +332,7 @@ def _product_diagonals(x: LinearOperator, y: LinearOperator, wanted=None) -> dic
 
 
 def _norm(diagonals: dict[int, np.ndarray], dim: int, kind: str) -> float:
-    """Spectral or Frobenius norm of the matrix with these nonzero diagonals.
+    """Spectral or Frobenius norm of the matrix with these diagonals, all-zero ones allowed.
 
     A monomial matrix (at most one nonzero per row and per column, as a
     single diagonal and every residual of a homogeneous relation is) has
@@ -530,7 +530,7 @@ def relation_residual(lhs: LinearOperator, rhs: LinearOperator, margin: int,
     for d in a.keys() | b.keys():
         block[d] = c = np.subtract(a.get(d, 0.0), b.get(d, 0.0))
         np.putmask(c, unsafe[dim - d] | unsafe[dim], 0)  # inf/nan outside the block go too
-    return _norm(_nonzero(block), dim, norm)
+    return _norm(block, dim, norm)
 
 
 class _RowPlan(NamedTuple):

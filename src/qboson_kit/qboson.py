@@ -190,15 +190,13 @@ def recipe_relations(q_squared: float, cutoffs: Sequence[int],
     """Average the two-mode product relation of each (a_choice, d0_choice, alpha) request
     over one thermal x vacuum state.
 
-    a_choice picks A±: "phase" (shift pair), "boson" (ladder pair), or
-    "alpha_phase" (shift pair conjugated by alpha shift powers).  d0_choice
-    picks the right-hand operator: "identity" or "theta" (step projector at
-    alpha on the averaged mode).  The average runs over a thermal state on
-    mode 1 tensored with the vacuum of mode 2; its tail mass must stay
-    within RECIPE_TAIL_BUDGET, and its cutoff above every vacuum shift, at
-    or below which < A- A+ > is 0.  The requests share the space, the
-    density, each distinct A± pair and D0, and each distinct trace.  Other
-    densities go to averaged_relation.
+    a_choice picks A±: "phase" (shift pair), "boson" (ladder pair), or "alpha_phase" (shift
+    pair conjugated by alpha shift powers).  d0_choice picks the right-hand operator:
+    "identity" or "theta" (step projector at alpha on the averaged mode).  The average runs
+    over a thermal state on mode 1 tensored with the vacuum of mode 2; its tail mass must
+    stay within RECIPE_TAIL_BUDGET, and its cutoff above every vacuum shift, at or below
+    which < A- A+ > is 0.  The requests share the space, the density, each distinct A± pair
+    and D0, and each distinct trace.  Other densities go to averaged_relation.
     """
     for a_choice, d0_choice, alpha in requests:
         if a_choice not in A_CHOICES:
@@ -221,8 +219,8 @@ def recipe_relations(q_squared: float, cutoffs: Sequence[int],
     keys = [(None if a_choice == "boson" else alpha if a_choice == "alpha_phase" else 0,
              alpha if d0_choice == "theta" else 0) for a_choice, d0_choice, alpha in requests]
     if (shift := max((s for s, _ in keys if s is not None), default=-1)) >= cutoffs[0]:
-        raise TruncationAccuracyError(f"vacuum shift {shift} needs cutoff >= {shift + 1} of the "
-                                      f"averaged mode, got {cutoffs[0]}")
+        raise TruncationAccuracyError(
+            f"vacuum shift {shift} needs cutoff >= {shift + 1}, got {cutoffs[0]}")
     pairs = {shift: ladder(space, 1) if shift is None else alpha_phase_pair(space, 1, shift)
              for shift in dict.fromkeys(shift for shift, _ in keys)}
     pair_traces = {shift: [expectation(rho, p.lower, p.raise_), expectation(rho, p.raise_, p.lower)]

@@ -337,11 +337,9 @@ def test_dump_size_error_names_the_flag(args, message, capsys):
     # Where the tail fits, a cutoff at or below the largest vacuum shift (2) is refused
     # before the average, whose <e(2) e+(2)> would be 0 there.
     (["--suite", "recipe", "--q", "0.01", "--cutoff", "2"],
-     "the recipe suite needs a larger --cutoff: vacuum shift 2 needs cutoff >= 3 of the "
-     "averaged mode, got 2"),
+     "the recipe suite needs a larger --cutoff: vacuum shift 2 needs cutoff >= 3, got 2"),
     (["--suite", "recipe", "--q", "0.01", "--cutoff", "1"],
-     "the recipe suite needs a larger --cutoff: vacuum shift 2 needs cutoff >= 3 of the "
-     "averaged mode, got 1"),
+     "the recipe suite needs a larger --cutoff: vacuum shift 2 needs cutoff >= 3, got 1"),
     # A q^2 that underflows to 0 or rounds to 1 is refused naming the flags given.
     (["--suite", "thermal", "--q", "1e-170"],
      "q^2 from --q 1e-170 is 0.0 in floating point, outside (0, 1)"),
