@@ -60,14 +60,19 @@ def family_on_space(space: FockSpace, mode: int, q_squared: float,
                     rhs: Callable[[int], float]) -> QBosonFamily:
     """Solve the magnitude recursion on one mode of `space` and build the family.
 
-    rhs(n) is evaluated for n = 0..cutoff of that mode and recorded as the
-    diagonal operator rhs(N) there; defining_relation_residual checks against
-    it.  Its top entry only enters residuals at margin 0.
+    rhs(n) is evaluated for n = 0..cutoff of that mode and recorded as the diagonal operator
+    rhs(N) there; defining_relation_residual checks against it.  Its top entry only enters
+    residuals at margin 0.  A growing rhs (types II, IV) past OVERFLOW_GUARD is refused.
     """
     if not 0.0 < q_squared < 1.0:
         raise ValueError(f"q_squared must lie in (0, 1), got {q_squared}")
     cutoff = space.cutoffs[space._check_mode(mode)]
-    values = [float(rhs(n)) for n in range(cutoff + 1)]
+    try:
+        values = [float(rhs(n)) for n in range(cutoff + 1)]
+    except OverflowError:  # a float power past 1.8e308
+        values = [math.inf]
+    if max(values) > OVERFLOW_GUARD:
+        raise OverflowGuardError(f"rhs(n) passes the {OVERFLOW_GUARD:g} guard by cutoff {cutoff}")
     beta = [0.0]
     for n, value in enumerate(values[:-1]):
         if not value >= 0:  # also refuses nan
@@ -96,14 +101,7 @@ def standard_rhs(type_tag: str, q_squared: float) -> Callable[[int], float]:
 
 def standard_qboson(type_tag: str, q_squared: float, cutoff: int) -> QBosonFamily:
     """One of the four standard deformed families at the given cutoff."""
-    rhs = standard_rhs(type_tag, q_squared)
-    # q_squared outside (0, 1) never trips the guard; family_on_space rejects it.
-    if (type_tag in ("II", "IV") and q_squared > 0.0
-            and cutoff * math.log(1.0 / q_squared) > math.log(OVERFLOW_GUARD)):
-        raise OverflowGuardError(
-            f"q^(-2n) reaches 1e{cutoff * math.log10(1.0 / q_squared):.0f} at cutoff "
-            f"{cutoff}, beyond the {OVERFLOW_GUARD:g} guard")
-    return family_on_space(make_space([cutoff]), 1, q_squared, rhs)
+    return family_on_space(make_space([cutoff]), 1, q_squared, standard_rhs(type_tag, q_squared))
 
 
 def defining_relation_residual(family: QBosonFamily, margin: int = 1,

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import os
 import resource
@@ -349,6 +350,14 @@ def test_dump_size_error_names_the_flag(args, message, capsys):
      "q^2 from --epsilon0 1e-20 --kT 1.0 is 1.0 in floating point, outside (0, 1)"),
     (["--suite", "thermal", "--epsilon0", "nan", "--kT", "1"],
      "--epsilon0 and --kT must be positive, got nan and 1.0"),
+    (["--suite", "thermal", "--q", "1.5"], "--q must lie in (0, 1), got 1.5"),
+    # The precision cap's round-off model, 16 eps q^(-2 cutoff), passes --tol at cutoff 2.
+    (["--suite", "qboson", "--qtype", "II", "--q", "1e-5"],
+     "the qboson suite cannot hold --tol 1e-10 for type II at --q 1e-05, even at cutoff 2"),
+    # The symmetric variant's type-II rhs q^(-n) passes the overflow guard below cutoff 6.
+    (["--suite", "chevalley", "--q", "1e-60", "--modes", "2"],
+     "the chevalley suite needs a larger --q or a smaller --cutoff: rhs(n) passes the 1e+300 "
+     "guard by cutoff 6"),
 ])
 def test_run_size_error_names_the_flag(args, message, capsys):
     assert cli.main(["run", *args]) == 2
@@ -410,6 +419,18 @@ def test_held_operators_bound_admits_the_scale_points(suite, modes, cutoff, monk
     with pytest.raises(Admitted):
         suites.SUITE_TABLE[suite].build(q_squared=0.5, modes=modes, cutoff=cutoff,
                                         norm="spectral")
+
+
+def test_tiny_q_chevalley_run_warns_of_no_overflow_outside_its_safe_blocks():
+    """At --q 1e-80 products and [H_i] overflow outside the margin-2 safe blocks, where
+    they are discarded: under -W error the run prints nothing on stderr and its checks
+    keep their bits (the SHA-256 of json.dumps(checks, sort_keys=True) begins as below)."""
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", *CLI[1:], "run",
+                           "--suite", "chevalley", "--q", "1e-80", "--modes", "2",
+                           "--cutoff", "3", "--format", "json"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    checks = json.dumps(json.loads(proc.stdout)["checks"], sort_keys=True)
+    assert hashlib.sha256(checks.encode()).hexdigest()[:16] == "5ab26ece6326adce"
 
 
 def test_run_huge_tolerance_needs_no_precision_cap():
@@ -503,6 +524,7 @@ def test_cli_asymptotics_csv():
     (["--z", "2j", "--z", "1+2j", "--cutoff", "20"],
      "asymptotics needs --cutoff >= 21 for --z 1+2j, got 20"),
     (["--z", "0.5"], "--z needs abs(z) >= 1, got 0.5"),
+    (["--z", "4x"], "could not parse --z value: complex() arg is a malformed string"),
 ])
 def test_asymptotics_error_names_the_flag(args, message, capsys):
     assert cli.main(["asymptotics", *args]) == 2

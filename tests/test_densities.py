@@ -34,8 +34,8 @@ from qboson_kit.densities import poisson_probability
 def test_pure_density_is_idempotent():
     space = make_space([5])
     rho = pure_density(basis_state(space, [2]))
-    m = rho.op.matrix
-    assert np.max(np.abs((m @ m - m).toarray())) <= 1e-12
+    m = rho.op.toarray()
+    assert np.max(np.abs(m @ m - m)) <= 1e-12
 
 
 def test_equal_mixture_eigenvalues():
@@ -64,6 +64,19 @@ def test_mixture_rejects_a_nan_probability():
     states = [basis_state(space, [0]), basis_state(space, [1])]
     with pytest.raises(ValueError, match="nonnegative"):
         mixture_density(states, [0.5, float("nan")])
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: mixture_density([], []), "at least one state is required"),
+    (lambda: mixture_density([basis_state(make_space([2]), [0]),
+                              basis_state(make_space([3]), [0])], [0.5, 0.5]),
+     "all states must live on the same space"),
+    (lambda: thermal_density(make_space([4, 2, 2]), 1, 0.5, other_levels=[1]),
+     "expected 2 other-mode levels, got 1"),
+], ids=["no-state", "two-spaces", "other-levels"])
+def test_density_refusals(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_mixture_rejects_unnormalized_state():
@@ -114,9 +127,9 @@ def test_pure_number_state_density_stores_one_entry():
     finally:
         tracemalloc.stop()
     assert peak < space.dimension ** 2 * 16 // 100
-    assert rho.op.matrix.nnz == 1
+    assert len(rho.op.entries()[2]) == 1
     k = space.flat_index([250, 3])
-    assert rho.op.matrix[k, k] == 1.0
+    assert rho.op.diagonal()[k] == 1.0
 
 
 
@@ -246,12 +259,14 @@ def test_coherent_density_expectation():
                                       (100, 12.0), (600, -7.5), (25, 0.5 - 2j),
                                       (10, 100.0)])
 def test_coherent_tail_mass_is_the_poisson_survival_function(cutoff, z):
-    """The in-package tail sum against scipy's, to 1e-12 relative (0 exactly)."""
-    from scipy.stats import poisson
+    """The in-package tail sum against a 50-digit reference, the regularized lower
+    incomplete gamma P(cutoff + 1, |z|^2), to 1e-12 relative (0 absolute)."""
+    import mpmath
 
     rho = coherent_density(make_space([cutoff]), 1, z, intensity_limit=math.inf)
-    assert rho.tail_mass == pytest.approx(float(poisson.sf(cutoff, abs(z) ** 2)),
-                                          rel=1e-12, abs=0.0)
+    with mpmath.workdps(50):
+        reference = mpmath.gammainc(cutoff + 1, 0, abs(z) ** 2, regularized=True)
+    assert rho.tail_mass == pytest.approx(float(reference), rel=1e-12, abs=0.0)
 
 
 def test_thermal_product_density_with_pure_pin():

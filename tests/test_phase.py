@@ -51,7 +51,7 @@ def test_raise_lower_kills_vacuum_exactly():
     prod = pair.raise_ @ pair.lower
     assert prod.apply(basis_state(space, [0])).norm() == 0.0
     expected = identity_operator(space) - number_state_projector(space, 1, 0)
-    assert (prod.matrix != expected.matrix).nnz == 0
+    assert np.array_equal(prod.toarray(), expected.toarray())
 
 
 def test_shift_inverses_margin_one():
@@ -68,8 +68,8 @@ def test_polar_decomposition_exact_on_full_space():
     t = ladder(space, 1)
     pair = phase_pair(space, 1)
     sq = sqrt_number_operator(space, 1)
-    assert ((pair.lower @ sq).matrix != t.lower.matrix).nnz == 0
-    assert ((sq @ pair.raise_).matrix != t.raise_.matrix).nnz == 0
+    assert np.array_equal((pair.lower @ sq).toarray(), t.lower.toarray())
+    assert np.array_equal((sq @ pair.raise_).toarray(), t.raise_.toarray())
 
 
 def test_shift_number_commutators():
@@ -85,8 +85,8 @@ def test_shift_number_commutators():
 def test_theta_convention():
     """theta(x) = 1 for x >= 0: alpha = 0 gives the identity."""
     space = make_space([6])
-    assert (theta_operator(space, 1, 0).matrix
-            != identity_operator(space).matrix).nnz == 0
+    assert np.array_equal(theta_operator(space, 1, 0).toarray(),
+                          identity_operator(space).toarray())
     th2 = theta_operator(space, 1, 2)
     assert th2.apply(basis_state(space, [1])).norm() == 0.0
     out = th2.apply(basis_state(space, [2]))
@@ -115,7 +115,7 @@ def test_forward_adjoint_of_step_shifts_threshold_down():
         e_a = shift_power(space, 1, a)
         out = e_a.adjoint() @ theta_operator(space, 1, a) @ e_a
         expected = theta_operator(space, 1, 2 * a)
-        assert (out.matrix != expected.matrix).nnz == 0
+        assert np.array_equal(out.toarray(), expected.toarray())
 
 
 def test_alpha_adjoint_zero_power_is_identity_map():
@@ -156,9 +156,7 @@ def test_alpha_boson_kernel_dimension():
     space = make_space([12])
     for a in (1, 2, 3):
         boson = alpha_boson(space, 1, a)
-        m = boson.lower.matrix.tocsc(copy=True)
-        m.eliminate_zeros()
-        assert int(np.sum(np.diff(m.indptr) == 0)) == a + 1
+        assert int(np.sum(~boson.lower.toarray().any(axis=0))) == a + 1
 
 
 def test_alpha_boson_commutator_is_step():
@@ -172,7 +170,7 @@ def test_alpha_boson_number_states():
     """The number operator counts steps above the shifted vacuum."""
     space = make_space([16])
     boson = alpha_boson(space, 1, 3)
-    diag = (boson.raise_ @ boson.lower).matrix.diagonal().real
+    diag = (boson.raise_ @ boson.lower).diagonal().real
     for n in range(14):
         assert diag[space.flat_index([n + 3])] == pytest.approx(n, abs=1e-13)
 

@@ -74,7 +74,7 @@ def test_lower_amplitudes_are_sqrt_beta():
     out = family.lower.apply(basis_state(space, [3]))
     np.testing.assert_array_equal(
         out.amplitudes, np.sqrt(family.beta[3]) * basis_state(space, [2]).amplitudes)
-    assert (family.raise_.matrix != family.lower.adjoint().matrix).nnz == 0
+    assert np.array_equal(family.raise_.toarray(), family.lower.adjoint().toarray())
 
 
 # -- the four standard families ---------------------------------------------------
@@ -139,6 +139,15 @@ def test_type_iv_relation_against_explicit_target():
     occ = np.indices(space.shape).reshape(space.mode_count, -1).T[:, 0]
     target = diagonal_operator(space, ((1 - q2) * (1 / q2) ** occ).astype(complex))
     assert relation_residual(lhs, target, margin=1) < 1e-12
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: standard_rhs("V", 0.5), r"unknown type tag 'V'; expected one of \('I', 'II'"),
+    (lambda: beta_closed_form("V", 0.5, 2), "unknown type tag 'V'"),
+], ids=["standard-rhs", "beta-closed-form"])
+def test_unknown_type_tag_is_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_overflow_guard_types_ii_iv():

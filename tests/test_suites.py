@@ -114,6 +114,25 @@ def test_recipe_magnitude_row_fails_on_flipped_step_exponent(monkeypatch):
         assert checks[f"recipe/step-gauge-alpha{a}-exponent-sign"].measured == -1.0
 
 
+def test_render_report_refuses_an_unknown_format():
+    report = run_suite(SuiteConfig(suite="rmatrix", modes=2))
+    with pytest.raises(ConfigError, match="unknown format 'yaml'; expected json, csv, or text"):
+        suites.render_report(report, "yaml")
+
+
+def test_a_nan_inside_the_safe_block_fails_its_row(monkeypatch):
+    """A run ignores numpy's overflow and invalid warnings, as the inf and nan outside a
+    safe block are discarded; a nan inside one still fails its row (nan <= tol is false)."""
+    def build(**_):
+        space = make_space([4])
+        big = fock.diagonal_operator(space, np.full(5, 1e300))
+        square = big @ big  # inf everywhere, and inf - inf is nan
+        return [suites._check("x/nan", "", fock.relation_residual(square, square, 1), 1e-10)]
+    monkeypatch.setitem(suites.SUITE_TABLE, "cuntz", Suite(build, {"cutoff": 32}))
+    [check] = run_suite(SuiteConfig(suite="cuntz")).checks
+    assert math.isnan(check.residual) and not check.passed
+
+
 def _indented_json(report):
     """The reference encoding report_to_json must reproduce byte for byte."""
     return json.dumps(report, default=vars, indent=2, sort_keys=True) + "\n"
