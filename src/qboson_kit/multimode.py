@@ -110,7 +110,8 @@ def undressing_residual(family: CovariantFamily) -> float:
         inv = _dressing_factor(family.space, family.q, i, -family.dressing_exponent_sign)
         lower = QBosonFamily.lower.func(fam)  # as covariant_bosons, not cached on `fam`
         for dressed_op, hatted_op in zip(family.dressed[i - 1], (lower, lower.adjoint())):
-            worst = max(worst, relation_residual(inv @ dressed_op, hatted_op, 0))
+            res = relation_residual(inv @ dressed_op, hatted_op, 0)
+            worst = res if res > worst or res != res else worst  # a nan stays, and fails
     return worst
 
 
@@ -293,10 +294,11 @@ def covariant_check(n_modes: int, q: float, cutoffs: Sequence[int], margin: int 
 
 
 def worst_by_relation(residuals: dict[str, float]) -> dict[str, float]:
-    """The largest of `residuals` per relation, the part of each name before " i="."""
+    """The largest of `residuals` per relation, the part of each name before " i="; nan wins."""
     worst: dict[str, float] = {}
     for name, residual in residuals.items():
-        worst[key] = max(worst.get(key := name.partition(" i=")[0], 0.0), residual)
+        prev = worst.get(key := name.partition(" i=")[0], 0.0)
+        worst[key] = residual if residual > prev or residual != residual else prev
     return worst
 
 

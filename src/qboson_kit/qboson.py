@@ -250,15 +250,15 @@ def precision_capped_cutoff(q_squared: float, type_tag: str, cutoff: int,
                             tolerance: float) -> int:
     """Largest cutoff up to `cutoff` at which a growing rhs keeps round-off below tolerance.
 
-    The defining-relation residual carries float dust of order
-    eps * q^(-2 cutoff) for types II and IV; bounded targets are unaffected.
-    The cap never goes below 2, and a requested cutoff below 2 is returned
-    as it is, so the margin validation downstream rejects it.  A tolerance so
-    large that tolerance / (16 eps) overflows needs no cap.
+    The margin-1 residual at cutoff c reads rhs up to q^(-2(c-1)) for types II and IV, so
+    carries float dust up to eps q^(-2(c-1)).  The cap keeps 16 eps q^(-2c) below tolerance,
+    but is 2 where cutoff 2's own dust, eps q^-2, stays below it and 1 where it does not.
+    A requested cutoff below 2 is returned as it is, so the margin validation downstream
+    rejects it; a tolerance / (16 eps) that overflows needs no cap.
     """
     eps = float(np.finfo(float).eps)
     headroom = max(tolerance, 32.0 * eps) / (16.0 * eps)
     if type_tag not in ("II", "IV") or math.isinf(headroom):
         return cutoff
     cap = int(math.floor(math.log(headroom) / math.log(1.0 / q_squared)))
-    return min(cutoff, max(2, cap))
+    return min(cutoff, max(2 if eps <= tolerance * q_squared else 1, cap))

@@ -309,19 +309,18 @@ def qboson_suite(q_squared: float, qtype: tuple[str, ...], cutoff: int,
                  tolerance: float) -> list[Check]:
     """Defining relations and closed-form magnitude sequences of the given families.
 
-    For the growing targets (types II and IV) the cutoff is capped so float round-off,
-    16 eps q^(-2 cutoff), stays below the tolerance (the relation text gives the cap);
-    a tolerance that this round-off passes already at cutoff 2 is refused.
+    For the growing targets (types II and IV) the effective cutoff is capped so float
+    round-off stays below the tolerance (precision_capped_cutoff); the capped value appears
+    in the relation text, and a tolerance the round-off passes already at cutoff 2 is refused.
     """
     if cutoff < 2:
         raise ConfigError(f"the qboson suite needs --cutoff >= 2, got {cutoff}")
-    growing = ", ".join(t for t in qtype if t in ("II", "IV"))
-    if growing and 16 * np.finfo(float).eps > tolerance * q_squared ** 2:
-        raise ConfigError(f"the qboson suite cannot hold --tol {tolerance:g} for type {growing} "
-                          f"at --q {math.sqrt(q_squared):g}, even at cutoff 2")
+    caps = [precision_capped_cutoff(q_squared, t, cutoff, tolerance) for t in qtype]
+    if short := [t for t, eff in zip(qtype, caps) if eff < 2]:
+        raise ConfigError(f"the qboson suite cannot hold --tol {tolerance:g} for type "
+                          f"{', '.join(short)} at --q {math.sqrt(q_squared):g}, even at cutoff 2")
     checks = []
-    for t in qtype:
-        eff = precision_capped_cutoff(q_squared, t, cutoff, tolerance)
+    for t, eff in zip(qtype, caps):
         family = standard_qboson(t, q_squared, eff)
         checks.append(_check(
             f"qboson/defining-relation-{t}",
@@ -522,12 +521,8 @@ def chevalley_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> lis
         raise ConfigError(f"the chevalley suite needs --cutoff >= 3, got {cutoff}")
     _check_held_operators("chevalley", modes * modes + 2 * modes + 4, modes, cutoff)
     q, cutoffs = math.sqrt(q_squared), (cutoff,) * modes
-    try:  # the symmetric variant gives the Cartan-sector rows; the unit-target one two brackets
-        sym = mm.worst_by_relation(mm.chevalley_check(modes, q, cutoffs, "typeII_symmetric",
-                                                      norm=norm))
-    except OverflowGuardError as exc:
-        raise ConfigError(f"the chevalley suite needs a larger --q or a smaller --cutoff: "
-                          f"{exc}") from exc
+    # The symmetric variant gives the Cartan-sector rows; the unit-target one two brackets.
+    sym = mm.worst_by_relation(mm.chevalley_check(modes, q, cutoffs, "typeII_symmetric", norm=norm))
     unit = mm.worst_by_relation(mm.chevalley_check(modes, q, cutoffs, "typeI_q2", (q, q * q), norm,
                                                    cartan=False))
     brackets = {("typeI_q2", base): unit[f"ef-bracket base={base!r}"] for base in (q, q * q)}
@@ -641,6 +636,9 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             for name, fixed in ALL_ROWS if config.suite == "all" else ((config.suite, {}),):
                 checks += SUITE_TABLE[name].build(**{flag: fixed.get(flag, resolved.get(flag, d))
                                                      for flag, d in SUITE_FLAGS[name].items()})
+    except OverflowGuardError as exc:  # a growing rhs past the guard at this q and cutoff
+        raise ConfigError(f"the {name} suite needs a larger --q or a smaller --cutoff: "
+                          f"{exc}") from exc
     finally:
         _RUN_VALUES.reset(run_values)
     checks.sort(key=lambda c: c.name)

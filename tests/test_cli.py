@@ -351,9 +351,12 @@ def test_dump_size_error_names_the_flag(args, message, capsys):
     (["--suite", "thermal", "--epsilon0", "nan", "--kT", "1"],
      "--epsilon0 and --kT must be positive, got nan and 1.0"),
     (["--suite", "thermal", "--q", "1.5"], "--q must lie in (0, 1), got 1.5"),
-    # The precision cap's round-off model, 16 eps q^(-2 cutoff), passes --tol at cutoff 2.
+    # Type II's round-off at cutoff 2, eps q^-2 = 2.2e-6, passes --tol; at --q 0.001 that
+    # of types II and IV, 2.2e-10, does too.
     (["--suite", "qboson", "--qtype", "II", "--q", "1e-5"],
      "the qboson suite cannot hold --tol 1e-10 for type II at --q 1e-05, even at cutoff 2"),
+    (["--suite", "qboson", "--q", "0.001"],
+     "the qboson suite cannot hold --tol 1e-10 for type II, IV at --q 0.001, even at cutoff 2"),
     # The symmetric variant's type-II rhs q^(-n) passes the overflow guard below cutoff 6.
     (["--suite", "chevalley", "--q", "1e-60", "--modes", "2"],
      "the chevalley suite needs a larger --q or a smaller --cutoff: rhs(n) passes the 1e+300 "
@@ -364,6 +367,20 @@ def test_run_size_error_names_the_flag(args, message, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args,code", [
+    (["--suite", "qboson", "--q", "0.005"], 0),
+    (["--suite", "qboson", "--q", "0.0015"], 0),
+    (["--suite", "all", "--q", "0.05"], 1),  # two chevalley ef-bracket-best rows fail
+])
+def test_small_q_runs_whose_cutoff_two_holds_tol_are_not_refused(args, code, capsys):
+    """Where cutoff 2's round-off eps q^-2 stays below --tol the qboson rows run and pass
+    (at --q 0.0015 it is 9.9e-11), and the exit code is what the rest of the run gives."""
+    assert cli.main(["run", *args, "--format", "json"]) == code
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    qboson = [c for c in checks if c["name"].startswith("qboson/")]
+    assert len(qboson) == 8 and all(c["passed"] for c in qboson)
 
 
 @pytest.mark.parametrize("args,message", [

@@ -120,17 +120,32 @@ def test_render_report_refuses_an_unknown_format():
         suites.render_report(report, "yaml")
 
 
-def test_a_nan_inside_the_safe_block_fails_its_row(monkeypatch):
+@pytest.mark.parametrize("reduce", [
+    lambda nan: nan,
+    lambda nan: mm.worst_by_relation({"r i=1": 1e-12, "r i=2": nan, "r i=3": 1e-11})["r"],
+    lambda nan: mm.worst_by_relation({"r i=1": nan, "r i=2": 1e-11})["r"],
+], ids=["direct", "worst-by-relation", "worst-by-relation-nan-first"])
+def test_a_nan_inside_the_safe_block_fails_its_row(monkeypatch, reduce):
     """A run ignores numpy's overflow and invalid warnings, as the inf and nan outside a
-    safe block are discarded; a nan inside one still fails its row (nan <= tol is false)."""
+    safe block are discarded; a nan inside one still fails its row (nan <= tol is false),
+    also through the per-relation worst that the multimode and chevalley rows report."""
     def build(**_):
         space = make_space([4])
         big = fock.diagonal_operator(space, np.full(5, 1e300))
         square = big @ big  # inf everywhere, and inf - inf is nan
-        return [suites._check("x/nan", "", fock.relation_residual(square, square, 1), 1e-10)]
+        nan = fock.relation_residual(square, square, 1)
+        return [suites._check("x/nan", "", reduce(nan), 1e-10)]
     monkeypatch.setitem(suites.SUITE_TABLE, "cuntz", Suite(build, {"cutoff": 32}))
     [check] = run_suite(SuiteConfig(suite="cuntz")).checks
     assert math.isnan(check.residual) and not check.passed
+
+
+def test_tiny_q_multimode_undressing_row_fails_on_its_nan():
+    """At q = 1e-150 the inverse dressing q^(-N) overflows and both undressing residuals are
+    nan: the worst over them keeps the nan, where max(0.0, nan) would read 0.0, so the row fails."""
+    report = run_suite(SuiteConfig(suite="multimode", q=1e-150, modes=2, cutoff=4))
+    [check] = [c for c in report.checks if c.name == "multimode/N2-undressing"]
+    assert math.isnan(check.residual) and not check.passed and not report.overall_passed
 
 
 def _indented_json(report):
