@@ -25,9 +25,9 @@ from dataclasses import fields
 from .densities import asymptotics_csv, phase_asymptotics
 from .dump import format_operator, format_rmatrix
 from .fock import ladder, make_space
-from .multimode import dense_rank_limit, su_r_matrix
+from .multimode import RANK_LIMIT, su_r_matrix
 from .phase import phase_pair, sqrt_number_operator, theta_operator
-from .qboson import STANDARD_TYPES, standard_qboson
+from .qboson import STANDARD_TYPES, OverflowGuardError, standard_qboson
 from .suites import SUITES, ConfigError, SuiteConfig, render_report, run_suite
 
 # The flags each dumpable operator uses, with their defaults.
@@ -120,8 +120,8 @@ def _cmd_dump(args) -> int:
             raise ConfigError(f"--op {args.op} does not take --{flag}")
     v = {**DUMP_FLAGS[args.op], **given}
     if args.op == "rmatrix":
-        if not 2 <= v["modes"] <= dense_rank_limit(4):
-            bound = ">= 2" if v["modes"] < 2 else f"<= {dense_rank_limit(4)}"
+        if not 2 <= v["modes"] <= RANK_LIMIT:
+            bound = ">= 2" if v["modes"] < 2 else f"<= {RANK_LIMIT}"
             raise ConfigError(f"--op rmatrix needs --modes {bound}, got {v['modes']}")
         if not 0.0 < v["q"] <= 1.0:
             raise ConfigError(f"--q must lie in (0, 1], got {v['q']}")
@@ -148,7 +148,11 @@ def _cmd_dump(args) -> int:
     else:
         if not 0.0 < v["q"] < 1.0:
             raise ConfigError(f"--q must lie in (0, 1), got {v['q']}")
-        family = standard_qboson(v["qtype"], v["q"] * v["q"], v["cutoff"])
+        try:
+            family = standard_qboson(v["qtype"], v["q"] * v["q"], v["cutoff"])
+        except OverflowGuardError as exc:  # as run_suite words it
+            raise ConfigError(f"--op {args.op} needs a larger --q or a smaller --cutoff: "
+                              f"{exc}") from exc
         op = family.lower if args.op == "qboson-lower" else family.raise_
     _emit(format_operator(op), args.out)
     return 0

@@ -484,21 +484,18 @@ def multimode_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> lis
 def rmatrix_suite(q_squared: float, modes: tuple[int, ...]) -> list[Check]:
     """Entry conventions and the Yang-Baxter identity at each rank in `modes`."""
     for n in modes:
-        if not 2 <= n <= mm.dense_rank_limit(6):
-            bound = ">= 2" if n < 2 else f"<= {mm.dense_rank_limit(6)}"
+        if not 2 <= n <= mm.RANK_LIMIT:
+            bound = ">= 2" if n < 2 else f"<= {mm.RANK_LIMIT}"
             raise ConfigError(f"the rmatrix suite needs --modes {bound}, got {n}")
     q = math.sqrt(q_squared)
     checks = []
     for n in modes:
-        rmatrix = _run_once(mm.su_r_matrix, n, q)
-        dev = 0.0
-        for i in range(1, n + 1):
-            dev = max(dev, abs(rmatrix.entry(i, i, i, i) - q))
-            for j in range(1, n + 1):
-                if i != j:
-                    dev = max(dev, abs(rmatrix.entry(i, j, i, j) - 1.0))
-                if i < j:
-                    dev = max(dev, abs(rmatrix.entry(i, j, j, i) - (q - 1.0 / q)))
+        R, dev = _run_once(mm.su_r_matrix, n, q).entries.reshape((n,) * 4), 0.0
+        for i in range(n):
+            dev = max(dev, abs(R[i, i, i, i] - q))
+            for j in range(i + 1, n):
+                dev = max(dev, abs(R[i, j, i, j] - 1.0), abs(R[j, i, j, i] - 1.0),
+                          abs(R[i, j, j, i] - (q - 1.0 / q)))
         checks.append(_check(
             f"rmatrix/entries-n{n}",
             "diagonal q, unit mixed diagonal, q - 1/q coupling below the diagonal",
@@ -639,6 +636,8 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     except OverflowGuardError as exc:  # a growing rhs past the guard at this q and cutoff
         raise ConfigError(f"the {name} suite needs a larger --q or a smaller --cutoff: "
                           f"{exc}") from exc
+    except OverflowError as exc:  # a float past its range at this q, whatever the cutoff
+        raise ConfigError(f"the {name} suite needs a larger --q: {exc}") from exc
     finally:
         _RUN_VALUES.reset(run_values)
     checks.sort(key=lambda c: c.name)

@@ -286,6 +286,10 @@ def test_dump_flag_is_used_or_rejected(op, flag, value, capsys):
     (["--op", "qboson-lower", "--q", "1.5"], "--q must lie in (0, 1), got 1.5"),
     (["--op", "rmatrix", "--q", "1.5"], "--q must lie in (0, 1], got 1.5"),
     (["--op", "rmatrix", "--modes", "57"], "--op rmatrix needs --modes <= 56, got 57"),
+    # Type II's rhs q^(-n) passes the overflow guard below cutoff 100, as in a run.
+    (["--op", "qboson-lower", "--qtype", "II", "--q", "0.01", "--cutoff", "100"],
+     "--op qboson-lower needs a larger --q or a smaller --cutoff: rhs(n) passes the 1e+300 "
+     "guard by cutoff 100"),
 ])
 def test_dump_size_error_names_the_flag(args, message, capsys):
     assert cli.main(["dump-operator", *args]) == 2
@@ -318,7 +322,7 @@ def test_dump_size_error_names_the_flag(args, message, capsys):
     (["--suite", "multimode", "--modes", "1"], "the multimode suite needs --modes >= 2, got 1"),
     (["--suite", "chevalley", "--modes", "1"], "the chevalley suite needs --modes >= 2, got 1"),
     (["--suite", "rmatrix", "--modes", "1"], "the rmatrix suite needs --modes >= 2, got 1"),
-    (["--suite", "rmatrix", "--modes", "15"], "the rmatrix suite needs --modes <= 14, got 15"),
+    (["--suite", "rmatrix", "--modes", "57"], "the rmatrix suite needs --modes <= 56, got 57"),
     (["--suite", "multimode", "--modes", "9", "--cutoff", "4"],
      "the multimode suite holds 132 operators of (cutoff + 1)^modes entries at once, more "
      "than 45000000 in all: got --modes 9 --cutoff 4"),
@@ -361,12 +365,29 @@ def test_dump_size_error_names_the_flag(args, message, capsys):
     (["--suite", "chevalley", "--q", "1e-60", "--modes", "2"],
      "the chevalley suite needs a larger --q or a smaller --cutoff: rhs(n) passes the 1e+300 "
      "guard by cutoff 6"),
+    # The R-matrix coupling q - 1/q, cubed, overflows the Yang-Baxter products; no cutoff
+    # helps, so only --q is named.
+    (["--suite", "rmatrix", "--q", "1e-120", "--modes", "3"],
+     "the rmatrix suite needs a larger --q: R12 R13 R23 - R23 R13 R12 is not finite at "
+     "q = 1e-120"),
+    (["--suite", "multimode", "--q", "1e-150", "--modes", "3", "--cutoff", "4"],
+     "the multimode suite needs a larger --q: R12 R13 R23 - R23 R13 R12 is not finite at "
+     "q = 1e-150"),
 ])
 def test_run_size_error_names_the_flag(args, message, capsys):
     assert cli.main(["run", *args]) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: {message}\n"
+
+
+def test_tiny_q_float_overflow_in_a_run_names_q(capsys):
+    """At --q 1e-100 the recipe's q^2 to the power -2 leaves the float range whatever the
+    cutoff, so the refusal names --q and keeps Python's own text after it."""
+    assert cli.main(["run", "--suite", "recipe", "--q", "1e-100"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: the recipe suite needs a larger --q: ")
 
 
 @pytest.mark.parametrize("args,code", [
@@ -384,13 +405,13 @@ def test_small_q_runs_whose_cutoff_two_holds_tol_are_not_refused(args, code, cap
 
 
 @pytest.mark.parametrize("args,message", [
-    (["run", "--suite", "rmatrix", "--modes", "40"], "the rmatrix suite needs --modes <= 14, got 40"),
+    (["run", "--suite", "rmatrix", "--modes", "57"], "the rmatrix suite needs --modes <= 56, got 57"),
     (["dump-operator", "--op", "rmatrix", "--modes", "300"],
      "--op rmatrix needs --modes <= 56, got 300"),
 ])
 def test_rmatrix_rank_error_under_one_gib(args, message):
-    """Ranks whose dense R-matrix products would need 61 GiB (Yang-Baxter at 40) or
-    121 GiB (R at 300) exit 2 with the flag named, also with 1 GiB of address space."""
+    """Ranks past the dense R-matrix bound exit 2 with the flag named before R is built
+    (169 MB at 57, 121 GiB at 300), also with 1 GiB of address space."""
     assert_size_error_under_one_gib(args, message)
 
 

@@ -29,7 +29,7 @@ from qboson_kit import (
 )
 from qboson_kit import fock, multimode
 from qboson_kit.fock import LinearOperator, make_space
-from qboson_kit.multimode import (_chevalley_generators, _dressing_factor, _layout,
+from qboson_kit.multimode import (RMatrix, _chevalley_generators, _dressing_factor, _layout,
                                   _variant_families, chevalley_rows, covariant_rows)
 from qboson_kit.qboson import (beta_closed_form, family_on_space, precision_capped_cutoff,
                                standard_rhs)
@@ -228,11 +228,11 @@ def test_row_table_refuses_an_operand_of_two_diagonals():
 # -- R-matrix ----------------------------------------------------------------------
 
 def test_r_matrix_entries_n2():
-    r = su_r_matrix(2, 0.5)
-    assert r.entry(1, 1, 1, 1) == 0.5
-    assert r.entry(1, 2, 2, 1) == pytest.approx(0.5 - 2.0)
-    assert r.entry(1, 2, 1, 2) == 1.0
-    assert r.entry(2, 1, 1, 2) == 0.0
+    r = su_r_matrix(2, 0.5).entries.reshape((2,) * 4)  # [i, j, k, l] is R_{ij,kl}, 0-based
+    assert r[0, 0, 0, 0] == 0.5
+    assert r[0, 1, 1, 0] == pytest.approx(0.5 - 2.0)
+    assert r[0, 1, 0, 1] == 1.0
+    assert r[1, 0, 0, 1] == 0.0
 
 
 def test_r_matrix_degenerate_limit():
@@ -241,13 +241,19 @@ def test_r_matrix_degenerate_limit():
 
 
 def test_r_matrix_rank_is_capped_by_the_dimension_limit():
-    """R holds n^4 dense entries and the Yang-Baxter products n^6; both stay within
-    DEFAULT_DIMENSION_LIMIT (10^7), so the largest ranks are 56 and 14."""
+    """R holds n^4 dense entries within DEFAULT_DIMENSION_LIMIT (10^7), so the largest
+    rank is 56; the Yang-Baxter products run at rank 3 whatever n is."""
     assert su_r_matrix(56, 0.5).n == 56
     with pytest.raises(ValueError, match="n must lie in 2..56, got 57"):
         su_r_matrix(57, 0.5)
-    with pytest.raises(ValueError, match="need n <= 14, got 15"):
-        yang_baxter_residual(su_r_matrix(15, 0.5))
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_yang_baxter_products_past_the_float_range_raise(n):
+    """From q of about 1e-103 the coupling (q - 1/q) cubed overflows in the products."""
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(OverflowError, match="is not finite at q = 1e-120"):
+        yang_baxter_residual(su_r_matrix(n, 1e-120))
 
 
 @pytest.mark.parametrize("q", [0.0, 1.5])
@@ -262,17 +268,43 @@ def test_yang_baxter_identity():
             assert yang_baxter_residual(su_r_matrix(n, q)) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-@pytest.mark.parametrize("q", [0.3, math.sqrt(0.5), 0.9, 1.0])
-def test_yang_baxter_residual_matches_the_kron_products_bit_for_bit(n, q):
-    """R12 = R x 1 and R23 = 1 x R are built by broadcasting, with np.kron's bits."""
-    R = su_r_matrix(n, q).entries
+def _kron_yang_baxter(rmatrix) -> np.float64:
+    """The Yang-Baxter residual by np.kron products on the full rank-n triple space."""
+    R, n = rmatrix.entries, rmatrix.n
     eye = np.eye(n)
     r12, r23 = np.kron(R, eye), np.kron(eye, R)
     r13 = r12.reshape((n,) * 6).transpose(0, 2, 1, 3, 5, 4).reshape(n ** 3, n ** 3)
-    reference = np.float64(np.linalg.norm(r12 @ r13 @ r23 - r23 @ r13 @ r12, 2))
+    return np.float64(np.linalg.norm(r12 @ r13 @ r23 - r23 @ r13 @ r12, 2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("q", [1e-6, 1e-3, 0.03, 0.1, 0.3, math.sqrt(0.5), 0.9, 1.0])
+def test_yang_baxter_residual_matches_the_kron_products_bit_for_bit(n, q):
+    """R12 = R x 1 and R23 = 1 x R are built by broadcasting, with np.kron's bits, and the
+    residual of the rank-n products equals that of the rank-3 corner the check runs on."""
+    reference = _kron_yang_baxter(su_r_matrix(n, q))
     measured = np.float64(yang_baxter_residual(su_r_matrix(n, q)))
     assert measured.view(np.int64) == reference.view(np.int64)
+
+
+def _patterned_r(n: int) -> RMatrix:
+    """An R that keeps or swaps its two indices with entries set by their order pattern
+    (i = j, i < j or i > j), far from solving the Yang-Baxter equation."""
+    R, (i, j) = np.zeros((n,) * 4, dtype=complex), np.indices((n, n))
+    R[i, j, i, j] = np.select([i < j, i > j], [1.3, 0.9], 0.4)
+    R[i, j, j, i] += np.select([i < j, i > j], [-0.7, -1.3], 0.0)
+    return RMatrix(n=n, q=0.5, entries=R.reshape(n * n, n * n))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_yang_baxter_residual_of_any_patterned_r_is_its_rank_three_blocks(n):
+    """The block argument needs only R's pattern, not the identity.  Here the abc block,
+    first present at rank 3, holds the largest residual, so rank 2 reads less; the full
+    rank-n products agree with rank 3 to round-off (the SVD sizes differ)."""
+    rank3 = yang_baxter_residual(_patterned_r(3))
+    assert rank3 > 1.05 * yang_baxter_residual(_patterned_r(2))
+    assert yang_baxter_residual(_patterned_r(n)) == rank3
+    assert _kron_yang_baxter(_patterned_r(n)) == pytest.approx(rank3, rel=1e-13)
 
 
 def test_rtt_forms():
