@@ -24,7 +24,7 @@ from dataclasses import fields
 
 from .densities import asymptotics_csv, phase_asymptotics
 from .dump import format_operator, format_rmatrix
-from .fock import ladder, make_space
+from .fock import DimensionLimitError, ladder, make_space
 from .multimode import RANK_LIMIT, su_r_matrix
 from .phase import phase_pair, sqrt_number_operator, theta_operator
 from .qboson import STANDARD_TYPES, OverflowGuardError, standard_qboson
@@ -129,7 +129,10 @@ def _cmd_dump(args) -> int:
         return 0
     if v["cutoff"] < 1:
         raise ConfigError(f"--cutoff must be >= 1, got {v['cutoff']}")
-    space = make_space([v["cutoff"]])
+    try:
+        space = make_space([v["cutoff"]])
+    except DimensionLimitError as exc:  # as run_suite words it
+        raise ConfigError(f"--op {args.op} needs a smaller --cutoff: {exc}") from exc
     if args.op in ("a", "adag", "n"):
         boson = ladder(space, 1)
         op = {"a": boson.lower, "adag": boson.raise_, "n": boson.number}[args.op]

@@ -368,12 +368,15 @@ def covariant_recipe_check(q_squared: float, b_levels: Sequence[int]) -> Effecti
 
     Mode 1 carries the thermal average at cutoff 60; the remaining modes are
     pinned to the occupation numbers in `b_levels`, and the right-hand operator
-    is the step projector theta(N_1 - sum_k N_bk).  The expected normalized
-    coefficients are (1, q^2, q^(2 sum levels)).
+    is the step projector theta(N_1 - sum_k N_bk).  The pinned factor traces to 1, so
+    mode 1 runs alone with D0 = theta(N_1 - sum levels), with the multimode trace's
+    bits.  The expected normalized coefficients are (1, q^2, q^(2 sum levels)).
     """
     levels = [int(v) for v in b_levels]
-    space = make_space([60] + [max(lvl, 1) for lvl in levels])
-    rho = thermal_density(space, 1, q_squared, other_levels=levels)
+    if min(levels, default=0) < 0:
+        raise ValueError(f"levels must be nonnegative, got {levels}")
+    space = make_space([60])
+    rho = thermal_density(space, 1, q_squared)
     pair = phase_pair(space, 1)
-    d0 = diagonal_operator(space, space.flat(space.grid[0] >= sum(space.grid[1:])))
+    d0 = diagonal_operator(space, space.flat(space.grid[0] >= sum(levels)))
     return averaged_relation(rho, pair.lower, pair.raise_, d0)

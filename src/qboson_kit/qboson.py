@@ -183,16 +183,17 @@ class RecipeRelations(list):
     """Relations in request order, with the run's `space` and A± `pairs` by vacuum shift."""
 
 
-def recipe_relations(q_squared: float, cutoffs: Sequence[int],
+def recipe_relations(q_squared: float, cutoff: int,
                      requests: Sequence[tuple[str, str, int]]) -> RecipeRelations:
-    """Average the two-mode product relation of each (a_choice, d0_choice, alpha) request
-    over one thermal x vacuum state.
+    """Average the product relation of each (a_choice, d0_choice, alpha) request over one
+    thermal x vacuum state.
 
     a_choice picks A±: "phase" (shift pair), "boson" (ladder pair), or "alpha_phase" (shift
     pair conjugated by alpha shift powers).  d0_choice picks the right-hand operator:
-    "identity" or "theta" (step projector at alpha on the averaged mode).  The average runs
-    over a thermal state on mode 1 tensored with the vacuum of mode 2; its tail mass must
-    stay within RECIPE_TAIL_BUDGET, and its cutoff above every vacuum shift, at or below
+    "identity" or "theta" (step projector at alpha on the averaged mode).  The average is over
+    a thermal state of the averaged mode times the B mode's vacuum, whose factor traces to 1,
+    so it runs on the averaged mode alone, with the bits of the two-mode trace.  Its tail mass
+    must stay within RECIPE_TAIL_BUDGET and its cutoff above every vacuum shift, at or below
     which < A- A+ > is 0.  The requests share the space, the density, each distinct A± pair
     and D0, and each distinct trace.  Other densities go to averaged_relation.
     """
@@ -203,22 +204,20 @@ def recipe_relations(q_squared: float, cutoffs: Sequence[int],
             raise ValueError(f"d0_choice must be one of {D0_CHOICES}, got {d0_choice!r}")
         if alpha < 0:
             raise ValueError("alpha must be nonnegative")
-    if len(cutoffs) != 2:
-        raise ValueError("the recipe runs on a two-mode space: pass two cutoffs")
-    space = make_space(cutoffs)
+    space = make_space([cutoff])
     rho = thermal_density(space, 1, q_squared)
     if rho.tail_mass > RECIPE_TAIL_BUDGET:
         raise TruncationAccuracyError(
             f"tail mass {rho.tail_mass:.3g} exceeds budget {RECIPE_TAIL_BUDGET:.3g} at "
-            f"cutoff {cutoffs[0]} of the averaged mode")
+            f"cutoff {cutoff} of the averaged mode")
 
     # A± is the boson (shift None) or the phase pair with its vacuum `shift` steps up;
     # D0 = theta(N - step) is 1 at step 0.
     keys = [(None if a_choice == "boson" else alpha if a_choice == "alpha_phase" else 0,
              alpha if d0_choice == "theta" else 0) for a_choice, d0_choice, alpha in requests]
-    if (shift := max((s for s, _ in keys if s is not None), default=-1)) >= cutoffs[0]:
+    if (shift := max((s for s, _ in keys if s is not None), default=-1)) >= cutoff:
         raise TruncationAccuracyError(
-            f"vacuum shift {shift} needs cutoff >= {shift + 1}, got {cutoffs[0]}")
+            f"vacuum shift {shift} needs cutoff >= {shift + 1}, got {cutoff}")
     pairs = {shift: ladder(space, 1) if shift is None else alpha_phase_pair(space, 1, shift)
              for shift in dict.fromkeys(shift for shift, _ in keys)}
     pair_traces = {shift: [expectation(rho, p.lower, p.raise_), expectation(rho, p.raise_, p.lower)]

@@ -32,6 +32,7 @@ from .densities import (
 )
 from .fock import (
     _RUN_VALUES,
+    DimensionLimitError,
     _run_once,
     basis_state,
     commutator,
@@ -337,8 +338,9 @@ def qboson_suite(q_squared: float, qtype: tuple[str, ...], cutoff: int,
 
 def recipe_suite(q_squared: float, cutoff: int, tolerance: float) -> list[Check]:
     """Averaged two-mode relations against their normalized targets."""
+    if cutoff < 1:
+        raise ConfigError(f"the recipe suite needs --cutoff >= 1, got {cutoff}")
     q2 = q_squared
-    cutoffs = (cutoff, 8)
 
     def value(name: str, relation: str, measured: float, target: float, rel) -> Check:
         return _check(f"recipe/{name}", relation, abs(measured - target),
@@ -349,7 +351,7 @@ def recipe_suite(q_squared: float, cutoff: int, tolerance: float) -> list[Check]
                 *(("alpha_phase", "identity", a) for a in (0, 1, 2)),
                 *(("boson", "theta", a) for a in (1, 2))]
     try:
-        shift, boson, *shifted, step1, step2 = relations = recipe_relations(q2, cutoffs, requests)
+        shift, boson, *shifted, step1, step2 = relations = recipe_relations(q2, cutoff, requests)
     except TruncationAccuracyError as exc:
         raise ConfigError(f"the recipe suite needs a larger --cutoff: {exc}") from exc
     checks = [
@@ -379,7 +381,7 @@ def recipe_suite(q_squared: float, cutoff: int, tolerance: float) -> list[Check]
             0.0, None, rel.rhs_exponent_sign))
 
     space, pair = relations.space, relations.pairs[0]
-    pure = averaged_relation(pure_density(basis_state(space, [1, 0])), pair.lower,
+    pure = averaged_relation(pure_density(basis_state(space, [1])), pair.lower,
                              pair.raise_, identity_operator(space))
     dev = max(abs(pure.coeff_plus - 1.0), abs(pure.coeff_minus - 1.0),
               abs(pure.rhs - 1.0))
@@ -498,7 +500,7 @@ def rmatrix_suite(q_squared: float, modes: tuple[int, ...]) -> list[Check]:
                           abs(R[i, j, j, i] - (q - 1.0 / q)))
         checks.append(_check(
             f"rmatrix/entries-n{n}",
-            "diagonal q, unit mixed diagonal, q - 1/q coupling below the diagonal",
+            "diagonal q, unit mixed diagonal, q - 1/q coupling above the diagonal",
             dev, 0.0))
         checks.append(_check(
             f"rmatrix/yang-baxter-n{n}", "R12 R13 R23 = R23 R13 R12",
@@ -633,6 +635,8 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             for name, fixed in ALL_ROWS if config.suite == "all" else ((config.suite, {}),):
                 checks += SUITE_TABLE[name].build(**{flag: fixed.get(flag, resolved.get(flag, d))
                                                      for flag, d in SUITE_FLAGS[name].items()})
+    except DimensionLimitError as exc:  # refused by make_space before any array is built
+        raise ConfigError(f"the {name} suite needs a smaller --cutoff: {exc}") from exc
     except OverflowGuardError as exc:  # a growing rhs past the guard at this q and cutoff
         raise ConfigError(f"the {name} suite needs a larger --q or a smaller --cutoff: "
                           f"{exc}") from exc

@@ -183,28 +183,28 @@ def test_criterion_5_qboson_types():
 
 def test_criterion_6_recipe_reproduction():
     q2 = 0.5
-    cutoffs = (80, 8)
+    cutoff = 80
 
     def tol(analytic: float, tail: float) -> float:
         return abs(analytic) * max(1e-10, tail)
 
-    rel = qk.recipe_relations(q2, cutoffs, [("phase", "identity", 0)])[0]
+    rel = qk.recipe_relations(q2, cutoff, [("phase", "identity", 0)])[0]
     assert abs(rel.q_squared_effective - q2) <= tol(q2, rel.tail_mass)
     assert abs(rel.normalized_rhs - 1.0) <= tol(1.0, rel.tail_mass)
 
-    rel = qk.recipe_relations(q2, cutoffs, [("boson", "identity", 0)])[0]
+    rel = qk.recipe_relations(q2, cutoff, [("boson", "identity", 0)])[0]
     assert abs(rel.q_squared_effective - q2) <= tol(q2, rel.tail_mass)
     assert abs(rel.normalized_rhs - (1 - q2)) <= tol(1 - q2, rel.tail_mass)
 
     for a in (0, 1, 2):
-        rel = qk.recipe_relations(q2, cutoffs, [("alpha_phase", "identity", a)])[0]
+        rel = qk.recipe_relations(q2, cutoff, [("alpha_phase", "identity", a)])[0]
         target = q2 ** (-a)
         assert abs(rel.q_squared_effective - q2) <= tol(q2, rel.tail_mass)
         assert abs(rel.normalized_rhs - target) <= tol(target, rel.tail_mass), a
 
     signs = []
     for a in (1, 2):
-        rel = qk.recipe_relations(q2, cutoffs, [("boson", "theta", a)])[0]
+        rel = qk.recipe_relations(q2, cutoff, [("boson", "theta", a)])[0]
         assert rel.rhs_exponent_sign is not None
         signs.append(rel.rhs_exponent_sign)
         magnitude = (1 - q2) * q2 ** a

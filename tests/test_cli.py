@@ -290,6 +290,10 @@ def test_dump_flag_is_used_or_rejected(op, flag, value, capsys):
     (["--op", "qboson-lower", "--qtype", "II", "--q", "0.01", "--cutoff", "100"],
      "--op qboson-lower needs a larger --q or a smaller --cutoff: rhs(n) passes the 1e+300 "
      "guard by cutoff 100"),
+    # A cutoff past the dimension limit is refused before any array is built.
+    *((["--op", op, "--cutoff", "20000000"],
+       f"--op {op} needs a smaller --cutoff: dimension 20000001+ exceeds limit 10000000 for "
+       "cutoffs (20000000,)") for op in ("a", "theta", "qboson-raise")),
 ])
 def test_dump_size_error_names_the_flag(args, message, capsys):
     assert cli.main(["dump-operator", *args]) == 2
@@ -345,6 +349,17 @@ def test_dump_size_error_names_the_flag(args, message, capsys):
      "the recipe suite needs a larger --cutoff: vacuum shift 2 needs cutoff >= 3, got 2"),
     (["--suite", "recipe", "--q", "0.01", "--cutoff", "1"],
      "the recipe suite needs a larger --cutoff: vacuum shift 2 needs cutoff >= 3, got 1"),
+    (["--suite", "recipe", "--cutoff", "0"], "the recipe suite needs --cutoff >= 1, got 0"),
+    (["--suite", "recipe", "--cutoff", "-3"], "the recipe suite needs --cutoff >= 1, got -3"),
+    # A cutoff past the dimension limit is refused before any array is built; the recipe
+    # counts its averaged mode alone.
+    *((["--suite", suite, "--cutoff", "20000000"],
+       f"the {suite} suite needs a smaller --cutoff: dimension 20000001+ exceeds limit "
+       "10000000 for cutoffs (20000000,)")
+      for suite in ("thermal", "cuntz", "qboson", "alpha", "coherent", "asymptotics")),
+    (["--suite", "recipe", "--cutoff", "10000000"],
+     "the recipe suite needs a smaller --cutoff: dimension 10000001+ exceeds limit 10000000 "
+     "for cutoffs (10000000,)"),
     # A q^2 that underflows to 0 or rounds to 1 is refused naming the flags given.
     (["--suite", "thermal", "--q", "1e-170"],
      "q^2 from --q 1e-170 is 0.0 in floating point, outside (0, 1)"),

@@ -587,3 +587,28 @@ def test_covariant_recipe_rows():
         assert res.coeff_plus == pytest.approx(1.0, abs=1e-10)
         assert res.coeff_minus == pytest.approx(0.25, abs=1e-10)
         assert res.rhs == pytest.approx(expected, abs=max(1e-10, res.tail_mass))
+
+
+@pytest.mark.parametrize("q_squared", [0.01, 0.25, 0.8])
+@pytest.mark.parametrize("levels", [(), (1,), (1, 1), (2, 1), (3,)])
+def test_covariant_recipe_check_equals_the_pinned_levels_trace_bit_for_bit(q_squared, levels):
+    """Mode 1 alone gives the coefficients of the average over the multimode space with
+    the other modes pinned: the density vanishes off the pinned levels, so each trace
+    sums the same nonzero products in the same order."""
+    from qboson_kit import averaged_relation, phase_pair, thermal_density
+
+    space = make_space([60] + [max(lvl, 1) for lvl in levels])
+    rho = thermal_density(space, 1, q_squared, other_levels=levels)
+    pair = phase_pair(space, 1)
+    d0 = diagonal_operator(space, space.flat(space.grid[0] >= sum(space.grid[1:])))
+    expected = averaged_relation(rho, pair.lower, pair.raise_, d0)
+    res = covariant_recipe_check(q_squared, levels)
+    for field in ("coeff_plus", "coeff_minus", "rhs", "tail_mass"):
+        assert getattr(res, field).hex() == getattr(expected, field).hex(), field
+    assert res.rhs_exponent_sign is expected.rhs_exponent_sign is None
+
+
+@pytest.mark.parametrize("levels", [(-1,), (1, -1), (0, -2, 1)])
+def test_covariant_recipe_check_refuses_a_negative_level(levels):
+    with pytest.raises(ValueError, match="levels must be nonnegative"):
+        covariant_recipe_check(0.25, levels)

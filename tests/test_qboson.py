@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from qboson_kit import (
     OverflowGuardError,
+    TruncationAccuracyError,
+    alpha_phase_pair,
     averaged_relation,
     basis_state,
     beta_closed_form,
@@ -181,7 +183,7 @@ def test_q_to_one_limit_recovers_boson():
 # -- averaging recipe -------------------------------------------------------------
 
 def test_recipe_shift_gauge_type_i():
-    rel = recipe_relations(0.5, (80, 8), [("phase", "identity", 0)])[0]
+    rel = recipe_relations(0.5, 80, [("phase", "identity", 0)])[0]
     assert rel.coeff_plus == pytest.approx(1.0, abs=1e-12)
     assert rel.coeff_minus == pytest.approx(0.5, abs=1e-12)
     assert rel.rhs == pytest.approx(1.0, abs=1e-12)
@@ -189,21 +191,21 @@ def test_recipe_shift_gauge_type_i():
 
 
 def test_recipe_boson_gauge_type_iii():
-    rel = recipe_relations(0.5, (80, 8), [("boson", "identity", 0)])[0]
+    rel = recipe_relations(0.5, 80, [("boson", "identity", 0)])[0]
     assert rel.coeff_plus == pytest.approx(2.0, abs=1e-9)
     assert rel.coeff_minus == pytest.approx(1.0, abs=1e-9)
     assert rel.normalized_rhs == pytest.approx(0.5, abs=1e-9)
 
 
 def test_recipe_shifted_gauge_type_ii():
-    rel = recipe_relations(0.5, (80, 8), [("alpha_phase", "identity", 2)])[0]
+    rel = recipe_relations(0.5, 80, [("alpha_phase", "identity", 2)])[0]
     assert rel.coeff_plus == pytest.approx(0.25, abs=1e-12)
     assert rel.coeff_minus == pytest.approx(0.125, abs=1e-12)
     assert rel.normalized_rhs == pytest.approx(4.0, abs=1e-10)
 
 
 def test_recipe_step_gauge_reports_positive_exponent():
-    rel = recipe_relations(0.5, (80, 8), [("boson", "theta", 1)])[0]
+    rel = recipe_relations(0.5, 80, [("boson", "theta", 1)])[0]
     assert rel.rhs_exponent_sign == 1
     assert rel.normalized_rhs == pytest.approx((1 - 0.5) * 0.5, abs=1e-9)
 
@@ -212,7 +214,7 @@ def test_recipe_coefficient_ordering():
     """Thermal averaging gives coeff_plus > coeff_minus > 0."""
     for a_choice in ("phase", "boson"):
         for q2 in (0.25, 0.5, 0.8):
-            rel = recipe_relations(q2, (120, 6), [(a_choice, "identity", 0)])[0]
+            rel = recipe_relations(q2, 120, [(a_choice, "identity", 0)])[0]
             assert rel.coeff_plus > rel.coeff_minus > 0
 
 
@@ -221,7 +223,7 @@ def test_recipe_closure():
                                        ("boson", "identity", 0),
                                        ("alpha_phase", "identity", 2),
                                        ("boson", "theta", 1)):
-        rel = recipe_relations(0.5, (80, 8), [(a_choice, d0_choice, alpha)])[0]
+        rel = recipe_relations(0.5, 80, [(a_choice, d0_choice, alpha)])[0]
         family = family_from_relation(rel, cutoff=16)
         lhs = family.lower @ family.raise_ \
             - family.q_squared * (family.raise_ @ family.lower)
@@ -229,22 +231,55 @@ def test_recipe_closure():
         assert relation_residual(lhs, rhs, margin=1) <= max(1e-12, rel.tail_mass)
 
 
+RECIPE_REQUESTS = [(a_choice, d0_choice, alpha) for a_choice in ("phase", "boson", "alpha_phase")
+                   for d0_choice in ("identity", "theta") for alpha in range(4)]
+
+
 @pytest.mark.parametrize("q_squared", [0.3, 0.5])
-@pytest.mark.parametrize("cutoffs", [(80, 8), (120, 6)])
-def test_batched_recipe_equals_single_requests(q_squared, cutoffs):
+@pytest.mark.parametrize("cutoff", [80, 120])
+def test_batched_recipe_equals_single_requests(q_squared, cutoff):
     """One shared average gives each request the relation its own call gives, bit for bit."""
-    requests = [(a_choice, d0_choice, alpha) for a_choice in ("phase", "boson", "alpha_phase")
-                for d0_choice in ("identity", "theta") for alpha in range(4)]
-    batched = recipe_relations(q_squared, cutoffs, requests)
-    assert len(batched) == len(requests)
-    for rel, (a_choice, d0_choice, alpha) in zip(batched, requests):
+    batched = recipe_relations(q_squared, cutoff, RECIPE_REQUESTS)
+    assert len(batched) == len(RECIPE_REQUESTS)
+    for rel, (a_choice, d0_choice, alpha) in zip(batched, RECIPE_REQUESTS):
         # repr tells -0.0 from 0.0 and covers rhs_exponent_sign.
-        single = recipe_relations(q_squared, cutoffs, [(a_choice, d0_choice, alpha)])[0]
+        single = recipe_relations(q_squared, cutoff, [(a_choice, d0_choice, alpha)])[0]
         assert repr(rel) == repr(single)
 
 
+@pytest.mark.parametrize("q_squared", [0.01, 0.2, 0.5, 0.8])
+@pytest.mark.parametrize("cutoff", [10, 40, 80, 400])
+@pytest.mark.parametrize("b_cutoff", [1, 8])
+def test_recipe_relations_equal_the_two_mode_average_bit_for_bit(q_squared, cutoff, b_cutoff):
+    """The averaged mode alone gives what the thermal x vacuum average on the
+    (cutoff, b_cutoff) space gives: the density vanishes off the B vacuum, so each trace
+    sums the same nonzero products in the same order.  Where the tail passes the budget,
+    the recipe refuses."""
+    space = make_space([cutoff, b_cutoff])
+    rho = thermal_density(space, 1, q_squared)
+    if rho.tail_mass > qboson.RECIPE_TAIL_BUDGET:
+        with pytest.raises(TruncationAccuracyError, match="tail mass"):
+            recipe_relations(q_squared, cutoff, RECIPE_REQUESTS)
+        return
+    relations = recipe_relations(q_squared, cutoff, RECIPE_REQUESTS)
+    for rel, (a_choice, d0_choice, alpha) in zip(relations, RECIPE_REQUESTS, strict=True):
+        pair = (ladder(space, 1) if a_choice == "boson" else
+                alpha_phase_pair(space, 1, alpha if a_choice == "alpha_phase" else 0))
+        step = alpha if d0_choice == "theta" else 0
+        expected = averaged_relation(rho, pair.lower, pair.raise_, theta_operator(space, 1, step))
+        for field in ("coeff_plus", "coeff_minus", "rhs", "tail_mass"):
+            assert getattr(rel, field).hex() == getattr(expected, field).hex(), (field, alpha)
+        # The step probe: the sign of q^(+-2 step) nearer the measured normalized rhs.
+        sign = None
+        if step > 0 and expected.coeff_plus > 0:
+            q2, measured = expected.q_squared_effective, expected.normalized_rhs
+            plus, minus = ((1.0 - q2) * q2 ** e for e in (step, -step))
+            sign = 1 if abs(measured - plus) <= abs(measured - minus) else -1
+        assert rel.rhs_exponent_sign == sign
+
+
 def test_recipe_suite_shares_one_average(monkeypatch):
-    """One recipe run builds one two-mode space and one thermal density, and takes
+    """One recipe run builds one space of the averaged mode and one thermal density, and takes
     each of its 11 distinct traces against that density once: 4 A± pairs times
     two products, plus D0 = theta(N - alpha) at alpha 0, 1, 2."""
     spaces, densities, traces = [], [], []
@@ -262,7 +297,8 @@ def test_recipe_suite_shares_one_average(monkeypatch):
     counting("thermal_density", densities)
     counting("expectation", traces)
     assert run_suite(SuiteConfig(suite="recipe")).overall_passed
-    assert [args[0] for args, _ in spaces if len(args[0]) == 2] == [(80, 8)]
+    # The closure rows rebuild their families on spaces of cutoff 20.
+    assert [tuple(args[0]) for args, _ in spaces if tuple(args[0]) != (20,)] == [(80,)]
     assert len(densities) == 1
     thermal = densities[0][1]
     assert len([args for args, _ in traces if args[0] is thermal]) == 11
@@ -270,14 +306,14 @@ def test_recipe_suite_shares_one_average(monkeypatch):
 
 def test_recipe_recovery_row_averages_on_the_run_space(monkeypatch):
     """recipe/algebraic-recovery takes the run's space and its shift-0 phase pair:
-    the suite builds no second two-mode space and no second pair."""
+    the suite builds no second space and no second pair."""
     from qboson_kit import suites
 
     built = []
     monkeypatch.setattr(suites, "make_space", lambda *args: built.append(args))
     monkeypatch.setattr(suites, "phase_pair", lambda *args: built.append(args))
-    relations = recipe_relations(0.5, (40, 6), [("phase", "identity", 0)])
-    assert relations.space.cutoffs == (40, 6)
+    relations = recipe_relations(0.5, 40, [("phase", "identity", 0)])
+    assert relations.space.cutoffs == (40,)
     assert relations.pairs[0].q_squared == 0.0 and relations.pairs[0].rhs_values.all()
     checks = {c.name: c for c in run_suite(SuiteConfig(suite="recipe")).checks}
     assert built == []
@@ -305,17 +341,13 @@ def test_averaged_relation_rejects_complex_expectation():
 
 def test_recipe_validation():
     with pytest.raises(ValueError):
-        recipe_relations(0.5, (40, 6), [("spin", "identity", 0)])
-    with pytest.raises(ValueError):
-        recipe_relations(0.5, (40,), [("phase", "identity", 0)])
+        recipe_relations(0.5, 40, [("spin", "identity", 0)])
     with pytest.raises(ValueError, match="d0_choice"):
-        recipe_relations(0.5, (40, 6), [("phase", "identity", 0), ("boson", "step", 1)])
+        recipe_relations(0.5, 40, [("phase", "identity", 0), ("boson", "step", 1)])
     with pytest.raises(ValueError, match="nonnegative"):
-        recipe_relations(0.5, (40, 6), [("boson", "theta", -1)])
-    from qboson_kit import TruncationAccuracyError
-
+        recipe_relations(0.5, 40, [("boson", "theta", -1)])
     with pytest.raises(TruncationAccuracyError):
-        recipe_relations(0.97, (10, 4), [("phase", "identity", 0)])  # heavy tail
+        recipe_relations(0.97, 10, [("phase", "identity", 0)])  # heavy tail
 
 
 def test_recipe_b_mode_level_does_not_affect_scalar_coefficients():

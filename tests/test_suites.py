@@ -98,8 +98,8 @@ def test_recipe_magnitude_row_fails_on_flipped_step_exponent(monkeypatch):
     convention theta_operator fixes, not with whichever sign the probe measured."""
     batched = suites.recipe_relations
 
-    def flipped(q_squared, cutoffs, requests):
-        relations = batched(q_squared, cutoffs, requests)
+    def flipped(q_squared, cutoff, requests):
+        relations = batched(q_squared, cutoff, requests)
         for i, (rel, (_, d0_choice, alpha)) in enumerate(zip(relations, requests)):
             if d0_choice == "theta":
                 q2 = rel.q_squared_effective
@@ -230,7 +230,7 @@ def test_a_run_shares_only_immutable_values(monkeypatch):
     values = seen[-1]
     assert all(v is values for v in seen)
     kinds = Counter(type(v) for v in values.values())
-    assert kinds == {fock.FockSpace: 12, float: 2, EffectiveRelation: 3, mm.RMatrix: 2,
+    assert kinds == {fock.FockSpace: 9, float: 2, EffectiveRelation: 3, mm.RMatrix: 2,
                      mm.CovariantFamily: 2, tuple: 8}
     # The tuples: the residuals of 5 groups of table rows (multimode on modes 1..2 and
     # 1..3; chevalley on 2 and 3 modes, and the unit variant's brackets on 2) and the
@@ -254,7 +254,7 @@ def test_one_all_run_builds_each_shared_value_once(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(mm, name, counting)
     run_suite(SuiteConfig(suite="all"))
-    assert counts == {"FockSpace": 12, "su_r_matrix": 2, "yang_baxter_residual": 2,
+    assert counts == {"FockSpace": 9, "su_r_matrix": 2, "yang_baxter_residual": 2,
                       "covariant_recipe_check": 3}
     counts.clear()
     run_suite(SuiteConfig(suite="rmatrix"))  # ranks 2 and 3: the entry rows share R
