@@ -1,8 +1,9 @@
 """Deterministic verification suites with machine-readable reports.
 
-Each suite evaluates a fixed set of named checks; a check either measures a
-scalar against a closed form or measures an operator-identity residual on a
-truncation-safe subspace.  Reports are assembled in check-name order, echo
+Each suite yields its named rows as data, one Spec each, and one evaluator
+turns each into a Check: a scalar measured against a closed form, or an
+operator-identity residual on a truncation-safe subspace, against a tolerance
+of a named bound kind.  Reports are assembled in check-name order, echo
 the configuration with each honoured flag resolved, and are byte-stable
 across runs apart from the wall_time field.  Nothing in the toolkit draws
 random numbers.
@@ -15,8 +16,9 @@ import io
 import json
 import math
 import time
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Callable
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .densities import (
 from .fock import (
     _RUN_VALUES,
     DimensionLimitError,
+    LinearOperator,
     _run_once,
     basis_state,
     commutator,
@@ -133,18 +136,61 @@ class Check:
     passed: bool
 
 
-def _check(name: str, relation: str, residual: float, tolerance: float | None,
-           measured: float | None = None, expected: float | None = None,
-           tail_mass: float = 0.0, strict: bool = False) -> Check:
-    """The one way to make a Check: it passes when residual <= tolerance
-    (< when `strict`), and always when the tolerance is None."""
+@dataclass
+class Spec:
+    """One report row as data, which _evaluate turns into its Check.
+
+    The residual is relation_residual(lhs, rhs, margin, norm) when `lhs` is given, else
+    `residual` when given, else |measured - expected|.  The tolerance is the `bound` kind
+    applied to `limit` (README, accuracy model):
+      "constant"      limit itself: --tol, a literal or exact 0;
+      "machine-zero"  machine_zero_bound(limit), `limit` being the space;
+      "tail-budget"   |expected| * max(limit, tail_mass);
+      "tail-floor"    max(limit, tail_mass);
+      "below"         expected, which the residual must stay strictly below;
+      None            no tolerance: an informational row, which always passes.
+    """
+
+    name: str
+    relation: str
+    bound: str | None
+    limit: object = None
+    residual: float | None = None
+    measured: float | None = None
+    expected: float | None = None
+    tail_mass: float = 0.0
+    lhs: LinearOperator | None = None
+    rhs: LinearOperator | None = None
+    margin: int = 0
+    norm: str = "spectral"
+
+
+def _evaluate(spec: Spec) -> Check:
+    """The one way to make a Check: it passes when residual <= tolerance (< for "below"),
+    and always when the tolerance is None."""
+    if spec.lhs is not None:
+        residual = relation_residual(spec.lhs, spec.rhs, spec.margin, norm=spec.norm)
+    elif spec.residual is not None:
+        residual = spec.residual
+    else:
+        residual = abs(spec.measured - spec.expected)
+    tolerance = spec.limit
+    if spec.bound == "machine-zero":
+        tolerance = machine_zero_bound(spec.limit)
+    elif spec.bound == "tail-budget":
+        tolerance = abs(spec.expected) * max(spec.limit, spec.tail_mass)
+    elif spec.bound == "tail-floor":
+        tolerance = max(spec.limit, spec.tail_mass)
+    elif spec.bound == "below":
+        tolerance = spec.expected
     residual = float(residual)
     tolerance = None if tolerance is None else float(tolerance)
-    passed = tolerance is None or (residual < tolerance if strict else residual <= tolerance)
-    return Check(name=name, relation=relation,
-                 measured=None if measured is None else float(measured),
-                 expected=None if expected is None else float(expected),
-                 residual=residual, tolerance=tolerance, tail_mass=float(tail_mass),
+    passed = tolerance is None or (residual < tolerance if spec.bound == "below"
+                                   else residual <= tolerance)
+    return Check(name=spec.name, relation=spec.relation,
+                 measured=None if spec.measured is None else float(spec.measured),
+                 expected=None if spec.expected is None else float(spec.expected),
+                 residual=residual, tolerance=tolerance, tail_mass=float(spec.tail_mass),
                  passed=bool(passed))
 
 
@@ -165,9 +211,28 @@ def _check_held_operators(suite: str, held: int, modes: int, cutoff: int) -> Non
                 f"--cutoff {cutoff}")
 
 
-# -- individual suites ---------------------------------------------------------
+@contextmanager
+def _refused(subject: str, flags) -> Iterator[None]:
+    """Refuse a size or a q past what the run or dump can hold, naming the flags to change:
+    `subject` ("the recipe suite", "--op a") and the size flags among `flags`."""
+    try:
+        yield
+    except DimensionLimitError as exc:  # refused by make_space before any array is built
+        raise ConfigError(f"{subject} needs a smaller --cutoff: {exc}") from exc
+    except OverflowGuardError as exc:  # a growing rhs past the guard at this q and cutoff
+        raise ConfigError(f"{subject} needs a larger --q or a smaller --cutoff: {exc}") from exc
+    except OverflowError as exc:  # a float past its range at this q, whatever the cutoff
+        raise ConfigError(f"{subject} needs a larger --q: {exc}") from exc
+    except MemoryError as exc:  # admitted by the dimension limit, but past this machine's memory
+        sizes = " or ".join(f"--{flag}" for flag in flags if flag in ("modes", "cutoff"))
+        raise ConfigError(f"{subject} needs a smaller {sizes}: out of memory: {exc}") from exc
 
-def cuntz_suite(cutoff: int, margin: int | str, norm: str, tolerance: float) -> list[Check]:
+
+# -- individual suites ---------------------------------------------------------
+# Each suite yields its rows as Specs, in report order before the sort, and
+# run_suite evaluates each as it comes, so no row's operators outlive it.
+
+def cuntz_suite(cutoff: int, margin: int | str, norm: str, tolerance: float) -> Iterator[Spec]:
     """Boson commutator, polar decomposition, shift products, shift commutators."""
     if margin == "auto" and cutoff < 3:
         raise ConfigError(f"the cuntz suite needs --cutoff >= 3, got {cutoff}")
@@ -177,35 +242,31 @@ def cuntz_suite(cutoff: int, margin: int | str, norm: str, tolerance: float) -> 
     one = identity_operator(space)
     sqrt_n = sqrt_number_operator(space, 1)
     vac = number_state_projector(space, 1, 0)
-
-    def m(default: int) -> int:
-        return default if margin == "auto" else int(margin)
-
-    specs = [
-        ("cuntz/boson-commutator", "[a, a+] = 1",
-         commutator(triple.lower, triple.raise_), one, m(2)),
-        ("cuntz/number-shift-lower", "[N, e] = -e",
-         commutator(triple.number, pair.lower), -1.0 * pair.lower, m(2)),
-        ("cuntz/number-shift-raise", "[N, e+] = e+",
-         commutator(triple.number, pair.raise_), pair.raise_, m(2)),
-        ("cuntz/polar-lower", "a = e sqrt(N)",
-         triple.lower, pair.lower @ sqrt_n, m(0)),
-        ("cuntz/polar-raise", "a+ = sqrt(N) e+",
-         triple.raise_, sqrt_n @ pair.raise_, m(0)),
-        ("cuntz/shift-left-inverse", "e+ e = 1 - |0><0|",
-         pair.raise_ @ pair.lower, one - vac, m(2)),
-        ("cuntz/shift-right-inverse", "e e+ = 1",
-         pair.lower @ pair.raise_, one, m(2)),
-    ]
-    return [_check(name, relation, relation_residual(lhs, rhs, mg, norm=norm), tolerance)
-            for name, relation, lhs, rhs, mg in specs]
+    # --margin auto keeps 2 below the cutoff, and 0 for the polar rows.
+    row = {"bound": "constant", "limit": tolerance, "norm": norm,
+           "margin": 2 if margin == "auto" else int(margin)}
+    polar = row | {"margin": 0 if margin == "auto" else int(margin)}
+    yield Spec("cuntz/boson-commutator", "[a, a+] = 1", **row,
+               lhs=commutator(triple.lower, triple.raise_), rhs=one)
+    yield Spec("cuntz/number-shift-lower", "[N, e] = -e", **row,
+               lhs=commutator(triple.number, pair.lower), rhs=-1.0 * pair.lower)
+    yield Spec("cuntz/number-shift-raise", "[N, e+] = e+", **row,
+               lhs=commutator(triple.number, pair.raise_), rhs=pair.raise_)
+    yield Spec("cuntz/polar-lower", "a = e sqrt(N)", **polar,
+               lhs=triple.lower, rhs=pair.lower @ sqrt_n)
+    yield Spec("cuntz/polar-raise", "a+ = sqrt(N) e+", **polar,
+               lhs=triple.raise_, rhs=sqrt_n @ pair.raise_)
+    yield Spec("cuntz/shift-left-inverse", "e+ e = 1 - |0><0|", **row,
+               lhs=pair.raise_ @ pair.lower, rhs=one - vac)
+    yield Spec("cuntz/shift-right-inverse", "e e+ = 1", **row,
+               lhs=pair.lower @ pair.raise_, rhs=one)
 
 
-def thermal_suite(q_squared: float, cutoff: int, tolerance: float) -> list[Check]:
+def thermal_suite(q_squared: float, cutoff: int, tolerance: float) -> Iterator[Spec]:
     """Geometric-state expectations against their closed forms.
 
-    Tolerance per check is analytic_value * max(tolerance, tail_mass); the lost
-    tail bounds the truncation error of the bounded observables.  The
+    Tolerance per check is the tail budget analytic_value * max(tolerance, tail_mass);
+    the lost tail bounds the truncation error of the bounded observables.  The
     occupation-weighted observables can exceed that budget by a factor of
     order cutoff when the tail dominates the floor (see README).
     """
@@ -213,34 +274,25 @@ def thermal_suite(q_squared: float, cutoff: int, tolerance: float) -> list[Check
         raise ConfigError(f"the thermal suite needs --cutoff >= 3, got {cutoff}")
     space = make_space([cutoff])
     rho = thermal_density(space, 1, q_squared)
-    tail = rho.tail_mass
     triple = ladder(space, 1)
     pair = phase_pair(space, 1)
     q2 = q_squared
-
-    def value(name: str, relation: str, factors, analytic: float) -> Check:
-        measured = expectation(rho, *factors).real
-        return _check(f"thermal/{name}", relation, abs(measured - analytic),
-                      analytic * max(tolerance, tail), measured, analytic, tail)
-
-    checks = [
-        value("mean-occupation", "<a+ a> = q^2/(1-q^2)",
-              (triple.raise_, triple.lower), q2 / (1 - q2)),
-        value("antinormal-occupation", "<a a+> = 1/(1-q^2)",
-              (triple.lower, triple.raise_), 1 / (1 - q2)),
-    ]
+    row = {"bound": "tail-budget", "limit": tolerance, "tail_mass": rho.tail_mass}
+    yield Spec("thermal/mean-occupation", "<a+ a> = q^2/(1-q^2)", **row,
+               measured=expectation(rho, triple.raise_, triple.lower).real, expected=q2 / (1 - q2))
+    yield Spec("thermal/antinormal-occupation", "<a a+> = 1/(1-q^2)", **row,
+               measured=expectation(rho, triple.lower, triple.raise_).real, expected=1 / (1 - q2))
     lo_pow, hi_pow = pair.lower, pair.raise_
     for a in (1, 2, 3):
-        checks.append(value(f"shift-ratio-normal-{a}", f"<e+^{a} e^{a}> = q^(2*{a})",
-                            (hi_pow, lo_pow), q2 ** a))
-        checks.append(value(f"shift-ratio-antinormal-{a}", f"<e^{a} e+^{a}> = 1",
-                            (lo_pow, hi_pow), 1.0))
+        yield Spec(f"thermal/shift-ratio-normal-{a}", f"<e+^{a} e^{a}> = q^(2*{a})", **row,
+                   measured=expectation(rho, hi_pow, lo_pow).real, expected=q2 ** a)
+        yield Spec(f"thermal/shift-ratio-antinormal-{a}", f"<e^{a} e+^{a}> = 1", **row,
+                   measured=expectation(rho, lo_pow, hi_pow).real, expected=1.0)
         lo_pow = lo_pow @ pair.lower
         hi_pow = hi_pow @ pair.raise_
     for a in (0, 1, 2, 3):
-        checks.append(value(f"step-weight-{a}", f"<theta(N-{a})> = q^(2*{a})",
-                            (theta_operator(space, 1, a),), q2 ** a))
-    return checks
+        yield Spec(f"thermal/step-weight-{a}", f"<theta(N-{a})> = q^(2*{a})", **row,
+                   measured=expectation(rho, theta_operator(space, 1, a)).real, expected=q2 ** a)
 
 
 def _z_label(z: complex) -> str:
@@ -248,7 +300,7 @@ def _z_label(z: complex) -> str:
     return f"{z.real:g}" if z.imag == 0 else f"{z.imag:g}j"
 
 
-def coherent_suite(cutoff: int) -> list[Check]:
+def coherent_suite(cutoff: int) -> Iterator[Spec]:
     """Eigenvector residual, mean occupation, and Poisson statistics."""
     # The 1e-8 eigen-residual row at |z| = 2 first passes at cutoff 31 (the
     # coherent_state guard |z|^2 <= cutoff / 4 alone would allow 16).
@@ -257,57 +309,45 @@ def coherent_suite(cutoff: int) -> list[Check]:
     space = make_space([cutoff])
     triple = ladder(space, 1)
     n_max = min(40, cutoff - 5)
-    checks = []
     for z in (1.0 + 0j, 2.0 + 0j, 2.0j):
         label = _z_label(z)
         state = coherent_state(space, 1, z)
         shifted = triple.lower.apply(state).amplitudes - z * state.amplitudes
-        checks.append(_check(
-            f"coherent/eigen-residual-z={label}", "a|z> = z|z>",
-            np.linalg.norm(shifted), 1e-8))
-        mean_n = state.inner(triple.number.apply(state)).real
-        checks.append(_check(
-            f"coherent/mean-number-z={label}", "<z|N|z> = |z|^2",
-            abs(mean_n - abs(z) ** 2), 1e-8, mean_n, abs(z) ** 2))
+        yield Spec(f"coherent/eigen-residual-z={label}", "a|z> = z|z>", "constant", 1e-8,
+                   residual=np.linalg.norm(shifted))
+        yield Spec(f"coherent/mean-number-z={label}", "<z|N|z> = |z|^2", "constant", 1e-8,
+                   measured=state.inner(triple.number.apply(state)).real, expected=abs(z) ** 2)
         probs = (np.abs(state.amplitudes) ** 2)[:n_max + 1].tolist()
-        dev = max(abs(p - poisson_probability(z, n)) for n, p in enumerate(probs))
-        checks.append(_check(
-            f"coherent/poisson-max-deviation-z={label}",
-            "|<n|z>|^2 = exp(-|z|^2) |z|^(2n) / n!", dev, 1e-10))
-    return checks
+        yield Spec(f"coherent/poisson-max-deviation-z={label}",
+                   "|<n|z>|^2 = exp(-|z|^2) |z|^(2n) / n!", "constant", 1e-10,
+                   residual=max(abs(p - poisson_probability(z, n)) for n, p in enumerate(probs)))
 
 
-def asymptotics_suite(cutoff: int) -> list[Check]:
+def asymptotics_suite(cutoff: int) -> Iterator[Spec]:
     """Two-route agreement and large-amplitude error behavior of <z|e|z>."""
     if cutoff < 576:  # phase_asymptotics needs cutoff >= 4 |z|^2 at |z| = 12
         raise ConfigError(f"the asymptotics suite needs --cutoff >= 576, got {cutoff}")
     space = make_space([cutoff])
-    rows = phase_asymptotics((4.0, 6.0, 8.0, 12.0), cutoff)
-    checks = []
     errors = []
-    for row in rows:
+    for row in phase_asymptotics((4.0, 6.0, 8.0, 12.0), cutoff):
         label = _z_label(row.z)
-        matrix_value = shift_expectation_matrix(space, 1, row.z)
-        checks.append(_check(
-            f"asymptotics/series-vs-matrix-z={label}",
-            "series and matrix evaluations of <z|e|z> agree",
-            abs(row.exact - matrix_value), 1e-12))
-        err_lead = abs(row.exact - row.leading)
-        checks.append(_check(
-            f"asymptotics/correction-beats-leading-z={label}",
-            "|exact - (z/|z|)(1 - 1/(8|z|^2))| < |exact - z/|z||",
-            row.abs_error, err_lead, row.abs_error, err_lead, strict=True))
+        yield Spec(f"asymptotics/series-vs-matrix-z={label}",
+                   "series and matrix evaluations of <z|e|z> agree", "constant", 1e-12,
+                   residual=abs(row.exact - shift_expectation_matrix(space, 1, row.z)))
+        yield Spec(f"asymptotics/correction-beats-leading-z={label}",
+                   "|exact - (z/|z|)(1 - 1/(8|z|^2))| < |exact - z/|z||", "below",
+                   residual=row.abs_error, measured=row.abs_error,
+                   expected=abs(row.exact - row.leading))
         errors.append((abs(row.z), row.abs_error))
     errors.sort()
     for (z0, e0), (z1, e1) in zip(errors, errors[1:]):
-        checks.append(_check(
-            f"asymptotics/error-decreasing-|z|={z0:g}-to-{z1:g}",
-            "first-correction error decreases with |z|", e1, e0, e1, e0, strict=True))
-    return checks
+        yield Spec(f"asymptotics/error-decreasing-|z|={z0:g}-to-{z1:g}",
+                   "first-correction error decreases with |z|", "below",
+                   residual=e1, measured=e1, expected=e0)
 
 
 def qboson_suite(q_squared: float, qtype: tuple[str, ...], cutoff: int,
-                 tolerance: float) -> list[Check]:
+                 tolerance: float) -> Iterator[Spec]:
     """Defining relations and closed-form magnitude sequences of the given families.
 
     For the growing targets (types II and IV) the effective cutoff is capped so float
@@ -320,32 +360,23 @@ def qboson_suite(q_squared: float, qtype: tuple[str, ...], cutoff: int,
     if short := [t for t, eff in zip(qtype, caps) if eff < 2]:
         raise ConfigError(f"the qboson suite cannot hold --tol {tolerance:g} for type "
                           f"{', '.join(short)} at --q {math.sqrt(q_squared):g}, even at cutoff 2")
-    checks = []
     for t, eff in zip(qtype, caps):
         family = standard_qboson(t, q_squared, eff)
-        checks.append(_check(
-            f"qboson/defining-relation-{t}",
-            f"B- B+ - q^2 B+ B- = rhs_{t}(N) at cutoff {eff}",
-            defining_relation_residual(family, margin=1, norm="spectral"), tolerance))
+        yield Spec(f"qboson/defining-relation-{t}",
+                   f"B- B+ - q^2 B+ B- = rhs_{t}(N) at cutoff {eff}", "constant", tolerance,
+                   residual=defining_relation_residual(family, margin=1, norm="spectral"))
         closed = np.array([beta_closed_form(t, q_squared, n) for n in range(eff + 1)])
-        dev = float(np.max(np.abs(family.beta - closed) / (1.0 + np.abs(closed))))
-        checks.append(_check(
-            f"qboson/beta-closed-form-{t}",
-            f"recursion magnitudes match the geometric closed form (cutoff {eff})",
-            dev, 1e-12))
-    return checks
+        yield Spec(f"qboson/beta-closed-form-{t}",
+                   f"recursion magnitudes match the geometric closed form (cutoff {eff})",
+                   "constant", 1e-12,
+                   residual=np.max(np.abs(family.beta - closed) / (1.0 + np.abs(closed))))
 
 
-def recipe_suite(q_squared: float, cutoff: int, tolerance: float) -> list[Check]:
+def recipe_suite(q_squared: float, cutoff: int, tolerance: float) -> Iterator[Spec]:
     """Averaged two-mode relations against their normalized targets."""
     if cutoff < 1:
         raise ConfigError(f"the recipe suite needs --cutoff >= 1, got {cutoff}")
     q2 = q_squared
-
-    def value(name: str, relation: str, measured: float, target: float, rel) -> Check:
-        return _check(f"recipe/{name}", relation, abs(measured - target),
-                      abs(target) * max(tolerance, rel.tail_mass), measured, target, rel.tail_mass)
-
     # One thermal x vacuum average serves the shift, boson, shifted and step gauges.
     requests = [("phase", "identity", 0), ("boson", "identity", 0),
                 *(("alpha_phase", "identity", a) for a in (0, 1, 2)),
@@ -354,52 +385,45 @@ def recipe_suite(q_squared: float, cutoff: int, tolerance: float) -> list[Check]
         shift, boson, *shifted, step1, step2 = relations = recipe_relations(q2, cutoff, requests)
     except TruncationAccuracyError as exc:
         raise ConfigError(f"the recipe suite needs a larger --cutoff: {exc}") from exc
-    checks = [
-        value("shift-gauge-q2", "coeff ratio <e+ e>/<e e+> = q^2",
-              shift.q_squared_effective, q2, shift),
-        value("shift-gauge-rhs", "normalized rhs = 1 (unit-target family)",
-              shift.normalized_rhs, 1.0, shift),
-        _closure_check("recipe/closure-shift-gauge", shift),
-        value("boson-gauge-q2", "coeff ratio <a+ a>/<a a+> = q^2",
-              boson.q_squared_effective, q2, boson),
-        value("boson-gauge-rhs", "normalized rhs = 1 - q^2",
-              boson.normalized_rhs, 1.0 - q2, boson),
-        _closure_check("recipe/closure-boson-gauge", boson)]
-
+    # A family rebuilt from each gauge's normalized relation at cutoff 20 must satisfy it.
+    closure = {"relation": "family rebuilt from the normalized relation satisfies it",
+               "bound": "tail-floor", "limit": 1e-12}
+    for gauge, rel, ratio, rhs, target in (
+            ("shift", shift, "<e+ e>/<e e+>", "1 (unit-target family)", 1.0),
+            ("boson", boson, "<a+ a>/<a a+>", "1 - q^2", 1.0 - q2)):
+        row = {"bound": "tail-budget", "limit": tolerance, "tail_mass": rel.tail_mass}
+        yield Spec(f"recipe/{gauge}-gauge-q2", f"coeff ratio {ratio} = q^2", **row,
+                   measured=rel.q_squared_effective, expected=q2)
+        yield Spec(f"recipe/{gauge}-gauge-rhs", f"normalized rhs = {rhs}", **row,
+                   measured=rel.normalized_rhs, expected=target)
+        yield Spec(f"recipe/closure-{gauge}-gauge", **closure, tail_mass=rel.tail_mass,
+                   residual=defining_relation_residual(family_from_relation(rel, cutoff=20),
+                                                       margin=1))
     for a, rel in enumerate(shifted):
-        checks.append(value(f"shifted-gauge-alpha{a}-rhs", f"normalized rhs = q^(-2*{a})",
-                            rel.normalized_rhs, q2 ** (-a), rel))
-    checks.append(_closure_check("recipe/closure-shifted-gauge", shifted[-1]))
-
+        yield Spec(f"recipe/shifted-gauge-alpha{a}-rhs", f"normalized rhs = q^(-2*{a})",
+                   "tail-budget", tolerance, tail_mass=rel.tail_mass,
+                   measured=rel.normalized_rhs, expected=q2 ** (-a))
+    yield Spec("recipe/closure-shifted-gauge", **closure, tail_mass=shifted[-1].tail_mass,
+               residual=defining_relation_residual(family_from_relation(shifted[-1], cutoff=20),
+                                                   margin=1))
     for a, rel in ((1, step1), (2, step2)):
-        checks.append(value(f"step-gauge-alpha{a}-magnitude",
-                            f"normalized rhs magnitude = (1-q^2) q^(2*{a})",
-                            rel.normalized_rhs, (1.0 - q2) * q2 ** a, rel))
-        checks.append(_check(
-            f"recipe/step-gauge-alpha{a}-exponent-sign",
-            "measured step-projector exponent sign (+1: rhs = (1-q^2) q^(+2 alpha))",
-            0.0, None, rel.rhs_exponent_sign))
-
+        yield Spec(f"recipe/step-gauge-alpha{a}-magnitude",
+                   f"normalized rhs magnitude = (1-q^2) q^(2*{a})", "tail-budget", tolerance,
+                   tail_mass=rel.tail_mass, measured=rel.normalized_rhs,
+                   expected=(1.0 - q2) * q2 ** a)
+        yield Spec(f"recipe/step-gauge-alpha{a}-exponent-sign",
+                   "measured step-projector exponent sign (+1: rhs = (1-q^2) q^(+2 alpha))",
+                   None, residual=0.0, measured=rel.rhs_exponent_sign)
     space, pair = relations.space, relations.pairs[0]
     pure = averaged_relation(pure_density(basis_state(space, [1])), pair.lower,
                              pair.raise_, identity_operator(space))
-    dev = max(abs(pure.coeff_plus - 1.0), abs(pure.coeff_minus - 1.0),
-              abs(pure.rhs - 1.0))
-    checks.append(_check(
-        "recipe/algebraic-recovery",
-        "pure-state averaging recovers undeformed coefficients (1, 1, 1)",
-        dev, 1e-12))
-    return checks
+    yield Spec("recipe/algebraic-recovery",
+               "pure-state averaging recovers undeformed coefficients (1, 1, 1)", "constant", 1e-12,
+               residual=max(abs(pure.coeff_plus - 1.0), abs(pure.coeff_minus - 1.0),
+                            abs(pure.rhs - 1.0)))
 
 
-def _closure_check(name: str, rel) -> Check:
-    return _check(
-        name, "family rebuilt from the normalized relation satisfies it",
-        defining_relation_residual(family_from_relation(rel, cutoff=20), margin=1),
-        max(1e-12, rel.tail_mass), tail_mass=rel.tail_mass)
-
-
-def alpha_suite(cutoff: int, alpha: tuple[int, ...], norm: str) -> list[Check]:
+def alpha_suite(cutoff: int, alpha: tuple[int, ...], norm: str) -> Iterator[Spec]:
     """Shifted-vacuum boson: kernel size, step commutator, eigenvalues, phase defect."""
     if min(alpha) < 0:
         raise ConfigError(f"--alpha must be >= 0, got {min(alpha)}")
@@ -407,38 +431,27 @@ def alpha_suite(cutoff: int, alpha: tuple[int, ...], norm: str) -> list[Check]:
     if cutoff < need:
         raise ConfigError(f"the alpha suite needs --cutoff >= {need}, got {cutoff}")
     space = make_space([cutoff])
-    machine = machine_zero_bound(space)
-    checks = []
     for a in alpha:
         boson = alpha_boson(space, 1, a)
         # N(alpha) = a+(alpha) a(alpha) has diagonal |column|^2 of lower: zero on the kernel.
         number = boson.raise_ @ boson.lower
-        zero_cols = int(np.count_nonzero(number.diagonal() == 0))
-        checks.append(_check(
-            f"alpha/kernel-dimension-{a}", "dim ker a(alpha) = alpha + 1",
-            abs(zero_cols - (a + 1)), 0.0, zero_cols, a + 1))
-        checks.append(_check(
-            f"alpha/commutator-step-{a}", "[a(alpha), a+(alpha)] = theta(N - alpha)",
-            relation_residual(commutator(boson.lower, boson.raise_),
-                              theta_operator(space, 1, a), margin=2, norm=norm),
-            machine))
+        yield Spec(f"alpha/kernel-dimension-{a}", "dim ker a(alpha) = alpha + 1", "constant", 0.0,
+                   measured=int(np.count_nonzero(number.diagonal() == 0)), expected=a + 1)
+        yield Spec(f"alpha/commutator-step-{a}", "[a(alpha), a+(alpha)] = theta(N - alpha)",
+                   "machine-zero", space, lhs=commutator(boson.lower, boson.raise_),
+                   rhs=theta_operator(space, 1, a), margin=2, norm=norm)
         eigenvalues = number.diagonal().real[a:].tolist()
-        dev = max(abs(value - n) for n, value in enumerate(eigenvalues))
-        checks.append(_check(
-            f"alpha/number-eigenvalues-{a}", "N(alpha) |n + alpha> = n |n + alpha>",
-            dev, machine))
+        yield Spec(f"alpha/number-eigenvalues-{a}", "N(alpha) |n + alpha> = n |n + alpha>",
+                   "machine-zero", space,
+                   residual=max(abs(value - n) for n, value in enumerate(eigenvalues)))
         pair = alpha_phase_pair(space, 1, a)
-        defect = pair.lower @ pair.raise_ - pair.raise_ @ pair.lower
-        checks.append(_check(
-            f"alpha/phase-defect-projector-{a}",
-            "e(alpha) e+(alpha) - e+(alpha) e(alpha) = |alpha><alpha|",
-            relation_residual(defect, number_state_projector(space, 1, a),
-                              margin=1, norm=norm),
-            0.0))
-    return checks
+        yield Spec(f"alpha/phase-defect-projector-{a}",
+                   "e(alpha) e+(alpha) - e+(alpha) e(alpha) = |alpha><alpha|", "constant", 0.0,
+                   lhs=pair.lower @ pair.raise_ - pair.raise_ @ pair.lower,
+                   rhs=number_state_projector(space, 1, a), margin=1, norm=norm)
 
 
-def multimode_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> list[Check]:
+def multimode_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> Iterator[Spec]:
     """Covariant family relations, RTT forms, Yang-Baxter, and recipe rows."""
     if modes < 2:
         raise ConfigError(f"the multimode suite needs --modes >= 2, got {modes}")
@@ -454,43 +467,36 @@ def multimode_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> lis
         "raise-raise": "q B+i B+j = B+j B+i (i < j)",
         "lower-raise": "B-i B+j = q B+j B-i (i != j)",
     }
-    checks = [_check(f"multimode/N{modes}-{key}-max",
-                     relation_text.get(key, "R-matrix (RTT) form of the relations"),
-                     groups[key], 1e-12) for key in sorted(groups)]
-    checks.append(_check(
-        f"multimode/N{modes}-undressing",
-        "inverse diagonal dressing recovers the independent pairs",
-        mm.undressing_residual(family), 1e-13))
-    checks.append(_check(
-        f"multimode/N{modes}-yang-baxter", "R12 R13 R23 = R23 R13 R12",
-        _run_once(_yang_baxter, modes, q), 1e-12))
-    checks.append(_check(
-        f"multimode/N{modes}-dressing-sign",
-        "dressing exponent sign satisfying all relations",
-        0.0, None, family.dressing_exponent_sign))
-
+    for key in sorted(groups):
+        yield Spec(f"multimode/N{modes}-{key}-max",
+                   relation_text.get(key, "R-matrix (RTT) form of the relations"),
+                   "constant", 1e-12, residual=groups[key])
+    yield Spec(f"multimode/N{modes}-undressing",
+               "inverse diagonal dressing recovers the independent pairs", "constant", 1e-13,
+               residual=mm.undressing_residual(family))
+    yield Spec(f"multimode/N{modes}-yang-baxter", "R12 R13 R23 = R23 R13 R12", "constant", 1e-12,
+               residual=_run_once(_yang_baxter, modes, q))
+    yield Spec(f"multimode/N{modes}-dressing-sign",
+               "dressing exponent sign satisfying all relations", None,
+               residual=0.0, measured=family.dressing_exponent_sign)
     q2 = q * q
     level_sets = [tuple()] + [tuple([1] * k) for k in range(1, modes)]
     for i, levels in enumerate(level_sets, start=1):
         res = _run_once(mm.covariant_recipe_check, q2, levels)
-        dev = max(abs(res.coeff_plus - 1.0), abs(res.coeff_minus - q2),
-                  abs(res.rhs - q2 ** sum(levels)))
-        tolerance_row = max(1e-10, res.tail_mass)
-        checks.append(_check(
-            f"multimode/N{modes}-recipe-row-{i}",
-            "averaged coefficients reproduce (1, q^2, q^(2 sum levels))",
-            dev, tolerance_row, tail_mass=res.tail_mass))
-    return checks
+        yield Spec(f"multimode/N{modes}-recipe-row-{i}",
+                   "averaged coefficients reproduce (1, q^2, q^(2 sum levels))", "tail-floor", 1e-10,
+                   tail_mass=res.tail_mass,
+                   residual=max(abs(res.coeff_plus - 1.0), abs(res.coeff_minus - q2),
+                                abs(res.rhs - q2 ** sum(levels))))
 
 
-def rmatrix_suite(q_squared: float, modes: tuple[int, ...]) -> list[Check]:
+def rmatrix_suite(q_squared: float, modes: tuple[int, ...]) -> Iterator[Spec]:
     """Entry conventions and the Yang-Baxter identity at each rank in `modes`."""
     for n in modes:
         if not 2 <= n <= mm.RANK_LIMIT:
             bound = ">= 2" if n < 2 else f"<= {mm.RANK_LIMIT}"
             raise ConfigError(f"the rmatrix suite needs --modes {bound}, got {n}")
     q = math.sqrt(q_squared)
-    checks = []
     for n in modes:
         R, dev = _run_once(mm.su_r_matrix, n, q).entries.reshape((n,) * 4), 0.0
         for i in range(n):
@@ -498,21 +504,18 @@ def rmatrix_suite(q_squared: float, modes: tuple[int, ...]) -> list[Check]:
             for j in range(i + 1, n):
                 dev = max(dev, abs(R[i, j, i, j] - 1.0), abs(R[j, i, j, i] - 1.0),
                           abs(R[i, j, j, i] - (q - 1.0 / q)))
-        checks.append(_check(
-            f"rmatrix/entries-n{n}",
-            "diagonal q, unit mixed diagonal, q - 1/q coupling above the diagonal",
-            dev, 0.0))
-        checks.append(_check(
-            f"rmatrix/yang-baxter-n{n}", "R12 R13 R23 = R23 R13 R12",
-            _run_once(_yang_baxter, n, q), 1e-12))
-    return checks
+        yield Spec(f"rmatrix/entries-n{n}",
+                   "diagonal q, unit mixed diagonal, q - 1/q coupling above the diagonal",
+                   "constant", 0.0, residual=dev)
+        yield Spec(f"rmatrix/yang-baxter-n{n}", "R12 R13 R23 = R23 R13 R12", "constant", 1e-12,
+                   residual=_run_once(_yang_baxter, n, q))
 
 
 def _yang_baxter(n: int, q: float) -> float:
     return mm.yang_baxter_residual(_run_once(mm.su_r_matrix, n, q))
 
 
-def chevalley_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> list[Check]:
+def chevalley_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> Iterator[Spec]:
     """Cartan-sector identities plus reported ladder brackets per variant/base."""
     if modes < 2:
         raise ConfigError(f"the chevalley suite needs --modes >= 2, got {modes}")
@@ -526,21 +529,17 @@ def chevalley_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> lis
                                                    cartan=False))
     brackets = {("typeI_q2", base): unit[f"ef-bracket base={base!r}"] for base in (q, q * q)}
     brackets["typeII_symmetric", q] = sym[f"ef-bracket base={q!r}"]
-    checks = [_check(f"chevalley/N{modes}-{title}-max", relation, sym[title], 1e-12)
-              for title, relation in (("hh", "[H_i, H_j] = 0"),
-                                      ("cartan-e", "[H_i, E_j] = A_ij E_j"),
-                                      ("cartan-f", "[H_i, F_j] = -A_ij F_j"))]
+    for title, relation in (("hh", "[H_i, H_j] = 0"), ("cartan-e", "[H_i, E_j] = A_ij E_j"),
+                            ("cartan-f", "[H_i, F_j] = -A_ij F_j")):
+        yield Spec(f"chevalley/N{modes}-{title}-max", relation, "constant", 1e-12,
+                   residual=sym[title])
     for (variant, base), worst in brackets.items():
-        checks.append(_check(
-            f"chevalley/N{modes}-ef-bracket-{variant}-base={base:g}",
-            "worst residual of [E_i, F_i] - [H_i] (reported per variant/base)",
-            0.0, None, worst))
-    best = min(brackets.values())
-    checks.append(_check(
-        f"chevalley/N{modes}-ef-bracket-best",
-        "some (variant, base) realizes [E_i, F_i] = [H_i]",
-        best, 1e-10))
-    return checks
+        yield Spec(f"chevalley/N{modes}-ef-bracket-{variant}-base={base:g}",
+                   "worst residual of [E_i, F_i] - [H_i] (reported per variant/base)", None,
+                   residual=0.0, measured=worst)
+    yield Spec(f"chevalley/N{modes}-ef-bracket-best",
+               "some (variant, base) realizes [E_i, F_i] = [H_i]", "constant", 1e-10,
+               residual=min(brackets.values()))
 
 
 # -- orchestration --------------------------------------------------------------
@@ -560,7 +559,7 @@ class Suite:
     (a tuple default runs each entry, a given size its one value) and the
     `settings`, whose defaults SETTINGS shares."""
 
-    build: Callable[..., list[Check]]
+    build: Callable[..., Iterable[Spec]]
     sizes: dict[str, object]
     settings: tuple[str, ...] = ()
 
@@ -633,15 +632,10 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # inf or nan off a safe block is dropped
             for name, fixed in ALL_ROWS if config.suite == "all" else ((config.suite, {}),):
-                checks += SUITE_TABLE[name].build(**{flag: fixed.get(flag, resolved.get(flag, d))
-                                                     for flag, d in SUITE_FLAGS[name].items()})
-    except DimensionLimitError as exc:  # refused by make_space before any array is built
-        raise ConfigError(f"the {name} suite needs a smaller --cutoff: {exc}") from exc
-    except OverflowGuardError as exc:  # a growing rhs past the guard at this q and cutoff
-        raise ConfigError(f"the {name} suite needs a larger --q or a smaller --cutoff: "
-                          f"{exc}") from exc
-    except OverflowError as exc:  # a float past its range at this q, whatever the cutoff
-        raise ConfigError(f"the {name} suite needs a larger --q: {exc}") from exc
+                with _refused(f"the {name} suite", SUITE_TABLE[name].sizes):
+                    checks += map(_evaluate, SUITE_TABLE[name].build(
+                        **{flag: fixed.get(flag, resolved.get(flag, d))
+                           for flag, d in SUITE_FLAGS[name].items()}))
     finally:
         _RUN_VALUES.reset(run_values)
     checks.sort(key=lambda c: c.name)

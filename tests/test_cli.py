@@ -302,6 +302,34 @@ def test_dump_size_error_names_the_flag(args, message, capsys):
     assert out.err == f"error: {message}\n"
 
 
+# numpy's text for an allocation past the address space, as `_ArrayMemoryError` words it.
+NO_MEMORY = "Unable to allocate 153. MiB for an array with shape (10000000,) and data type complex128"
+
+
+@pytest.mark.parametrize("module,builder,args,message", [
+    (suites, "recipe_relations", ["run", "--suite", "recipe"],
+     "the recipe suite needs a smaller --cutoff"),
+    (suites, "thermal_density", ["run", "--suite", "all"], "the thermal suite needs a smaller --cutoff"),
+    (suites.mm, "covariant_check", ["run", "--suite", "multimode"],
+     "the multimode suite needs a smaller --modes or --cutoff"),
+    (cli, "ladder", ["dump-operator", "--op", "a"], "--op a needs a smaller --cutoff"),
+    (cli, "su_r_matrix", ["dump-operator", "--op", "rmatrix"], "--op rmatrix needs a smaller --modes"),
+])
+def test_out_of_memory_exits_2_naming_the_size_flags(module, builder, args, message, monkeypatch,
+                                                     capsys):
+    """A size the dimension limit admits can still pass the memory at hand (recipe
+    --cutoff 9999999 needs about 2.8 GB): numpy's MemoryError exits 2 with one error line
+    that names the suite's or the op's size flags, followed by numpy's text."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError(NO_MEMORY)
+
+    monkeypatch.setattr(module, builder, exhausted)
+    assert cli.main(args) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}: out of memory: {NO_MEMORY}\n"
+
+
 @pytest.mark.parametrize("args,message", [
     (["--suite", "thermal", "--cutoff", "1"], "the thermal suite needs --cutoff >= 3, got 1"),
     (["--suite", "thermal", "--cutoff", "2"], "the thermal suite needs --cutoff >= 3, got 2"),
@@ -470,8 +498,8 @@ def test_held_operators_bound_admits_the_scale_points(suite, modes, cutoff, monk
     monkeypatch.setattr(suites.mm, "covariant_check", stop)
     monkeypatch.setattr(suites.mm, "chevalley_check", stop)
     with pytest.raises(Admitted):
-        suites.SUITE_TABLE[suite].build(q_squared=0.5, modes=modes, cutoff=cutoff,
-                                        norm="spectral")
+        next(suites.SUITE_TABLE[suite].build(q_squared=0.5, modes=modes, cutoff=cutoff,
+                                             norm="spectral"))
 
 
 def test_tiny_q_chevalley_run_warns_of_no_overflow_outside_its_safe_blocks():

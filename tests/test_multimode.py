@@ -371,12 +371,12 @@ def test_multimode_and_chevalley_suites_compute_each_product_once(monkeypatch):
     assert len(pairs) == len(set(pairs)) == 4 * 3 * 3
     pairs.clear()
     with _one_run():
-        multimode_suite(0.5, modes=3, cutoff=6, norm="spectral")
+        list(multimode_suite(0.5, modes=3, cutoff=6, norm="spectral"))
     assert len(pairs) == len(set(pairs))
     assert len(pairs) <= 52
     pairs.clear()
     with _one_run():
-        chevalley_suite(0.5, modes=3, cutoff=6, norm="spectral")
+        list(chevalley_suite(0.5, modes=3, cutoff=6, norm="spectral"))
     assert len(pairs) == len(set(pairs))
     assert len(pairs) <= 27
     for norm, products in (("spectral", 54 + 27), ("frobenius", 68 + 49)):
@@ -384,7 +384,7 @@ def test_multimode_and_chevalley_suites_compute_each_product_once(monkeypatch):
         with _one_run():  # as `--suite all` runs them
             for suite in (multimode_suite, chevalley_suite):
                 for modes in (2, 3):
-                    suite(0.5, modes=modes, cutoff=6, norm=norm)
+                    list(suite(0.5, modes=modes, cutoff=6, norm=norm))
         assert len(pairs) == len(set(pairs)) == products, norm
 
 

@@ -134,7 +134,7 @@ def test_a_nan_inside_the_safe_block_fails_its_row(monkeypatch, reduce):
         big = fock.diagonal_operator(space, np.full(5, 1e300))
         square = big @ big  # inf everywhere, and inf - inf is nan
         nan = fock.relation_residual(square, square, 1)
-        return [suites._check("x/nan", "", reduce(nan), 1e-10)]
+        return [suites.Spec("x/nan", "", "constant", 1e-10, residual=reduce(nan))]
     monkeypatch.setitem(suites.SUITE_TABLE, "cuntz", Suite(build, {"cutoff": 32}))
     [check] = run_suite(SuiteConfig(suite="cuntz")).checks
     assert math.isnan(check.residual) and not check.passed
@@ -146,6 +146,40 @@ def test_tiny_q_multimode_undressing_row_fails_on_its_nan():
     report = run_suite(SuiteConfig(suite="multimode", q=1e-150, modes=2, cutoff=4))
     [check] = [c for c in report.checks if c.name == "multimode/N2-undressing"]
     assert math.isnan(check.residual) and not check.passed and not report.overall_passed
+
+
+def _tail_bound(name):
+    """The tail-based bound of a row, as (kind, constant), or None."""
+    if name.startswith("recipe/closure-"):
+        return "floor", 1e-12
+    if "-recipe-row-" in name:
+        return "floor", 1e-10
+    if name.startswith(("thermal/", "recipe/shift", "recipe/boson")) or name.endswith("-magnitude"):
+        return "budget", 1e-10
+    return None
+
+
+@pytest.mark.parametrize("config,rows", [
+    (SuiteConfig(suite="recipe", q=0.9, cutoff=80), 12),
+    (SuiteConfig(suite="thermal", q=0.9, cutoff=80), 12),
+    (SuiteConfig(suite="multimode", q=0.9), 3),
+], ids=["recipe", "thermal", "multimode"])
+def test_tail_based_tolerances_follow_the_tail_where_it_decides(config, rows):
+    """At q = 0.9 each tail-based row's tail mass (3.9e-8 in recipe and thermal at cutoff 80,
+    2.6e-6 in multimode's recipe rows) passes its bound's constant, so the tolerance reads
+    the tail: the budget |expected| max(--tol, tail) of the thermal and recipe values, the
+    closure floor max(1e-12, tail) and the multimode recipe-row floor max(1e-10, tail).
+    The goldens run at tails below 1e-18, where a bound without the tail reads the same."""
+    checked = 0
+    for c in run_suite(config).checks:
+        if (bound := _tail_bound(c.name)) is None:
+            continue
+        kind, constant = bound
+        assert c.tail_mass > constant, c.name
+        floor = max(constant, c.tail_mass)
+        assert c.tolerance == (abs(c.expected) * floor if kind == "budget" else floor), c.name
+        checked += 1
+    assert checked == rows
 
 
 def _indented_json(report):
@@ -219,13 +253,13 @@ def test_the_run_scope_closes_when_a_suite_raises(monkeypatch):
 
 def test_a_run_shares_only_immutable_values(monkeypatch):
     seen = []
-    check = suites._check
+    evaluate = suites._evaluate
 
-    def recording(*args, **kwargs):
+    def recording(spec):
         seen.append(fock._RUN_VALUES.get())
-        return check(*args, **kwargs)
+        return evaluate(spec)
 
-    monkeypatch.setattr(suites, "_check", recording)
+    monkeypatch.setattr(suites, "_evaluate", recording)
     run_suite(SuiteConfig(suite="all"))
     values = seen[-1]
     assert all(v is values for v in seen)
