@@ -10,7 +10,8 @@
 
 `run` exits 0 exactly when every check of the suite passes; reports go to
 stdout or --out.  Reports are deterministic apart from the wall_time field.
-A flag the suite or the operator does not use exits 2.
+A flag the suite or the operator does not use exits 2, as does a size past
+the dimension limit or past the memory at hand, naming the size flags.
 """
 
 from __future__ import annotations

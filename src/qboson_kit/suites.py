@@ -243,9 +243,9 @@ def cuntz_suite(cutoff: int, margin: int | str, norm: str, tolerance: float) -> 
     sqrt_n = sqrt_number_operator(space, 1)
     vac = number_state_projector(space, 1, 0)
     # --margin auto keeps 2 below the cutoff, and 0 for the polar rows.
-    row = {"bound": "constant", "limit": tolerance, "norm": norm,
-           "margin": 2 if margin == "auto" else int(margin)}
-    polar = row | {"margin": 0 if margin == "auto" else int(margin)}
+    wide, narrow = (2, 0) if margin == "auto" else (int(margin),) * 2
+    row = {"bound": "constant", "limit": tolerance, "norm": norm, "margin": wide}
+    polar = row | {"margin": narrow}
     yield Spec("cuntz/boson-commutator", "[a, a+] = 1", **row,
                lhs=commutator(triple.lower, triple.raise_), rhs=one)
     yield Spec("cuntz/number-shift-lower", "[N, e] = -e", **row,
@@ -484,8 +484,8 @@ def multimode_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> Ite
     for i, levels in enumerate(level_sets, start=1):
         res = _run_once(mm.covariant_recipe_check, q2, levels)
         yield Spec(f"multimode/N{modes}-recipe-row-{i}",
-                   "averaged coefficients reproduce (1, q^2, q^(2 sum levels))", "tail-floor", 1e-10,
-                   tail_mass=res.tail_mass,
+                   "averaged coefficients reproduce (1, q^2, q^(2 sum levels))",
+                   "tail-floor", 1e-10, tail_mass=res.tail_mass,
                    residual=max(abs(res.coeff_plus - 1.0), abs(res.coeff_minus - q2),
                                 abs(res.rhs - q2 ** sum(levels))))
 

@@ -303,17 +303,20 @@ def test_dump_size_error_names_the_flag(args, message, capsys):
 
 
 # numpy's text for an allocation past the address space, as `_ArrayMemoryError` words it.
-NO_MEMORY = "Unable to allocate 153. MiB for an array with shape (10000000,) and data type complex128"
+NO_MEMORY = ("Unable to allocate 153. MiB for an array with shape (10000000,) and data type "
+             "complex128")
 
 
 @pytest.mark.parametrize("module,builder,args,message", [
     (suites, "recipe_relations", ["run", "--suite", "recipe"],
      "the recipe suite needs a smaller --cutoff"),
-    (suites, "thermal_density", ["run", "--suite", "all"], "the thermal suite needs a smaller --cutoff"),
+    (suites, "thermal_density", ["run", "--suite", "all"],
+     "the thermal suite needs a smaller --cutoff"),
     (suites.mm, "covariant_check", ["run", "--suite", "multimode"],
      "the multimode suite needs a smaller --modes or --cutoff"),
     (cli, "ladder", ["dump-operator", "--op", "a"], "--op a needs a smaller --cutoff"),
-    (cli, "su_r_matrix", ["dump-operator", "--op", "rmatrix"], "--op rmatrix needs a smaller --modes"),
+    (cli, "su_r_matrix", ["dump-operator", "--op", "rmatrix"],
+     "--op rmatrix needs a smaller --modes"),
 ])
 def test_out_of_memory_exits_2_naming_the_size_flags(module, builder, args, message, monkeypatch,
                                                      capsys):
