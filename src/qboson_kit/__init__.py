@@ -52,7 +52,6 @@ from .multimode import (
     independent_qbosons,
     pair_product_residuals,
     su_r_matrix,
-    undressing_residual,
     worst_by_relation,
     yang_baxter_residual,
 )

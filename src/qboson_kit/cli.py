@@ -147,9 +147,8 @@ def _cmd_dump(args) -> int:
                               f"got {v['alpha']}")
         op = theta_operator(space, 1, v["alpha"])
     else:
-        if not 0.0 < v["q"] < 1.0:
-            raise ConfigError(f"--q must lie in (0, 1), got {v['q']}")
-        family = standard_qboson(v["qtype"], v["q"] * v["q"], v["cutoff"])
+        q_squared = SuiteConfig("dump-operator", q=v["q"]).resolved_q_squared()  # as `run` refuses
+        family = standard_qboson(v["qtype"], q_squared, v["cutoff"])
         op = family.lower if args.op == "qboson-lower" else family.raise_
     _emit(format_operator(op), args.out)
     return 0

@@ -38,7 +38,6 @@ from .fock import (
     _run_once,
     diagonal_operator,
     make_space,
-    relation_residual,
 )
 from .phase import phase_pair
 from .qboson import EffectiveRelation, averaged_relation, family_on_space, standard_rhs
@@ -79,10 +78,6 @@ def _dressing(space: FockSpace, q: float, i: int, power: int) -> np.ndarray:
     return space.flat(q ** (power * expo.astype(float)))
 
 
-def _dressing_factor(space: FockSpace, q: float, i: int, power: int) -> LinearOperator:
-    return diagonal_operator(space, _dressing(space, q, i, power))
-
-
 def covariant_bosons(n_modes: int, q: float, cutoffs: Sequence[int]) -> CovariantFamily:
     """Build the covariant family by dressing independent type-I pairs.
 
@@ -98,22 +93,11 @@ def covariant_bosons(n_modes: int, q: float, cutoffs: Sequence[int]) -> Covarian
     space = hatted[0].space
     dressed = []
     for i, fam in enumerate(hatted, start=1):  # lower/raise_ not cached on the records
-        factor, lower = _dressing_factor(space, q, i, 1), QBosonFamily.lower.func(fam)
+        factor = diagonal_operator(space, _dressing(space, q, i, 1))
+        lower = QBosonFamily.lower.func(fam)
         dressed.append((factor @ lower, factor @ lower.adjoint()))
     return CovariantFamily(q=q, space=space, hatted=tuple(hatted),
                            dressed=tuple(dressed), dressing_exponent_sign=1)
-
-
-def undressing_residual(family: CovariantFamily) -> float:
-    """Worst margin-0 residual of inverse dressing, from mode 2 (mode 1's factor is q^0)."""
-    worst = 0.0
-    for i, fam in enumerate(family.hatted[1:], start=2):
-        inv = _dressing_factor(family.space, family.q, i, -family.dressing_exponent_sign)
-        lower = QBosonFamily.lower.func(fam)  # as covariant_bosons, not cached on `fam`
-        for dressed_op, hatted_op in zip(family.dressed[i - 1], (lower, lower.adjoint())):
-            res = relation_residual(inv @ dressed_op, hatted_op, 0)
-            worst = res if res > worst or res != res else worst  # a nan stays, and fails
-    return worst
 
 
 # -- R-matrix -----------------------------------------------------------------
@@ -193,19 +177,29 @@ def covariant_rows(n: int) -> tuple[Row, ...]:
     return tuple(rows)
 
 
+def undressing_rows(n: int) -> tuple[Row, ...]:
+    """q^(-sum_{k<i} N_k) B-_i = the hatted B-_i, then B+_i, for each mode i from 2 (mode
+    1's dressing is q^0).  Mode i's rows touch modes 1..i."""
+    return tuple(Row(f"undressing i={i + 1} {side}", "undressing", (i,), tuple(range(i + 1)),
+                     (k,)) for i in range(1, n) for k, side in enumerate(("lower", "raise")))
+
+
 def _covariant_relations(n: int):
-    """(kind, i, j) -> a covariant row on n modes as lhs and rhs lists of (coefficient,
-    operand) terms.  An operand is one operator or a pair (x, y) of them: (i, 0) = B-_i,
-    (i, 1) = B+_i and ("dressing", i), the diagonal row's rhs (the identity at i = 0).
-    Coefficient c is _residuals' coefs[c]: 1, -1, q, -q^2, then R.flat / q and q R.flat.
-    RTT right sides sum over R's nonzero entries, row-major."""
+    """(kind, i, j) -> a covariant or undressing row on n modes as lhs and rhs lists of
+    (coefficient, operand) terms.  An operand is one operator or a pair (x, y) of them:
+    (i, 0) = B-_i, (i, 1) = B+_i, ("dressing", i, p) = q^(p s sum_{k<i} N_k), s the exponent
+    sign, and ("hatted", i, j), the hatted B-_i (j = 0) or B+_i (j = 1).  Coefficient c is
+    _residuals' coefs[c]: 1, -1, q, -q^2, then R.flat / q and q R.flat.  RTT right sides sum
+    over R's nonzero entries, row-major."""
     flat, r = np.arange(n ** 4).reshape((n,) * 4) + 4, n ** 4
     nonzero = su_r_matrix(n, 0.5).entries.reshape((n,) * 4) != 0  # as for any q in (0, 1)
     plain = {"lower-lower": (0, 0), "lower-raise": (0, 1), "raise-raise": (1, 1)}
 
     def relation(kind, i, j):
         if kind == "diagonal":
-            return [(0, ((i, 0), (i, 1))), (3, ((i, 1), (i, 0)))], [(0, ("dressing", i))]
+            return [(0, ((i, 0), (i, 1))), (3, ((i, 1), (i, 0)))], [(0, ("dressing", i, 2))]
+        if kind == "undressing":
+            return [(0, (("dressing", i, -1), (i, j)))], [(0, ("hatted", i, j))]
         if kind in plain:
             (x, y), (a, b) = plain[kind], (2, 0) if kind == "raise-raise" else (0, 2)
             return [(a, ((i, x), (j, y)))], [(b, ((j, y), (i, x)))]
@@ -215,15 +209,15 @@ def _covariant_relations(n: int):
         if kind == "rtt-raise":
             return [(0, ((i, 1), (j, 1)))], [(flat[l, k, i, j], ((k, 1), (l, 1)))
                                              for k, l in zip(*np.nonzero(nonzero[..., i, j].T))]
-        return [(0, ((i, 0), (j, 1)))], [(0, ("dressing", 0))] * (i == j) + [
+        return [(0, ((i, 0), (j, 1)))], [(0, ("dressing", 0, 2))] * (i == j) + [
             (r + flat[k, i, j, l], ((k, 1), (l, 0))) for k, l in zip(*np.nonzero(nonzero[:, i, j]))]
     return relation
 
 
 def _residuals(ops, plan, margin: int, norm: str) -> tuple[float, ...]:
     """Each row of `plan` (fock._row_plan) on `ops` by fock._row_residuals: on a
-    CovariantFamily, label (i, k) is its dressed[i][k], on Chevalley generators the k-th
-    of (H_i, E_i, F_i)."""
+    CovariantFamily, label (i, k) is its dressed[i][k] (the other labels as in
+    _covariant_relations), on Chevalley generators the k-th of (H_i, E_i, F_i)."""
     if isinstance(ops, CovariantFamily):
         q, space, table = ops.q, ops.space, ops.dressed
         R = _run_once(su_r_matrix, space.mode_count, q).entries.real.ravel()
@@ -236,7 +230,10 @@ def _residuals(ops, plan, margin: int, norm: str) -> tuple[float, ...]:
             hv, b = table[label[1]][0].diagonal().real, label[2]
             return (b ** hv - b ** -hv) / (b - 1 / b)
         if label[0] == "dressing":
-            return _dressing(space, q, label[1] + 1, 2 * ops.dressing_exponent_sign)
+            return _dressing(space, q, label[1] + 1, label[2] * ops.dressing_exponent_sign)
+        if label[0] == "hatted":  # as covariant_bosons builds it, not cached on the family
+            lower = QBosonFamily.lower.func(ops.hatted[label[1]])
+            return lower.adjoint() if label[2] else lower
         return table[label[0]][label[1]]
     return _row_residuals(space, list(map(operator, plan.labels)), plan, coefs, margin, norm)
 
@@ -248,7 +245,7 @@ def _layout(table, args: tuple, spectral: bool) -> tuple:
     it leaves alone, the safe block is a box and a monomial block's norm (every suite row's)
     is its largest modulus, so the bits hold.  Any other norm runs on all args[0] modes.
     A plan (fock._row_plan) holds structure only: no value of q, a cutoff or an entry."""
-    relations = _covariant_relations if table is covariant_rows else _chevalley_relations
+    relations = _chevalley_relations if table is chevalley_rows else _covariant_relations
     groups: dict[tuple[int, ...], list[Row]] = {}
     for row in table(*args):
         groups.setdefault(row.support if spectral else tuple(range(args[0])), []).append(row)

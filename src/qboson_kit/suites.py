@@ -236,6 +236,8 @@ def cuntz_suite(cutoff: int, margin: int | str, norm: str, tolerance: float) -> 
     """Boson commutator, polar decomposition, shift products, shift commutators."""
     if margin == "auto" and cutoff < 3:
         raise ConfigError(f"the cuntz suite needs --cutoff >= 3, got {cutoff}")
+    if margin != "auto" and not 0 <= margin < cutoff:
+        raise ConfigError(f"the cuntz suite needs 0 <= --margin < --cutoff {cutoff}, got {margin}")
     space = make_space([cutoff])
     triple = ladder(space, 1)
     pair = phase_pair(space, 1)
@@ -473,7 +475,9 @@ def multimode_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> Ite
                    "constant", 1e-12, residual=groups[key])
     yield Spec(f"multimode/N{modes}-undressing",
                "inverse diagonal dressing recovers the independent pairs", "constant", 1e-13,
-               residual=mm.undressing_residual(family))
+               residual=mm.worst_by_relation(mm._walk(  # exact: margin 0, spectral whatever --norm
+                   mm.undressing_rows, (modes,), mm.covariant_bosons, q, cutoffs, (), 0,
+                   "spectral"))["undressing"])
     yield Spec(f"multimode/N{modes}-yang-baxter", "R12 R13 R23 = R23 R13 R12", "constant", 1e-12,
                residual=_run_once(_yang_baxter, modes, q))
     yield Spec(f"multimode/N{modes}-dressing-sign",

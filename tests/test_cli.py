@@ -284,6 +284,10 @@ def test_dump_flag_is_used_or_rejected(op, flag, value, capsys):
     (["--op", "theta", "--alpha", "-1"], "--alpha must be >= 0, got -1"),
     (["--op", "theta", "--alpha", "17"], "--op theta needs --alpha <= --cutoff 16, got 17"),
     (["--op", "qboson-lower", "--q", "1.5"], "--q must lie in (0, 1), got 1.5"),
+    # A q^2 that underflows to 0 is refused as `run` refuses it.
+    *((["--op", op, "--q", q], f"q^2 from --q {q} is 0.0 in floating point, outside (0, 1)")
+      for op, q in (("qboson-lower", "1e-300"), ("qboson-raise", "1e-300"),
+                    ("qboson-lower", "1e-200"))),
     (["--op", "rmatrix", "--q", "1.5"], "--q must lie in (0, 1], got 1.5"),
     (["--op", "rmatrix", "--modes", "57"], "--op rmatrix needs --modes <= 56, got 57"),
     # Type II's rhs q^(-n) passes the overflow guard below cutoff 100, as in a run.
@@ -342,8 +346,15 @@ def test_out_of_memory_exits_2_naming_the_size_flags(module, builder, args, mess
     (["--suite", "multimode", "--cutoff", "1"], "the multimode suite needs --cutoff >= 2, got 1"),
     (["--suite", "chevalley", "--cutoff", "2"], "the chevalley suite needs --cutoff >= 3, got 2"),
     (["--suite", "cuntz", "--cutoff", "2"], "the cuntz suite needs --cutoff >= 3, got 2"),
-    # A margin the user set is what is too large, so the message names it.
-    (["--suite", "cuntz", "--cutoff", "2", "--margin", "2"], "margin 2 >= smallest cutoff 2"),
+    # A margin the user set is out of range for the cutoff, so the message names both.
+    (["--suite", "cuntz", "--cutoff", "2", "--margin", "2"],
+     "the cuntz suite needs 0 <= --margin < --cutoff 2, got 2"),
+    *((["--suite", suite, *size, "--margin", margin],
+       f"the cuntz suite needs 0 <= --margin < --cutoff {cutoff}, got {margin}")
+      for suite, size, margin, cutoff in (
+          ("cuntz", [], "-5", 32), ("all", [], "-1", 32), ("cuntz", [], "32", 32),
+          ("all", [], "40", 32), ("cuntz", ["--cutoff", "3"], "3", 3),
+          ("cuntz", ["--cutoff", "0"], "0", 0))),
     (["--suite", "alpha", "--cutoff", "4"], "the alpha suite needs --cutoff >= 5, got 4"),
     (["--suite", "alpha", "--alpha", "1", "--cutoff", "2"],
      "the alpha suite needs --cutoff >= 3, got 2"),
@@ -425,6 +436,12 @@ def test_run_size_error_names_the_flag(args, message, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: {message}\n"
+
+
+def test_cuntz_margin_zero_runs_and_shows_the_truncation_defect(capsys):
+    """Margin 0 is in range: the run exits 1 on the top state's [a, a+] and e e+ rows."""
+    assert cli.main(["run", "--suite", "cuntz", "--margin", "0"]) == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_tiny_q_float_overflow_in_a_run_names_q(capsys):

@@ -1,4 +1,5 @@
-"""Every multimode and Chevalley row against a dense reference built here.
+"""Every multimode (covariant and undressing) and Chevalley row against a dense reference
+built here.
 
 Each operator is a dense matrix made from its definition: `np.kron` of
 single-mode ladders with closed-form magnitudes (mode 1 the slowest factor),
@@ -15,8 +16,9 @@ import math
 import numpy as np
 import pytest
 
-from qboson_kit import chevalley_check, covariant_check, make_space
+from qboson_kit import chevalley_check, covariant_bosons, covariant_check, make_space
 from qboson_kit.fock import machine_zero_bound
+from qboson_kit.multimode import _walk, undressing_rows
 from qboson_kit.suites import chevalley_suite, multimode_suite
 
 Q = math.sqrt(0.5)  # the suites' default q^2 = 0.5
@@ -95,6 +97,18 @@ def _covariant_rows(n, q, cutoffs):
     return rows
 
 
+def _undressing_rows(n, q, cutoffs):
+    """Each undressing row's (name, lhs, rhs), dense: from mode 2, the inverse dressing
+    times the dressed pair against the hatted pair."""
+    occ = _occupations(cutoffs)
+    rows = []
+    for i, (lower, _) in enumerate(_ladders("typeI_q2", q, cutoffs)[1:], start=1):
+        dress, inverse = np.diag(q ** occ[:i].sum(axis=0)), np.diag(q ** -occ[:i].sum(axis=0))
+        for side, hatted in (("lower", lower), ("raise", lower.T)):
+            rows.append((f"undressing i={i + 1} {side}", inverse @ (dress @ hatted), hatted))
+    return rows
+
+
 def _chevalley_rows(n, q, cutoffs, variant, bases):
     """Each Chevalley row's (name, lhs, rhs), dense, from the generators' definitions."""
     ladders = _ladders(variant, q, cutoffs)
@@ -142,6 +156,22 @@ def test_covariant_rows_match_the_dense_reference(n, norm):
     checks = {c.name: c for c in multimode_suite(Q * Q, modes=n, cutoff=3, norm=norm)}
     for relation, (residual, bound) in _worst(rows, cutoffs, 1, norm).items():
         assert abs(checks[f"multimode/N{n}-{relation}-max"].residual - residual) <= bound
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_undressing_rows_match_the_dense_reference(n):
+    """At margin 0 in the spectral norm, which the suite's row keeps under either --norm."""
+    cutoffs = (3,) * n
+    measured = _walk(undressing_rows, (n,), covariant_bosons, Q, cutoffs, (), 0, "spectral")
+    rows = _undressing_rows(n, Q, cutoffs)
+    assert list(measured) == [name for name, _, _ in rows]
+    for name, lhs, rhs in rows:
+        reference, lhs_norm, rhs_norm = _residual(lhs, rhs, cutoffs, 0, "spectral")
+        assert abs(measured[name] - reference) <= _bound(cutoffs, lhs_norm, rhs_norm), name
+    [(residual, bound)] = _worst(rows, cutoffs, 0, "spectral").values()
+    for norm in ("spectral", "frobenius"):
+        checks = {c.name: c for c in multimode_suite(Q * Q, modes=n, cutoff=3, norm=norm)}
+        assert abs(checks[f"multimode/N{n}-undressing"].residual - residual) <= bound, norm
 
 
 @pytest.mark.parametrize("norm", ["spectral", "frobenius"])

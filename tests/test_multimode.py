@@ -23,14 +23,14 @@ from qboson_kit import (
     pair_product_residuals,
     relation_residual,
     su_r_matrix,
-    undressing_residual,
     worst_by_relation,
     yang_baxter_residual,
 )
 from qboson_kit import fock, multimode
 from qboson_kit.fock import LinearOperator, make_space
-from qboson_kit.multimode import (RMatrix, _chevalley_generators, _dressing_factor, _layout,
-                                  _variant_families, chevalley_rows, covariant_rows)
+from qboson_kit.multimode import (RMatrix, _chevalley_generators, _dressing, _layout,
+                                  _variant_families, _walk, chevalley_rows, covariant_rows,
+                                  undressing_rows)
 from qboson_kit.qboson import (beta_closed_form, family_on_space, precision_capped_cutoff,
                                standard_rhs)
 from qboson_kit.suites import chevalley_suite, multimode_suite
@@ -153,8 +153,10 @@ def test_covariant_dressed_adjoint_pairs():
 
 
 def test_undressing_recovers_hatted():
-    fam = covariant_bosons(3, 0.8, [5, 5, 5])
-    assert undressing_residual(fam) < 1e-13
+    residuals = _walk(undressing_rows, (3,), covariant_bosons, 0.8, [5, 5, 5], (), 0, "spectral")
+    assert list(residuals) == [f"undressing i={i} {side}" for i in (2, 3)
+                               for side in ("lower", "raise")]
+    assert max(residuals.values()) < 1e-13
 
 
 @pytest.mark.parametrize("cutoffs", [[4, 4], [6, 5, 4], [4, 3, 5, 4], [4] * 6])
@@ -167,7 +169,7 @@ def test_dressing_factor_matches_the_occupation_table_bit_for_bit(cutoffs):
         for power in (1, -1, 2, -2):
             for i in range(1, space.mode_count + 1):
                 reference = q ** (power * occ[:, : i - 1].sum(axis=1).astype(float))
-                got = _dressing_factor(space, q, i, power).diagonal()
+                got = diagonal_operator(space, _dressing(space, q, i, power)).diagonal()
                 assert got.tobytes() == reference.astype(complex).tobytes()
 
 
@@ -175,11 +177,11 @@ def test_dressing_factor_matches_the_occupation_table_bit_for_bit(cutoffs):
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.707, 0.95])
 def test_mode_one_is_undressed_already(n, q):
     """Mode 1's dressing factor is q^0: its dressed pair equals its hatted pair by
-    value (stored zeros may differ in sign), so undressing_residual starts at
+    value (stored zeros may differ in sign), so undressing_rows start at
     mode 2."""
     fam = covariant_bosons(n, q, [5] * n)
     hat = fam.hatted[0]
-    inv = _dressing_factor(fam.space, q, 1, -fam.dressing_exponent_sign)
+    inv = diagonal_operator(fam.space, _dressing(fam.space, q, 1, -fam.dressing_exponent_sign))
     for dressed, hatted in zip(fam.dressed[0], (hat.lower, hat.raise_)):
         assert dressed.diagonals.keys() == hatted.diagonals.keys()
         for d, c in dressed.diagonals.items():
@@ -347,8 +349,9 @@ def test_multimode_and_chevalley_suites_compute_each_product_once(monkeypatch):
     operands' diagonal bytes; the two-factor traces of `expectation` (`wanted` given) are
     not counted.  In a run, the suites take each spectral row on the modes it touches once:
     multimode N=3 builds the family on modes 1 and 2 and its rows there too (52 products
-    against 46 on the full space alone), and after N=2 it reuses them (54 products for
-    both sizes, against 68)."""
+    against 46 on the full space alone), and after N=2 it reuses them (52 products for
+    both sizes, against 66 where the Frobenius norm runs the covariant rows on all modes;
+    the undressing rows run spectral on theirs under either norm)."""
     fam = covariant_bosons(3, math.sqrt(0.5), [6] * 3)
     pairs, tracing = [], [False]  # tracing[0]: a two-factor trace forms its diagonals
     product, product_diagonals = fock._product, fock._product_diagonals
@@ -379,7 +382,7 @@ def test_multimode_and_chevalley_suites_compute_each_product_once(monkeypatch):
         list(chevalley_suite(0.5, modes=3, cutoff=6, norm="spectral"))
     assert len(pairs) == len(set(pairs))
     assert len(pairs) <= 27
-    for norm, products in (("spectral", 54 + 27), ("frobenius", 68 + 49)):
+    for norm, products in (("spectral", 52 + 27), ("frobenius", 66 + 49)):
         pairs.clear()
         with _one_run():  # as `--suite all` runs them
             for suite in (multimode_suite, chevalley_suite):
@@ -405,7 +408,7 @@ def _reference_covariant(family):
     def relation(kind, i, j):
         if kind == "diagonal":
             return [(bm[i], bp[i]), (bp[i], bm[i])], lambda mp, pm: (
-                mp - q * q * pm, _dressing_factor(space, q, i + 1, 2 * sign))
+                mp - q * q * pm, diagonal_operator(space, _dressing(space, q, i + 1, 2 * sign)))
         if kind in plain:
             (x, y), scaled = plain[kind], kind == "raise-raise"
             return [(x[i], y[j]), (y[j], x[i])], lambda a, b: (q * a, b) if scaled else (a, q * b)
