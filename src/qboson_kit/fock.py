@@ -535,7 +535,8 @@ def relation_residual(lhs: LinearOperator, rhs: LinearOperator, margin: int,
 
 class _RowPlan(NamedTuple):
     """A row table as data (_row_plan).  It equals and hashes as its patterns: with the
-    modes of the operators it is run on, which a run's key holds too, they fix the rest."""
+    modes of the operators it is run on, which a run's key holds too, they fix the rest.
+    `layouts` holds _row_residuals' chunks of rows per dimension and label offsets."""
 
     patterns: tuple
     labels: tuple
@@ -543,6 +544,7 @@ class _RowPlan(NamedTuple):
     first: np.ndarray
     last: np.ndarray
     slots: tuple
+    layouts: dict
 
     def __eq__(self, other):
         return isinstance(other, _RowPlan) and self.patterns == other.patterns
@@ -551,19 +553,20 @@ class _RowPlan(NamedTuple):
         return hash(self.patterns)
 
 
-def _row_plan(relation, patterns: tuple) -> _RowPlan:
-    """The rows relation(kind, *indices, *args) of the patterns as read-only index arrays,
-    structure only.  A row is an lhs and an rhs list of (coefficient index, operand) terms;
-    an operand is a label or a pair of labels, read as their product.  `labels` lists them
-    as first read.  Value v, one label or a product, is pairs[v] (label indices, -1 for
+def _row_plan(relation, patterns: tuple | None = None) -> _RowPlan:
+    """The rows relation(kind, *indices, *args) of the patterns, or those of a dict kind ->
+    (lhs, rhs), as read-only index arrays, structure only.  A side lists terms (c, x) or
+    (c, x, y): coefficient index c times label x or the product x y.  `labels` lists the
+    labels as first read.  Value v, a label or a product, is pairs[v] (label indices, -1 for
     none), read first by row first[v] and last by row last[v].  Side 2r is row r's lhs,
     2r + 1 its rhs; slots[t] lists the sides with a t-th term, its value and coefficient."""
+    if patterns is None:
+        relation, patterns = relation.__getitem__, tuple((kind, (), ()) for kind in relation)
     labels, values, sides, first, last = {}, {}, [], {}, {}
     for row, (kind, indices, args) in enumerate(patterns):
         for terms in relation(kind, *indices, *args):
             sides.append([])
-            for coef, operand in terms:
-                factors = operand if isinstance(operand[0], tuple) else (operand,)
+            for coef, *factors in terms:
                 key = tuple(labels.setdefault(label, len(labels)) for label in factors)
                 first.setdefault(v := values.setdefault(key, len(values)), row)
                 last[v] = row
@@ -575,7 +578,7 @@ def _row_plan(relation, patterns: tuple) -> _RowPlan:
     for a in arrays:
         a.flags.writeable = False
     return _RowPlan(patterns, tuple(labels), arrays[0], arrays[1], arrays[2],
-                    tuple(zip(*[iter(arrays[3:])] * 3)))
+                    tuple(zip(*[iter(arrays[3:])] * 3)), {})
 
 
 # Entries of a chunk's side sums, two of `dimension` per row.  Any value from 28,812 (the
@@ -585,37 +588,42 @@ def _row_plan(relation, patterns: tuple) -> _RowPlan:
 _CHUNK_ENTRIES = 1 << 16
 
 
-def _row_residuals(space: FockSpace, operators, plan: _RowPlan, coefs, margin: int,
+def _row_residuals(space: FockSpace, operator, plan: _RowPlan, coefs, margin: int,
                    norm: str) -> tuple[float, ...]:
-    """The residual of each row of `plan` on the `operators` its labels name (each real and
-    one-diagonal, or a real main diagonal given as an array) and the coefficients coefs.
-    Rows go in chunks under _CHUNK_ENTRIES; a pair product is formed in the first chunk
-    that reads it and dropped after its last.  A side adds its scaled terms left to right,
-    so a row whose terms lie on one diagonal keeps the bits of that operator expression,
-    up to the sign of zero entries, which no read sees.  Rows are masked and normed as
-    relation_residual masks and norms them."""
-    diagonals = [{0: op} if isinstance(op, np.ndarray) else op.diagonals for op in operators]
-    if any(len(ds) != 1 for ds in diagonals):
-        raise ValueError("a row table reads one-diagonal operators")
+    """Each row's residual on the real operators operator(label), one diagonal each (a main
+    diagonal may be an array), and the coefficients coefs; a row's terms share a diagonal.
+    Rows go in chunks under _CHUNK_ENTRIES, a pair product formed in the first chunk that
+    reads it and dropped after its last.  A side adds its scaled terms left to right, so a
+    row keeps its operator expression's bits up to the sign of zero entries, which no read
+    sees.  Rows are masked and normed as relation_residual masks and norms them."""
+    diagonals = [getattr(op, "diagonals", {0: op}) for op in map(operator, plan.labels)]
+    if any(len(ds) != 1 or [*ds.values()][0].imag.any() for ds in diagonals):
+        raise ValueError("a row table reads one-diagonal operators, each real")
     operands = [(d, c.real) for ds in diagonals for d, c in ds.items()]
     dim, rows, unsafe = space.dimension, len(plan.patterns), space._unsafe_window(margin)
-    offsets = np.append([d for d, _ in operands], 0)[plan.pairs].sum(axis=1)  # -1: none
-    row_off, held = offsets[plan.slots[0][1][0::2]], [None] * len(plan.pairs)
-    per = max(1, _CHUNK_ENTRIES // (2 * dim))
-    first, edges = plan.first // per, np.append(np.arange(0, rows, per), rows)
-    bounds = [np.searchsorted(units, 2 * edges).tolist() for units, _, _ in plan.slots]
-    new, out = np.searchsorted(first, np.arange(len(edges))).tolist(), np.empty(rows)
-    for c, (r0, r1) in enumerate(zip(edges.tolist(), edges[1:].tolist())):
-        for v in np.flatnonzero(plan.last // per == c - 1).tolist():
+    if (layout := plan.layouts.get(key := (dim, *(d for d, _ in operands)))) is None:
+        offsets = np.append(key[1:], 0)[plan.pairs].sum(axis=1)  # -1: none
+        row_off, per = offsets[plan.slots[0][1][0::2]], max(1, _CHUNK_ENTRIES // (2 * dim))
+        if any((offsets[vals] != row_off[units // 2]).any() for units, vals, _ in plan.slots):
+            raise ValueError("a row table reads rows whose terms lie on one diagonal")
+        pairs, edges = plan.pairs.tolist(), [*range(0, rows, per), rows]
+        layout = plan.layouts[key] = row_off, [(
+            r0, r1, [(v, *pairs[v]) for v in range(*np.searchsorted(plan.first, [r0, r1]))],
+            np.flatnonzero(plan.last // per == c - 1).tolist(),
+            [(vals[a:b].tolist(), cs[a:b, None], units[a:b] - 2 * r0) for units, vals, cs in
+             plan.slots for a, b in [np.searchsorted(units, [2 * r0, 2 * r1])]]
+        ) for c, (r0, r1) in enumerate(zip(edges, edges[1:]))]
+    (row_off, chunks), held, out = layout, [None] * len(plan.pairs), np.empty(rows)
+    for r0, r1, new, drop, slots in chunks:
+        for v in drop:
             held[v] = None
-        for v, (x, y) in enumerate(plan.pairs[new[c]:new[c + 1]].tolist(), start=new[c]):
+        for v, x, y in new:
             held[v] = operands[x][1] if y < 0 else _product(operands[x], operands[y], dim)
-        for t, ((units, vals, cs), bound) in enumerate(zip(plan.slots, bounds)):
-            a, b = bound[c:c + 2]  # each side adds its terms slot by slot; slot 0 holds all
-            term = np.array([held[v] for v in vals[a:b].tolist()]).reshape(b - a, dim)
-            term *= coefs[cs[a:b], None]
+        for t, (vals, cs, sides) in enumerate(slots):  # each side adds its terms in order
+            term = np.array([held[v] for v in vals]).reshape(len(vals), dim)
+            term *= coefs[cs]
             if t:
-                sums[units[a:b] - 2 * r0] += term
+                sums[sides] += term
             else:
                 sums = term
         diff = sums[0::2] - sums[1::2]

@@ -124,6 +124,8 @@ def su_r_matrix(n: int, q: float) -> RMatrix:
         raise ValueError(f"n must lie in 2..{RANK_LIMIT}, got {n}")
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q must lie in (0, 1], got {q}")
+    if not math.isfinite(q - 1.0 / q):
+        raise OverflowError(f"the coupling q - 1/q is not finite at q = {q!r}")
     R = np.zeros((n,) * 4, dtype=complex)
     for i in range(n):
         R[i, i, i, i] = q
@@ -186,7 +188,7 @@ def undressing_rows(n: int) -> tuple[Row, ...]:
 
 def _covariant_relations(n: int):
     """(kind, i, j) -> a covariant or undressing row on n modes as lhs and rhs lists of
-    (coefficient, operand) terms.  An operand is one operator or a pair (x, y) of them:
+    terms (c, x) or (c, x, y), coefficient c times operator x or the product x y:
     (i, 0) = B-_i, (i, 1) = B+_i, ("dressing", i, p) = q^(p s sum_{k<i} N_k), s the exponent
     sign, and ("hatted", i, j), the hatted B-_i (j = 0) or B+_i (j = 1).  Coefficient c is
     _residuals' coefs[c]: 1, -1, q, -q^2, then R.flat / q and q R.flat.  RTT right sides sum
@@ -197,20 +199,20 @@ def _covariant_relations(n: int):
 
     def relation(kind, i, j):
         if kind == "diagonal":
-            return [(0, ((i, 0), (i, 1))), (3, ((i, 1), (i, 0)))], [(0, ("dressing", i, 2))]
+            return [(0, (i, 0), (i, 1)), (3, (i, 1), (i, 0))], [(0, ("dressing", i, 2))]
         if kind == "undressing":
-            return [(0, (("dressing", i, -1), (i, j)))], [(0, ("hatted", i, j))]
+            return [(0, ("dressing", i, -1), (i, j))], [(0, ("hatted", i, j))]
         if kind in plain:
             (x, y), (a, b) = plain[kind], (2, 0) if kind == "raise-raise" else (0, 2)
-            return [(a, ((i, x), (j, y)))], [(b, ((j, y), (i, x)))]
+            return [(a, (i, x), (j, y))], [(b, (j, y), (i, x))]
         if kind == "rtt-lower":
-            return [(0, ((i, 0), (j, 0)))], [(flat[i, j, k, l], ((l, 0), (k, 0)))
-                                             for k, l in zip(*np.nonzero(nonzero[i, j]))]
+            return [(0, (i, 0), (j, 0))], [(flat[i, j, k, l], (l, 0), (k, 0))
+                                           for k, l in zip(*np.nonzero(nonzero[i, j]))]
         if kind == "rtt-raise":
-            return [(0, ((i, 1), (j, 1)))], [(flat[l, k, i, j], ((k, 1), (l, 1)))
-                                             for k, l in zip(*np.nonzero(nonzero[..., i, j].T))]
-        return [(0, ((i, 0), (j, 1)))], [(0, ("dressing", 0, 2))] * (i == j) + [
-            (r + flat[k, i, j, l], ((k, 1), (l, 0))) for k, l in zip(*np.nonzero(nonzero[:, i, j]))]
+            return [(0, (i, 1), (j, 1))], [(flat[l, k, i, j], (k, 1), (l, 1))
+                                           for k, l in zip(*np.nonzero(nonzero[..., i, j].T))]
+        return [(0, (i, 0), (j, 1))], [(0, ("dressing", 0, 2))] * (i == j) + [
+            (r + flat[k, i, j, l], (k, 1), (l, 0)) for k, l in zip(*np.nonzero(nonzero[:, i, j]))]
     return relation
 
 
@@ -235,7 +237,7 @@ def _residuals(ops, plan, margin: int, norm: str) -> tuple[float, ...]:
             lower = QBosonFamily.lower.func(ops.hatted[label[1]])
             return lower.adjoint() if label[2] else lower
         return table[label[0]][label[1]]
-    return _row_residuals(space, list(map(operator, plan.labels)), plan, coefs, margin, norm)
+    return _row_residuals(space, operator, plan, coefs, margin, norm)
 
 
 @functools.lru_cache(maxsize=32)
@@ -270,10 +272,6 @@ def _walk(table, args: tuple, build, q: float, cutoffs: Sequence[int], extra: tu
 def pair_product_residuals(family: CovariantFamily, margin: int = 1,
                            norm: str = "spectral") -> dict[str, float]:
     """The covariant_rows' residuals, by name, on `family`'s own operators and space."""
-    for pair in family.dressed:  # real, on one diagonal d and -d: a row's terms share one
-        (r, c, x), (s, t, y) = (op.entries() for op in pair)
-        if len({*(c - r), *(s - t)}) != 1 or x.imag.any() or y.imag.any():
-            raise ValueError("each dressed pair must be real, on one diagonal d and -d")
     [(_, names, plan)] = _layout(covariant_rows, (family.space.mode_count,), False)
     return dict(zip(names, _residuals(family, plan, margin, norm)))
 
@@ -336,11 +334,11 @@ def _chevalley_relations(n: int):
 
     def relation(kind, i, j):
         if kind == "ef-bracket":
-            return [(0, ((i, 1), (i, 2))), (1, ((i, 2), (i, 1)))], [(0, ("[H]", i, j))]
+            return [(0, (i, 1), (i, 2)), (1, (i, 2), (i, 1))], [(0, ("[H]", i, j))]
         if kind == "hh":
-            return [(0, ((i, 0), (j, 0)))], [(0, ((j, 0), (i, 0)))]
+            return [(0, (i, 0), (j, 0))], [(0, (j, 0), (i, 0))]
         x, a = ((j, 1), cartan[i][j]) if kind == "cartan-e" else ((j, 2), -cartan[i][j])
-        return [(0, ((i, 0), x)), (1, (x, (i, 0)))], [([1, -1, 2, -2, 0].index(a), x)]
+        return [(0, (i, 0), x), (1, x, (i, 0))], [([1, -1, 2, -2, 0].index(a), x)]
     return relation
 
 

@@ -40,16 +40,18 @@ from .fock import (
     FockSpace,
     LinearOperator,
     QBosonFamily,
+    _row_plan,
+    _row_residuals,
     expectation,
     make_space,
     ladder,
-    relation_residual,
 )
 from .phase import alpha_phase_pair, theta_operator
 
 STANDARD_TYPES = ("I", "II", "III", "IV")
 
 OVERFLOW_GUARD = 1e300
+_DEFINING_ROW = _row_plan({"defining": ([(0, "B-", "B+"), (1, "B+", "B-")], [(0, "rhs")])})
 
 
 class OverflowGuardError(ValueError):
@@ -106,9 +108,10 @@ def standard_qboson(type_tag: str, q_squared: float, cutoff: int) -> QBosonFamil
 
 def defining_relation_residual(family: QBosonFamily, margin: int = 1,
                                norm: str = "spectral") -> float:
-    """Residual of  B- B+ - q^2 B+ B-  =  rhs(N)  on the safe subspace."""
-    lhs = family.lower @ family.raise_ - family.q_squared * (family.raise_ @ family.lower)
-    return relation_residual(lhs, family.rhs, margin, norm=norm)
+    """Residual of  B- B+ - q^2 B+ B-  =  rhs(N)  on the safe subspace, by the row evaluator."""
+    ops = {"B-": family.lower, "B+": family.raise_, "rhs": family.rhs.diagonal()}
+    return _row_residuals(family.space, ops.__getitem__, _DEFINING_ROW,
+                          np.array([1.0, -family.q_squared]), margin, norm)[0]
 
 
 # -- closed-form magnitude sequences (independent of the recursion) ----------

@@ -2,11 +2,11 @@
 
 Each suite yields its named rows as data, one Spec each, and one evaluator
 turns each into a Check: a scalar measured against a closed form, or an
-operator-identity residual on a truncation-safe subspace, against a tolerance
-of a named bound kind.  Reports are assembled in check-name order, echo
-the configuration with each honoured flag resolved, and are byte-stable
-across runs apart from the wall_time field.  Nothing in the toolkit draws
-random numbers.
+operator-identity residual on a truncation-safe subspace from the row
+evaluator (fock._row_residuals), against a tolerance of a named bound kind.
+Reports are assembled in check-name order, echo the configuration with each
+honoured flag resolved, and are byte-stable across runs apart from the
+wall_time field.  Nothing in the toolkit draws random numbers.
 """
 
 from __future__ import annotations
@@ -35,17 +35,16 @@ from .densities import (
 from .fock import (
     _RUN_VALUES,
     DimensionLimitError,
-    LinearOperator,
+    _row_plan,
+    _row_residuals,
     _run_once,
     basis_state,
-    commutator,
     expectation,
     identity_operator,
     ladder,
     machine_zero_bound,
     make_space,
     number_state_projector,
-    relation_residual,
 )
 from .phase import (
     alpha_boson,
@@ -140,9 +139,8 @@ class Check:
 class Spec:
     """One report row as data, which _evaluate turns into its Check.
 
-    The residual is relation_residual(lhs, rhs, margin, norm) when `lhs` is given, else
-    `residual` when given, else |measured - expected|.  The tolerance is the `bound` kind
-    applied to `limit` (README, accuracy model):
+    The residual is `residual`, else |measured - expected|; the tolerance is the `bound`
+    kind applied to `limit` (README, accuracy model):
       "constant"      limit itself: --tol, a literal or exact 0;
       "machine-zero"  machine_zero_bound(limit), `limit` being the space;
       "tail-budget"   |expected| * max(limit, tail_mass);
@@ -159,21 +157,13 @@ class Spec:
     measured: float | None = None
     expected: float | None = None
     tail_mass: float = 0.0
-    lhs: LinearOperator | None = None
-    rhs: LinearOperator | None = None
-    margin: int = 0
-    norm: str = "spectral"
 
 
 def _evaluate(spec: Spec) -> Check:
     """The one way to make a Check: it passes when residual <= tolerance (< for "below"),
     and always when the tolerance is None."""
-    if spec.lhs is not None:
-        residual = relation_residual(spec.lhs, spec.rhs, spec.margin, norm=spec.norm)
-    elif spec.residual is not None:
-        residual = spec.residual
-    else:
-        residual = abs(spec.measured - spec.expected)
+    residual = float(abs(spec.measured - spec.expected) if spec.residual is None
+                     else spec.residual)
     tolerance = spec.limit
     if spec.bound == "machine-zero":
         tolerance = machine_zero_bound(spec.limit)
@@ -183,7 +173,6 @@ def _evaluate(spec: Spec) -> Check:
         tolerance = max(spec.limit, spec.tail_mass)
     elif spec.bound == "below":
         tolerance = spec.expected
-    residual = float(residual)
     tolerance = None if tolerance is None else float(tolerance)
     passed = tolerance is None or (residual < tolerance if spec.bound == "below"
                                    else residual <= tolerance)
@@ -232,6 +221,24 @@ def _refused(subject: str, flags) -> Iterator[None]:
 # Each suite yields its rows as Specs, in report order before the sort, and
 # run_suite evaluates each as it comes, so no row's operators outlive it.
 
+_UNIT = np.array([1.0, -1.0])  # coefficient indices 0 and 1 of the one-mode row tables
+_CUNTZ_ROWS, _POLAR_ROWS = map(_row_plan, ({
+    ("boson-commutator", "[a, a+] = 1"): ([(0, "a", "a+"), (1, "a+", "a")], [(0, "1")]),
+    ("number-shift-lower", "[N, e] = -e"): ([(0, "N", "e"), (1, "e", "N")], [(1, "e")]),
+    ("number-shift-raise", "[N, e+] = e+"): ([(0, "N", "e+"), (1, "e+", "N")], [(0, "e+")]),
+    ("shift-left-inverse", "e+ e = 1 - |0><0|"): ([(0, "e+", "e")], [(0, "1"), (1, "|0><0|")]),
+    ("shift-right-inverse", "e e+ = 1"): ([(0, "e", "e+")], [(0, "1")]),
+}, {
+    ("polar-lower", "a = e sqrt(N)"): ([(0, "a")], [(0, "e", "sqrt(N)")]),
+    ("polar-raise", "a+ = sqrt(N) e+"): ([(0, "a+")], [(0, "sqrt(N)", "e+")]),
+}))
+_ALPHA_STEP_ROW = _row_plan({("commutator-step", "[a(alpha), a+(alpha)] = theta(N - alpha)"):
+                               ([(0, "a", "a+"), (1, "a+", "a")], [(0, "theta")])})
+_ALPHA_DEFECT_ROW = _row_plan({
+    ("phase-defect-projector", "e(alpha) e+(alpha) - e+(alpha) e(alpha) = |alpha><alpha|"):
+    ([(0, "e", "e+"), (1, "e+", "e")], [(0, "|a><a|")])})
+
+
 def cuntz_suite(cutoff: int, margin: int | str, norm: str, tolerance: float) -> Iterator[Spec]:
     """Boson commutator, polar decomposition, shift products, shift commutators."""
     if margin == "auto" and cutoff < 3:
@@ -239,29 +246,16 @@ def cuntz_suite(cutoff: int, margin: int | str, norm: str, tolerance: float) -> 
     if margin != "auto" and not 0 <= margin < cutoff:
         raise ConfigError(f"the cuntz suite needs 0 <= --margin < --cutoff {cutoff}, got {margin}")
     space = make_space([cutoff])
-    triple = ladder(space, 1)
-    pair = phase_pair(space, 1)
-    one = identity_operator(space)
-    sqrt_n = sqrt_number_operator(space, 1)
-    vac = number_state_projector(space, 1, 0)
+    triple, pair = ladder(space, 1), phase_pair(space, 1)
+    ops = {"a": triple.lower, "a+": triple.raise_, "N": triple.number, "e": pair.lower,
+           "e+": pair.raise_, "sqrt(N)": sqrt_number_operator(space, 1),
+           "1": identity_operator(space), "|0><0|": number_state_projector(space, 1, 0)}
     # --margin auto keeps 2 below the cutoff, and 0 for the polar rows.
     wide, narrow = (2, 0) if margin == "auto" else (int(margin),) * 2
-    row = {"bound": "constant", "limit": tolerance, "norm": norm, "margin": wide}
-    polar = row | {"margin": narrow}
-    yield Spec("cuntz/boson-commutator", "[a, a+] = 1", **row,
-               lhs=commutator(triple.lower, triple.raise_), rhs=one)
-    yield Spec("cuntz/number-shift-lower", "[N, e] = -e", **row,
-               lhs=commutator(triple.number, pair.lower), rhs=-1.0 * pair.lower)
-    yield Spec("cuntz/number-shift-raise", "[N, e+] = e+", **row,
-               lhs=commutator(triple.number, pair.raise_), rhs=pair.raise_)
-    yield Spec("cuntz/polar-lower", "a = e sqrt(N)", **polar,
-               lhs=triple.lower, rhs=pair.lower @ sqrt_n)
-    yield Spec("cuntz/polar-raise", "a+ = sqrt(N) e+", **polar,
-               lhs=triple.raise_, rhs=sqrt_n @ pair.raise_)
-    yield Spec("cuntz/shift-left-inverse", "e+ e = 1 - |0><0|", **row,
-               lhs=pair.raise_ @ pair.lower, rhs=one - vac)
-    yield Spec("cuntz/shift-right-inverse", "e e+ = 1", **row,
-               lhs=pair.lower @ pair.raise_, rhs=one)
+    for plan, row_margin in ((_CUNTZ_ROWS, wide), (_POLAR_ROWS, narrow)):
+        residuals = _row_residuals(space, ops.__getitem__, plan, _UNIT, row_margin, norm)
+        for ((name, relation), _, _), residual in zip(plan.patterns, residuals):
+            yield Spec(f"cuntz/{name}", relation, "constant", tolerance, residual=residual)
 
 
 def thermal_suite(q_squared: float, cutoff: int, tolerance: float) -> Iterator[Spec]:
@@ -399,15 +393,13 @@ def recipe_suite(q_squared: float, cutoff: int, tolerance: float) -> Iterator[Sp
         yield Spec(f"recipe/{gauge}-gauge-rhs", f"normalized rhs = {rhs}", **row,
                    measured=rel.normalized_rhs, expected=target)
         yield Spec(f"recipe/closure-{gauge}-gauge", **closure, tail_mass=rel.tail_mass,
-                   residual=defining_relation_residual(family_from_relation(rel, cutoff=20),
-                                                       margin=1))
+                   residual=defining_relation_residual(family_from_relation(rel, cutoff=20)))
     for a, rel in enumerate(shifted):
         yield Spec(f"recipe/shifted-gauge-alpha{a}-rhs", f"normalized rhs = q^(-2*{a})",
                    "tail-budget", tolerance, tail_mass=rel.tail_mass,
                    measured=rel.normalized_rhs, expected=q2 ** (-a))
     yield Spec("recipe/closure-shifted-gauge", **closure, tail_mass=shifted[-1].tail_mass,
-               residual=defining_relation_residual(family_from_relation(shifted[-1], cutoff=20),
-                                                   margin=1))
+               residual=defining_relation_residual(family_from_relation(shifted[-1], cutoff=20)))
     for a, rel in ((1, step1), (2, step2)):
         yield Spec(f"recipe/step-gauge-alpha{a}-magnitude",
                    f"normalized rhs magnitude = (1-q^2) q^(2*{a})", "tail-budget", tolerance,
@@ -434,23 +426,22 @@ def alpha_suite(cutoff: int, alpha: tuple[int, ...], norm: str) -> Iterator[Spec
         raise ConfigError(f"the alpha suite needs --cutoff >= {need}, got {cutoff}")
     space = make_space([cutoff])
     for a in alpha:
-        boson = alpha_boson(space, 1, a)
+        boson, pair = alpha_boson(space, 1, a), alpha_phase_pair(space, 1, a)
         # N(alpha) = a+(alpha) a(alpha) has diagonal |column|^2 of lower: zero on the kernel.
         number = boson.raise_ @ boson.lower
         yield Spec(f"alpha/kernel-dimension-{a}", "dim ker a(alpha) = alpha + 1", "constant", 0.0,
                    measured=int(np.count_nonzero(number.diagonal() == 0)), expected=a + 1)
-        yield Spec(f"alpha/commutator-step-{a}", "[a(alpha), a+(alpha)] = theta(N - alpha)",
-                   "machine-zero", space, lhs=commutator(boson.lower, boson.raise_),
-                   rhs=theta_operator(space, 1, a), margin=2, norm=norm)
         eigenvalues = number.diagonal().real[a:].tolist()
         yield Spec(f"alpha/number-eigenvalues-{a}", "N(alpha) |n + alpha> = n |n + alpha>",
                    "machine-zero", space,
                    residual=max(abs(value - n) for n, value in enumerate(eigenvalues)))
-        pair = alpha_phase_pair(space, 1, a)
-        yield Spec(f"alpha/phase-defect-projector-{a}",
-                   "e(alpha) e+(alpha) - e+(alpha) e(alpha) = |alpha><alpha|", "constant", 0.0,
-                   lhs=pair.lower @ pair.raise_ - pair.raise_ @ pair.lower,
-                   rhs=number_state_projector(space, 1, a), margin=1, norm=norm)
+        ops = {"a": boson.lower, "a+": boson.raise_, "theta": theta_operator(space, 1, a),
+               "e": pair.lower, "e+": pair.raise_, "|a><a|": number_state_projector(space, 1, a)}
+        for plan, margin, bound, limit in ((_ALPHA_STEP_ROW, 2, "machine-zero", space),
+                                           (_ALPHA_DEFECT_ROW, 1, "constant", 0.0)):
+            [residual] = _row_residuals(space, ops.__getitem__, plan, _UNIT, margin, norm)
+            [((name, relation), _, _)] = plan.patterns
+            yield Spec(f"alpha/{name}-{a}", relation, bound, limit, residual=residual)
 
 
 def multimode_suite(q_squared: float, modes: int, cutoff: int, norm: str) -> Iterator[Spec]:

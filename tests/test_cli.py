@@ -290,6 +290,9 @@ def test_dump_flag_is_used_or_rejected(op, flag, value, capsys):
                     ("qboson-lower", "1e-200"))),
     (["--op", "rmatrix", "--q", "1.5"], "--q must lie in (0, 1], got 1.5"),
     (["--op", "rmatrix", "--modes", "57"], "--op rmatrix needs --modes <= 56, got 57"),
+    # A subnormal q passes the range check, but 1/q, and so the coupling q - 1/q, is inf.
+    (["--op", "rmatrix", "--modes", "2", "--q", "1e-320"],
+     "--op rmatrix needs a larger --q: the coupling q - 1/q is not finite at q = 1e-320"),
     # Type II's rhs q^(-n) passes the overflow guard below cutoff 100, as in a run.
     (["--op", "qboson-lower", "--qtype", "II", "--q", "0.01", "--cutoff", "100"],
      "--op qboson-lower needs a larger --q or a smaller --cutoff: rhs(n) passes the 1e+300 "

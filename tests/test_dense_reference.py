@@ -1,10 +1,12 @@
-"""Every multimode (covariant and undressing) and Chevalley row against a dense reference
-built here.
+"""Every multimode (covariant and undressing) and Chevalley row, and the one-mode identity
+rows (cuntz, alpha, the qboson defining relations and the recipe closures), against a
+dense reference built here.
 
 Each operator is a dense matrix made from its definition: `np.kron` of
 single-mode ladders with closed-form magnitudes (mode 1 the slowest factor),
 the covariant dressing and every right side as dense diagonals, and the
-R-matrix and Cartan entries in closed form.  The safe block is taken by
+R-matrix and Cartan entries in closed form; one-mode ladders take their
+closed-form magnitudes (sqrt(n), unit shifts, the geometric sums of beta).  The safe block is taken by
 index selection and its norm by `np.linalg.norm`.  No code of the package
 builds these matrices, so a wrong support, relabelling, shift or
 coefficient in the row table shows as a residual that differs from this one
@@ -19,7 +21,8 @@ import pytest
 from qboson_kit import chevalley_check, covariant_bosons, covariant_check, make_space
 from qboson_kit.fock import machine_zero_bound
 from qboson_kit.multimode import _walk, undressing_rows
-from qboson_kit.suites import chevalley_suite, multimode_suite
+from qboson_kit.qboson import recipe_relations
+from qboson_kit.suites import SuiteConfig, chevalley_suite, multimode_suite, run_suite
 
 Q = math.sqrt(0.5)  # the suites' default q^2 = 0.5
 
@@ -205,3 +208,95 @@ def test_chevalley_suite_reports_the_dense_reference(n, norm):
             else:
                 continue
             assert abs(measured - residual) <= bound, (variant, relation)
+
+
+def _one_mode(magnitudes):
+    """The one-mode lowering matrix |n> -> magnitudes[n] |n - 1>, dense."""
+    return np.diag(np.asarray(magnitudes, dtype=float)[1:], 1)
+
+
+def _assert_rows_match(checks, rows, cutoff, norm="spectral"):
+    """Each (check name, lhs, rhs, margin) row's suite residual against its dense one."""
+    for name, lhs, rhs, margin in rows:
+        reference, lhs_norm, rhs_norm = _residual(lhs, rhs, (cutoff,), margin, norm)
+        assert abs(checks[name].residual - reference) <= _bound((cutoff,), lhs_norm,
+                                                                rhs_norm), name
+
+
+def _checks(**config):
+    return {c.name: c for c in run_suite(SuiteConfig(**config)).checks}
+
+
+@pytest.mark.parametrize("norm", ["spectral", "frobenius"])
+@pytest.mark.parametrize("margin", [None, 1])
+def test_cuntz_rows_match_the_dense_reference(margin, norm):
+    """Cutoff 8, at --margin auto (2, and 0 for the polar rows) and 1."""
+    cutoff = 8
+    n = np.arange(cutoff + 1.0)
+    a, e = _one_mode(np.sqrt(n)), _one_mode(np.ones(cutoff + 1))
+    number, sqrt_n, one = np.diag(n), np.diag(np.sqrt(n)), np.eye(cutoff + 1)
+    vac = np.diag(n == 0).astype(float)
+    wide, narrow = (2, 0) if margin is None else (margin, margin)
+    rows = [("boson-commutator", a @ a.T - a.T @ a, one, wide),
+            ("number-shift-lower", number @ e - e @ number, -e, wide),
+            ("number-shift-raise", number @ e.T - e.T @ number, e.T, wide),
+            ("polar-lower", a, e @ sqrt_n, narrow),
+            ("polar-raise", a.T, sqrt_n @ e.T, narrow),
+            ("shift-left-inverse", e.T @ e, one - vac, wide),
+            ("shift-right-inverse", e @ e.T, one, wide)]
+    checks = _checks(suite="cuntz", cutoff=cutoff, margin=margin, norm=norm)
+    assert sorted(checks) == sorted(f"cuntz/{name}" for name, *_ in rows)
+    _assert_rows_match(checks, [(f"cuntz/{name}", *rest) for name, *rest in rows], cutoff, norm)
+
+
+@pytest.mark.parametrize("norm", ["spectral", "frobenius"])
+def test_alpha_rows_match_the_dense_reference(norm):
+    """Cutoff 10, alpha = 1, 2, 3: [a(alpha), a+(alpha)] = theta(N - alpha) at margin 2 and
+    e(alpha) e+(alpha) - e+(alpha) e(alpha) = |alpha><alpha| at margin 1."""
+    cutoff = 10
+    n = np.arange(cutoff + 1.0)
+    rows = []
+    for alpha in (1, 2, 3):
+        a = _one_mode(np.sqrt(np.maximum(n - alpha, 0.0)))
+        e = _one_mode(n > alpha)
+        rows += [(f"alpha/commutator-step-{alpha}", a @ a.T - a.T @ a,
+                  np.diag(n >= alpha).astype(float), 2),
+                 (f"alpha/phase-defect-projector-{alpha}", e @ e.T - e.T @ e,
+                  np.diag(n == alpha).astype(float), 1)]
+    _assert_rows_match(_checks(suite="alpha", cutoff=cutoff, norm=norm), rows, cutoff, norm)
+
+
+def _defining_row(beta, rhs, q_squared):
+    """B- B+ - q^2 B+ B- against rhs(N), dense, from the magnitudes beta(n)."""
+    lower = _one_mode(np.sqrt(beta))
+    return lower @ lower.T - q_squared * lower.T @ lower, np.diag(rhs)
+
+
+def test_qboson_defining_rows_match_the_dense_reference():
+    """Each standard type at cutoff 10, where no type's cutoff is capped, at q^2 = 0.5."""
+    cutoff, q2 = 10, 0.5
+    n = np.arange(cutoff + 1.0)
+    closed = {"I": ((1.0 - q2 ** n) / (1.0 - q2), np.ones_like(n)),
+              "II": ((q2 ** n - q2 ** -n) / (q2 - 1.0 / q2), q2 ** -n),
+              "III": (1.0 - q2 ** n, np.full_like(n, 1.0 - q2)),
+              "IV": (q2 * (q2 ** -n - q2 ** n) / (1.0 + q2), (1.0 - q2) * q2 ** -n)}
+    checks = _checks(suite="qboson", cutoff=cutoff)
+    for t in closed:
+        assert checks[f"qboson/defining-relation-{t}"].relation.endswith(f"at cutoff {cutoff}")
+    _assert_rows_match(checks, [(f"qboson/defining-relation-{t}",
+                                 *_defining_row(beta, rhs, q2), 1)
+                                for t, (beta, rhs) in closed.items()], cutoff)
+
+
+@pytest.mark.parametrize("gauge,request_", [
+    ("shift", ("phase", "identity", 0)), ("boson", ("boson", "identity", 0)),
+    ("shifted", ("alpha_phase", "identity", 2))])
+def test_recipe_closure_rows_match_the_dense_reference(gauge, request_):
+    """The family rebuilt at cutoff 20 from the run's normalized relation (q^2_eff and a
+    constant rhs r), with beta(n) = r (1 - q2^n) / (1 - q2), against that relation."""
+    [relation] = recipe_relations(0.5, 80, [request_])  # the recipe suite's default cutoff
+    q2, r, cutoff = relation.q_squared_effective, relation.normalized_rhs, 20
+    n = np.arange(cutoff + 1.0)
+    row = _defining_row(r * (1.0 - q2 ** n) / (1.0 - q2), np.full_like(n, r), q2)
+    _assert_rows_match(_checks(suite="recipe"), [(f"recipe/closure-{gauge}-gauge", *row, 1)],
+                       cutoff)

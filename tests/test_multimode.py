@@ -202,8 +202,12 @@ def test_covariant_validation():
             with pytest.raises(ValueError, match=message):
                 pair_product_residuals(family, margin, norm)
     first, (lower, raise_) = family.dressed
-    for second in ((1j * lower, raise_), (lower + raise_, raise_)):
-        with pytest.raises(ValueError, match="real, on one diagonal"):
+    # The row evaluator refuses a complex or two-diagonal operand, and a real pair on
+    # unrelated offsets (mode 2's lower, mode 1's raise), whose rows' terms leave one diagonal.
+    for second, message in (((1j * lower, raise_), "one-diagonal operators, each real"),
+                            ((lower + raise_, raise_), "one-diagonal operators, each real"),
+                            ((lower, first[1]), "rows whose terms lie on one diagonal")):
+        with pytest.raises(ValueError, match=f"a row table reads {message}"):
             pair_product_residuals(dataclasses.replace(family, dressed=(first, second)))
 
 
@@ -222,9 +226,9 @@ def test_row_table_refuses_an_operand_of_two_diagonals():
     family = covariant_bosons(2, 0.7, [3, 3])
     lower, raise_ = family.dressed[0]
     [(_, _, plan)] = _layout(covariant_rows, (2,), False)
-    operands = [lower + raise_] * len(plan.labels)
     with pytest.raises(ValueError, match="a row table reads one-diagonal operators"):
-        fock._row_residuals(family.space, operands, plan, np.ones(4), 1, "spectral")
+        fock._row_residuals(family.space, lambda label: lower + raise_, plan, np.ones(4), 1,
+                            "spectral")
 
 
 # -- R-matrix ----------------------------------------------------------------------

@@ -299,9 +299,10 @@ def test_one_all_run_builds_each_shared_value_once(monkeypatch):
 
 
 def test_spectral_report_rows_never_reach_the_general_norm(monkeypatch):
-    """Every spectral residual of these runs is monomial: it reaches fock._norm with at
-    most one diagonal, so _norm's monomial and dense-SVD branches serve only library
-    callers.  The Frobenius run does make Frobenius calls."""
+    """Every identity row runs on the row evaluator, which takes a spectral row's largest
+    modulus itself: no spectral residual of these runs reaches fock._norm, whose monomial
+    and dense-SVD branches serve only library callers.  The Frobenius run's rows reach it
+    one diagonal at a time."""
     calls = []
     norm = fock._norm
 
@@ -312,10 +313,9 @@ def test_spectral_report_rows_never_reach_the_general_norm(monkeypatch):
     monkeypatch.setattr(fock, "_norm", counting)
     run_suite(SuiteConfig(suite="all"))
     run_suite(SuiteConfig(suite="multimode", modes=4, cutoff=6))
-    assert calls and {kind for kind, _ in calls} == {"spectral"}
+    assert calls == []
     run_suite(SuiteConfig(suite="all", norm="frobenius", margin=2))
-    assert max(n for kind, n in calls if kind == "spectral") <= 1
-    assert any(kind == "frobenius" for kind, _ in calls)
+    assert calls and set(calls) == {("frobenius", 1)}
 
 
 def test_threads_running_suites_at_once_match_their_sequential_runs():
@@ -353,3 +353,70 @@ def test_threads_running_suites_at_once_match_their_sequential_runs():
     assert len(results) == 4 * len(configs)
     for (t, i), text in results.items():
         assert text == expected[i], (t, configs[i].suite)
+
+
+# -- the one-mode identity rows against the operator route they replaced ---------------
+# Each row's residual is computed here as the suites computed it before they ran on row
+# tables: LinearOperator arithmetic, then fock.relation_residual.  float.hex must match.
+
+def _operator_route_cuntz(cutoff, margin, norm):
+    space = make_space([cutoff])
+    t, e = ladder(space, 1), suites.phase_pair(space, 1)
+    one, sqrt_n = identity_operator(space), suites.sqrt_number_operator(space, 1)
+    vac = suites.number_state_projector(space, 1, 0)
+    wide, narrow = (2, 0) if margin is None else (margin, margin)
+    rows = {"boson-commutator": (fock.commutator(t.lower, t.raise_), one, wide),
+            "number-shift-lower": (fock.commutator(t.number, e.lower), -1.0 * e.lower, wide),
+            "number-shift-raise": (fock.commutator(t.number, e.raise_), e.raise_, wide),
+            "polar-lower": (t.lower, e.lower @ sqrt_n, narrow),
+            "polar-raise": (t.raise_, sqrt_n @ e.raise_, narrow),
+            "shift-left-inverse": (e.raise_ @ e.lower, one - vac, wide),
+            "shift-right-inverse": (e.lower @ e.raise_, one, wide)}
+    return {f"cuntz/{name}": fock.relation_residual(lhs, rhs, m, norm=norm)
+            for name, (lhs, rhs, m) in rows.items()}
+
+
+def _operator_route_alpha(cutoff, alpha, norm):
+    space = make_space([cutoff])
+    boson, pair = suites.alpha_boson(space, 1, alpha), suites.alpha_phase_pair(space, 1, alpha)
+    return {f"alpha/commutator-step-{alpha}": fock.relation_residual(
+                fock.commutator(boson.lower, boson.raise_),
+                suites.theta_operator(space, 1, alpha), 2, norm=norm),
+            f"alpha/phase-defect-projector-{alpha}": fock.relation_residual(
+                pair.lower @ pair.raise_ - pair.raise_ @ pair.lower,
+                suites.number_state_projector(space, 1, alpha), 1, norm=norm)}
+
+
+def _operator_route_defining(family, margin, norm):
+    lhs = family.lower @ family.raise_ - family.q_squared * (family.raise_ @ family.lower)
+    return fock.relation_residual(lhs, family.rhs, margin, norm=norm)
+
+
+@pytest.mark.parametrize("norm", ["spectral", "frobenius"])
+def test_one_mode_identity_rows_keep_the_operator_route_bit_for_bit(norm):
+    for cutoff, margin in ((3, None), (3, 0), (3, 2), (8, None), (8, 1), (32, None)):
+        checks = {c.name: c.residual for c in run_suite(
+            SuiteConfig(suite="cuntz", cutoff=cutoff, margin=margin, norm=norm)).checks}
+        reference = _operator_route_cuntz(cutoff, margin, norm)
+        assert {k: r.hex() for k, r in checks.items()} == {
+            k: r.hex() for k, r in reference.items()}, (cutoff, margin)
+    for cutoff in (3, 8):
+        for alpha in range(cutoff - 1):
+            checks = {c.name: c.residual for c in run_suite(
+                SuiteConfig(suite="alpha", cutoff=cutoff, alpha=alpha, norm=norm)).checks}
+            for name, residual in _operator_route_alpha(cutoff, alpha, norm).items():
+                assert checks[name].hex() == residual.hex(), name
+    for q2 in (0.01, 0.25, 0.81):
+        for tag in suites.STANDARD_TYPES:
+            family = suites.standard_qboson(tag, q2, 12)
+            for margin in (0, 1):
+                assert (suites.defining_relation_residual(family, margin, norm).hex()
+                        == _operator_route_defining(family, margin, norm).hex()), (q2, tag)
+    # The recipe closure families, with the failing q = 0.01 shifted-gauge row (1.49e-8).
+    requests = [("phase", "identity", 0), ("boson", "identity", 0),
+                ("alpha_phase", "identity", 2)]
+    for q2 in (1e-4, 0.5):
+        for rel in suites.recipe_relations(q2, 80, requests):
+            family = suites.family_from_relation(rel, cutoff=20)
+            assert (suites.defining_relation_residual(family, 1, norm).hex()
+                    == _operator_route_defining(family, 1, norm).hex())
