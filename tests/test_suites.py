@@ -355,9 +355,10 @@ def test_threads_running_suites_at_once_match_their_sequential_runs():
         assert text == expected[i], (t, configs[i].suite)
 
 
-# -- the one-mode identity rows against the operator route they replaced ---------------
-# Each row's residual is computed here as the suites computed it before they ran on row
-# tables: LinearOperator arithmetic, then fock.relation_residual.  float.hex must match.
+# -- the one-mode identity rows against the operator route --------------------------------
+# Each row's residual is computed here by LinearOperator arithmetic and the general
+# residual, fock.relation_residual, the reference for the row evaluator: float.hex must
+# match.
 
 def _operator_route_cuntz(cutoff, margin, norm):
     space = make_space([cutoff])
